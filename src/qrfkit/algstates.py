@@ -71,8 +71,7 @@ class AlgebraicState:
         else:
             vec = self.ket
             for g in reversed(ncalg.monomial_word(m)):
-                op = self.assignment[self.gens.names[g]]
-                vec = op.apply(vec) if hasattr(op, "apply") else op @ vec
+                vec = self.assignment[self.gens.names[g]].apply(vec)
             v = complex(np.vdot(self.bra, vec))
         self._cache[m] = v
         return v

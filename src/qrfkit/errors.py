@@ -45,28 +45,12 @@ class IllConditionedFlow(QRFError):
     """Gauge-flow exponent too large for a reliable matrix exponential."""
 
 
-class OrderingViolation(QRFError):
-    """Element not in the ordering required by the frame-change formula."""
-
-
 class DegreeExceeded(QRFError):
     """Polynomial degree exceeds the configured bound."""
 
 
 class RelationViolation(QRFError):
     """A represented commutation relation fails beyond tolerance."""
-
-
-class InsufficientTower(QRFError):
-    """Constraint tower truncated too low to solve for a requested variable."""
-
-
-class NearZeroEnergy(QRFError):
-    """Square-root expansion of the system generator is invalid near zero."""
-
-
-class StepTooLarge(QRFError):
-    """Moment-flow integration diverged; reduce the step size."""
 
 
 class ConfigError(QRFError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd
 
 import numpy as np
@@ -101,10 +101,6 @@ class LatticeSpace:
             out *= f.N
         return out
 
-    @property
-    def frame_indices(self) -> tuple:
-        return tuple(i for i, f in enumerate(self.factors) if f.is_frame)
-
     def frame_dp(self) -> float:
         """Common momentum spacing of the frame factors."""
         dps = {f.dp for f in self.factors if f.is_frame}
@@ -155,15 +151,6 @@ class LatticeSpace:
         return t.reshape(-1)
 
 
-def _float_to_fraction(x: float, scale: float) -> Fraction:
-    """x/scale as an exact small fraction; raises if not close to one."""
-    q = Fraction(x / scale).limit_denominator(1_000_000)
-    if abs(float(q) - x / scale) > 1e-9 * max(1.0, abs(x / scale)):
-        raise IncommensurableSpectrum(
-            f"value {x} is not commensurate with spacing {scale}")
-    return q
-
-
 def tensor_space(factors, hbar: float = 1.0) -> LatticeSpace:
     """Build a lattice space and validate commensurability.
 
@@ -194,63 +181,84 @@ def tensor_space(factors, hbar: float = 1.0) -> LatticeSpace:
 
 @dataclass(frozen=True, eq=False)
 class KinOperator:
-    """A complex matrix on the full lattice space, tagged with factor support.
+    """An operator on the full lattice space, tagged with factor support.
 
-    ``hermitian`` is verified at construction, never asserted.  When the
-    operator is diagonal in the computational basis, ``diag`` stores the
-    diagonal so large spaces never need the dense matrix.
+    Exactly one form is stored:
+
+    - ``diag``: the diagonal in the computational basis;
+    - ``local`` on ``factor``: an n x n matrix on one tensor factor (identity
+      on the others), applied by tensor contraction;
+    - a dense D x D matrix.
+
+    ``matrix`` builds the dense D x D form only when a caller reads it.
+    ``hermitian`` is computed from the stored form on first use, never
+    asserted.
     """
 
     space: LatticeSpace
     _matrix: np.ndarray = None
     diag: np.ndarray = None
     support: frozenset = frozenset()
-    hermitian: bool = False
     warnings: tuple = ()
+    factor: int = None
+    local: np.ndarray = None
 
     @staticmethod
     def from_matrix(space, matrix, support, warnings=()) -> "KinOperator":
         matrix = np.asarray(matrix, dtype=complex)
-        herm = bool(np.max(np.abs(matrix - matrix.conj().T)) < HERM_TOL)
         matrix.setflags(write=False)
-        return KinOperator(space, matrix, None, frozenset(support), herm,
+        return KinOperator(space, matrix, None, frozenset(support),
                            tuple(warnings))
 
     @staticmethod
     def from_diag(space, diag, support, warnings=()) -> "KinOperator":
         diag = np.asarray(diag, dtype=complex)
-        herm = bool(np.max(np.abs(diag.imag)) < HERM_TOL)
         diag.setflags(write=False)
-        return KinOperator(space, None, diag, frozenset(support), herm,
+        return KinOperator(space, None, diag, frozenset(support),
                            tuple(warnings))
 
     @property
     def is_diagonal(self) -> bool:
         return self.diag is not None
 
+    @cached_property
+    def hermitian(self) -> bool:
+        if self.is_diagonal:
+            return bool(np.max(np.abs(self.diag.imag)) < HERM_TOL)
+        m = self._matrix if self.local is None else self.local
+        return bool(np.max(np.abs(m - m.conj().T)) < HERM_TOL)
+
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is not None:
             return self._matrix
-        return np.diag(self.diag)
+        if self.is_diagonal:
+            return np.diag(self.diag)
+        return self.space.embed_matrix(self.factor, self.local)
+
+    def diagonal(self) -> np.ndarray:
+        """The full-space diagonal, without forming a dense matrix."""
+        if self.is_diagonal:
+            return self.diag
+        if self.local is not None:
+            return self.space.embed_diag(self.factor, np.diagonal(self.local))
+        return np.diagonal(self._matrix)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         if self.is_diagonal:
             return self.diag * vec
+        if self.local is not None:
+            return self.space.apply_factor(self.factor, self.local, vec)
         return self._matrix @ vec
 
     def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
         """The adjoint applied to ``vec``, without forming the adjoint."""
         if self.is_diagonal:
             return self.diag.conj() * vec
+        if self.local is not None:
+            return self.space.apply_factor(self.factor, self.local.conj().T,
+                                           vec)
         return (vec.conj() @ self._matrix).conj()
-
-    def dagger(self) -> "KinOperator":
-        if self.is_diagonal:
-            return KinOperator.from_diag(self.space, self.diag.conj(),
-                                         self.support)
-        return KinOperator.from_matrix(self.space, self._matrix.conj().T,
-                                       self.support)
 
     def expectation(self, ket: np.ndarray, bra: np.ndarray = None) -> complex:
         b = ket if bra is None else bra
@@ -271,6 +279,9 @@ class KinOperator:
         if self.is_diagonal:
             return KinOperator.from_diag(self.space, scalar * self.diag,
                                          self.support)
+        if self.local is not None:
+            return factor_operator(self.space, self.factor,
+                                   scalar * self.local)
         return KinOperator.from_matrix(self.space, scalar * self._matrix,
                                        self.support)
 
@@ -287,47 +298,26 @@ class KinOperator:
             raise ValueError("operators live on different spaces")
 
 
-@dataclass(frozen=True, eq=False)
-class FactorAction:
-    """Single-factor operator applied lazily by tensor contraction.
-
-    Duck-compatible with KinOperator where only ``apply``/``expectation``
-    are needed; avoids materializing dense full-space matrices on large
-    products.
-    """
-
-    space: LatticeSpace
-    factor: int
-    mat: np.ndarray
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.space.apply_factor(self.factor, self.mat, vec)
-
-    def expectation(self, ket: np.ndarray, bra: np.ndarray = None) -> complex:
-        b = ket if bra is None else bra
-        return complex(np.vdot(b, self.apply(ket)))
-
-    def dense(self) -> KinOperator:
-        return KinOperator.from_matrix(
-            self.space, self.space.embed_matrix(self.factor, self.mat),
-            {self.factor})
-
-
 def identity_operator(space: LatticeSpace) -> KinOperator:
     return KinOperator.from_diag(space, np.ones(space.dim), frozenset())
 
 
 def factor_operator(space: LatticeSpace, factor: int,
                     mat: np.ndarray) -> KinOperator:
-    """Embed a single-factor matrix as a KinOperator."""
-    mat = np.asarray(mat, dtype=complex)
+    """A single-factor matrix as a KinOperator, identity on the other factors.
+
+    A diagonal ``mat`` (or a 1d array of its diagonal) gives the diagonal
+    form; any other matrix is kept in the factor-local form.
+    """
+    mat = np.array(mat, dtype=complex)
     if mat.ndim == 1 or (mat.ndim == 2 and mat.shape[0] == mat.shape[1]
                          and np.count_nonzero(mat - np.diag(np.diag(mat))) == 0):
         d = mat if mat.ndim == 1 else np.diag(mat)
         return KinOperator.from_diag(space, space.embed_diag(factor, d),
                                      {factor})
-    return KinOperator.from_matrix(space, space.embed_matrix(factor, mat),
-                                   {factor})
+    mat.setflags(write=False)
+    return KinOperator(space, support=frozenset({factor}), factor=factor,
+                       local=mat)
 
 
 def momentum_operator(space: LatticeSpace, factor: int) -> KinOperator:
@@ -531,22 +521,3 @@ def factorize_constraint(space: LatticeSpace, frame: int,
         root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
         h = KinOperator.from_matrix(space, root, g_s.support)
     return p + h, p - h
-
-
-def subspace_principal_angles(basis_a: np.ndarray,
-                              basis_b: np.ndarray) -> np.ndarray:
-    """Principal angles between two subspaces given by orthonormal columns."""
-    s = np.linalg.svd(basis_a.conj().T @ basis_b, compute_uv=False)
-    return np.arccos(np.clip(s, -1.0, 1.0))
-
-
-def kernel_basis(C: KinOperator) -> np.ndarray:
-    """Orthonormal basis of ker(C) as columns."""
-    vals, mask, vecs, _ = kernel_indicator(C)
-    if vecs is None:
-        d = C.space.dim
-        cols = np.flatnonzero(mask)
-        B = np.zeros((d, cols.size), dtype=complex)
-        B[cols, np.arange(cols.size)] = 1.0
-        return B
-    return vecs[:, mask]

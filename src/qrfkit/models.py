@@ -26,7 +26,7 @@ import sympy as sp
 from . import kinspace as ks
 from . import ncalg
 from .errors import ConfigError, IncommensurableSpectrum
-from .kinspace import FactorAction, FactorSpec, KinOperator
+from .kinspace import FactorSpec, KinOperator
 from .ncalg import GeneratorSet
 from .relobs import OrientationFrame
 
@@ -138,7 +138,7 @@ def _build_nparticle(spec: ModelSpec) -> Model:
     for i, lab in enumerate(labels):
         assignment[f"p_{lab}"] = ks.momentum_operator(space, i)
         frames[lab] = OrientationFrame(space, i)
-        assignment[f"q_{lab}"] = FactorAction(
+        assignment[f"q_{lab}"] = ks.factor_operator(
             space, i, position_matrix(spec.lattice_size, spec.dp, spec.hbar))
     terms = {i: 1.0 for i in range(n)}
     C = ks.build_constraint(space, terms)
@@ -172,13 +172,13 @@ def _build_su2(spec: ModelSpec) -> Model:
     assignment = {
         "p_A": ks.momentum_operator(space, 0),
         "p_B": ks.momentum_operator(space, 1),
-        "q_A": FactorAction(space, 0, position_matrix(spec.lattice_size,
-                                                      spec.dp, spec.hbar)),
-        "q_B": FactorAction(space, 1, position_matrix(spec.lattice_size,
-                                                      spec.dp, spec.hbar)),
-        "J_x": FactorAction(space, 2, jx),
-        "J_y": FactorAction(space, 2, jy),
-        "J_z": FactorAction(space, 2, jz),
+        "q_A": ks.factor_operator(space, 0, position_matrix(
+            spec.lattice_size, spec.dp, spec.hbar)),
+        "q_B": ks.factor_operator(space, 1, position_matrix(
+            spec.lattice_size, spec.dp, spec.hbar)),
+        "J_x": ks.factor_operator(space, 2, jx),
+        "J_y": ks.factor_operator(space, 2, jy),
+        "J_z": ks.factor_operator(space, 2, jz),
     }
     terms = {0: 1.0, 1: 1.0, 2: 1.0}
     C = ks.build_constraint(space, terms)
@@ -210,10 +210,11 @@ def _build_newtonian(spec: ModelSpec) -> Model:
     gens = GeneratorSet.canonical([("t_C", "p_C"), ("q_S", "p_S")])
     assignment = {
         "p_C": ks.momentum_operator(space, 0),
-        "t_C": FactorAction(space, 0, position_matrix(spec.clock_size, dp,
-                                                      spec.hbar)),
-        "p_S": FactorAction(space, 1, np.diag(p_s)),
-        "q_S": FactorAction(space, 1, position_matrix(n_s, dp, spec.hbar)),
+        "t_C": ks.factor_operator(space, 0, position_matrix(
+            spec.clock_size, dp, spec.hbar)),
+        "p_S": ks.factor_operator(space, 1, np.diag(p_s)),
+        "q_S": ks.factor_operator(space, 1, position_matrix(n_s, dp,
+                                                            spec.hbar)),
     }
     terms = {0: 1.0, 1: 1.0}
     C = ks.build_constraint(space, terms)
@@ -250,8 +251,9 @@ def _build_degenerate(spec: ModelSpec) -> Model:
               - gens.gen("H") * gens.gen("H"))
     assignment = {
         "p_R": p,
-        "q_R": FactorAction(space, 0, position_matrix(N, spec.dp, spec.hbar)),
-        "H": FactorAction(space, 1, np.diag(levels)),
+        "q_R": ks.factor_operator(space, 0, position_matrix(N, spec.dp,
+                                                            spec.hbar)),
+        "H": ks.factor_operator(space, 1, np.diag(levels)),
     }
     Pi = ks.group_average(space, C)
     frames = {"R": OrientationFrame(space, 0)}
@@ -266,12 +268,6 @@ def _build_degenerate(spec: ModelSpec) -> Model:
 # state recipes
 
 
-def plain_kernel_basis(model: Model) -> np.ndarray:
-    """Indices where the un-reduced constraint diagonal vanishes."""
-    scale = max(float(np.max(np.abs(model.plain_diag))), 1.0)
-    return np.flatnonzero(np.abs(model.plain_diag) < 1e-9 * scale)
-
-
 def random_physical_state(model: Model, rng, unwrapped: bool = True
                           ) -> np.ndarray:
     """Random state in the constraint kernel.
@@ -283,7 +279,9 @@ def random_physical_state(model: Model, rng, unwrapped: bool = True
     """
     psi = np.zeros(model.space.dim, dtype=complex)
     if unwrapped:
-        idx = plain_kernel_basis(model)
+        # where the un-reduced constraint diagonal vanishes
+        scale = max(float(np.max(np.abs(model.plain_diag))), 1.0)
+        idx = np.flatnonzero(np.abs(model.plain_diag) < 1e-9 * scale)
         psi[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
     else:
         psi = rng.normal(size=model.space.dim) * (1 + 0j)

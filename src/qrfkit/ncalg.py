@@ -27,9 +27,9 @@ import numpy as np
 import sympy as sp
 
 from .errors import DegreeExceeded, RelationViolation
+from .kinspace import KinOperator
 
 HBAR = sp.Symbol("hbar", positive=True)
-SQRT_HBAR = sp.sqrt(HBAR)
 
 _ZERO = sp.Integer(0)
 _ONE = sp.Integer(1)
@@ -406,18 +406,6 @@ def from_weyl_basis(gens: GeneratorSet, coeffs: dict) -> AlgebraElement:
     return out
 
 
-def hbar_power_range(a: AlgebraElement):
-    """(min, max) power of sqrt(hbar) over all coefficients (2 per hbar)."""
-    lo, hi = None, None
-    for c in a.terms.values():
-        p = sp.Poly(sp.expand(c).subs(HBAR, SQRT_HBAR**2), SQRT_HBAR)
-        for mono in p.monoms():
-            d = mono[0]
-            lo = d if lo is None else min(lo, d)
-            hi = d if hi is None else max(hi, d)
-    return lo, hi
-
-
 def represent(a: AlgebraElement, space, assignment) -> "np.ndarray":
     """Evaluate the element as a matrix under ``assignment: name -> operator``.
 
@@ -447,18 +435,13 @@ def apply_element(a: AlgebraElement, space, assignment,
         cval = complex(sp.expand(c).subs(HBAR, space.hbar))
         v = vec
         for g in reversed(monomial_word(m)):
-            op = assignment[a.gens.names[g]]
-            v = op.apply(v) if hasattr(op, "apply") else op @ v
+            v = assignment[a.gens.names[g]].apply(v)
         out = out + cval * v
     return out
 
 
 def _as_matrix(op) -> np.ndarray:
-    if hasattr(op, "matrix"):
-        return op.matrix
-    if hasattr(op, "dense"):
-        return op.dense().matrix
-    return np.asarray(op)
+    return op.matrix if isinstance(op, KinOperator) else np.asarray(op)
 
 
 def verify_assignment(gens: GeneratorSet, space, assignment,

@@ -6,9 +6,12 @@ and group averages.  Composing a reduction with another frame's inverse
 reduction produces the unitary that re-expresses the same physical data
 from the other frame's perspective.
 
-Generalized gauge maps Phi satisfy Pi Phi Pi = Pi on the constraint kernel;
-they are stored as explicit full-dimension operators (desk-scale spaces
-keep that cheap and make residual checks direct).
+Generalized gauge maps Phi satisfy Pi Phi Pi = Pi on the constraint kernel.
+A gauge map is a ``KinOperator`` like any other operator on the
+kinematical space: the reference gauge Theta(rho) = |rho><rho| x 1 stays
+factor-local and is applied by tensor contraction, while a composite gauge
+exp(i O1 C) Phi exp(i O2 C) is dense.  Only the residual checks in
+``verify_gauge`` read the dense D x D forms.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from . import kinspace as ks
 from .algstates import AlgebraicState, from_hilbert
 from .errors import IllConditionedFlow, NotPhysical, SameFrame, UnsupportedSupport
 from .kinspace import KinOperator, LatticeSpace
@@ -59,35 +61,13 @@ def embed_state(frame: OrientationFrame, rho: float, phi: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False)
-class ReductionMap:
-    """Reduction at a fixed orientation, with its matrix on demand."""
-
-    frame: OrientationFrame
-    rho: float
-
-    @property
-    def space(self) -> LatticeSpace:
-        return self.frame.space
-
-    def matrix(self) -> np.ndarray:
-        space = self.frame.space
-        v = orientation_state_at(self.frame, self.rho)
-        out = np.ones((1, 1))
-        for i, f in enumerate(space.factors):
-            blk = v.conj()[None, :] if i == self.frame.factor else np.eye(f.N)
-            out = np.kron(out, blk)
-        return out
-
-
-@dataclass(frozen=True, eq=False)
 class QRFTransform:
-    """Unitary from the ``frame_a`` perspective to the ``frame_b`` one."""
+    """The map from one frame's reduced space to another's.
 
-    frame_a: OrientationFrame
-    rho_a: float
-    frame_b: OrientationFrame
-    rho_b: float
-    Pi: KinOperator
+    ``matrix`` has shape (dim of the target reduced space, dim of the
+    source one), so it is non-square when the two frames differ in size.
+    """
+
     matrix: np.ndarray
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
@@ -110,7 +90,7 @@ def qrf_transform(frame_a: OrientationFrame, rho_a: float,
         basis[i] = 1.0
         full = embed_state(frame_a, rho_a, basis, Pi)
         cols[:, i] = reduce_state(frame_b, rho_b, full)
-    return QRFTransform(frame_a, rho_a, frame_b, rho_b, Pi, cols)
+    return QRFTransform(cols)
 
 
 def conjugate_observable(V: QRFTransform, f: np.ndarray) -> np.ndarray:
@@ -127,25 +107,12 @@ def conjugate_observable(V: QRFTransform, f: np.ndarray) -> np.ndarray:
 # generalized gauges
 
 
-@dataclass(frozen=True, eq=False)
-class GaugeMap:
-    """A map Phi with Pi Phi Pi = Pi, stored as a full-space operator."""
-
-    space: LatticeSpace
-    matrix: np.ndarray
-    label: str = "custom"
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
+def theta_gauge(frame: OrientationFrame, rho: float) -> KinOperator:
+    """The reference gauge Theta(rho) = |rho><rho| x 1, factor-local."""
+    return theta_projector(frame, rho)
 
 
-def theta_gauge(frame: OrientationFrame, rho: float) -> GaugeMap:
-    """The reference gauge Theta(rho) = |rho><rho| x 1."""
-    return GaugeMap(frame.space, theta_projector(frame, rho).matrix,
-                    label=f"Theta(rho={rho:g})")
-
-
-def verify_gauge(phi: GaugeMap, Pi: KinOperator) -> dict:
+def verify_gauge(phi: KinOperator, Pi: KinOperator) -> dict:
     """Max residuals of the two defining identities on the kernel.
 
     Returns ``{"pi_phi_pi": ..., "phi_pi_phi": ..., "valid": bool}`` where
@@ -161,17 +128,17 @@ def verify_gauge(phi: GaugeMap, Pi: KinOperator) -> dict:
             "valid": bool(r1 < 1e-10 and r2 < 1e-10)}
 
 
-def composite_gauge(phi: GaugeMap, o1: np.ndarray, o2: np.ndarray,
-                    C: KinOperator) -> GaugeMap:
+def composite_gauge(phi: KinOperator, o1: np.ndarray, o2: np.ndarray,
+                    C: KinOperator) -> KinOperator:
     """exp(i O1 C) Phi exp(i O2 C) for hermitian Dirac observables O1, O2."""
     Cm = C.matrix
     left = expm(1j * np.asarray(o1) @ Cm)
     right = expm(1j * np.asarray(o2) @ Cm)
-    return GaugeMap(phi.space, left @ phi.matrix @ right,
-                    label=f"conjugated({phi.label})")
+    return KinOperator.from_matrix(phi.space, left @ phi.matrix @ right,
+                                   range(len(phi.space.factors)))
 
 
-def gauge_transform_state(omega: AlgebraicState, phi_b: GaugeMap,
+def gauge_transform_state(omega: AlgebraicState, phi_b: KinOperator,
                           Pi: KinOperator) -> AlgebraicState:
     """omega'(.) = omega(Pi Phi_B (.)): the same physical data in gauge B.
 
@@ -181,7 +148,7 @@ def gauge_transform_state(omega: AlgebraicState, phi_b: GaugeMap,
     """
     if omega.bra is None:
         raise ValueError("gauge transforms need a Hilbert-backed state")
-    new_bra = phi_b.matrix.conj().T @ (Pi.apply(omega.bra))
+    new_bra = phi_b.apply_adjoint(Pi.apply(omega.bra))
     return from_hilbert(new_bra, omega.ket, omega.space, omega.assignment,
                         omega.gens, omega.degree_bound, normalize=False)
 
@@ -265,11 +232,13 @@ def _spectral_norm_estimate(X) -> float:
 
 
 def _trace_of_product(a: KinOperator, C: KinOperator) -> complex:
-    """tr(aC) from the stored diagonals or matrices, without forming aC."""
-    if a.is_diagonal:
-        return complex(np.dot(a.diag, np.diagonal(C.matrix)))
-    if C.is_diagonal:
-        return complex(np.dot(np.diagonal(a.matrix), C.diag))
+    """tr(aC) from the stored forms, without forming aC.
+
+    When either operand is diagonal only the diagonals are read, so a
+    factor-local operand is never densified.
+    """
+    if a.is_diagonal or C.is_diagonal:
+        return complex(np.dot(a.diagonal(), C.diagonal()))
     return complex(np.einsum("ij,ji->", a.matrix, C.matrix))
 
 
@@ -278,36 +247,24 @@ def system_projector(frame: OrientationFrame, Pi: KinOperator) -> KinOperator:
 
     Independent of which orientation is used; on a commensurate lattice
     with a linear constraint this is the identity (every frame is ideal).
+    A diagonal Pi gives a diagonal pi_hat: |<p_k|rho>| = 1, so the block's
+    diagonal is the sum of Pi's diagonal along the frame axis.
     """
     space = frame.space
-    rho = float(frame.grid[0])
-    v = orientation_state_at(frame, rho)
     dims = space.dims
-    P = Pi.matrix.reshape(dims + dims)
-    P = np.tensordot(v.conj(), P, axes=([0], [frame.factor]))
-    P = np.tensordot(v, P, axes=([0], [len(dims) - 1 + frame.factor]))
-    rest = [d for i, d in enumerate(dims) if i != frame.factor]
-    rd = int(np.prod(rest))
-    block = P.reshape(rd, rd)
-    full = _insert_identity(block, frame, dims)
-    return KinOperator.from_matrix(space, full, frozenset(range(len(dims)))
-                                   - {frame.factor})
-
-
-def _insert_identity(block: np.ndarray, frame: OrientationFrame, dims):
-    """1_frame x block, with the frame slot restored at its position."""
+    k = frame.factor
+    support = frozenset(range(len(dims))) - {k}
+    if Pi.is_diagonal:
+        d = Pi.diag.reshape(dims).sum(axis=k, keepdims=True)
+        return KinOperator.from_diag(
+            space, np.broadcast_to(d, dims).reshape(-1), support)
+    v = orientation_state_at(frame, float(frame.grid[0]))
     n = len(dims)
-    rest = [d for i, d in enumerate(dims) if i != frame.factor]
-    t = block.reshape(tuple(rest) * 2)
-    eye = np.eye(dims[frame.factor])
-    full = np.tensordot(eye, t, axes=0)  # (f, f', rest..., rest'...)
-    row = [0] + [2 + i for i in range(n - 1)]
-    col = [1] + [1 + n + i for i in range(n - 1)]
-
-    def slot(order):
-        head, rest_ = order[0], order[1:]
-        return rest_[:frame.factor] + [head] + rest_[frame.factor:]
-
-    perm = slot(row) + slot(col)
-    d = int(np.prod(dims))
-    return np.transpose(full, perm).reshape(d, d)
+    P = Pi.matrix.reshape(dims + dims)
+    P = np.tensordot(v.conj(), P, axes=([0], [k]))
+    block = np.tensordot(v, P, axes=([0], [n - 1 + k]))
+    # 1_frame x block, with both frame slots moved back to position k
+    full = np.moveaxis(np.multiply.outer(np.eye(dims[k]), block),
+                       [0, 1], [k, n + k])
+    return KinOperator.from_matrix(space, full.reshape(space.dim, space.dim),
+                                   support)

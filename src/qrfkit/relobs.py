@@ -23,6 +23,7 @@ from .kinspace import (
     KinOperator,
     LatticeSpace,
     cyclic_group,
+    factor_operator,
     momentum_operator,
     reduce_mod_period,
 )
@@ -55,13 +56,6 @@ class OrientationFrame:
     def period(self) -> float:
         return self.N * self.spacing
 
-    def grid_index(self, rho: float) -> int:
-        """Index of an on-grid orientation (modulo the period)."""
-        j = rho / self.spacing
-        if abs(j - round(j)) > 1e-9:
-            raise IndexOutOfRange(f"orientation {rho} is off the grid")
-        return ((int(round(j)) + self.N // 2) % self.N) - self.N // 2
-
     def fourier_matrix(self) -> np.ndarray:
         """Columns are the orientation vectors |rho_j> in the momentum basis."""
         p = self.space.factors[self.factor].generator_spectrum
@@ -91,10 +85,8 @@ def effect_operator(frame: OrientationFrame, X) -> KinOperator:
         if not (-frame.N // 2 <= j < frame.N // 2):
             raise IndexOutOfRange(f"grid index {j} outside [-N/2, N/2)")
         sel[j + frame.N // 2] = 1.0
-    mat = (F * sel) @ F.conj().T / frame.N
-    return KinOperator.from_matrix(
-        frame.space, frame.space.embed_matrix(frame.factor, mat),
-        {frame.factor})
+    return factor_operator(frame.space, frame.factor,
+                           (F * sel) @ F.conj().T / frame.N)
 
 
 def orientation_operator(frame: OrientationFrame) -> KinOperator:
@@ -104,10 +96,8 @@ def orientation_operator(frame: OrientationFrame) -> KinOperator:
     orientation vectors are its exact eigenvectors (ideal frame).
     """
     F = frame.fourier_matrix()
-    mat = (F * frame.grid) @ F.conj().T / frame.N
-    return KinOperator.from_matrix(
-        frame.space, frame.space.embed_matrix(frame.factor, mat),
-        {frame.factor})
+    return factor_operator(frame.space, frame.factor,
+                           (F * frame.grid) @ F.conj().T / frame.N)
 
 
 def wraparound_weight(frame: OrientationFrame, vec: np.ndarray,
@@ -179,10 +169,7 @@ def theta_projector(frame: OrientationFrame, rho: float) -> KinOperator:
     average, so that (1/N) sum_j Theta(rho_j) = 1 resolves the identity.
     """
     v = orientation_state_at(frame, rho)
-    mat = np.outer(v, v.conj())
-    return KinOperator.from_matrix(
-        frame.space, frame.space.embed_matrix(frame.factor, mat),
-        {frame.factor})
+    return factor_operator(frame.space, frame.factor, np.outer(v, v.conj()))
 
 
 def relational_observable(space: LatticeSpace, C: KinOperator,

@@ -259,3 +259,44 @@ class TestSectorsAndFactorization:
         plus, minus = ks.sector_projectors(sp, 0)
         recomposed = (plus @ Pi @ plus) + (minus @ Pi @ minus)
         assert np.max(np.abs(recomposed.diag - Pi.diag)) < 1e-10
+
+
+class TestOperatorForms:
+    """Each stored form agrees with its dense matrix as the reference."""
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("form", ["diag", "local", "dense"])
+    def test_form_matches_dense_reference(self, form, hermitian):
+        sp = ks.tensor_space([ks.FactorSpec.frame(8, 1.0, name)
+                              for name in "ABC"])
+        assert sp.dim == 512
+        rng = np.random.default_rng(89)
+
+        def sample(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        if form == "diag":
+            d = sample(sp.dim)
+            op = ks.KinOperator.from_diag(sp, d.real if hermitian else d,
+                                          set())
+        else:
+            m = sample(8, 8) if form == "local" else sample(sp.dim, sp.dim)
+            if hermitian:
+                m = (m + m.conj().T) / 2
+            op = (ks.factor_operator(sp, 1, m) if form == "local"
+                  else ks.KinOperator.from_matrix(sp, m, {0, 1, 2}))
+        assert op.is_diagonal == (form == "diag")
+        assert (op.local is not None) == (form == "local")
+        M = op.matrix
+        v = sample(sp.dim)
+        assert np.max(np.abs(op.apply(v) - M @ v)) < 1e-12
+        assert np.max(np.abs(op.apply_adjoint(v) - M.conj().T @ v)) < 1e-12
+        assert np.max(np.abs(op.diagonal() - np.diagonal(M))) < 1e-12
+        assert op.hermitian == bool(
+            np.max(np.abs(M - M.conj().T)) < ks.HERM_TOL) == hermitian
+        s = 0.3 - 1.7j
+        scaled = s * op
+        assert scaled.is_diagonal == op.is_diagonal
+        assert (scaled.local is None) == (op.local is None)
+        assert np.max(np.abs(scaled.matrix - s * M)) < 1e-12
+        assert np.max(np.abs(scaled.apply(v) - s * (M @ v))) < 1e-12

@@ -216,6 +216,31 @@ class TestThetaGauge:
         assert np.max(np.abs(H @ P - P)) < 1e-10
         assert np.max(np.abs(P @ H - P)) < 1e-10
 
+    def test_system_projector_dense_and_diagonal_pi(self):
+        # unequal factor sizes with the frame in the middle, so a misplaced
+        # frame slot cannot go unnoticed
+        space = ks.tensor_space([ks.FactorSpec.frame(4, 1.0, "A"),
+                                 ks.FactorSpec.frame(8, 1.0, "B"),
+                                 ks.FactorSpec.system([0.0, 1.0, -1.0])])
+        fr = ro.OrientationFrame(space, 1)
+        rng = np.random.default_rng(101)
+        P = rng.normal(size=(96, 96)) + 1j * rng.normal(size=(96, 96))
+        v = ro.orientation_state_at(fr, fr.grid[0])
+        R = np.kron(np.kron(np.eye(4), v.conj()[None, :]), np.eye(3))
+        block = (R @ P @ R.conj().T).reshape(4, 3, 4, 3)
+        expected = np.einsum("kl,ijmn->ikjmln", np.eye(8),
+                             block).reshape(96, 96)
+        dense = rg.system_projector(fr, ks.KinOperator.from_matrix(
+            space, P, {0, 1, 2}))
+        assert np.max(np.abs(dense.matrix - expected)) < 1e-12
+        d = rng.normal(size=96)
+        from_diag = rg.system_projector(
+            fr, ks.KinOperator.from_diag(space, d, {0, 1, 2}))
+        from_dense = rg.system_projector(
+            fr, ks.KinOperator.from_matrix(space, np.diag(d), {0, 1, 2}))
+        assert from_diag.is_diagonal
+        assert np.max(np.abs(from_diag.matrix - from_dense.matrix)) < 1e-12
+
     def test_composite_gauge_is_gauge(self, model):
         rng = np.random.default_rng(67)
         fr = model.frames["A"]
@@ -230,8 +255,8 @@ class TestThetaGauge:
         assert rep["valid"], rep
 
     def test_zero_map_invalid(self, model):
-        zero = rg.GaugeMap(model.space,
-                           np.zeros((model.space.dim, model.space.dim)))
+        zero = ks.KinOperator.from_matrix(
+            model.space, np.zeros((model.space.dim, model.space.dim)), ())
         rep = rg.verify_gauge(zero, model.Pi)
         assert not rep["valid"]
         assert rep["pi_phi_pi"] >= 1.0 - 1e-12
@@ -283,10 +308,10 @@ class TestGaugeFlow:
     def test_identity_flow_trivial_on_dirac(self, model, psi):
         om = self.frame_omega(model, "A", 0.0, psi)
         one = ks.identity_operator(model.space)
-        флоу = rg.gauge_flow(om, one, 0.7, model.constraint)
+        flowed = rg.gauge_flow(om, one, 0.7, model.constraint)
         g = model.gens
         for name in ("p_A", "p_B", "p_C"):
-            assert abs(флоу.evaluate(g.gen(name))
+            assert abs(flowed.evaluate(g.gen(name))
                        - om.evaluate(g.gen(name))) < 1e-10
 
     def test_finite_difference_derivative(self, model, psi):
@@ -296,9 +321,7 @@ class TestGaugeFlow:
         a = ks.factor_operator(model.space, 2, (m + m.T) / 2)
         g = model.gens
         b = g.gen("q_C") * g.gen("p_C")
-        b_mat = ncalg.represent(b, model.space, {
-            k: (v.dense() if isinstance(v, ks.FactorAction) else v)
-            for k, v in model.assignment.items()})
+        b_mat = ncalg.represent(b, model.space, model.assignment)
         eps = 1e-5
         om_p = rg.gauge_flow(om, a, +eps, model.constraint)
         om_m = rg.gauge_flow(om, a, -eps, model.constraint)
@@ -377,3 +400,72 @@ class TestGaugeFlow:
         X = a.matrix @ model.constraint.matrix
         expected = expm(1j * lam * X / model.hbar).conj().T @ om.bra
         assert np.max(np.abs(flowed.bra - expected)) < 1e-12
+
+
+class TestLargeLattice:
+    """At D = 32768 a dense D x D operator would need 16 GiB; none is built."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        model = md.build_model(md.ModelSpec("nparticle", n_particles=3,
+                                            lattice_size=32))
+        assert model.space.dim == 32768
+        psi = md.gaussian_physical_state(
+            model, centers_x={0: 0.0, 1: 0.3, 2: -0.3},
+            sigmas={1: 1.7, 2: 1.7})
+        return model, psi
+
+    def test_theta_gauge_matches_reduce_and_embed(self, big):
+        model, psi = big
+        fr = model.frames["B"]
+        rho = fr.grid[13]
+        theta = rg.theta_gauge(fr, rho)
+        lhs = model.Pi.apply(theta.apply(psi))
+        rhs = rg.embed_state(fr, rho, rg.reduce_state(fr, rho, psi), model.Pi)
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
+        assert np.max(np.abs(lhs - psi)) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["factor", "orientation", "effect"])
+    def test_single_factor_operators_match_apply_factor(self, big, kind):
+        model, psi = big
+        space = model.space
+        fr = model.frames["C"]
+        F = fr.fourier_matrix()
+        rng = np.random.default_rng(97)
+        if kind == "factor":
+            mat = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+            op = ks.factor_operator(space, 2, mat)
+        elif kind == "orientation":
+            mat = (F * fr.grid) @ F.conj().T / fr.N
+            op = ro.orientation_operator(fr)
+        else:
+            X = range(-3, 5)
+            sel = np.isin(np.arange(-16, 16), X)
+            mat = (F * sel) @ F.conj().T / fr.N
+            op = ro.effect_operator(fr, X)
+        assert not op.is_diagonal
+        v = psi + 1j * rng.normal(size=space.dim)
+        assert np.max(np.abs(op.apply(v) - space.apply_factor(2, mat, v))) \
+            < 1e-12
+        assert np.max(np.abs(op.apply_adjoint(v) - space.apply_factor(
+            2, mat.conj().T, v))) < 1e-12
+
+    def test_system_projector_is_diagonal_identity(self, big):
+        model, psi = big
+        pi_hat = rg.system_projector(model.frames["A"], model.Pi)
+        assert pi_hat.is_diagonal
+        assert np.max(np.abs(pi_hat.apply(psi) - psi)) < 1e-10
+
+    def test_gauge_transform_keeps_dirac_values(self, big):
+        model, psi = big
+        rho_a = model.frames["A"].grid[16]
+        om_a = ast.frame_state(model.space, model.constraint,
+                               model.frames["A"], rho_a, psi,
+                               model.assignment, model.gens, 2)
+        fr_b = model.frames["B"]
+        om_b = rg.gauge_transform_state(om_a, rg.theta_gauge(fr_b,
+                                                             fr_b.grid[15]),
+                                        model.Pi)
+        g = model.gens
+        for el in (g.one(), g.gen("p_A"), g.gen("p_B"), g.gen("p_C")):
+            assert abs(om_b.evaluate(el) - om_a.evaluate(el)) < 1e-10
