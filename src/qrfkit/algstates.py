@@ -54,8 +54,7 @@ class AlgebraicState:
                 f"degree {a.degree()} exceeds bound {self.degree_bound}")
         out = 0j
         for m, c in a.terms.items():
-            cval = complex(sp.expand(c).subs(HBAR, self.hbar))
-            out += cval * self._monomial_value(m)
+            out += ncalg.numeric(c, self.hbar) * self._monomial_value(m)
         return out
 
     __call__ = evaluate
@@ -137,28 +136,29 @@ def frame_state(space: LatticeSpace, C: KinOperator, frame, rho: float,
     return from_hilbert(bra, psi_phys, space, assignment, gens, degree_bound)
 
 
+def _max_abs_value(omega: AlgebraicState, degree: int, product) -> float:
+    """max |omega(product(a))| over the monomials a with deg a <= degree."""
+    gens = omega.gens
+    return max(abs(omega.evaluate(product(gens.element({m: 1}))))
+               for m in gens.monomial_basis(max(degree, 0)))
+
+
 def check_constraint_surface(omega: AlgebraicState, C: AlgebraElement,
                              degree: int = None) -> float:
     """max |omega(a C)| over the monomial basis with deg a <= D - deg C."""
     d = (omega.degree_bound if degree is None else degree) - C.degree()
-    worst = 0.0
-    for m in omega.gens.monomial_basis(max(d, 0)):
-        a = omega.gens.element({m: 1})
-        worst = max(worst, abs(omega.evaluate(a * C)))
-    return worst
+    return _max_abs_value(omega, d, lambda a: a * C)
 
 
 def check_frame_gauge(omega: AlgebraicState, z_name: str, rho: float,
                       degree: int = None) -> float:
-    """max |omega((Z - rho) a)| over the monomial basis with deg a <= D - 1."""
-    gens = omega.gens
-    z = gens.gen(z_name) - sp.nsimplify(rho) * gens.one()
+    """max |omega((Z - rho) a)| over the monomial basis with deg a <= D - 1.
+
+    rho is used exactly as given (a float stays a float coefficient).
+    """
+    z = omega.gens.gen(z_name) - rho * omega.gens.one()
     d = (omega.degree_bound if degree is None else degree) - 1
-    worst = 0.0
-    for m in gens.monomial_basis(max(d, 0)):
-        a = gens.element({m: 1})
-        worst = max(worst, abs(omega.evaluate(z * a)))
-    return worst
+    return _max_abs_value(omega, d, lambda a: z * a)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ class FrameReport:
 def _coef_vector(elem: AlgebraElement, basis_index: dict) -> np.ndarray:
     v = np.zeros(len(basis_index), dtype=complex)
     for m, c in elem.terms.items():
-        v[basis_index[m]] = complex(sp.expand(c).subs(HBAR, 1.0))
+        v[basis_index[m]] = ncalg.numeric(c, 1.0)
     return v
 
 
@@ -293,9 +293,10 @@ def dress_system_element(gens: GeneratorSet, f_s: AlgebraElement,
     Nested-commutator series
     ``sum_n (i (q - rho))^n / (hbar^n n!) [f_S, G_S]_n``; terminates when
     the adjoint action is nilpotent (canonical systems), otherwise raises.
-    Each nesting carries one power of hbar, so the division is exact.
+    Each nesting carries one power of hbar, so the division is exact; rho
+    is used exactly as given.
     """
-    q_shift = gens.gen(q_name) - sp.nsimplify(rho) * gens.one()
+    q_shift = gens.gen(q_name) - rho * gens.one()
     out = f_s
     nested = f_s
     prefactor = gens.one()
@@ -306,8 +307,7 @@ def dress_system_element(gens: GeneratorSet, f_s: AlgebraElement,
                 return out
             prefactor = prefactor * q_shift
             term = AlgebraElement(
-                gens, {m: sp.expand(sp.cancel((sp.I / HBAR) ** n * c
-                                              / sp.factorial(n)))
+                gens, {m: sp.expand((sp.I / HBAR) ** n * c / sp.factorial(n))
                        for m, c in nested.terms.items()})
             out = out + prefactor * term
     except DegreeExceeded:
@@ -330,7 +330,7 @@ def transform_frame(omega_b: AlgebraicState, *, frame_a, rho_a: float,
 
         omega_B( f_B((rho_B+rho_A) 1 - q_A, -p_A - G_S) * O_A^{rho_A}(f_S) )
 
-    term by term.
+    term by term, with rho_A and rho_B used exactly as given.
     """
     gens = omega_b.gens
     qa, pa = frame_a
@@ -338,7 +338,7 @@ def transform_frame(omega_b: AlgebraicState, *, frame_a, rho_a: float,
     ia, ipa = gens.index[qa], gens.index[pa]
     ib, ipb = gens.index[qb], gens.index[pb]
 
-    arg_q = (sp.nsimplify(rho_b) + sp.nsimplify(rho_a)) * gens.one() - gens.gen(qa)
+    arg_q = (rho_b + rho_a) * gens.one() - gens.gen(qa)
     arg_p = -gens.gen(pa) - g_s
 
     total = 0j
@@ -356,6 +356,5 @@ def transform_frame(omega_b: AlgebraicState, *, frame_a, rho_a: float,
         f_s = gens.element({sys_m: 1})
         dressed = dress_system_element(gens, f_s, g_s, qa, rho_a)
         val = omega_b.evaluate(sub * dressed)
-        cval = complex(sp.expand(c).subs(HBAR, omega_b.hbar))
-        total += cval * val
+        total += ncalg.numeric(c, omega_b.hbar) * val
     return total

@@ -457,20 +457,17 @@ def group_average(space: LatticeSpace, C: KinOperator) -> KinOperator:
                                    tuple(notes))
 
 
-def project_physical(Pi: KinOperator, psi: np.ndarray,
-                     normalize: bool = True) -> np.ndarray:
-    """Apply the physical state map and optionally normalize.
+def project_physical(Pi: KinOperator, psi: np.ndarray) -> np.ndarray:
+    """Apply the physical state map and normalize.
 
     On ker(C) the physical inner product coincides with the kinematical one,
     so normalization is the plain vector norm of the projection.
     """
     phi = Pi.apply(psi)
-    if normalize:
-        n = np.linalg.norm(phi)
-        if n < 1e-14:
-            raise EmptyKernel("state has no overlap with the constraint kernel")
-        phi = phi / n
-    return phi
+    n = np.linalg.norm(phi)
+    if n < 1e-14:
+        raise EmptyKernel("state has no overlap with the constraint kernel")
+    return phi / n
 
 
 def physical_inner_product(space: LatticeSpace, Pi: KinOperator,

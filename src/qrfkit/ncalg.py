@@ -7,9 +7,11 @@ Generators satisfy hbar-graded commutation relations
 covering canonical pairs (identity component only) and Lie structure
 constants.  Elements are stored as maps from normal-ordered monomials
 (exponent vectors under the fixed generator order, configuration before
-momentum within each canonical pair) to exact coefficients in the ring
-Q(i)[sqrt(hbar)].  No floating point enters this module: results such as
-the -i*hbar/2 gauge-fixing value are reproduced exactly.
+momentum within each canonical pair) to coefficients in Q(i)[sqrt(hbar)],
+so results such as the -i*hbar/2 gauge-fixing value are reproduced exactly.
+A float enters only through ``_coef``, as the ``sp.Float`` of its value, and
+terms built from it are floating-point.  ``numeric`` is the one place where
+a coefficient becomes a complex number.
 
 Every commutator rewrite introduces exactly one factor i*hbar*alpha, so the
 hbar power of a coefficient counts the rewrites along any normal-ordering
@@ -38,16 +40,20 @@ IDENTITY = -1  # index of the identity component in relation tables
 
 
 def _coef(x):
-    """Coerce to an exact sympy scalar."""
-    if isinstance(x, Fraction):
-        return sp.Rational(x.numerator, x.denominator)
-    if isinstance(x, (int, sp.Expr)):
+    """Coerce to a sympy scalar: exact, or the ``sp.Float`` of a float."""
+    if isinstance(x, (int, float, Fraction, sp.Expr)):
         return sp.sympify(x)
     if isinstance(x, complex):
         if x != complex(int(x.real), int(x.imag)):
             raise TypeError("inexact complex literal; use sympy I and Rational")
         return sp.Integer(int(x.real)) + sp.I * sp.Integer(int(x.imag))
     raise TypeError(f"unsupported coefficient type {type(x)!r}")
+
+
+@lru_cache(maxsize=4096)
+def numeric(c, hbar) -> complex:
+    """The complex value of the coefficient ``c`` at ``HBAR = hbar``."""
+    return complex(c.subs(HBAR, hbar))
 
 
 class GeneratorSet:
@@ -129,7 +135,7 @@ class GeneratorSet:
                             for l, beta in self.alpha(m, c).items():
                                 acc[l] = acc.get(l, _ZERO) + alpha * beta
                     for l, v in acc.items():
-                        if sp.simplify(v) != 0:
+                        if sp.expand(v) != 0:
                             raise ValueError(
                                 f"Jacobi identity fails for generators "
                                 f"({self.names[i]},{self.names[j]},{self.names[k]})")
@@ -418,12 +424,11 @@ def represent(a: AlgebraElement, space, assignment) -> "np.ndarray":
     dim = space.dim
     out = np.zeros((dim, dim), dtype=complex)
     for m, c in a.terms.items():
-        cval = complex(sp.expand(c).subs(HBAR, space.hbar))
         acc = np.eye(dim, dtype=complex)
         for g, e in enumerate(m):
             for _ in range(e):
                 acc = acc @ mats[a.gens.names[g]]
-        out += cval * acc
+        out += numeric(c, space.hbar) * acc
     return out
 
 
@@ -432,11 +437,10 @@ def apply_element(a: AlgebraElement, space, assignment,
     """Element applied to a vector (cheaper than materializing the matrix)."""
     out = np.zeros_like(vec, dtype=complex)
     for m, c in a.terms.items():
-        cval = complex(sp.expand(c).subs(HBAR, space.hbar))
         v = vec
         for g in reversed(monomial_word(m)):
             v = assignment[a.gens.names[g]].apply(v)
-        out = out + cval * v
+        out = out + numeric(c, space.hbar) * v
     return out
 
 
@@ -464,7 +468,7 @@ def verify_assignment(gens: GeneratorSet, space, assignment,
         comm = a @ b - b @ a
         target = np.zeros_like(comm)
         for k, alpha in comps.items():
-            cval = complex(sp.expand(sp.I * HBAR * alpha).subs(HBAR, space.hbar))
+            cval = numeric(sp.I * HBAR * alpha, space.hbar)
             target = target + cval * (np.eye(comm.shape[0])
                                       if k == IDENTITY else mat(gens.names[k]))
         resid = comm - target

@@ -22,6 +22,7 @@ from .errors import IndexOutOfRange, NotAFrameFactor, UnsupportedForm
 from .kinspace import (
     KinOperator,
     LatticeSpace,
+    _eig,
     cyclic_group,
     factor_operator,
     momentum_operator,
@@ -107,14 +108,10 @@ def wraparound_weight(frame: OrientationFrame, vec: np.ndarray,
     Diagnostic for the modular-arithmetic caveat: golden tests keep this
     weight negligible by localizing states away from the edge.
     """
-    F = frame.fourier_matrix()
-    t = vec.reshape(frame.space.dims)
-    t = np.tensordot(F.conj().T / np.sqrt(frame.N), t,
-                     axes=([1], [frame.factor]))
-    t = np.moveaxis(t, 0, frame.factor)
-    prob = np.abs(t) ** 2
-    axes = tuple(i for i in range(len(frame.space.dims)) if i != frame.factor)
-    marg = prob.sum(axis=axes) if axes else prob
+    F = frame.fourier_matrix().conj().T / np.sqrt(frame.N)
+    prob = np.abs(frame.space.apply_factor(frame.factor, F, vec)) ** 2
+    marg = np.moveaxis(prob.reshape(frame.space.dims), frame.factor, 0)
+    marg = marg.reshape(frame.N, -1).sum(axis=1)
     total = float(marg.sum())
     edge = float(marg[:margin].sum() + marg[-margin:].sum())
     return edge / total if total > 0 else 0.0
@@ -128,15 +125,12 @@ def g_twirl(space: LatticeSpace, C: KinOperator, A: KinOperator) -> KinOperator:
     difference spectrum, so no distinct eigenvalues are aliased).  The
     explicit finite sum of conjugations is kept as a test oracle.
     """
-    if C.is_diagonal:
-        vals = C.diag.real
-        mask = np.abs(vals[:, None] - vals[None, :]) < 1e-9 * max(
-            1.0, float(np.max(np.abs(vals))))
-        return KinOperator.from_matrix(space, A.matrix * mask,
-                                       A.support | C.support)
-    vals, vecs = np.linalg.eigh(C.matrix)
+    vals, vecs = _eig(C)
     mask = np.abs(vals[:, None] - vals[None, :]) < 1e-9 * max(
         1.0, float(np.max(np.abs(vals))))
+    if vecs is None:
+        return KinOperator.from_matrix(space, A.matrix * mask,
+                                       A.support | C.support)
     a = vecs.conj().T @ A.matrix @ vecs
     return KinOperator.from_matrix(space, vecs @ (a * mask) @ vecs.conj().T,
                                    A.support | C.support)

@@ -6,6 +6,7 @@ import sympy as sp
 
 from qrfkit import kinspace as ks
 from qrfkit import ncalg
+from qrfkit.algstates import from_table
 from qrfkit.errors import DegreeExceeded, RelationViolation
 from qrfkit.ncalg import HBAR, GeneratorSet, adjoint, commutator, weyl_symmetrize
 
@@ -291,3 +292,21 @@ class TestSerialization:
         rng = np.random.default_rng(37)
         a = rand_element(two_frames, rng)
         assert a.serialize() == two_frames.element(dict(a.terms)).serialize()
+
+
+class TestNumericBoundary:
+    def test_numeric_hand_values(self):
+        assert ncalg.numeric(-sp.I * HBAR / 2, 0.7) == -0.35j
+        assert ncalg.numeric(3 / HBAR + sp.I, 0.7) == 3 / 0.7 + 1j
+
+    def test_float_scalar_times_one(self, two_frames):
+        omega = from_table(two_frames, {two_frames.unit_monomial(): 1.0})
+        assert omega.evaluate(0.3 * two_frames.one()) == 0.3
+
+    def test_float_orientation_shift(self, two_frames):
+        rho = float(np.pi / 16)
+        q_a = (1, 0, 0, 0, 0)
+        omega = from_table(two_frames, {two_frames.unit_monomial(): 1.0,
+                                        q_a: 0.25})
+        z = two_frames.gen("q_A") - rho * two_frames.one()
+        assert omega.evaluate(z) == 0.25 - rho

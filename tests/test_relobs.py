@@ -150,6 +150,18 @@ class TestGTwirl:
         tw = ro.g_twirl(self.sp, self.C, theta)
         assert np.max(np.abs(tw.matrix - np.eye(self.sp.dim))) < 1e-10
 
+    def test_nondiagonal_constraint_against_explicit_group_sum(self):
+        d = self.sp.dim
+        U, _ = np.linalg.qr(self.rng.normal(size=(d, d))
+                            + 1j * self.rng.normal(size=(d, d)))
+        C = ks.KinOperator.from_matrix(
+            self.sp, (U * self.C.diag) @ U.conj().T, {0, 1})
+        m = self.rng.normal(size=(d, d)) + 1j * self.rng.normal(size=(d, d))
+        A = ks.KinOperator.from_matrix(self.sp, m, {0, 1})
+        tw = ro.g_twirl(self.sp, C, A)
+        oracle = ro.g_twirl_oracle(self.sp, C, A)
+        assert np.max(np.abs(tw.matrix - oracle)) < 1e-10
+
 
 class TestRelationalObservable:
     def setup_method(self):
@@ -289,3 +301,25 @@ class TestSu2ClosedForm:
         expected = (sp.embed_matrix(0, cos_R) @ sp.embed_matrix(2, jx)
                     - sp.embed_matrix(0, sin_R) @ sp.embed_matrix(2, jy))
         assert np.max(np.abs(kin.matrix - expected)) < 1e-10
+
+
+class TestWraparoundWeight:
+    def setup_method(self):
+        self.sp = ideal_space(N=16)
+        self.fr = ro.OrientationFrame(self.sp, 0)
+        self.rng = np.random.default_rng(41)
+
+    def test_physical_state_is_uniform(self):
+        C = ks.build_constraint(self.sp, {0: 1.0, 1: 1.0})
+        psi = ks.project_physical(
+            ks.group_average(self.sp, C),
+            self.rng.normal(size=self.sp.dim)
+            + 1j * self.rng.normal(size=self.sp.dim))
+        for margin in (1, 2, 3):
+            w = ro.wraparound_weight(self.fr, psi, margin)
+            assert abs(w - 2 * margin / 16) < 1e-12
+
+    def test_edge_orientation_state(self):
+        sys = self.rng.normal(size=3) + 1j * self.rng.normal(size=3)
+        psi = np.kron(ro.orientation_state(self.fr, -8), sys)
+        assert abs(ro.wraparound_weight(self.fr, psi) - 1.0) < 1e-12
