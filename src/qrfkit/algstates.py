@@ -22,6 +22,7 @@ from . import ncalg
 from .errors import DegreeExceeded, NotPhysical, UnsupportedSupport
 from .kinspace import KinOperator, LatticeSpace
 from .ncalg import HBAR, AlgebraElement, GeneratorSet, commutator
+from .relobs import theta_projector
 
 DEFAULT_DEGREE_BOUND = 8
 
@@ -126,13 +127,10 @@ def frame_state(space: LatticeSpace, C: KinOperator, frame, rho: float,
     state conditioned on the frame orientation, which realizes the frame
     gauge conditions exactly.
     """
-    from .relobs import orientation_state_at
-
     resid = np.linalg.norm(C.apply(psi_phys))
     if resid > 1e-9 * np.linalg.norm(psi_phys):
         raise NotPhysical(f"||C psi|| = {resid:.2e} exceeds tolerance")
-    v = orientation_state_at(frame, rho)
-    bra = space.apply_factor(frame.factor, np.outer(v, v.conj()), psi_phys)
+    bra = theta_projector(frame, rho).apply(psi_phys)
     return from_hilbert(bra, psi_phys, space, assignment, gens, degree_bound)
 
 
@@ -210,6 +208,8 @@ def verify_reference_frame(gens: GeneratorSet, z_name: str,
     c_sa = ncalg.adjoint(C) == C
     conj = commutator(z, C) == sp.I * HBAR * gens.one()
 
+    big_basis = gens.monomial_basis(degree)
+    idx = {m: i for i, m in enumerate(big_basis)}
     lo_basis = gens.monomial_basis(degree - C.degree())
     # a -> aC is injective iff the leading monomials are distinct
     leads = []
@@ -226,35 +226,28 @@ def verify_reference_frame(gens: GeneratorSet, z_name: str,
     if triangular and len(set(leads)) == len(leads):
         no_annihilator = True
     else:
-        big_basis = gens.monomial_basis(degree)
-        idx = {m: i for i, m in enumerate(big_basis)}
         M = np.array([_coef_vector(el, idx) for el in images]).T
         no_annihilator = (np.linalg.matrix_rank(M, tol=1e-9) == len(images))
         notes.append("injectivity decided by numerical rank")
 
-    # commutant of Z at the bounded degree
-    big_basis = gens.monomial_basis(degree)
-    idx = {m: i for i, m in enumerate(big_basis)}
-    commutant = [m for m in big_basis
+    # The commutant of Z at the bounded degree is spanned by distinct unit
+    # vectors: its rank is its size, and eliminating it deletes its rows
+    # from the image block.
+    commutant = [idx[m] for m in big_basis
                  if commutator(z, gens.element({m: 1})).is_zero()]
-    B_z = np.array([_coef_vector(gens.element({m: 1}), idx)
-                    for m in commutant]).T
     B_img = np.array([_coef_vector(el, idx) for el in images
                       if not el.is_zero()]).T
     if B_img.size == 0:
-        trivial_meet = True
+        trivial_meet, r_rest = True, 0
     else:
-        r_z = np.linalg.matrix_rank(B_z, tol=1e-9)
-        r_i = np.linalg.matrix_rank(B_img, tol=1e-9)
-        r_all = np.linalg.matrix_rank(np.hstack([B_z, B_img]), tol=1e-9)
-        trivial_meet = (r_all == r_z + r_i)
-
+        r_rest = np.linalg.matrix_rank(np.delete(B_img, commutant, axis=0),
+                                       tol=1e-9)
+        trivial_meet = r_rest == np.linalg.matrix_rank(B_img, tol=1e-9)
     # Z' together with C spans everything at the bounded degree
-    span = np.hstack([B_z, B_img]) if B_img.size else B_z
-    generates = (np.linalg.matrix_rank(span, tol=1e-9) == len(big_basis))
+    generates = len(commutant) + r_rest == len(big_basis)
 
-    return FrameReport(degree, z_sa, c_sa, conj, no_annihilator,
-                       trivial_meet, generates, tuple(notes))
+    return FrameReport(degree, z_sa, c_sa, conj, bool(no_annihilator),
+                       bool(trivial_meet), bool(generates), tuple(notes))
 
 
 def check_almost_positive(omega: AlgebraicState, names,

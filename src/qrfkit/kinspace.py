@@ -144,11 +144,10 @@ class LatticeSpace:
 
     def apply_factor(self, factor: int, mat: np.ndarray,
                      vec: np.ndarray) -> np.ndarray:
-        """Apply a single-factor matrix to a full-space vector."""
-        t = vec.reshape(self.dims)
+        """Apply a single-factor matrix to a D-vector or a D x k block."""
+        t = vec.reshape(self.dims + vec.shape[1:])
         t = np.tensordot(mat, t, axes=([1], [factor]))
-        t = np.moveaxis(t, 0, factor)
-        return t.reshape(-1)
+        return np.moveaxis(t, 0, factor).reshape(vec.shape)
 
 
 def tensor_space(factors, hbar: float = 1.0) -> LatticeSpace:
@@ -190,9 +189,13 @@ class KinOperator:
       on the others), applied by tensor contraction;
     - a dense D x D matrix.
 
-    ``matrix`` builds the dense D x D form only when a caller reads it.
-    ``hermitian`` is computed from the stored form on first use, never
-    asserted.
+    ``apply`` and ``apply_adjoint`` take a D-vector or a D x k block of
+    columns; ``A @ B`` keeps diag @ diag diagonal and otherwise lets the
+    operand that is not dense act on the other's dense form (``apply`` from
+    the left, ``apply_adjoint`` from the right), so only dense @ dense is a
+    matrix product.  ``matrix`` builds the dense D x D form only when a
+    caller reads it.  ``hermitian`` is computed from the stored form on
+    first use, never asserted.
     """
 
     space: LatticeSpace
@@ -205,14 +208,14 @@ class KinOperator:
 
     @staticmethod
     def from_matrix(space, matrix, support, warnings=()) -> "KinOperator":
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = np.asarray(matrix, dtype=complex).view()
         matrix.setflags(write=False)
         return KinOperator(space, matrix, None, frozenset(support),
                            tuple(warnings))
 
     @staticmethod
     def from_diag(space, diag, support, warnings=()) -> "KinOperator":
-        diag = np.asarray(diag, dtype=complex)
+        diag = np.asarray(diag, dtype=complex).view()
         diag.setflags(write=False)
         return KinOperator(space, None, diag, frozenset(support),
                            tuple(warnings))
@@ -246,7 +249,7 @@ class KinOperator:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         if self.is_diagonal:
-            return self.diag * vec
+            return self.diag.reshape((-1,) + (1,) * (vec.ndim - 1)) * vec
         if self.local is not None:
             return self.space.apply_factor(self.factor, self.local, vec)
         return self._matrix @ vec
@@ -254,11 +257,11 @@ class KinOperator:
     def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
         """The adjoint applied to ``vec``, without forming the adjoint."""
         if self.is_diagonal:
-            return self.diag.conj() * vec
+            return self.diag.conj().reshape((-1,) + (1,) * (vec.ndim - 1)) * vec
         if self.local is not None:
             return self.space.apply_factor(self.factor, self.local.conj().T,
                                            vec)
-        return (vec.conj() @ self._matrix).conj()
+        return (vec.conj().T @ self._matrix).conj().T
 
     def expectation(self, ket: np.ndarray, bra: np.ndarray = None) -> complex:
         b = ket if bra is None else bra
@@ -287,11 +290,17 @@ class KinOperator:
 
     def __matmul__(self, other):
         self._check(other)
+        support = self.support | other.support
         if self.is_diagonal and other.is_diagonal:
             return KinOperator.from_diag(self.space, self.diag * other.diag,
-                                         self.support | other.support)
-        return KinOperator.from_matrix(self.space, self.matrix @ other.matrix,
-                                       self.support | other.support)
+                                         support)
+        if self._matrix is None:
+            out = self.apply(other.matrix)
+        elif other._matrix is None:
+            out = other.apply_adjoint(self._matrix.conj().T).conj().T
+        else:
+            out = self._matrix @ other._matrix
+        return KinOperator.from_matrix(self.space, out, support)
 
     def _check(self, other):
         if other.space is not self.space:

@@ -28,7 +28,7 @@ from . import ncalg
 from .errors import ConfigError, IncommensurableSpectrum
 from .kinspace import FactorSpec, KinOperator
 from .ncalg import GeneratorSet
-from .relobs import OrientationFrame
+from .relobs import OrientationFrame, frame_system_generator
 
 PARTICLE_LABELS = "ABCDEFGH"
 
@@ -78,8 +78,8 @@ class Model:
         return self.constraint_elem - self.gens.gen(p_name)
 
     def g_s_op(self, label: str) -> KinOperator:
-        return self.constraint - ks.momentum_operator(
-            self.space, self.frame_factor(label))
+        return frame_system_generator(self.space, self.constraint,
+                                      self.frames[label])
 
 
 def spin_matrices(j: int, hbar: float):

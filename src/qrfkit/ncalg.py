@@ -420,21 +420,14 @@ def represent(a: AlgebraElement, space, assignment) -> "np.ndarray":
     away from the wraparound edge, which is the representation caveat
     documented there.
     """
-    mats = {name: _as_matrix(assignment[name]) for name in a.gens.names}
-    dim = space.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for m, c in a.terms.items():
-        acc = np.eye(dim, dtype=complex)
-        for g, e in enumerate(m):
-            for _ in range(e):
-                acc = acc @ mats[a.gens.names[g]]
-        out += numeric(c, space.hbar) * acc
-    return out
+    ops = {name: _as_operator(space, assignment[name])
+           for name in a.gens.names}
+    return apply_element(a, space, ops, np.eye(space.dim, dtype=complex))
 
 
 def apply_element(a: AlgebraElement, space, assignment,
                   vec: np.ndarray) -> np.ndarray:
-    """Element applied to a vector (cheaper than materializing the matrix)."""
+    """Element applied to a D-vector or a D x k block of columns."""
     out = np.zeros_like(vec, dtype=complex)
     for m, c in a.terms.items():
         v = vec
@@ -444,8 +437,11 @@ def apply_element(a: AlgebraElement, space, assignment,
     return out
 
 
-def _as_matrix(op) -> np.ndarray:
-    return op.matrix if isinstance(op, KinOperator) else np.asarray(op)
+def _as_operator(space, op) -> KinOperator:
+    """``op`` itself, or a raw array wrapped as a dense KinOperator."""
+    if isinstance(op, KinOperator):
+        return op
+    return KinOperator.from_matrix(space, op, ())
 
 
 def verify_assignment(gens: GeneratorSet, space, assignment,
@@ -460,7 +456,7 @@ def verify_assignment(gens: GeneratorSet, space, assignment,
     """
 
     def mat(name):
-        return _as_matrix(assignment[name])
+        return _as_operator(space, assignment[name]).matrix
 
     report = {}
     for (i, j), comps in gens.relations.items():

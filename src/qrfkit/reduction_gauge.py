@@ -10,8 +10,7 @@ Generalized gauge maps Phi satisfy Pi Phi Pi = Pi on the constraint kernel.
 A gauge map is a ``KinOperator`` like any other operator on the
 kinematical space: the reference gauge Theta(rho) = |rho><rho| x 1 stays
 factor-local and is applied by tensor contraction, while a composite gauge
-exp(i O1 C) Phi exp(i O2 C) is dense.  Only the residual checks in
-``verify_gauge`` read the dense D x D forms.
+exp(i O1 C) Phi exp(i O2 C) is dense.
 """
 
 from __future__ import annotations
@@ -120,10 +119,8 @@ def verify_gauge(phi: KinOperator, Pi: KinOperator) -> dict:
     ||(Phi Pi Phi - Phi) Pi||_max (the identity restricted to physical
     states).
     """
-    P = Pi.matrix
-    F = phi.matrix
-    r1 = float(np.max(np.abs(P @ F @ P - P)))
-    r2 = float(np.max(np.abs((F @ P @ F - F) @ P)))
+    r1 = float(np.max(np.abs((Pi @ phi @ Pi - Pi).matrix)))
+    r2 = float(np.max(np.abs(((phi @ Pi @ phi - phi) @ Pi).matrix)))
     return {"pi_phi_pi": r1, "phi_pi_phi": r2,
             "valid": bool(r1 < 1e-10 and r2 < 1e-10)}
 

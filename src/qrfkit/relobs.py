@@ -192,9 +192,7 @@ def relational_observable(space: LatticeSpace, C: KinOperator,
     if form == "physical":
         if Pi is None:
             raise ValueError("physical form requires the projector Pi")
-        theta = theta_projector(frame, rho)
-        return KinOperator.from_matrix(space, Pi.matrix @ (theta @ f_s).matrix,
-                                       f_s.support | Pi.support | {frame.factor})
+        return Pi @ (theta_projector(frame, rho) @ f_s)
     raise UnsupportedForm(f"unknown form {form!r}")
 
 
@@ -206,7 +204,7 @@ def _closed_form(space, C, frame, rho, f_s):
     where row j of G is |rho_j> (x) e_j: one rank-N product scaled in
     place, with no D x D term per grid point.
     """
-    gs_diag = (C - momentum_operator(space, frame.factor)).diag
+    gs_diag = frame_system_generator(space, C, frame).diag
     dims = space.dims
     n = len(dims)
     k = frame.factor

@@ -140,6 +140,53 @@ class TestVerifyReferenceFrame:
         assert report2.passed()
 
 
+    @staticmethod
+    def brute_force_report(gens, z_name, C, degree):
+        """The report fields from ranks of the explicitly stacked matrices."""
+        basis = gens.monomial_basis(degree)
+        idx = {m: i for i, m in enumerate(basis)}
+
+        def column(el):
+            v = np.zeros(len(basis), dtype=complex)
+            for m, c in el.terms.items():
+                v[idx[m]] = ncalg.numeric(c, 1.0)
+            return v
+
+        def rank(M):
+            return np.linalg.matrix_rank(M, tol=1e-9)
+
+        z = gens.gen(z_name)
+        images = [gens.element({m: 1}) * C
+                  for m in gens.monomial_basis(degree - C.degree())]
+        B_img = np.array([column(el) for el in images]).T
+        units = [gens.element({m: 1}) for m in basis]
+        B_z = np.array([column(u) for u in units
+                        if ncalg.commutator(z, u).is_zero()]).T
+        stacked = np.hstack([B_z, B_img])
+        return (ncalg.adjoint(z) == z, ncalg.adjoint(C) == C,
+                ncalg.commutator(z, C) == sp.I * HBAR * gens.one(),
+                rank(B_img) == len(images),
+                rank(stacked) == rank(B_z) + rank(B_img),
+                rank(stacked) == len(basis))
+
+    @pytest.mark.parametrize("spec", [
+        md.ModelSpec("nparticle"), md.ModelSpec("su2"),
+        md.ModelSpec("degenerate"), md.ModelSpec("newtonian", dp=2.0)],
+        ids=lambda spec: spec.name)
+    def test_model_reports_match_brute_force_ranks(self, spec):
+        model = md.build_model(spec)
+        for q_name, _ in model.frame_pairs.values():
+            report = ast.verify_reference_frame(
+                model.gens, q_name, model.constraint_elem, degree=4)
+            fields = (report.z_selfadjoint, report.c_selfadjoint,
+                      report.conjugate_commutator, report.no_left_annihilator,
+                      report.commutant_meets_ideal_trivially,
+                      report.generates_algebra)
+            assert all(type(f) is bool for f in fields)
+            assert fields == tuple(bool(f) for f in self.brute_force_report(
+                model.gens, q_name, model.constraint_elem, 4))
+
+
 class TestAlmostPositive:
     def test_system_subalgebra_positive(self, npmodel, loc_state):
         om = frame_omega(npmodel, "A", 0.0, loc_state, degree=6)

@@ -300,3 +300,56 @@ class TestOperatorForms:
         assert (scaled.local is None) == (op.local is None)
         assert np.max(np.abs(scaled.matrix - s * M)) < 1e-12
         assert np.max(np.abs(scaled.apply(v) - s * (M @ v))) < 1e-12
+
+    @staticmethod
+    def mixed_space():
+        # unequal factor sizes with the frame in the middle
+        return ks.tensor_space([ks.FactorSpec.system([0.0, 1.0, -1.0]),
+                                ks.FactorSpec.frame(6, 1.0, "R"),
+                                ks.FactorSpec.system([0.0, 1.0, 2.0, -1.0])])
+
+    @staticmethod
+    def operator(sp, form, factor, rng):
+        def sample(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        if form == "diag":
+            return ks.KinOperator.from_diag(sp, sample(sp.dim), {factor})
+        if form == "local":
+            n = sp.dims[factor]
+            return ks.factor_operator(sp, factor, sample(n, n))
+        return ks.KinOperator.from_matrix(sp, sample(sp.dim, sp.dim),
+                                          {0, 1, 2})
+
+    @pytest.mark.parametrize("right", ["diag", "local", "dense"])
+    @pytest.mark.parametrize("left", ["diag", "local", "dense"])
+    def test_matmul_matches_dense_product(self, left, right):
+        sp = self.mixed_space()
+        rng = np.random.default_rng(97)
+        for lf, rf in [(1, 0), (1, 1), (2, 1), (0, 2)]:
+            a = self.operator(sp, left, lf, rng)
+            b = self.operator(sp, right, rf, rng)
+            prod = a @ b
+            assert prod.is_diagonal == (left == right == "diag")
+            assert prod.support == a.support | b.support
+            assert np.max(np.abs(prod.matrix - a.matrix @ b.matrix)) < 1e-12
+
+    @pytest.mark.parametrize("form", ["diag", "local", "dense"])
+    def test_apply_to_column_block(self, form):
+        sp = self.mixed_space()
+        rng = np.random.default_rng(101)
+        op = self.operator(sp, form, 1, rng)
+        block = rng.normal(size=(sp.dim, 3)) + 1j * rng.normal(size=(sp.dim, 3))
+        for act in (op.apply, op.apply_adjoint):
+            out = act(block)
+            assert out.shape == block.shape
+            cols = np.stack([act(block[:, i]) for i in range(3)], axis=1)
+            assert np.max(np.abs(out - cols)) < 1e-12
+
+    def test_constructors_leave_caller_arrays_writeable(self):
+        sp = self.mixed_space()
+        m = np.eye(sp.dim, dtype=complex)
+        d = np.ones(sp.dim, dtype=complex)
+        ks.KinOperator.from_matrix(sp, m, ())
+        ks.KinOperator.from_diag(sp, d, ())
+        assert m.flags.writeable and d.flags.writeable

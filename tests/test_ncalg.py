@@ -310,3 +310,16 @@ class TestNumericBoundary:
                                         q_a: 0.25})
         z = two_frames.gen("q_A") - rho * two_frames.one()
         assert omega.evaluate(z) == 0.25 - rho
+
+
+def test_represent_leaves_raw_assignment_writeable():
+    gens = GeneratorSet(("J_x", "J_y", "J_z"),
+                        {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+    sp_lat = ks.tensor_space([ks.FactorSpec.system([1.0, 0.0, -1.0])])
+    jp = np.array([[0, np.sqrt(2), 0], [0, 0, np.sqrt(2)], [0, 0, 0]],
+                  dtype=complex)
+    assign = {"J_x": (jp + jp.conj().T) / 2, "J_y": (jp - jp.conj().T) / 2j,
+              "J_z": np.diag([1.0, 0.0, -1.0]).astype(complex)}
+    ncalg.represent(gens.gen("J_x") * gens.gen("J_y") + gens.gen("J_z"),
+                    sp_lat, assign)
+    assert all(m.flags.writeable for m in assign.values())

@@ -1,6 +1,10 @@
-"""Every entry point and package-data glob in pyproject.toml must exist."""
+"""Every entry point and package-data glob in pyproject.toml must exist,
+and importing the package stays free of optional heavy imports."""
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +37,16 @@ def test_package_data_globs_match_files(pyproject):
         for pattern in globs:
             assert any(any(r.glob(pattern)) for r in roots), (
                 f"package-data {package!r}: {pattern!r} matches no file")
+
+
+def test_import_does_not_load_sparse_linalg():
+    # gauge_flow imports scipy.sparse.linalg only on its non-diagonal path
+    code = ("import sys; import qrfkit.models, qrfkit.relobs, "
+            "qrfkit.reduction_gauge, qrfkit.algstates; "
+            "print('scipy.sparse.linalg' in sys.modules)")
+    path = os.pathsep.join(p for p in (str(ROOT / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
