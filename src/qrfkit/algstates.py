@@ -29,7 +29,11 @@ DEFAULT_DEGREE_BOUND = 8
 
 @dataclass(eq=False)
 class AlgebraicState:
-    """Complex linear functional on AlgebraElements up to a degree bound."""
+    """Complex linear functional on AlgebraElements up to a degree bound.
+
+    On a Hilbert backing omega(m) = <bra| y^m |ket>, cached per monomial.
+    Below, g is the lowest generator index in m and m - e_g drops one y_g.
+    """
 
     gens: GeneratorSet
     degree_bound: int = DEFAULT_DEGREE_BOUND
@@ -48,46 +52,48 @@ class AlgebraicState:
         return self.space.hbar if self.space is not None else self.table_hbar
 
     def evaluate(self, a: AlgebraElement) -> complex:
+        """omega(a); a prefix walk values its uncached monomials, y^m ket from
+        y^(m - e_g) ket, <= degree + 1 alive, bitwise per-word values."""
         if a.gens is not self.gens:
             raise ValueError("element belongs to a different generator set")
         if a.degree() > self.degree_bound:
             raise DegreeExceeded(
                 f"degree {a.degree()} exceeds bound {self.degree_bound}")
-        out = 0j
-        for m, c in a.terms.items():
-            out += ncalg.numeric(c, self.hbar) * self._monomial_value(m)
-        return out
+        self._fill_cache(a.terms)
+        return sum((ncalg.numeric(c, self.hbar) * self._cache[m]
+                    for m, c in a.terms.items()), 0j)
 
     __call__ = evaluate
 
-    def _monomial_value(self, m: tuple) -> complex:
-        v = self._cache.get(m)
-        if v is not None:
-            return v
-        if self.table is not None:
+    def _fill_cache(self, monomials):
+        missing = {ncalg.monomial_word(m): m for m in monomials
+                   if m not in self._cache}
+        if self.table is None:
+            for w, vec in ncalg._prefix_walk(self.gens, missing,
+                                             self.assignment, self.ket):
+                self._cache[missing[w]] = complex(np.vdot(self.bra, vec))
+            return
+        for m in missing.values():
             if m not in self.table:
                 raise DegreeExceeded(f"monomial {m} missing from value table")
-            v = complex(self.table[m])
-        else:
-            vec = self.ket
-            for g in reversed(ncalg.monomial_word(m)):
-                vec = self.assignment[self.gens.names[g]].apply(vec)
-            v = complex(np.vdot(self.bra, vec))
-        self._cache[m] = v
-        return v
+            self._cache[m] = complex(self.table[m])
 
     def value_table(self, max_degree: int = None) -> dict:
-        """Monomial -> value map, for golden-file comparison."""
+        """Monomial -> value map (golden files) by one prefix walk: y^m ket is
+        y_g y^(m - e_g) ket, <= degree + 1 alive, bitwise per-word values."""
         d = self.degree_bound if max_degree is None else max_degree
-        return {m: self._monomial_value(m) for m in self.gens.monomial_basis(d)}
+        if d > self.degree_bound:
+            raise DegreeExceeded(
+                f"degree {d} exceeds bound {self.degree_bound}")
+        basis = self.gens.monomial_basis(d)
+        self._fill_cache(basis)
+        return {m: self._cache[m] for m in basis}
 
     def serialize(self, max_degree: int = None) -> str:
-        table = self.value_table(max_degree)
         lines = []
-        for m in sorted(table, key=lambda m: (sum(m), m)):
+        for m, v in self.value_table(max_degree).items():
             mono = "*".join(f"{self.gens.names[g]}^{e}"
                             for g, e in enumerate(m) if e) or "1"
-            v = table[m]
             lines.append(f"{mono} : {v.real:+.15e}{v.imag:+.15e}j")
         return "\n".join(lines)
 
@@ -111,8 +117,7 @@ def from_hilbert(bra: np.ndarray, ket: np.ndarray, space: LatticeSpace,
 def from_table(gens: GeneratorSet, table: dict,
                degree_bound: int = DEFAULT_DEGREE_BOUND,
                hbar: float = 1.0) -> AlgebraicState:
-    unit = gens.unit_monomial()
-    if abs(table.get(unit, 0.0) - 1.0) > 1e-12:
+    if abs(table.get(gens.unit_monomial(), 0.0) - 1.0) > 1e-12:
         raise ValueError("value table must be normalized: omega(1) = 1")
     return AlgebraicState(gens, degree_bound, table=dict(table),
                           table_hbar=hbar)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
 
 import numpy as np
 import sympy as sp
@@ -365,17 +364,11 @@ def weyl_symmetrize(gens: GeneratorSet, m) -> AlgebraElement:
     cached = gens._weyl_cache.get(m)
     if cached is not None:
         return cached
-    word = monomial_word(m)
-    seen = set()
+    perms = dict.fromkeys(permutations(monomial_word(m)))
     acc = gens.zero()
-    count = 0
-    for perm in permutations(word):
-        if perm in seen:
-            continue
-        seen.add(perm)
-        count += 1
+    for perm in perms:
         acc = acc + AlgebraElement(gens, gens.normal_order_word(perm))
-    result = sp.Rational(1, count) * acc if count else gens.one()
+    result = sp.Rational(1, len(perms)) * acc
     gens._weyl_cache[m] = result
     return result
 
@@ -427,14 +420,31 @@ def represent(a: AlgebraElement, space, assignment) -> "np.ndarray":
 
 def apply_element(a: AlgebraElement, space, assignment,
                   vec: np.ndarray) -> np.ndarray:
-    """Element applied to a D-vector or a D x k block of columns."""
+    """Element applied to a D-vector or a D x k block of columns: a prefix walk
+    makes y^m vec = y_g y^(m - e_g) vec, g the lowest index in m (<= degree + 1
+    blocks alive, bitwise per word), and adds numeric(c) * y^m vec per term."""
+    terms = {monomial_word(m): numeric(c, space.hbar)
+             for m, c in a.terms.items()}
     out = np.zeros_like(vec, dtype=complex)
-    for m, c in a.terms.items():
-        v = vec
-        for g in reversed(monomial_word(m)):
-            v = assignment[a.gens.names[g]].apply(v)
-        out = out + numeric(c, space.hbar) * v
+    for w, v in _prefix_walk(a.gens, terms, assignment, vec):
+        out += terms[w] * v
     return out
+
+
+def _prefix_walk(gens: GeneratorSet, words, assignment, vec):
+    """Yield (w, y_w1 ... y_wn vec) for the sorted ``words``, depth first over
+    their suffixes; a vector is dropped once its last child's is made."""
+    closure = {w[k:] for w in words for k in range(len(w))}
+    stack = [((), vec)]
+    while stack:
+        w, v = stack.pop()
+        if w:
+            v = assignment[gens.names[w[0]]].apply(v)
+        if w in words:
+            yield w, v
+        stack += [((g,) + w, v)
+                  for g in range(w[0] + 1 if w else len(gens.names))
+                  if (g,) + w in closure]
 
 
 def _as_operator(space, op) -> KinOperator:

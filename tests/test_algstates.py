@@ -6,6 +6,7 @@ from qrfkit import algstates as ast
 from qrfkit import kinspace as ks
 from qrfkit import models as md
 from qrfkit import ncalg
+from qrfkit import reduction_gauge as rg
 from qrfkit.errors import DegreeExceeded, NotPhysical, UnsupportedSupport
 from qrfkit.ncalg import HBAR
 
@@ -306,3 +307,118 @@ class TestSerialization:
         el = npmodel.gens.gen("q_B") * npmodel.gens.gen("p_C")
         assert abs(om.evaluate(el) - om2.evaluate(el)) < 1e-12
         assert om.serialize(2) == om2.serialize(2)
+
+    def test_value_table_above_bound_raises_on_both_backings(
+            self, npmodel, loc_state):
+        om = frame_omega(npmodel, "A", 0.0, loc_state, degree=2)
+        om_table = ast.from_table(npmodel.gens, om.value_table(2),
+                                  degree_bound=2, hbar=npmodel.hbar)
+        for state in (om, om_table):
+            for call in (state.value_table, state.serialize):
+                with pytest.raises(DegreeExceeded, match="exceeds bound 2"):
+                    call(3)
+
+
+def per_word(gens, assignment, m, vec):
+    """y_w1 ... y_wn vec: the word of m applied to vec on its own."""
+    for g in reversed(ncalg.monomial_word(m)):
+        vec = assignment[gens.names[g]].apply(vec)
+    return vec
+
+
+def per_word_value(om, m):
+    vec = per_word(om.gens, om.assignment, m, om.ket)
+    return complex(np.vdot(om.bra, vec))
+
+
+class CountingOp:
+    """An assignment entry that counts its ``apply`` calls."""
+
+    def __init__(self, op, calls):
+        self.op, self.calls = op, calls
+
+    def apply(self, vec):
+        self.calls.append(1)
+        return self.op.apply(vec)
+
+
+def prefix_closure(monomials):
+    """The monomials and every m - e_g obtained by repeatedly removing the
+    lowest generator index g, down to (but without) the unit monomial."""
+    out = set()
+    for m in monomials:
+        while any(m):
+            out.add(m)
+            g = next(g for g, e in enumerate(m) if e)
+            m = m[:g] + (m[g] - 1,) + m[g + 1:]
+    return out
+
+
+class TestPrefixWalk:
+    @pytest.mark.parametrize("spec", [
+        md.ModelSpec("nparticle"), md.ModelSpec("su2"),
+        md.ModelSpec("degenerate"), md.ModelSpec("newtonian", dp=2.0)],
+        ids=lambda spec: spec.name)
+    def test_value_table_bitwise_per_word(self, spec):
+        model = md.build_model(spec)
+        psi = md.random_physical_state(model, np.random.default_rng(17))
+        labels = list(model.frames)
+        om = frame_omega(model, labels[0], model.frames[labels[0]].grid[3],
+                         psi, degree=4)
+        fr_b = model.frames[labels[-1]]
+        om_b = rg.gauge_transform_state(om, rg.theta_gauge(fr_b, fr_b.grid[2]),
+                                        model.Pi)
+        assert not np.array_equal(om_b.bra, om_b.ket)
+        for state in (om, om_b):
+            for d in (0, 4):
+                table = state.value_table(d)
+                assert list(table) == model.gens.monomial_basis(d)
+                assert all(v == per_word_value(state, m)
+                           for m, v in table.items())
+
+    def counting_state(self, npmodel, loc_state, calls):
+        spy = {name: CountingOp(op, calls)
+               for name, op in npmodel.assignment.items()}
+        om = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
+        return ast.from_hilbert(om.bra, om.ket, npmodel.space, spy,
+                                npmodel.gens, degree_bound=5, normalize=False)
+
+    def test_value_table_applies_once_per_monomial(self, npmodel, loc_state):
+        calls = []
+        om = self.counting_state(npmodel, loc_state, calls)
+        table = om.value_table(5)
+        assert len(calls) == len(npmodel.gens.monomial_basis(5)) - 1
+        om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
+        assert table == om_plain.value_table(5)
+
+    def test_evaluate_applies_only_the_prefix_closure(self, npmodel,
+                                                      loc_state):
+        g = npmodel.gens
+        qb, pb, pc = g.gen("q_B"), g.gen("p_B"), g.gen("p_C")
+        el = qb * pb * pc * pc + 3 * qb * pc * pc + pb * pc - 2 * g.one()
+        calls = []
+        om = self.counting_state(npmodel, loc_state, calls)
+        value = om.evaluate(el)
+        closure = prefix_closure(el.terms)
+        assert len(calls) == len(closure)
+        assert len(closure) < sum(sum(m) for m in el.terms)
+        om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
+        assert value == sum((ncalg.numeric(c, npmodel.hbar)
+                             * per_word_value(om_plain, m)
+                             for m, c in el.terms.items()), 0j)
+        om.evaluate(el)
+        assert len(calls) == len(closure)
+
+    def test_apply_element_on_column_block(self, npmodel):
+        g = npmodel.gens
+        qb, pb, qc, pc = (g.gen(n) for n in ("q_B", "p_B", "q_C", "p_C"))
+        el = (qb * pc * pc + qb * pc - sp.I * pb * qb * pc
+              + 0.37 * pb * qc + sp.Rational(3, 2) * g.one())
+        block = np.random.default_rng(23).normal(size=(npmodel.space.dim, 3))
+        block = block + 1j * np.random.default_rng(29).normal(size=block.shape)
+        ref = sum(ncalg.numeric(c, npmodel.hbar)
+                  * per_word(g, npmodel.assignment, m, block)
+                  for m, c in el.terms.items())
+        out = ncalg.apply_element(el, npmodel.space, npmodel.assignment, block)
+        assert out.shape == block.shape
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
