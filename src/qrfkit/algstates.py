@@ -19,8 +19,8 @@ import numpy as np
 import sympy as sp
 
 from . import ncalg
-from .errors import DegreeExceeded, NotPhysical, UnsupportedSupport
-from .kinspace import KinOperator, LatticeSpace
+from .errors import DegreeExceeded, UnsupportedSupport
+from .kinspace import KinOperator, LatticeSpace, check_physical
 from .ncalg import HBAR, AlgebraElement, GeneratorSet, commutator
 from .relobs import theta_projector
 
@@ -52,18 +52,23 @@ class AlgebraicState:
         return self.space.hbar if self.space is not None else self.table_hbar
 
     def evaluate(self, a: AlgebraElement) -> complex:
-        """omega(a); a prefix walk values its uncached monomials, y^m ket from
-        y^(m - e_g) ket, <= degree + 1 alive, bitwise per-word values."""
-        if a.gens is not self.gens:
-            raise ValueError("element belongs to a different generator set")
-        if a.degree() > self.degree_bound:
-            raise DegreeExceeded(
-                f"degree {a.degree()} exceeds bound {self.degree_bound}")
-        self._fill_cache(a.terms)
-        return sum((ncalg.numeric(c, self.hbar) * self._cache[m]
-                    for m, c in a.terms.items()), 0j)
+        """omega(a), through ``evaluate_all``."""
+        return self.evaluate_all([a])[0]
 
     __call__ = evaluate
+
+    def evaluate_all(self, elements) -> list:
+        """omega of each element; one prefix walk over the union of their
+        uncached monomials, <= degree + 1 vectors alive, bitwise per word."""
+        for a in elements:
+            if a.gens is not self.gens:
+                raise ValueError("element belongs to a different generator set")
+            if a.degree() > self.degree_bound:
+                raise DegreeExceeded(
+                    f"degree {a.degree()} exceeds bound {self.degree_bound}")
+        self._fill_cache(dict.fromkeys(m for a in elements for m in a.terms))
+        return [sum((ncalg.numeric(c, self.hbar) * self._cache[m]
+                     for m, c in a.terms.items()), 0j) for a in elements]
 
     def _fill_cache(self, monomials):
         missing = {ncalg.monomial_word(m): m for m in monomials
@@ -132,18 +137,16 @@ def frame_state(space: LatticeSpace, C: KinOperator, frame, rho: float,
     state conditioned on the frame orientation, which realizes the frame
     gauge conditions exactly.
     """
-    resid = np.linalg.norm(C.apply(psi_phys))
-    if resid > 1e-9 * np.linalg.norm(psi_phys):
-        raise NotPhysical(f"||C psi|| = {resid:.2e} exceeds tolerance")
+    check_physical(C, psi_phys)
     bra = theta_projector(frame, rho).apply(psi_phys)
     return from_hilbert(bra, psi_phys, space, assignment, gens, degree_bound)
 
 
 def _max_abs_value(omega: AlgebraicState, degree: int, product) -> float:
     """max |omega(product(a))| over the monomials a with deg a <= degree."""
-    gens = omega.gens
-    return max(abs(omega.evaluate(product(gens.element({m: 1}))))
-               for m in gens.monomial_basis(max(degree, 0)))
+    basis = omega.gens.monomial_basis(max(degree, 0))
+    return max(map(abs, omega.evaluate_all(
+        [product(omega.gens.element({m: 1})) for m in basis])))
 
 
 def check_constraint_surface(omega: AlgebraicState, C: AlgebraElement,
@@ -269,12 +272,9 @@ def check_almost_positive(omega: AlgebraicState, names,
     allowed = {gens.index[n] for n in names}
     basis = [m for m in gens.monomial_basis(d)
              if all(e == 0 or g in allowed for g, e in enumerate(m))]
-    n = len(basis)
-    M = np.zeros((n, n), dtype=complex)
-    for i, ma in enumerate(basis):
-        a_star = ncalg.adjoint(gens.element({ma: 1}))
-        for j, mb in enumerate(basis):
-            M[i, j] = omega.evaluate(a_star * gens.element({mb: 1}))
+    elems = [gens.element({m: 1}) for m in basis]
+    M = np.array(omega.evaluate_all([a_star * b for a_star in map(
+        ncalg.adjoint, elems) for b in elems])).reshape(len(elems), -1)
     herm = (M + M.conj().T) / 2
     return float(np.min(np.linalg.eigvalsh(herm)))
 
@@ -339,7 +339,7 @@ def transform_frame(omega_b: AlgebraicState, *, frame_a, rho_a: float,
     arg_q = (rho_b + rho_a) * gens.one() - gens.gen(qa)
     arg_p = -gens.gen(pa) - g_s
 
-    total = 0j
+    coefs, products = [], []
     for m, c in f.terms.items():
         if m[ia] or m[ipa]:
             raise UnsupportedSupport(
@@ -353,6 +353,7 @@ def transform_frame(omega_b: AlgebraicState, *, frame_a, rho_a: float,
             sub = sub * arg_p
         f_s = gens.element({sys_m: 1})
         dressed = dress_system_element(gens, f_s, g_s, qa, rho_a)
-        val = omega_b.evaluate(sub * dressed)
-        total += ncalg.numeric(c, omega_b.hbar) * val
-    return total
+        coefs.append(ncalg.numeric(c, omega_b.hbar))
+        products.append(sub * dressed)
+    return sum((c * v for c, v in zip(coefs, omega_b.evaluate_all(products))),
+               0j)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     IncommensurableSpectrum,
     NegativeGenerator,
     NotAFrameFactor,
+    NotPhysical,
     UnsupportedSupport,
 )
 
@@ -33,6 +34,7 @@ HERM_TOL = 1e-12
 # Eigenvalues below KERNEL_RTOL * ||C|| count as zero.  Commensurate inputs
 # produce exact zeros, so a near-threshold hit indicates a modelling mistake.
 KERNEL_RTOL = 1e-9
+PHYS_RTOL = 1e-9  # psi is physical when ||C psi|| <= PHYS_RTOL * ||psi||
 
 FRAME = "frame"
 SYSTEM = "system"
@@ -96,10 +98,7 @@ class LatticeSpace:
 
     @property
     def dim(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.N
-        return out
+        return prod(self.dims)
 
     def frame_dp(self) -> float:
         """Common momentum spacing of the frame factors."""
@@ -136,18 +135,17 @@ class LatticeSpace:
 
     def embed_diag(self, factor: int, diag: np.ndarray) -> np.ndarray:
         """Lift a factor diagonal to a full-space diagonal (cheap)."""
-        out = np.ones(1, dtype=complex)
-        for i, f in enumerate(self.factors):
-            out = np.kron(out, np.asarray(diag) if i == factor
-                          else np.ones(f.N))
-        return out
+        return self.apply_factor(factor, np.asarray(diag)[:, None],
+                                 np.ones(self.dim // self.dims[factor]))
 
     def apply_factor(self, factor: int, mat: np.ndarray,
                      vec: np.ndarray) -> np.ndarray:
-        """Apply a single-factor matrix to a D-vector or a D x k block."""
-        t = vec.reshape(self.dims + vec.shape[1:])
-        t = np.tensordot(mat, t, axes=([1], [factor]))
-        return np.moveaxis(t, 0, factor).reshape(vec.shape)
+        """Apply an m x n matrix on one factor to a vector or a column block
+        whose rows carry n in that factor's slot; m comes out there."""
+        dims = self.dims[:factor] + (mat.shape[1],) + self.dims[factor + 1:]
+        t = np.tensordot(mat, vec.reshape(dims + vec.shape[1:]),
+                         axes=([1], [factor]))
+        return np.moveaxis(t, 0, factor).reshape((-1,) + vec.shape[1:])
 
 
 def tensor_space(factors, hbar: float = 1.0) -> LatticeSpace:
@@ -464,6 +462,13 @@ def group_average(space: LatticeSpace, C: KinOperator) -> KinOperator:
     V = vecs[:, mask]
     return KinOperator.from_matrix(space, V @ V.conj().T, C.support,
                                    tuple(notes))
+
+
+def check_physical(C: KinOperator, psi: np.ndarray) -> None:
+    """Raise NotPhysical unless every column of ``psi`` solves the constraint."""
+    resid = np.linalg.norm(C.apply(psi), axis=0)
+    if np.any(resid > PHYS_RTOL * np.linalg.norm(psi, axis=0)):
+        raise NotPhysical(f"||C psi|| = {np.max(resid):.2e} exceeds tolerance")
 
 
 def project_physical(Pi: KinOperator, psi: np.ndarray) -> np.ndarray:

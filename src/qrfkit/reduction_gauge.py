@@ -1,10 +1,9 @@
 """Conditioning on frame orientations: reduction maps, QRF changes, gauges.
 
-The reduction map strips one frame factor off a physical state by pairing
-it with an orientation bra; its inverse re-attaches the orientation state
-and group averages.  Composing a reduction with another frame's inverse
-reduction produces the unitary that re-expresses the same physical data
-from the other frame's perspective.
+Conditioning is one ``LatticeSpace.apply_factor`` on the frame's slot: the
+reduction map applies the orientation bra <rho| (1 x N), its inverse the
+ket |rho> (N x 1) and then Pi, both to a vector or a block of columns.  The
+QRF change V = R_B(rho_B) Pi R_A^dag(rho_A) is kept as these maps.
 
 Generalized gauge maps Phi satisfy Pi Phi Pi = Pi on the constraint kernel.
 A gauge map is a ``KinOperator`` like any other operator on the
@@ -16,16 +15,15 @@ exp(i O1 C) Phi exp(i O2 C) is dense.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
 
 from .algstates import AlgebraicState, from_hilbert
-from .errors import IllConditionedFlow, NotPhysical, SameFrame, UnsupportedSupport
-from .kinspace import KinOperator, LatticeSpace
+from .errors import IllConditionedFlow, SameFrame, UnsupportedSupport
+from .kinspace import KinOperator, LatticeSpace, check_physical
 from .relobs import OrientationFrame, orientation_state_at, theta_projector
-
-PHYS_RTOL = 1e-9
 
 
 def reduced_space(space: LatticeSpace, factor: int) -> LatticeSpace:
@@ -36,41 +34,49 @@ def reduced_space(space: LatticeSpace, factor: int) -> LatticeSpace:
 def reduce_state(frame: OrientationFrame, rho: float, psi_phys: np.ndarray,
                  C: KinOperator = None) -> np.ndarray:
     """Page-Wootters conditioning: (<rho| x 1) psi on the remaining factors."""
-    space = frame.space
     if C is not None:
-        resid = np.linalg.norm(C.apply(psi_phys))
-        if resid > PHYS_RTOL * np.linalg.norm(psi_phys):
-            raise NotPhysical(f"||C psi|| = {resid:.2e} exceeds tolerance")
-    v = orientation_state_at(frame, rho)
-    t = psi_phys.reshape(space.dims)
-    out = np.tensordot(v.conj(), t, axes=([0], [frame.factor]))
-    return out.reshape(-1)
+        check_physical(C, psi_phys)
+    bra = orientation_state_at(frame, rho).conj()[None, :]
+    return frame.space.apply_factor(frame.factor, bra, psi_phys)
 
 
 def embed_state(frame: OrientationFrame, rho: float, phi: np.ndarray,
                 Pi: KinOperator) -> np.ndarray:
     """Inverse conditioning: Pi (phi x |rho>), a state annihilated by C."""
-    space = frame.space
-    v = orientation_state_at(frame, rho)
-    rest_dims = tuple(d for i, d in enumerate(space.dims)
-                      if i != frame.factor)
-    t = np.tensordot(v, phi.reshape(rest_dims), axes=0)
-    t = np.moveaxis(t, 0, frame.factor)
-    return Pi.apply(t.reshape(-1))
+    ket = orientation_state_at(frame, rho)[:, None]
+    return Pi.apply(frame.space.apply_factor(frame.factor, ket, phi))
 
 
 @dataclass(frozen=True, eq=False)
 class QRFTransform:
-    """The map from one frame's reduced space to another's.
+    """V = R_B(rho_B) Pi R_A^dag(rho_A), from reduced-A to reduced-B states.
 
-    ``matrix`` has shape (dim of the target reduced space, dim of the
-    source one), so it is non-square when the two frames differ in size.
+    Holds the frames, orientations and Pi; ``apply`` embeds from A and
+    reduces onto B, with one ``Pi.apply`` per vector or column block.
+    ``matrix`` (target x source reduced dims) is built on first read, from
+    identity column blocks whose D x k images are the size of the result.
     """
 
-    matrix: np.ndarray
+    frame_a: OrientationFrame
+    rho_a: float
+    frame_b: OrientationFrame
+    rho_b: float
+    Pi: KinOperator
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        return self.matrix @ phi
+        return reduce_state(self.frame_b, self.rho_b,
+                            embed_state(self.frame_a, self.rho_a, phi, self.Pi))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        dim = self.frame_a.space.dim
+        n_a, n_b = dim // self.frame_a.N, dim // self.frame_b.N
+        k = n_a // self.frame_b.N  # D x k holds as many entries as n_b x n_a
+        out = np.empty((n_b, n_a), dtype=complex)
+        for i in range(0, n_a, k):
+            out[:, i:i + k] = self.apply(np.eye(n_a, k, -i))
+        out.setflags(write=False)
+        return out
 
 
 def qrf_transform(frame_a: OrientationFrame, rho_a: float,
@@ -79,23 +85,13 @@ def qrf_transform(frame_a: OrientationFrame, rho_a: float,
     """V = R_B(rho_B) o R_A^dag(rho_A), mapping reduced-A to reduced-B states."""
     if frame_a.factor == frame_b.factor:
         raise SameFrame("QRF transformation needs two distinct frames")
-    space = frame_a.space
-    dim_red = space.dim // space.factors[frame_a.factor].N
-    cols = np.empty((space.dim // space.factors[frame_b.factor].N, dim_red),
-                    dtype=complex)
-    basis = np.zeros(dim_red, dtype=complex)
-    for i in range(dim_red):
-        basis[:] = 0
-        basis[i] = 1.0
-        full = embed_state(frame_a, rho_a, basis, Pi)
-        cols[:, i] = reduce_state(frame_b, rho_b, full)
-    return QRFTransform(cols)
+    return QRFTransform(frame_a, rho_a, frame_b, rho_b, Pi)
 
 
 def conjugate_observable(V: QRFTransform, f: np.ndarray) -> np.ndarray:
     """V f V^dag: the observable re-expressed in the target perspective."""
     f = np.asarray(f, dtype=complex)
-    n = V.matrix.shape[1]
+    n = V.frame_a.space.dim // V.frame_a.N
     if f.shape != (n, n):
         raise UnsupportedSupport(
             f"observable must act on the source reduced space (dim {n})")
@@ -255,13 +251,13 @@ def system_projector(frame: OrientationFrame, Pi: KinOperator) -> KinOperator:
         d = Pi.diag.reshape(dims).sum(axis=k, keepdims=True)
         return KinOperator.from_diag(
             space, np.broadcast_to(d, dims).reshape(-1), support)
-    v = orientation_state_at(frame, float(frame.grid[0]))
-    n = len(dims)
-    P = Pi.matrix.reshape(dims + dims)
-    P = np.tensordot(v.conj(), P, axes=([0], [k]))
-    block = np.tensordot(v, P, axes=([0], [n - 1 + k]))
+    rho = float(frame.grid[0])
+    block = reduce_state(frame, rho, embed_state(
+        frame, rho, np.eye(space.dim // dims[k]), Pi))
+    rest = dims[:k] + dims[k + 1:]
     # 1_frame x block, with both frame slots moved back to position k
-    full = np.moveaxis(np.multiply.outer(np.eye(dims[k]), block),
-                       [0, 1], [k, n + k])
+    full = np.moveaxis(np.multiply.outer(np.eye(dims[k]),
+                                         block.reshape(rest + rest)),
+                       [0, 1], [k, len(dims) + k])
     return KinOperator.from_matrix(space, full.reshape(space.dim, space.dim),
                                    support)

@@ -65,11 +65,9 @@ class OrientationFrame:
 
 def orientation_state(frame: OrientationFrame, j: int) -> np.ndarray:
     """|rho_j> on the frame factor, for j indexing the grid [-N/2, N/2)."""
-    grid = frame.grid
     if not (-frame.N // 2 <= j < frame.N // 2):
         raise IndexOutOfRange(f"grid index {j} outside [-N/2, N/2)")
-    p = frame.space.factors[frame.factor].generator_spectrum
-    return np.exp(-1j * grid[j + frame.N // 2] * p / frame.space.hbar)
+    return orientation_state_at(frame, frame.grid[j + frame.N // 2])
 
 
 def orientation_state_at(frame: OrientationFrame, rho: float) -> np.ndarray:
@@ -211,17 +209,17 @@ def _closed_form(space, C, frame, rho, f_s):
     n_f = frame.N
     # G_S is constant along the frame axis: keep it on the other factors
     gs = np.moveaxis(gs_diag.reshape(dims), k, 0)[0]
-    # f_S as a matrix on the complementary factors
-    idx = [slice(None)] * (2 * n)
-    idx[k] = 0
-    idx[n + k] = 0
-    f_rest = f_s.matrix.reshape(dims + dims)[tuple(idx)]
+    # f_rest = <p_0| f_S |p_0> on the other factors, as f_S = 1 x f_rest
+    p0 = np.eye(n_f, 1)
+    f_rest = space.apply_factor(k, p0.T, f_s.apply(
+        space.apply_factor(k, p0, np.eye(space.dim // n_f))))
 
     F = frame.fourier_matrix()
     e = np.exp(-1j * np.multiply.outer(frame.grid - rho, gs) / space.hbar)
     kets = F.T.reshape((n_f,) + (1,) * k + (n_f,) + (1,) * (n - 1 - k))
     G = (np.expand_dims(e, 1 + k) * kets).reshape(n_f, space.dim)
     out = (G.T @ G.conj()).reshape(dims + dims)
-    out *= np.expand_dims(f_rest, (k, n + k)) / n_f
+    rest = dims[:k] + dims[k + 1:]
+    out *= np.expand_dims(f_rest.reshape(rest + rest), (k, n + k)) / n_f
     return KinOperator.from_matrix(space, out.reshape(space.dim, space.dim),
                                    f_s.support | {frame.factor})

@@ -409,6 +409,41 @@ class TestPrefixWalk:
         om.evaluate(el)
         assert len(calls) == len(closure)
 
+    @pytest.mark.parametrize("check", ["constraint", "frame_gauge",
+                                       "positivity"])
+    def test_check_walks_the_union_of_its_products_once(self, npmodel,
+                                                        loc_state, check):
+        g = npmodel.gens
+        C = npmodel.constraint_elem
+        z = g.gen("q_A") - 0.0 * g.one()
+        system = [g.element({m: 1}) for m in g.monomial_basis(2)
+                  if not any(m[g.index[n]] for n in ("q_A", "p_A"))]
+        products, run = {
+            "constraint": (
+                [g.element({m: 1}) * C for m in g.monomial_basis(4)],
+                lambda om: ast.check_constraint_surface(om, C, 5)),
+            "frame_gauge": (
+                [z * g.element({m: 1}) for m in g.monomial_basis(4)],
+                lambda om: ast.check_frame_gauge(om, "q_A", 0.0, 5)),
+            "positivity": (
+                [ncalg.adjoint(a) * b for a in system for b in system],
+                lambda om: ast.check_almost_positive(
+                    om, ["q_B", "p_B", "q_C", "p_C"], 5)),
+        }[check]
+        calls = []
+        value = run(self.counting_state(npmodel, loc_state, calls))
+        union = {m for p in products for m in p.terms}
+        assert len(calls) == len(prefix_closure(union))
+        # the value the per-product evaluation gives, bit for bit
+        om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
+        if check == "positivity":
+            M = np.array([om_plain.evaluate(p) for p in products])
+            M = M.reshape(len(system), len(system))
+            ref = float(np.min(np.linalg.eigvalsh((M + M.conj().T) / 2)))
+        else:
+            ref = max(abs(om_plain.evaluate(p)) for p in products)
+        assert value == ref
+
     def test_apply_element_on_column_block(self, npmodel):
         g = npmodel.gens
         qb, pb, qc, pc = (g.gen(n) for n in ("q_B", "p_B", "q_C", "p_C"))

@@ -8,6 +8,7 @@ from qrfkit.errors import (
     IncommensurableSpectrum,
     NegativeGenerator,
     NotAFrameFactor,
+    NotPhysical,
 )
 
 
@@ -353,3 +354,49 @@ class TestOperatorForms:
         ks.KinOperator.from_matrix(sp, m, ())
         ks.KinOperator.from_diag(sp, d, ())
         assert m.flags.writeable and d.flags.writeable
+
+
+class TestRectangularApplyFactor:
+    """An m x n matrix on one factor: n in that slot goes in, m comes out."""
+
+    @staticmethod
+    def space():
+        return ks.tensor_space([ks.FactorSpec.frame(4, 1.0, "A"),
+                                ks.FactorSpec.frame(6, 1.0, "B"),
+                                ks.FactorSpec.system([0.0, 1.0, -1.0])])
+
+    @pytest.mark.parametrize("factor", [0, 1, 2], ids=["first", "middle",
+                                                       "last"])
+    @pytest.mark.parametrize("shape", ["bra", "ket", "general"])
+    @pytest.mark.parametrize("cols", [None, 3], ids=["vector", "block"])
+    def test_matches_kron_reference(self, factor, shape, cols):
+        sp = self.space()
+        N = sp.dims[factor]
+        m, n = {"bra": (1, N), "ket": (N, 1), "general": (5, 2)}[shape]
+        rng = np.random.default_rng(113)
+        mat = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        before = int(np.prod(sp.dims[:factor]))
+        after = int(np.prod(sp.dims[factor + 1:]))
+        size = (before * n * after,) + (() if cols is None else (cols,))
+        vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+        ref = np.kron(np.kron(np.eye(before), mat), np.eye(after)) @ vec
+        out = sp.apply_factor(factor, mat, vec)
+        assert out.shape == ref.shape == (before * m * after,) + size[1:]
+        assert np.max(np.abs(out - ref)) < 1e-12
+
+
+class TestPhysicalCheck:
+    def test_one_unphysical_column_rejected(self):
+        sp = two_frame_space()
+        C = ks.build_constraint(sp, {0: 1.0, 1: 1.0})
+        Pi = ks.group_average(sp, C)
+        rng = np.random.default_rng(127)
+        good = Pi.apply(rng.normal(size=(sp.dim, 2)))
+        bad = rng.normal(size=sp.dim)
+        ks.check_physical(C, good)
+        with pytest.raises(NotPhysical):
+            ks.check_physical(C, bad)
+        # a large physical column must not hide a small unphysical one
+        block = np.stack([1e9 * good[:, 0], 1e-3 * bad, good[:, 1]], axis=1)
+        with pytest.raises(NotPhysical):
+            ks.check_physical(C, block)

@@ -101,6 +101,74 @@ class TestReduceEmbed:
             rg.reduce_state(model.frames["A"], 0.0, bad, C=model.constraint)
 
 
+class CountingPi:
+    """A projector that counts its ``apply`` calls."""
+
+    def __init__(self, Pi):
+        self.Pi, self.calls = Pi, 0
+
+    def apply(self, vec):
+        self.calls += 1
+        return self.Pi.apply(vec)
+
+
+def unit_vector_reference(fr_a, rho_a, fr_b, rho_b, Pi):
+    """V built column by column: reduce_B(embed_A(e_i)) for each unit e_i."""
+    n_a = fr_a.space.dim // fr_a.N
+    return np.column_stack([
+        rg.reduce_state(fr_b, rho_b, rg.embed_state(fr_a, rho_a, e, Pi))
+        for e in np.eye(n_a)])
+
+
+class TestColumnBlocks:
+    def test_block_equals_column_by_column(self, model, psi):
+        rng = np.random.default_rng(131)
+        fr_a, fr_b = model.frames["A"], model.frames["B"]
+        rho_a, rho_b = fr_a.grid[2], fr_b.grid[5]
+        red_dim = model.space.dim // 8
+        phi = (rng.normal(size=(red_dim, 3))
+               + 1j * rng.normal(size=(red_dim, 3)))
+        v = rg.qrf_transform(fr_a, rho_a, fr_b, rho_b, model.Pi)
+        full = rg.embed_state(fr_a, rho_a, phi, model.Pi)
+        kets = np.stack([psi, full[:, 0], full[:, 2]], axis=1)
+        red = rg.reduce_state(fr_b, rho_b, kets, C=model.constraint)
+        moved = v.apply(phi)
+        assert full.shape == (model.space.dim, 3)
+        assert red.shape == moved.shape == (red_dim, 3)
+        for j in range(3):
+            col = rg.embed_state(fr_a, rho_a, phi[:, j], model.Pi)
+            assert np.max(np.abs(full[:, j] - col)) < 1e-12
+            col = rg.reduce_state(fr_b, rho_b, kets[:, j], C=model.constraint)
+            assert np.max(np.abs(red[:, j] - col)) < 1e-12
+            assert np.max(np.abs(moved[:, j] - v.apply(phi[:, j]))) < 1e-12
+
+    def test_unphysical_column_in_block_rejected(self, model, psi):
+        bad = np.random.default_rng(137).normal(size=model.space.dim)
+        with pytest.raises(NotPhysical):
+            rg.reduce_state(model.frames["A"], 0.0,
+                            np.stack([psi, bad, psi], axis=1),
+                            C=model.constraint)
+
+    def test_frame_state_and_reduction_share_the_tolerance(self, model, psi,
+                                                           monkeypatch):
+        # a state off the constraint by 1e-6 relative is rejected by both,
+        # and accepted by both once the shared tolerance is raised above it
+        rng = np.random.default_rng(139)
+        noise = rng.normal(size=model.space.dim)
+        off = psi + 1e-6 * noise / np.linalg.norm(noise)
+        fr = model.frames["A"]
+        checks = [
+            lambda: rg.reduce_state(fr, 0.0, off, C=model.constraint),
+            lambda: ast.frame_state(model.space, model.constraint, fr, 0.0,
+                                    off, model.assignment, model.gens, 2)]
+        for check in checks:
+            with pytest.raises(NotPhysical):
+                check()
+        monkeypatch.setattr(ks, "PHYS_RTOL", 1e-3)
+        for check in checks:
+            check()
+
+
 class TestQRFTransform:
     def test_roundtrip_identity(self, model):
         fr_a, fr_b = model.frames["A"], model.frames["B"]
@@ -117,6 +185,41 @@ class TestQRFTransform:
         red_a = rg.reduce_state(fr_a, rho_a, psi)
         red_b = rg.reduce_state(fr_b, rho_b, psi)
         assert np.max(np.abs(v.apply(red_a) - red_b)) < 1e-10
+
+    def test_stores_maps_and_applies_pi_once(self, model):
+        fr_a, fr_b = model.frames["A"], model.frames["B"]
+        spy = CountingPi(model.Pi)
+        v = rg.qrf_transform(fr_a, fr_a.grid[1], fr_b, fr_b.grid[6], spy)
+        assert spy.calls == 0
+        x = np.random.default_rng(149).normal(size=(model.space.dim // 8, 4))
+        v.apply(x[:, 0])
+        assert spy.calls == 1
+        v.apply(x)
+        assert spy.calls == 2
+
+    @pytest.mark.parametrize("spec", [
+        md.ModelSpec("nparticle", n_particles=3, lattice_size=8),
+        md.ModelSpec("su2", lattice_size=10, j=2)], ids=lambda s: s.name)
+    def test_matrix_matches_unit_vector_reference(self, spec):
+        m = md.build_model(spec)
+        fr_a, fr_b = m.frames["A"], m.frames["B"]
+        rho_a, rho_b = fr_a.grid[3], fr_b.grid[1]
+        v = rg.qrf_transform(fr_a, rho_a, fr_b, rho_b, m.Pi)
+        ref = unit_vector_reference(fr_a, rho_a, fr_b, rho_b, m.Pi)
+        assert v.matrix.shape == ref.shape
+        assert np.max(np.abs(v.matrix - ref)) < 1e-12
+
+    def test_matrix_of_frames_of_different_sizes(self):
+        space = ks.tensor_space([ks.FactorSpec.frame(4, 1.0, "A"),
+                                 ks.FactorSpec.system([0.0, 1.0, -1.0]),
+                                 ks.FactorSpec.frame(8, 1.0, "B")])
+        Pi = ks.group_average(space, ks.build_constraint(
+            space, {0: 1.0, 1: 1.0, 2: 1.0}))
+        fr_a, fr_b = ro.OrientationFrame(space, 2), ro.OrientationFrame(space, 0)
+        v = rg.qrf_transform(fr_a, fr_a.grid[5], fr_b, fr_b.grid[1], Pi)
+        ref = unit_vector_reference(fr_a, fr_a.grid[5], fr_b, fr_b.grid[1], Pi)
+        assert v.matrix.shape == ref.shape == (24, 12)
+        assert np.max(np.abs(v.matrix - ref)) < 1e-12
 
     def test_same_frame_rejected(self, model):
         fr = model.frames["A"]
@@ -469,3 +572,49 @@ class TestLargeLattice:
         g = model.gens
         for el in (g.one(), g.gen("p_A"), g.gen("p_B"), g.gen("p_C")):
             assert abs(om_b.evaluate(el) - om_a.evaluate(el)) < 1e-10
+
+    def test_qrf_transform_on_probes(self, big):
+        model, psi = big
+        fr_a, fr_b = model.frames["A"], model.frames["B"]
+        rho_a, rho_b = fr_a.grid[16], fr_b.grid[15]
+        v_ab = rg.qrf_transform(fr_a, rho_a, fr_b, rho_b, model.Pi)
+        v_ba = rg.qrf_transform(fr_b, rho_b, fr_a, rho_a, model.Pi)
+        red_a = rg.reduce_state(fr_a, rho_a, psi, C=model.constraint)
+        red_b = rg.reduce_state(fr_b, rho_b, psi)
+        assert np.max(np.abs(v_ab.apply(red_a) - red_b)) < 1e-10
+        rng = np.random.default_rng(151)
+        x = rng.normal(size=(32 * 32, 3)) + 1j * rng.normal(size=(32 * 32, 3))
+        assert np.max(np.abs(v_ba.apply(v_ab.apply(x)) - x)) < 1e-10
+
+
+def test_frame_paths_read_no_dense_form(model, psi, monkeypatch):
+    """Conditioning, the QRF change, the closed form with a factor-local f_S
+    and the system projector with a diagonal Pi never build a D x D form."""
+    rng = np.random.default_rng(157)
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    f_s = ks.factor_operator(model.space, 2, m + m.conj().T)
+    assert not f_s.is_diagonal and model.Pi.is_diagonal
+
+    def dense(*args):
+        raise AssertionError("a dense D x D form was read")
+
+    monkeypatch.setattr(ks.KinOperator, "matrix", property(dense))
+    monkeypatch.setattr(ks.LatticeSpace, "embed_matrix", dense)
+    fr_a, fr_b = model.frames["A"], model.frames["B"]
+    rho_a, rho_b = fr_a.grid[4], fr_b.grid[5]
+    red = rg.reduce_state(fr_a, rho_a, psi, C=model.constraint)
+    back = rg.embed_state(fr_a, rho_a, red, model.Pi)
+    assert np.max(np.abs(back - psi)) < 1e-10
+    v = rg.qrf_transform(fr_a, rho_a, fr_b, rho_b, model.Pi)
+    moved = v.apply(red)
+    obs = rg.conjugate_observable(v, np.kron(np.eye(8), m))
+    assert np.max(np.abs(obs @ moved - v.apply(np.kron(np.eye(8), m) @ red))) \
+        < 1e-10
+    closed = ro.relational_observable(model.space, model.constraint, fr_a,
+                                      rho_a, f_s, form="closed")
+    f_red = ks.factor_operator(rg.reduced_space(model.space, fr_a.factor), 1,
+                               m + m.conj().T)
+    assert abs(np.vdot(psi, closed.apply(psi))
+               - np.vdot(red, f_red.apply(red))) < 1e-10
+    pi_hat = rg.system_projector(fr_a, model.Pi)
+    assert np.max(np.abs(pi_hat.apply(psi) - psi)) < 1e-10

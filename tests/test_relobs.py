@@ -303,6 +303,31 @@ class TestSu2ClosedForm:
         assert np.max(np.abs(kin.matrix - expected)) < 1e-10
 
 
+class TestClosedFormMemory:
+    def test_peak_below_one_and_a_half_dense_arrays(self):
+        import tracemalloc
+
+        from qrfkit import models as md
+
+        model = md.build_model(md.ModelSpec("su2", lattice_size=10, j=2))
+        D = model.space.dim
+        assert D == 500
+        f_s = model.assignment["J_x"]
+        assert f_s.local is not None
+        fr = model.frames["A"]
+        tracemalloc.start()
+        try:
+            obs = ro.relational_observable(model.space, model.constraint, fr,
+                                           fr.grid[3], f_s, form="closed")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * D * D * 16
+        kin = ro.relational_observable(model.space, model.constraint, fr,
+                                       fr.grid[3], f_s, form="kinematical")
+        assert np.max(np.abs(obs.matrix - kin.matrix)) < 1e-10
+
+
 class TestWraparoundWeight:
     def setup_method(self):
         self.sp = ideal_space(N=16)
