@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
-from math import gcd, prod
+from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -188,12 +188,10 @@ class KinOperator:
     - a dense D x D matrix.
 
     ``apply`` and ``apply_adjoint`` take a D-vector or a D x k block of
-    columns; ``A @ B`` keeps diag @ diag diagonal and otherwise lets the
-    operand that is not dense act on the other's dense form (``apply`` from
-    the left, ``apply_adjoint`` from the right), so only dense @ dense is a
-    matrix product.  ``matrix`` builds the dense D x D form only when a
-    caller reads it.  ``hermitian`` is computed from the stored form on
-    first use, never asserted.
+    columns.  ``A @ B`` has two rules: diag @ diag stays diagonal, and any
+    other pair is the dense ``A.apply(B.matrix)``.  ``matrix`` builds the
+    dense D x D form only when a caller reads it.  ``hermitian`` is computed
+    from the stored form on first use, never asserted.
     """
 
     space: LatticeSpace
@@ -292,13 +290,8 @@ class KinOperator:
         if self.is_diagonal and other.is_diagonal:
             return KinOperator.from_diag(self.space, self.diag * other.diag,
                                          support)
-        if self._matrix is None:
-            out = self.apply(other.matrix)
-        elif other._matrix is None:
-            out = other.apply_adjoint(self._matrix.conj().T).conj().T
-        else:
-            out = self._matrix @ other._matrix
-        return KinOperator.from_matrix(self.space, out, support)
+        return KinOperator.from_matrix(self.space, self.apply(other.matrix),
+                                       support)
 
     def _check(self, other):
         if other.space is not self.space:
@@ -400,68 +393,28 @@ def _eig(C: KinOperator):
     return np.linalg.eigh(C.matrix)
 
 
-def kernel_indicator(C: KinOperator):
-    """(eigenvalues, boolean kernel mask, diagnostic list)."""
-    vals, vecs = _eig(C)
-    norm = max(float(np.max(np.abs(vals))), 1.0)
-    mask = np.abs(vals) < KERNEL_RTOL * norm
-    notes = []
-    near = (np.abs(vals) >= KERNEL_RTOL * norm) & (np.abs(vals) < 1e-6 * norm)
-    if np.any(near):
-        notes.append("near-zero eigenvalue above kernel threshold; "
-                     "inputs may be incommensurate")
-    return vals, mask, vecs, notes
-
-
-def cyclic_group(C: KinOperator, pairwise: bool = False):
-    """Cyclic group data (spacing, order, step) computed from the spectrum.
-
-    Returns ``(delta, order, step)`` where the group is
-    ``{exp(i*j*step*C/hbar) : j = 0..order-1}``.  ``delta`` is the coarsest
-    spacing with all eigenvalues on ``delta*Z``; ``order`` is the smallest
-    order whose average isolates exact eigenvalue coincidences (pairwise
-    differences when ``pairwise``, the kernel otherwise).  Never assumed,
-    always derived from the constraint at hand.
-    """
-    vals, _ = _eig(C)
-    scale = max(float(np.max(np.abs(vals))), 1.0)
-    fracs = [Fraction(float(v) / scale).limit_denominator(10**6) for v in vals]
-    den = reduce(lambda a, b: a * b // gcd(a, b),
-                 (f.denominator for f in fracs), 1)
-    nums = [int(f * den) for f in fracs]
-    g = reduce(gcd, (abs(n) for n in nums if n != 0), 0)
-    if g == 0:
-        return scale, 1, 0.0  # C = 0: trivial group
-    ints = [n // g for n in nums]
-    delta = scale * g / den
-    if pairwise:
-        targets = {abs(a - b) for a in ints for b in ints} - {0}
-    else:
-        targets = {abs(n) for n in ints} - {0}
-    order = max(targets, default=0) + 1
-    while any(t % order == 0 for t in targets):
-        order += 1
-    step = 2.0 * np.pi * C.space.hbar / (order * delta)
-    return delta, order, step
-
-
 def group_average(space: LatticeSpace, C: KinOperator) -> KinOperator:
     """Coherent group averaging: the orthogonal projector onto ker(C).
 
     On the lattice the average of ``exp(i*s*C/hbar)`` over the cyclic group
     determined by the constraint spectrum is exactly the kernel projector;
-    it is computed here spectrally (the explicit finite-group sum is kept as
-    an independent test oracle).
+    it is computed here spectrally.
     """
-    vals, mask, vecs, notes = kernel_indicator(C)
+    vals, vecs = _eig(C)
+    norm = max(float(np.max(np.abs(vals))), 1.0)
+    mask = np.abs(vals) < KERNEL_RTOL * norm
+    notes = ()
+    if np.any(~mask & (np.abs(vals) < 1e-6 * norm)):
+        notes = ("near-zero eigenvalue above kernel threshold; "
+                 "inputs may be incommensurate",)
     if not np.any(mask):
         raise EmptyKernel("constraint kernel is trivial")
     if vecs is None:
         return KinOperator.from_diag(space, mask.astype(float), C.support,
-                                     tuple(notes))
+                                     notes)
     V = vecs[:, mask]
     return KinOperator.from_matrix(space, V @ V.conj().T, C.support,
-                                   tuple(notes))
+                                   notes)
 
 
 def check_physical(C: KinOperator, psi: np.ndarray) -> None:

@@ -69,9 +69,6 @@ class Model:
     def hbar(self) -> float:
         return self.space.hbar
 
-    def frame_factor(self, label: str) -> int:
-        return self.frames[label].factor
-
     def g_s_elem(self, label: str) -> ncalg.AlgebraElement:
         """System generator seen from the given frame: C - p_frame."""
         _, p_name = self.frame_pairs[label]

@@ -456,40 +456,40 @@ def _as_operator(space, op) -> KinOperator:
 
 def verify_assignment(gens: GeneratorSet, space, assignment,
                       test_states=None) -> dict:
-    """Check the relation table under an assignment.
+    """Check the relation table under an assignment, through ``apply`` only.
 
-    Lie-type relations (no identity component) must hold as exact matrix
-    identities to 1e-10, else RelationViolation.  Relations with an identity
-    component (canonical pairs) cannot hold globally on a finite lattice;
-    their residual is evaluated on the caller's localized test states and
-    reported in the returned map.
+    Each relation [a, b] = i*hbar*sum_k alpha_k y_k is read from one residual
+    on a column block V: R = a(bV) - b(aV) - sum_k i*hbar*alpha_k y_k V,
+    with y_k V = V for the identity component.  Lie-type relations (no
+    identity component) take V = the D x D identity and must hold as exact
+    matrix identities, max |R| <= 1e-10, else RelationViolation.  Relations
+    with an identity component (canonical pairs) cannot hold globally on a
+    finite lattice; V holds the caller's localized test states as columns
+    (D x len(test_states)) and the report gives max |v^dag R v| / v^dag v
+    over them, or None without test states.
     """
-
-    def mat(name):
-        return _as_operator(space, assignment[name]).matrix
-
+    ops = {name: _as_operator(space, op) for name, op in assignment.items()}
+    states = list(() if test_states is None else test_states)
+    states = np.column_stack(states) if states else None
     report = {}
     for (i, j), comps in gens.relations.items():
-        a, b = mat(gens.names[i]), mat(gens.names[j])
-        comm = a @ b - b @ a
-        target = np.zeros_like(comm)
-        for k, alpha in comps.items():
-            cval = numeric(sp.I * HBAR * alpha, space.hbar)
-            target = target + cval * (np.eye(comm.shape[0])
-                                      if k == IDENTITY else mat(gens.names[k]))
-        resid = comm - target
         key = (gens.names[i], gens.names[j])
-        if IDENTITY not in comps:
-            norm = float(np.max(np.abs(resid)))
-            report[key] = norm
-            if norm > 1e-10:
-                raise RelationViolation(
-                    f"relation [{key[0]}, {key[1]}] fails: residual {norm:.2e}")
+        lie = IDENTITY not in comps
+        V = np.eye(space.dim) if lie else states
+        if V is None:
+            report[key] = None
+            continue
+        a, b = ops[key[0]], ops[key[1]]
+        R = a.apply(b.apply(V)) - b.apply(a.apply(V))
+        for k, alpha in comps.items():
+            R -= numeric(sp.I * HBAR * alpha, space.hbar) * (
+                V if k == IDENTITY else ops[gens.names[k]].apply(V))
+        if lie:
+            report[key] = float(np.max(np.abs(R)))
+            if report[key] > 1e-10:
+                raise RelationViolation(f"relation [{key[0]}, {key[1]}] "
+                                        f"fails: residual {report[key]:.2e}")
         else:
-            if test_states is None:
-                report[key] = None
-            else:
-                vals = [abs(complex(np.vdot(v, resid @ v)))
-                        / float(np.vdot(v, v).real) for v in test_states]
-                report[key] = max(vals) if vals else None
+            report[key] = float(np.max(np.abs(np.sum(V.conj() * R, axis=0))
+                                       / np.sum(np.abs(V) ** 2, axis=0)))
     return report

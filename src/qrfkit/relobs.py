@@ -23,7 +23,6 @@ from .kinspace import (
     KinOperator,
     LatticeSpace,
     _eig,
-    cyclic_group,
     factor_operator,
     momentum_operator,
     reduce_mod_period,
@@ -120,8 +119,7 @@ def g_twirl(space: LatticeSpace, C: KinOperator, A: KinOperator) -> KinOperator:
 
     In the eigenbasis of C the average keeps exactly the matrix elements
     between equal eigenvalues (the group order is computed from the pairwise
-    difference spectrum, so no distinct eigenvalues are aliased).  The
-    explicit finite sum of conjugations is kept as a test oracle.
+    difference spectrum, so no distinct eigenvalues are aliased).
     """
     vals, vecs = _eig(C)
     mask = np.abs(vals[:, None] - vals[None, :]) < 1e-9 * max(
@@ -132,20 +130,6 @@ def g_twirl(space: LatticeSpace, C: KinOperator, A: KinOperator) -> KinOperator:
     a = vecs.conj().T @ A.matrix @ vecs
     return KinOperator.from_matrix(space, vecs @ (a * mask) @ vecs.conj().T,
                                    A.support | C.support)
-
-
-def g_twirl_oracle(space: LatticeSpace, C: KinOperator,
-                   A: KinOperator) -> np.ndarray:
-    """Explicit finite-group sum (1/M) sum_s exp(-isC/h) A exp(isC/h)."""
-    from scipy.linalg import expm
-
-    _, order, step = cyclic_group(C, pairwise=True)
-    Cm = C.matrix
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(order):
-        U = expm(-1j * j * step * Cm / space.hbar)
-        out += U @ A.matrix @ U.conj().T
-    return out / order
 
 
 def frame_system_generator(space: LatticeSpace, C: KinOperator,

@@ -1,0 +1,59 @@
+"""Independent test oracles: the explicit finite cyclic group of a constraint
+and the G-twirl as its finite sum of conjugations.
+
+The library computes the group average and the G-twirl spectrally; these
+sums check them from the group itself.
+"""
+
+from fractions import Fraction
+from functools import reduce
+from math import gcd
+
+import numpy as np
+from scipy.linalg import expm
+
+from qrfkit.kinspace import KinOperator, LatticeSpace, _eig
+
+
+def cyclic_group(C: KinOperator, pairwise: bool = False):
+    """Cyclic group data (spacing, order, step) computed from the spectrum.
+
+    Returns ``(delta, order, step)`` where the group is
+    ``{exp(i*j*step*C/hbar) : j = 0..order-1}``.  ``delta`` is the coarsest
+    spacing with all eigenvalues on ``delta*Z``; ``order`` is the smallest
+    order whose average isolates exact eigenvalue coincidences (pairwise
+    differences when ``pairwise``, the kernel otherwise).  Never assumed,
+    always derived from the constraint at hand.
+    """
+    vals, _ = _eig(C)
+    scale = max(float(np.max(np.abs(vals))), 1.0)
+    fracs = [Fraction(float(v) / scale).limit_denominator(10**6) for v in vals]
+    den = reduce(lambda a, b: a * b // gcd(a, b),
+                 (f.denominator for f in fracs), 1)
+    nums = [int(f * den) for f in fracs]
+    g = reduce(gcd, (abs(n) for n in nums if n != 0), 0)
+    if g == 0:
+        return scale, 1, 0.0  # C = 0: trivial group
+    ints = [n // g for n in nums]
+    delta = scale * g / den
+    if pairwise:
+        targets = {abs(a - b) for a in ints for b in ints} - {0}
+    else:
+        targets = {abs(n) for n in ints} - {0}
+    order = max(targets, default=0) + 1
+    while any(t % order == 0 for t in targets):
+        order += 1
+    step = 2.0 * np.pi * C.space.hbar / (order * delta)
+    return delta, order, step
+
+
+def g_twirl_oracle(space: LatticeSpace, C: KinOperator,
+                   A: KinOperator) -> np.ndarray:
+    """Explicit finite-group sum (1/M) sum_s exp(-isC/h) A exp(isC/h)."""
+    _, order, step = cyclic_group(C, pairwise=True)
+    Cm = C.matrix
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for j in range(order):
+        U = expm(-1j * j * step * Cm / space.hbar)
+        out += U @ A.matrix @ U.conj().T
+    return out / order

@@ -1,0 +1,130 @@
+"""verify_gauge and verify_assignment against dense references written here
+from ``.matrix``, over random commensurate spaces and the four models."""
+
+import numpy as np
+import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qrfkit import kinspace as ks
+from qrfkit import models as md
+from qrfkit import ncalg
+from qrfkit import reduction_gauge as rg
+from qrfkit import relobs as ro
+
+
+def dense_gauge_residuals(phi, Pi):
+    P, F = Pi.matrix, phi.matrix
+    return (float(np.max(np.abs(P @ F @ P - P))),
+            float(np.max(np.abs((F @ P @ F - F) @ P))))
+
+
+def assert_matches_dense(phi, Pi):
+    rep = rg.verify_gauge(phi, Pi)
+    r1, r2 = dense_gauge_residuals(phi, Pi)
+    assert abs(rep["pi_phi_pi"] - r1) <= 1e-12 * max(1.0, r1)
+    assert abs(rep["phi_pi_phi"] - r2) <= 1e-12 * max(1.0, r2)
+    assert rep["valid"] == (r1 < 1e-10 and r2 < 1e-10)
+
+
+def random_unitary(rng, d):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return np.linalg.qr(m)[0]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(frames=st.lists(st.sampled_from([4, 6, 8]), min_size=1, max_size=2),
+       spectrum=st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+       hbar=st.sampled_from([1.0, 0.7]),
+       dense_pi=st.booleans(),
+       kind=st.sampled_from(["theta", "diagonal", "dense", "zero"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_verify_gauge_matches_dense_formula(frames, spectrum, hbar, dense_pi,
+                                            kind, seed):
+    space = ks.tensor_space([ks.FactorSpec.frame(n) for n in frames]
+                            + [ks.FactorSpec.system(spectrum)], hbar=hbar)
+    d = space.dim
+    C = ks.build_constraint(space, {i: 1.0 for i in range(len(frames) + 1)})
+    rng = np.random.default_rng(seed)
+    if dense_pi:
+        U = random_unitary(rng, d)
+        C = ks.KinOperator.from_matrix(space, (U * C.diag) @ U.conj().T,
+                                       C.support)
+    Pi = ks.group_average(space, C)
+    assert Pi.is_diagonal != dense_pi
+    if kind == "theta":
+        fr = ro.OrientationFrame(space, 0)
+        phi = rg.theta_gauge(fr, fr.grid[rng.integers(fr.N)])
+    elif kind == "diagonal":
+        phi = ks.KinOperator.from_diag(space, rng.normal(size=d)
+                                       + 1j * rng.normal(size=d), {0})
+    elif kind == "dense":
+        phi = ks.KinOperator.from_matrix(space, rng.normal(size=(d, d))
+                                         + 1j * rng.normal(size=(d, d)), {0})
+    else:
+        phi = ks.KinOperator.from_matrix(space, np.zeros((d, d)), ())
+    assert_matches_dense(phi, Pi)
+
+
+def test_verify_gauge_across_a_block_boundary():
+    # zero system generator: the kernel is p = 0 times all 300 levels, so
+    # more than one block of unit columns is read
+    space = ks.tensor_space([ks.FactorSpec.frame(4),
+                             ks.FactorSpec.system(np.zeros(300))])
+    Pi = ks.group_average(space, ks.build_constraint(space, {0: 1.0}))
+    assert space.dim == 1200
+    assert np.count_nonzero(Pi.diagonal()) == 300 > rg._GAUGE_BLOCK
+    fr = ro.OrientationFrame(space, 0)
+    theta = rg.theta_gauge(fr, fr.grid[1])
+    assert rg.verify_gauge(theta, Pi)["valid"]
+    assert_matches_dense(theta, Pi)
+    rng = np.random.default_rng(163)
+    dense = ks.KinOperator.from_matrix(space, rng.normal(size=(1200, 1200)),
+                                       {0, 1})
+    assert_matches_dense(dense, Pi)
+
+
+def dense_assignment_reference(gens, space, assignment, test_states):
+    mats = {name: op.matrix for name, op in assignment.items()}
+    report = {}
+    for (i, j), comps in gens.relations.items():
+        a, b = mats[gens.names[i]], mats[gens.names[j]]
+        resid = a @ b - b @ a
+        for k, alpha in comps.items():
+            y = (np.eye(space.dim) if k == ncalg.IDENTITY
+                 else mats[gens.names[k]])
+            resid = resid - ncalg.numeric(sp.I * ncalg.HBAR * alpha,
+                                          space.hbar) * y
+        key = (gens.names[i], gens.names[j])
+        if ncalg.IDENTITY not in comps:
+            report[key] = float(np.max(np.abs(resid)))
+        elif test_states:
+            report[key] = max(abs(np.vdot(v, resid @ v)) / np.vdot(v, v).real
+                              for v in test_states)
+        else:
+            report[key] = None
+    return report
+
+
+@pytest.mark.parametrize("spec", [
+    md.ModelSpec("nparticle"), md.ModelSpec("su2"),
+    md.ModelSpec("degenerate"), md.ModelSpec("newtonian", dp=2.0)],
+    ids=lambda s: s.name)
+def test_verify_assignment_matches_dense_reference(spec):
+    model = md.build_model(spec)
+    rng = np.random.default_rng(167)
+    states = [md.random_physical_state(model, rng),
+              md.gaussian_physical_state(model)]
+    for test_states in (None, [], states):
+        got = ncalg.verify_assignment(model.gens, model.space,
+                                      model.assignment, test_states)
+        ref = dense_assignment_reference(model.gens, model.space,
+                                         model.assignment, test_states)
+        assert got.keys() == ref.keys()
+        for key, value in ref.items():
+            if value is None:
+                assert got[key] is None
+            else:
+                assert abs(got[key] - value) <= 1e-12 * max(1.0, value), key
+

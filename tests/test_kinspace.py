@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from oracles import cyclic_group
 from qrfkit import kinspace as ks
 from qrfkit.errors import (
     EmptyKernel,
@@ -132,7 +133,7 @@ class TestGroupAverage:
         sp = two_frame_space()
         C = ks.build_constraint(sp, {0: 1.0, 1: 1.0})
         Pi = ks.group_average(sp, C)
-        _, order, step = ks.cyclic_group(C)
+        _, order, step = cyclic_group(C)
         acc = np.zeros((sp.dim, sp.dim), dtype=complex)
         for j in range(order):
             acc += expm(1j * j * step * C.matrix / sp.hbar)

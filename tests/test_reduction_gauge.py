@@ -586,6 +586,20 @@ class TestLargeLattice:
         x = rng.normal(size=(32 * 32, 3)) + 1j * rng.normal(size=(32 * 32, 3))
         assert np.max(np.abs(v_ba.apply(v_ab.apply(x)) - x)) < 1e-10
 
+    def test_verify_gauge(self, big):
+        model, _ = big
+        fr = model.frames["B"]
+        rep = rg.verify_gauge(rg.theta_gauge(fr, fr.grid[13]), model.Pi)
+        assert rep["valid"], rep
+        assert rep["pi_phi_pi"] < 1e-10 and rep["phi_pi_phi"] < 1e-10
+
+    def test_verify_assignment_on_a_gaussian_state(self, big):
+        model, psi = big
+        report = ncalg.verify_assignment(model.gens, model.space,
+                                         model.assignment, test_states=[psi])
+        assert set(report) == {(f"q_{lab}", f"p_{lab}") for lab in "ABC"}
+        assert all(np.isfinite(v) for v in report.values())
+
 
 def test_frame_paths_read_no_dense_form(model, psi, monkeypatch):
     """Conditioning, the QRF change, the closed form with a factor-local f_S
@@ -618,3 +632,23 @@ def test_frame_paths_read_no_dense_form(model, psi, monkeypatch):
                - np.vdot(red, f_red.apply(red))) < 1e-10
     pi_hat = rg.system_projector(fr_a, model.Pi)
     assert np.max(np.abs(pi_hat.apply(psi) - psi)) < 1e-10
+
+
+def test_gauge_and_assignment_checks_read_no_dense_form(model, psi,
+                                                        monkeypatch):
+    """verify_gauge with a diagonal Pi and verify_assignment on test states
+    read the operators only through ``apply``."""
+    assert model.Pi.is_diagonal
+
+    def dense(*args):
+        raise AssertionError("a dense D x D form was read")
+
+    monkeypatch.setattr(ks.KinOperator, "matrix", property(dense))
+    monkeypatch.setattr(ks.LatticeSpace, "embed_matrix", dense)
+    fr = model.frames["A"]
+    rep = rg.verify_gauge(rg.theta_gauge(fr, fr.grid[3]), model.Pi)
+    assert rep["valid"], rep
+    report = ncalg.verify_assignment(model.gens, model.space,
+                                     model.assignment, test_states=[psi])
+    assert len(report) == 3
+    assert all(np.isfinite(v) for v in report.values())
