@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     EmptyKernel,
     IncommensurableSpectrum,
+    IndexOutOfRange,
     NegativeGenerator,
     NotAFrameFactor,
     NotPhysical,
@@ -138,14 +139,47 @@ class LatticeSpace:
         return self.apply_factor(factor, np.asarray(diag)[:, None],
                                  np.ones(self.dim // self.dims[factor]))
 
-    def apply_factor(self, factor: int, mat: np.ndarray,
-                     vec: np.ndarray) -> np.ndarray:
+    def apply_factor(self, factor: int, mat: np.ndarray, vec: np.ndarray,
+                     out: np.ndarray = None) -> np.ndarray:
         """Apply an m x n matrix on one factor to a vector or a column block
-        whose rows carry n in that factor's slot; m comes out there."""
-        dims = self.dims[:factor] + (mat.shape[1],) + self.dims[factor + 1:]
-        t = np.tensordot(mat, vec.reshape(dims + vec.shape[1:]),
-                         axes=([1], [factor]))
-        return np.moveaxis(t, 0, factor).reshape((-1,) + vec.shape[1:])
+        whose rows carry n in that factor's slot; m comes out there.
+
+        The rows are viewed as (a, n, b*k), a and b the products of the dims
+        before and after the factor and k the block width, and contracted
+        by one matmul: a single GEMM when a == 1 or b*k == 1, else a batched
+        GEMM over the a slices.  ``out``, if given, receives the result and
+        is returned: a C-contiguous complex array of the result's shape that
+        does not overlap ``vec``.  The values are the same bits either way.
+        """
+        if not 0 <= factor < len(self.dims):
+            raise IndexOutOfRange(
+                f"factor {factor} outside [0, {len(self.dims)})")
+        m, n = mat.shape
+        a, b = prod(self.dims[:factor]), prod(self.dims[factor + 1:])
+        bk = b * prod(vec.shape[1:])
+        v = vec.reshape((a, n, b) + vec.shape[1:]).reshape(a, n, bk)
+        shape = (a * m * b,) + vec.shape[1:]
+        if out is None:
+            out = np.empty(shape, np.result_type(mat, vec))
+        else:
+            _check_out(out, shape)
+        o = out.reshape(a, m, bk)
+        if a == 1:
+            np.matmul(mat, v[0], out=o[0])
+        elif bk == 1:
+            np.matmul(v[:, :, 0], mat.T, out=o[:, :, 0])
+        else:
+            np.matmul(mat, v, out=o)
+        return out
+
+
+def _check_out(out: np.ndarray, shape: tuple) -> None:
+    """Raise ValueError unless ``out`` is a C-contiguous complex array of
+    ``shape``, so that its reshaped views write into ``out`` itself."""
+    if not (isinstance(out, np.ndarray) and out.shape == shape
+            and out.dtype == complex and out.flags.c_contiguous):
+        raise ValueError(
+            f"out must be a C-contiguous complex array of shape {shape}")
 
 
 def tensor_space(factors, hbar: float = 1.0) -> LatticeSpace:
@@ -188,10 +222,13 @@ class KinOperator:
     - a dense D x D matrix.
 
     ``apply`` and ``apply_adjoint`` take a D-vector or a D x k block of
-    columns.  ``A @ B`` has two rules: diag @ diag stays diagonal, and any
-    other pair is the dense ``A.apply(B.matrix)``.  ``matrix`` builds the
-    dense D x D form only when a caller reads it.  ``hermitian`` is computed
-    from the stored form on first use, never asserted.
+    columns.  ``apply(vec, out=o)`` writes the result into ``o``, a
+    C-contiguous complex array of ``vec``'s shape that does not overlap
+    ``vec``, and returns it, the same bits as ``apply(vec)``.  ``A @ B``
+    has two rules: diag @ diag stays diagonal, and any other pair is the
+    dense ``A.apply(B.matrix)``.  ``matrix`` builds the dense D x D form
+    only when a caller reads it.  ``hermitian`` is computed from the stored
+    form on first use, never asserted.
     """
 
     space: LatticeSpace
@@ -243,12 +280,15 @@ class KinOperator:
             return self.space.embed_diag(self.factor, np.diagonal(self.local))
         return np.diagonal(self._matrix)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        if self.is_diagonal:
-            return self.diag.reshape((-1,) + (1,) * (vec.ndim - 1)) * vec
+    def apply(self, vec: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         if self.local is not None:
-            return self.space.apply_factor(self.factor, self.local, vec)
-        return self._matrix @ vec
+            return self.space.apply_factor(self.factor, self.local, vec, out)
+        if out is not None:
+            _check_out(out, vec.shape)
+        if self.is_diagonal:
+            return np.multiply(self.diag.reshape((-1,) + (1,) * (vec.ndim - 1)),
+                               vec, out=out)
+        return np.matmul(self._matrix, vec, out=out)
 
     def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
         """The adjoint applied to ``vec``, without forming the adjoint."""

@@ -433,17 +433,23 @@ def apply_element(a: AlgebraElement, space, assignment,
 
 def _prefix_walk(gens: GeneratorSet, words, assignment, vec):
     """Yield (w, y_w1 ... y_wn vec) for the sorted ``words``, depth first over
-    their suffixes; a vector is dropped once its last child's is made."""
+    their suffixes.  Each node is applied from its parent's buffer into one
+    complex buffer per trie depth (<= degree of them, made on first use;
+    ``vec`` is never written), so a yielded vector is valid only until the
+    walk's next step: use it at once or copy it."""
     closure = {w[k:] for w in words for k in range(len(w))}
-    stack = [((), vec)]
+    bufs = [vec]
+    stack = [()]
     while stack:
-        w, v = stack.pop()
-        if w:
-            v = assignment[gens.names[w[0]]].apply(v)
+        w = stack.pop()
+        d = len(w)
+        if d == len(bufs):
+            bufs.append(np.empty(vec.shape, dtype=complex))
+        if w:  # depth first: bufs[d - 1] still holds the parent w[1:]
+            assignment[gens.names[w[0]]].apply(bufs[d - 1], out=bufs[d])
         if w in words:
-            yield w, v
-        stack += [((g,) + w, v)
-                  for g in range(w[0] + 1 if w else len(gens.names))
+            yield w, bufs[d]
+        stack += [(g,) + w for g in range(w[0] + 1 if w else len(gens.names))
                   if (g,) + w in closure]
 
 

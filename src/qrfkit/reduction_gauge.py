@@ -21,16 +21,21 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algstates import AlgebraicState, from_hilbert
-from .errors import IllConditionedFlow, SameFrame, UnsupportedSupport
-from .kinspace import KinOperator, LatticeSpace, check_physical
+from .errors import (IllConditionedFlow, IndexOutOfRange, SameFrame,
+                     UnsupportedSupport)
+from .kinspace import KinOperator, LatticeSpace, check_physical, tensor_space
 from .relobs import OrientationFrame, orientation_state_at, theta_projector
 
 _GAUGE_BLOCK = 256  # unit columns per block in verify_gauge
 
 
 def reduced_space(space: LatticeSpace, factor: int) -> LatticeSpace:
-    rest = tuple(f for i, f in enumerate(space.factors) if i != factor)
-    return LatticeSpace(rest, space.hbar)
+    """The space without ``factor``, validated by ``tensor_space``."""
+    if not 0 <= factor < len(space.factors):
+        raise IndexOutOfRange(
+            f"factor {factor} outside [0, {len(space.factors)})")
+    return tensor_space(space.factors[:factor] + space.factors[factor + 1:],
+                        space.hbar)
 
 
 def reduce_state(frame: OrientationFrame, rho: float, psi_phys: np.ndarray,
@@ -119,20 +124,27 @@ def verify_gauge(phi: KinOperator, Pi: KinOperator) -> dict:
     Pi_jj = ||Pi e_j||^2, so only the columns j with Pi_jj != 0 can be
     non-zero; they are taken as unit columns E in blocks of
     ``_GAUGE_BLOCK`` (256), and with B = Pi E, Y = Phi B the residuals are
-    max |Pi Y - B| and max |Phi Pi Y - Y|.
+    max |Pi Y - B| and max |Phi Pi Y - Y|.  B, Y and Pi Y are written into
+    three block arrays made once, and both differences are taken in place.
     """
     Pi._check(phi)
     cols = np.flatnonzero(Pi.diagonal())
+    dim, width = Pi.space.dim, min(_GAUGE_BLOCK, cols.size)
+    E = np.zeros((dim, width))
+    store = np.empty((3, dim * width), dtype=complex)
     r1 = r2 = 0.0
     for i in range(0, cols.size, _GAUGE_BLOCK):
         block = cols[i:i + _GAUGE_BLOCK]
-        E = np.zeros((Pi.space.dim, block.size))
-        E[block, np.arange(block.size)] = 1.0
-        B = Pi.apply(E)
-        Y = phi.apply(B)
-        PY = Pi.apply(Y)
-        r1 = max(r1, float(np.max(np.abs(PY - B))))
-        r2 = max(r2, float(np.max(np.abs(phi.apply(PY) - Y))))
+        k = block.size
+        E[block, np.arange(k)] = 1.0
+        B, Y, PY = (s[:dim * k].reshape(dim, k) for s in store)
+        Pi.apply(E[:, :k], out=B)
+        E[block, np.arange(k)] = 0.0
+        phi.apply(B, out=Y)
+        Pi.apply(Y, out=PY)
+        r1 = max(r1, float(np.max(np.abs(np.subtract(PY, B, out=B)))))
+        phi.apply(PY, out=B)
+        r2 = max(r2, float(np.max(np.abs(np.subtract(B, Y, out=B)))))
     return {"pi_phi_pi": r1, "phi_pi_phi": r2,
             "valid": bool(r1 < 1e-10 and r2 < 1e-10)}
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -332,14 +337,14 @@ def per_word_value(om, m):
 
 
 class CountingOp:
-    """An assignment entry that counts its ``apply`` calls."""
+    """An assignment entry that records the ``out`` of each ``apply`` call."""
 
     def __init__(self, op, calls):
         self.op, self.calls = op, calls
 
-    def apply(self, vec):
-        self.calls.append(1)
-        return self.op.apply(vec)
+    def apply(self, vec, out=None):
+        self.calls.append(out)
+        return self.op.apply(vec, out=out)
 
 
 def prefix_closure(monomials):
@@ -443,6 +448,53 @@ class TestPrefixWalk:
         else:
             ref = max(abs(om_plain.evaluate(p)) for p in products)
         assert value == ref
+
+    def test_walk_applies_into_one_buffer_per_depth(self, npmodel,
+                                                   loc_state):
+        calls = []
+        om = self.counting_state(npmodel, loc_state, calls)
+        ket = om.ket.copy()
+        table = om.value_table(5)
+        assert len(calls) == len(npmodel.gens.monomial_basis(5)) - 1
+        assert all(isinstance(out, np.ndarray) for out in calls)
+        assert len({id(out) for out in calls}) <= 5
+        assert not any(np.shares_memory(out, om.ket) for out in calls)
+        assert np.array_equal(om.ket, ket)
+        om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
+        assert table == om_plain.value_table(5)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_minflt counts minor faults on Linux")
+    def test_value_table_faults_few_pages(self):
+        # every apply at D = 32768 writes a 512 KiB vector; with fresh arrays
+        # the allocator hands the pages back and they fault in again.  A
+        # fresh interpreter, because the allocator's thresholds depend on
+        # what the process freed before.
+        code = """if True:
+            import resource
+            import numpy as np
+            from qrfkit import algstates as ast, models as md
+            model = md.build_model(md.ModelSpec("nparticle", n_particles=3,
+                                                lattice_size=32))
+            psi = md.random_physical_state(model, np.random.default_rng(5))
+            fr = model.frames["A"]
+            om = ast.frame_state(model.space, model.constraint, fr,
+                                 fr.grid[3], psi, model.assignment,
+                                 model.gens, 6)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            table = om.value_table(6)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            print(len(table), after - before)
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                               if p)
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        size, faults = map(int, out.stdout.split())
+        assert size == 924
+        assert faults < 10_000
 
     def test_apply_element_on_column_block(self, npmodel):
         g = npmodel.gens

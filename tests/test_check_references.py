@@ -128,3 +128,60 @@ def test_verify_assignment_matches_dense_reference(spec):
             else:
                 assert abs(got[key] - value) <= 1e-12 * max(1.0, value), key
 
+
+
+def blockwise_gauge_residuals(phi, Pi):
+    """verify_gauge's residuals with fresh arrays for every block product."""
+    cols = np.flatnonzero(Pi.diagonal())
+    r1 = r2 = 0.0
+    for i in range(0, cols.size, rg._GAUGE_BLOCK):
+        block = cols[i:i + rg._GAUGE_BLOCK]
+        E = np.zeros((Pi.space.dim, block.size))
+        E[block, np.arange(block.size)] = 1.0
+        B = Pi.apply(E)
+        Y = phi.apply(B)
+        PY = Pi.apply(Y)
+        r1 = max(r1, float(np.max(np.abs(PY - B))))
+        r2 = max(r2, float(np.max(np.abs(phi.apply(PY) - Y))))
+    return r1, r2
+
+
+@pytest.mark.parametrize("kind", ["theta", "dense"])
+def test_verify_gauge_in_reused_blocks_is_bitwise_fresh_blocks(kind):
+    # 300 kernel columns: one full block and one narrower one
+    space = ks.tensor_space([ks.FactorSpec.frame(4),
+                             ks.FactorSpec.system(np.zeros(300))])
+    Pi = ks.group_average(space, ks.build_constraint(space, {0: 1.0}))
+    rng = np.random.default_rng(163)
+    if kind == "theta":
+        fr = ro.OrientationFrame(space, 0)
+        phi = rg.theta_gauge(fr, fr.grid[2])
+    else:
+        d = space.dim
+        phi = ks.KinOperator.from_matrix(
+            space, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), {0})
+    rep = rg.verify_gauge(phi, Pi)
+    assert (rep["pi_phi_pi"], rep["phi_pi_phi"]) == \
+        blockwise_gauge_residuals(phi, Pi)
+
+
+def test_verify_gauge_peak_below_four_and_a_half_blocks():
+    import tracemalloc
+
+    model = md.build_model(md.ModelSpec("nparticle", n_particles=3,
+                                        lattice_size=16))
+    D = model.space.dim
+    assert D == 4096 and np.count_nonzero(model.Pi.diagonal()) == 256
+    fr = model.frames["A"]
+    theta = rg.theta_gauge(fr, fr.grid[3])
+    tracemalloc.start()
+    try:
+        rep = rg.verify_gauge(theta, model.Pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["valid"]
+    # B, Y and Pi Y, the real unit block E and one real |difference|
+    assert peak <= 4.5 * D * rg._GAUGE_BLOCK * 16
+    assert (rep["pi_phi_pi"], rep["phi_pi_phi"]) == \
+        blockwise_gauge_residuals(theta, model.Pi)

@@ -7,6 +7,7 @@ from qrfkit import kinspace as ks
 from qrfkit.errors import (
     EmptyKernel,
     IncommensurableSpectrum,
+    IndexOutOfRange,
     NegativeGenerator,
     NotAFrameFactor,
     NotPhysical,
@@ -348,6 +349,33 @@ class TestOperatorForms:
             cols = np.stack([act(block[:, i]) for i in range(3)], axis=1)
             assert np.max(np.abs(out - cols)) < 1e-12
 
+    @pytest.mark.parametrize("cols", [None, 3], ids=["vector", "block"])
+    @pytest.mark.parametrize("factor", [0, 1, 2], ids=["first", "middle",
+                                                       "last"])
+    @pytest.mark.parametrize("form", ["diag", "local", "dense"])
+    def test_apply_into_out_is_bitwise_apply(self, form, factor, cols):
+        sp = self.mixed_space()
+        rng = np.random.default_rng(131)
+        op = self.operator(sp, form, factor, rng)
+        shape = (sp.dim,) + (() if cols is None else (cols,))
+        vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = np.full(shape, np.nan, dtype=complex)
+        assert op.apply(vec, out=out) is out
+        assert np.array_equal(out, op.apply(vec))
+
+    @pytest.mark.parametrize("form", ["diag", "local", "dense"])
+    def test_apply_rejects_unusable_out(self, form):
+        sp = self.mixed_space()
+        rng = np.random.default_rng(137)
+        op = self.operator(sp, form, 1, rng)
+        vec = rng.normal(size=(sp.dim, 3)) + 0j
+        for bad in (np.empty((sp.dim, 2), dtype=complex),
+                    np.empty(sp.dim * 3, dtype=complex),
+                    np.empty((sp.dim, 3)),
+                    np.empty((3, sp.dim), dtype=complex).T):
+            with pytest.raises(ValueError, match="C-contiguous complex"):
+                op.apply(vec, out=bad)
+
     def test_constructors_leave_caller_arrays_writeable(self):
         sp = self.mixed_space()
         m = np.eye(sp.dim, dtype=complex)
@@ -384,6 +412,53 @@ class TestRectangularApplyFactor:
         out = sp.apply_factor(factor, mat, vec)
         assert out.shape == ref.shape == (before * m * after,) + size[1:]
         assert np.max(np.abs(out - ref)) < 1e-12
+
+
+    @pytest.mark.parametrize("factor", [0, 1, 2], ids=["first", "middle",
+                                                       "last"])
+    @pytest.mark.parametrize("cols", [None, 3], ids=["vector", "block"])
+    def test_out_is_bitwise_the_allocated_result(self, factor, cols):
+        sp = self.space()
+        rng = np.random.default_rng(139)
+        mat = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+        rows = sp.dim // sp.dims[factor] * 2
+        size = (rows,) + (() if cols is None else (cols,))
+        vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+        ref = sp.apply_factor(factor, mat, vec)
+        out = np.full(ref.shape, np.nan, dtype=complex)
+        assert sp.apply_factor(factor, mat, vec, out=out) is out
+        assert np.array_equal(out, ref)
+
+    def test_missized_input_raises(self):
+        sp = self.space()
+        N = sp.dims[1]
+        mat = np.eye(N, dtype=complex)
+        # twice the rows would reshape to a two-column block without the
+        # per-factor reshape
+        for vec in (np.ones(sp.dim + 1), np.ones(2 * sp.dim),
+                    np.ones((sp.dim - 1, 2))):
+            with pytest.raises(ValueError):
+                sp.apply_factor(1, mat, vec)
+        with pytest.raises(ValueError):
+            sp.apply_factor(1, np.ones((N, N - 1)), np.ones(sp.dim))
+
+    @pytest.mark.parametrize("factor", [3, 7, -1])
+    def test_factor_outside_the_space_raises(self, factor):
+        sp = self.space()
+        with pytest.raises(IndexOutOfRange):
+            sp.apply_factor(factor, np.eye(3), np.ones(sp.dim))
+
+    def test_unusable_out_raises(self):
+        sp = self.space()
+        mat = np.ones((1, sp.dims[0]), dtype=complex)
+        vec = np.ones((sp.dim, 2), dtype=complex)
+        rows = sp.dim // sp.dims[0]
+        for bad in (np.empty((rows, 3), dtype=complex),
+                    np.empty((rows, 2)),
+                    np.empty((2, rows), dtype=complex).T,
+                    np.empty((rows, 4), dtype=complex)[:, ::2]):
+            with pytest.raises(ValueError, match="C-contiguous complex"):
+                sp.apply_factor(0, mat, vec, out=bad)
 
 
 class TestPhysicalCheck:

@@ -10,7 +10,8 @@ from qrfkit import models as md
 from qrfkit import ncalg
 from qrfkit import reduction_gauge as rg
 from qrfkit import relobs as ro
-from qrfkit.errors import IllConditionedFlow, NotPhysical, SameFrame
+from qrfkit.errors import (IllConditionedFlow, IncommensurableSpectrum,
+                           IndexOutOfRange, NotPhysical, SameFrame)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,26 @@ class TestReduceEmbed:
         ip = ks.physical_inner_product(model.space, model.Pi, full, full)
         # ideal frame: reduce(embed(phi)) = phi, so the norm is |phi|^2
         assert abs(ip - np.vdot(phi, phi)) < 1e-10
+
+    @pytest.mark.parametrize("factor", [7, 3, -1])
+    def test_reduced_space_rejects_a_factor_outside_the_space(self, model,
+                                                              factor):
+        assert len(model.space.factors) == 3
+        with pytest.raises(IndexOutOfRange):
+            rg.reduced_space(model.space, factor)
+
+    def test_reduced_space_drops_one_factor_and_validates(self, model):
+        factors = model.space.factors
+        for k in range(len(factors)):
+            rest = rg.reduced_space(model.space, k)
+            assert rest.factors == factors[:k] + factors[k + 1:]
+            assert rest.hbar == model.space.hbar
+        # a space built without tensor_space, whose frames disagree on dp
+        bad = ks.LatticeSpace((ks.FactorSpec.frame(4, 1.0),
+                               ks.FactorSpec.frame(4, 2.0),
+                               ks.FactorSpec.system([0.0, 2.0])))
+        with pytest.raises(IncommensurableSpectrum):
+            rg.reduced_space(bad, 2)
 
     def test_reorientation_covariance(self, model, psi):
         fr = model.frames["A"]
