@@ -25,6 +25,7 @@ from .ncalg import HBAR, AlgebraElement, GeneratorSet, commutator
 from .relobs import theta_projector
 
 DEFAULT_DEGREE_BOUND = 8
+_MAX_TERMS = 24  # nested commutators dress_system_element tries
 
 
 @dataclass(eq=False)
@@ -284,13 +285,14 @@ def check_almost_positive(omega: AlgebraicState, names,
 
 
 def dress_system_element(gens: GeneratorSet, f_s: AlgebraElement,
-                         g_s: AlgebraElement, q_name: str, rho: float,
-                         max_terms: int = 24) -> AlgebraElement:
+                         g_s: AlgebraElement, q_name: str,
+                         rho: float) -> AlgebraElement:
     """Relational dressing of a system element by the frame orientation.
 
     Nested-commutator series
     ``sum_n (i (q - rho))^n / (hbar^n n!) [f_S, G_S]_n``; terminates when
-    the adjoint action is nilpotent (canonical systems), otherwise raises.
+    the adjoint action is nilpotent (canonical systems), otherwise raises
+    after ``_MAX_TERMS`` (24) nested commutators.
     Each nesting carries one power of hbar, so the division is exact; rho
     is used exactly as given.
     """
@@ -299,7 +301,7 @@ def dress_system_element(gens: GeneratorSet, f_s: AlgebraElement,
     nested = f_s
     prefactor = gens.one()
     try:
-        for n in range(1, max_terms + 1):
+        for n in range(1, _MAX_TERMS + 1):
             nested = commutator(nested, g_s)
             if nested.is_zero():
                 return out

@@ -14,7 +14,7 @@ function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -36,6 +36,8 @@ HERM_TOL = 1e-12
 # produce exact zeros, so a near-threshold hit indicates a modelling mistake.
 KERNEL_RTOL = 1e-9
 PHYS_RTOL = 1e-9  # psi is physical when ||C psi|| <= PHYS_RTOL * ||psi||
+# unit columns per block where a check reads an operator column by column
+_COLUMN_BLOCK = 256
 
 FRAME = "frame"
 SYSTEM = "system"
@@ -47,9 +49,7 @@ class FactorSpec:
 
     Frame factors have even dimension N >= 4 and momentum eigenvalues
     ``k*dp``.  System factors are specified in the eigenbasis of their
-    transformation generator: ``generator_spectrum`` holds its eigenvalues,
-    and ``ops`` may carry additional named operators (as matrices in that
-    same basis).
+    transformation generator: ``generator_spectrum`` holds its eigenvalues.
     """
 
     kind: str
@@ -57,7 +57,6 @@ class FactorSpec:
     dp: float
     generator_spectrum: np.ndarray
     name: str = ""
-    ops: dict = field(default_factory=dict)
 
     @staticmethod
     def frame(N: int, dp: float = 1.0, name: str = "") -> "FactorSpec":
@@ -69,12 +68,11 @@ class FactorSpec:
         return FactorSpec(FRAME, N, float(dp), spectrum, name=name)
 
     @staticmethod
-    def system(generator_spectrum, ops=None, name: str = "") -> "FactorSpec":
+    def system(generator_spectrum, name: str = "") -> "FactorSpec":
         spectrum = np.asarray(generator_spectrum, dtype=float)
         if spectrum.ndim != 1 or spectrum.size == 0:
             raise ValueError("system spectrum must be a non-empty 1d sequence")
-        return FactorSpec(SYSTEM, spectrum.size, 0.0, spectrum, name=name,
-                          ops=dict(ops or {}))
+        return FactorSpec(SYSTEM, spectrum.size, 0.0, spectrum, name=name)
 
     @property
     def is_frame(self) -> bool:
@@ -212,7 +210,7 @@ def tensor_space(factors, hbar: float = 1.0) -> LatticeSpace:
 
 @dataclass(frozen=True, eq=False)
 class KinOperator:
-    """An operator on the full lattice space, tagged with factor support.
+    """An operator on the full lattice space.
 
     Exactly one form is stored:
 
@@ -227,31 +225,29 @@ class KinOperator:
     ``vec``, and returns it, the same bits as ``apply(vec)``.  ``A @ B``
     has two rules: diag @ diag stays diagonal, and any other pair is the
     dense ``A.apply(B.matrix)``.  ``matrix`` builds the dense D x D form
-    only when a caller reads it.  ``hermitian`` is computed from the stored
-    form on first use, never asserted.
+    only when a caller reads it.  ``hermitian`` and ``support`` (the factors
+    k on which the operator is not 1_k (x) B) are computed from the stored
+    form on first use, never declared, to the absolute tolerance HERM_TOL.
     """
 
     space: LatticeSpace
     _matrix: np.ndarray = None
     diag: np.ndarray = None
-    support: frozenset = frozenset()
     warnings: tuple = ()
     factor: int = None
     local: np.ndarray = None
 
     @staticmethod
-    def from_matrix(space, matrix, support, warnings=()) -> "KinOperator":
+    def from_matrix(space, matrix, *, warnings=()) -> "KinOperator":
         matrix = np.asarray(matrix, dtype=complex).view()
         matrix.setflags(write=False)
-        return KinOperator(space, matrix, None, frozenset(support),
-                           tuple(warnings))
+        return KinOperator(space, matrix, None, tuple(warnings))
 
     @staticmethod
-    def from_diag(space, diag, support, warnings=()) -> "KinOperator":
+    def from_diag(space, diag, *, warnings=()) -> "KinOperator":
         diag = np.asarray(diag, dtype=complex).view()
         diag.setflags(write=False)
-        return KinOperator(space, None, diag, frozenset(support),
-                           tuple(warnings))
+        return KinOperator(space, None, diag, tuple(warnings))
 
     @property
     def is_diagonal(self) -> bool:
@@ -263,6 +259,24 @@ class KinOperator:
             return bool(np.max(np.abs(self.diag.imag)) < HERM_TOL)
         m = self._matrix if self.local is None else self.local
         return bool(np.max(np.abs(m - m.conj().T)) < HERM_TOL)
+
+    @cached_property
+    def support(self) -> frozenset:
+        if self.local is not None:
+            return frozenset({self.factor})
+        return frozenset(k for k in range(len(self.space.dims))
+                         if not self._identity_on(k))
+
+    def _identity_on(self, k: int) -> bool:
+        """Whether a diagonal or dense form is 1_k (x) B, block by block."""
+        dims = self.space.dims
+        if self.is_diagonal:
+            d = np.moveaxis(self.diag.reshape(dims), k, 0)
+            return bool(np.max(np.abs(d - d[0])) < HERM_TOL)
+        v = np.moveaxis(self._matrix.reshape(dims + dims), (k, len(dims) + k),
+                        (0, 1))
+        return all(np.max(np.abs(v[i, j] - (v[0, 0] if i == j else 0)))
+                   < HERM_TOL for i in range(dims[k]) for j in range(dims[k]))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -306,32 +320,25 @@ class KinOperator:
     def __add__(self, other):
         self._check(other)
         if self.is_diagonal and other.is_diagonal:
-            return KinOperator.from_diag(self.space, self.diag + other.diag,
-                                         self.support | other.support)
-        return KinOperator.from_matrix(self.space, self.matrix + other.matrix,
-                                       self.support | other.support)
+            return KinOperator.from_diag(self.space, self.diag + other.diag)
+        return KinOperator.from_matrix(self.space, self.matrix + other.matrix)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __rmul__(self, scalar):
         if self.is_diagonal:
-            return KinOperator.from_diag(self.space, scalar * self.diag,
-                                         self.support)
+            return KinOperator.from_diag(self.space, scalar * self.diag)
         if self.local is not None:
             return factor_operator(self.space, self.factor,
                                    scalar * self.local)
-        return KinOperator.from_matrix(self.space, scalar * self._matrix,
-                                       self.support)
+        return KinOperator.from_matrix(self.space, scalar * self._matrix)
 
     def __matmul__(self, other):
         self._check(other)
-        support = self.support | other.support
         if self.is_diagonal and other.is_diagonal:
-            return KinOperator.from_diag(self.space, self.diag * other.diag,
-                                         support)
-        return KinOperator.from_matrix(self.space, self.apply(other.matrix),
-                                       support)
+            return KinOperator.from_diag(self.space, self.diag * other.diag)
+        return KinOperator.from_matrix(self.space, self.apply(other.matrix))
 
     def _check(self, other):
         if other.space is not self.space:
@@ -339,7 +346,7 @@ class KinOperator:
 
 
 def identity_operator(space: LatticeSpace) -> KinOperator:
-    return KinOperator.from_diag(space, np.ones(space.dim), frozenset())
+    return KinOperator.from_diag(space, np.ones(space.dim))
 
 
 def factor_operator(space: LatticeSpace, factor: int,
@@ -353,11 +360,9 @@ def factor_operator(space: LatticeSpace, factor: int,
     if mat.ndim == 1 or (mat.ndim == 2 and mat.shape[0] == mat.shape[1]
                          and np.count_nonzero(mat - np.diag(np.diag(mat))) == 0):
         d = mat if mat.ndim == 1 else np.diag(mat)
-        return KinOperator.from_diag(space, space.embed_diag(factor, d),
-                                     {factor})
+        return KinOperator.from_diag(space, space.embed_diag(factor, d))
     mat.setflags(write=False)
-    return KinOperator(space, support=frozenset({factor}), factor=factor,
-                       local=mat)
+    return KinOperator(space, factor=factor, local=mat)
 
 
 def momentum_operator(space: LatticeSpace, factor: int) -> KinOperator:
@@ -366,7 +371,7 @@ def momentum_operator(space: LatticeSpace, factor: int) -> KinOperator:
     if not f.is_frame:
         raise NotAFrameFactor(f"factor {factor} is not a frame")
     return KinOperator.from_diag(
-        space, space.embed_diag(factor, f.generator_spectrum), {factor})
+        space, space.embed_diag(factor, f.generator_spectrum))
 
 
 def generator_operator(space: LatticeSpace, factor: int,
@@ -374,8 +379,7 @@ def generator_operator(space: LatticeSpace, factor: int,
     """The factor's declared transformation generator, embedded and scaled."""
     f = space.factors[factor]
     return KinOperator.from_diag(
-        space, space.embed_diag(factor, coefficient * f.generator_spectrum),
-        {factor})
+        space, space.embed_diag(factor, coefficient * f.generator_spectrum))
 
 
 def reduce_mod_period(values: np.ndarray, period: float) -> np.ndarray:
@@ -397,7 +401,6 @@ def build_constraint(space: LatticeSpace, terms) -> KinOperator:
     warning flag.
     """
     total = np.zeros(space.dim, dtype=float)
-    support = set()
     for factor, term in dict(terms).items():
         f = space.factors[factor]
         if np.isscalar(term):
@@ -408,7 +411,6 @@ def build_constraint(space: LatticeSpace, terms) -> KinOperator:
                 raise ValueError(
                     f"diagonal for factor {factor} must have length {f.N}")
         total = total + space.embed_diag(factor, diag).real
-        support.add(factor)
 
     period = space.momentum_period()
     dp = space.frame_dp()
@@ -421,7 +423,7 @@ def build_constraint(space: LatticeSpace, terms) -> KinOperator:
     warnings = ()
     if not np.any(np.abs(total) < KERNEL_RTOL * max(np.max(np.abs(total)), 1.0)):
         warnings = ("zero is not in the constraint spectrum",)
-    return KinOperator.from_diag(space, total, support, warnings)
+    return KinOperator.from_diag(space, total, warnings=warnings)
 
 
 def _eig(C: KinOperator):
@@ -450,11 +452,9 @@ def group_average(space: LatticeSpace, C: KinOperator) -> KinOperator:
     if not np.any(mask):
         raise EmptyKernel("constraint kernel is trivial")
     if vecs is None:
-        return KinOperator.from_diag(space, mask.astype(float), C.support,
-                                     notes)
+        return KinOperator.from_diag(space, mask.astype(float), warnings=notes)
     V = vecs[:, mask]
-    return KinOperator.from_matrix(space, V @ V.conj().T, C.support,
-                                   notes)
+    return KinOperator.from_matrix(space, V @ V.conj().T, warnings=notes)
 
 
 def check_physical(C: KinOperator, psi: np.ndarray) -> None:
@@ -493,9 +493,8 @@ def sector_projectors(space: LatticeSpace, frame: int):
     if not f.is_frame:
         raise NotAFrameFactor(f"factor {frame} is not a frame")
     pos = (f.generator_spectrum >= 0).astype(float)
-    plus = KinOperator.from_diag(space, space.embed_diag(frame, pos), {frame})
-    minus = KinOperator.from_diag(space, space.embed_diag(frame, 1.0 - pos),
-                                  {frame})
+    plus = KinOperator.from_diag(space, space.embed_diag(frame, pos))
+    minus = KinOperator.from_diag(space, space.embed_diag(frame, 1.0 - pos))
     return plus, minus
 
 
@@ -516,12 +515,12 @@ def factorize_constraint(space: LatticeSpace, frame: int,
             raise NegativeGenerator(
                 f"G_S has negative eigenvalue {np.min(gd)}")
         root = np.sqrt(np.clip(gd, 0.0, None))
-        h = KinOperator.from_diag(space, root, g_s.support)
+        h = KinOperator.from_diag(space, root)
     else:
         vals, vecs = np.linalg.eigh(g_s.matrix)
         if np.min(vals) < -1e-12:
             raise NegativeGenerator(
                 f"G_S has negative eigenvalue {np.min(vals)}")
         root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-        h = KinOperator.from_matrix(space, root, g_s.support)
+        h = KinOperator.from_matrix(space, root)
     return p + h, p - h

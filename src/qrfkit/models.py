@@ -17,7 +17,7 @@ quadratic form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -31,6 +31,7 @@ from .ncalg import GeneratorSet
 from .relobs import OrientationFrame, frame_system_generator
 
 PARTICLE_LABELS = "ABCDEFGH"
+_SOLVE_FACTOR = 0  # the frame whose momentum a Gaussian state solves for
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,8 @@ class ModelSpec:
     dp: float = 1.0
     beta: int = 1          # su2 coupling, integer multiple of dp/hbar
     j: int = 1             # su2 spin (integer)
-    mass: float = 1.0      # degenerate: G_S = mass^2 * 1
-    levels: tuple = ()     # degenerate: explicit sqrt(G_S) values instead
+    levels: tuple = (1.0, 1.0)  # degenerate: the sqrt(G_S) values
     hbar: float = 1.0
-    sigma: float = 0.0     # momentum width in lattice units; 0 -> default
 
 
 @dataclass(eq=False)
@@ -63,7 +62,6 @@ class Model:
     Pi: KinOperator
     plain_diag: np.ndarray        # un-reduced constraint diagonal
     frame_pairs: dict             # frame label -> (q_name, p_name)
-    extra: dict = field(default_factory=dict)
 
     @property
     def hbar(self) -> float:
@@ -161,8 +159,7 @@ def _build_su2(spec: ModelSpec) -> Model:
             "pick beta an integer multiple of dp/hbar")
     factors = [FactorSpec.frame(spec.lattice_size, spec.dp, "A"),
                FactorSpec.frame(spec.lattice_size, spec.dp, "B"),
-               FactorSpec.system(gs_spec, name="S",
-                                 ops={"J_x": jx, "J_y": jy, "J_z": jz})]
+               FactorSpec.system(gs_spec, name="S")]
     space = ks.tensor_space(factors, hbar=spec.hbar)
     gens = GeneratorSet.canonical_with_su2(
         [("q_A", "p_A"), ("q_B", "p_B")])
@@ -186,8 +183,7 @@ def _build_su2(spec: ModelSpec) -> Model:
     frames = {"A": OrientationFrame(space, 0), "B": OrientationFrame(space, 1)}
     return Model(spec, space, gens, assignment, frames, C, c_elem, Pi,
                  _plain_diag(space, terms),
-                 {"A": ("q_A", "p_A"), "B": ("q_B", "p_B")},
-                 extra={"beta": beta_val, "beta_sym": beta_sym})
+                 {"A": ("q_A", "p_A"), "B": ("q_B", "p_B")})
 
 
 def _build_newtonian(spec: ModelSpec) -> Model:
@@ -199,10 +195,7 @@ def _build_newtonian(spec: ModelSpec) -> Model:
         raise IncommensurableSpectrum(
             "p_S^2/2 leaves the clock momentum lattice; use dp = 2")
     factors = [FactorSpec.frame(spec.clock_size, dp, "C"),
-               FactorSpec.system(kinetic, name="S",
-                                 ops={"p_S": np.diag(p_s),
-                                      "q_S": position_matrix(n_s, dp,
-                                                             spec.hbar)})]
+               FactorSpec.system(kinetic, name="S")]
     space = ks.tensor_space(factors, hbar=spec.hbar)
     gens = GeneratorSet.canonical([("t_C", "p_C"), ("q_S", "p_S")])
     assignment = {
@@ -225,20 +218,13 @@ def _build_newtonian(spec: ModelSpec) -> Model:
 
 def _build_degenerate(spec: ModelSpec) -> Model:
     N = spec.lattice_size
-    levels = np.asarray(spec.levels if spec.levels
-                        else (spec.mass, spec.mass), dtype=float)
+    levels = np.asarray(spec.levels, dtype=float)
     if np.any(levels < 0):
         raise ConfigError("sqrt(G_S) levels must be non-negative")
     if np.any(levels >= N * spec.dp / 2):
         raise ConfigError("levels must stay inside the momentum window")
-    g_vals = levels * levels
-    d = levels.size
-    sx = np.zeros((d, d))
-    for i in range(d - 1):
-        sx[i, i + 1] = sx[i + 1, i] = 1.0
     factors = [FactorSpec.frame(N, spec.dp, "R"),
-               FactorSpec.system(g_vals, name="S",
-                                 ops={"H": np.diag(levels), "X": sx})]
+               FactorSpec.system(levels * levels, name="S")]
     space = ks.tensor_space(factors, hbar=spec.hbar)
     gens = GeneratorSet.canonical([("q_R", "p_R")], centrals=("H",))
     p = ks.momentum_operator(space, 0)
@@ -254,11 +240,8 @@ def _build_degenerate(spec: ModelSpec) -> Model:
     }
     Pi = ks.group_average(space, C)
     frames = {"R": OrientationFrame(space, 0)}
-    cp, cm = ks.factorize_constraint(space, 0, g_op)
     return Model(spec, space, gens, assignment, frames, C, c_elem, Pi,
-                 C.diag.real.copy(), {"R": ("q_R", "p_R")},
-                 extra={"C_plus": cp, "C_minus": cm, "g_op": g_op,
-                        "levels": levels})
+                 C.diag.real.copy(), {"R": ("q_R", "p_R")})
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +271,18 @@ def random_physical_state(model: Model, rng, unwrapped: bool = True
 
 
 def gaussian_physical_state(model: Model, *, centers_x=None, centers_p=None,
-                            sigmas=None, shear=None, system_amp=None,
-                            solve_factor: int = 0) -> np.ndarray:
+                            sigmas=None, shear=None, system_amp=None
+                            ) -> np.ndarray:
     """Localized physical state built on the solved constraint surface.
 
-    The momentum amplitude over the non-solved factors is a (possibly
-    sheared) Gaussian with position centers entering as linear phases; the
-    solved frame momentum is fixed by the constraint and the configuration
-    is dropped when it would leave the momentum window, so the state lies
-    exactly on the polynomial constraint surface.  ``system_amp`` gives the
-    amplitude vector on a system factor (e.g. a spin state).
+    The momentum amplitude over the factors other than factor 0 (the
+    module constant ``_SOLVE_FACTOR``) is a (possibly sheared) Gaussian,
+    N/8 lattice steps wide unless ``sigmas`` says otherwise, with position
+    centers entering as linear phases; the momentum of factor 0 is fixed
+    by the constraint and the configuration is dropped when it would leave
+    the momentum window, so the state lies exactly on the polynomial
+    constraint surface.  ``system_amp`` gives the amplitude vector on a
+    system factor (e.g. a spin state).
     """
     space = model.space
     dims = space.dims
@@ -313,15 +298,14 @@ def gaussian_physical_state(model: Model, *, centers_x=None, centers_p=None,
 
     hbar = space.hbar
     for i in range(n):
-        if i == solve_factor:
+        if i == _SOLVE_FACTOR:
             continue
         f = space.factors[i]
         if not f.is_frame:
             if system_amp is not None and i in system_amp:
                 amp = amp * np.asarray(system_amp[i])[mesh[i]]
             continue
-        default_sigma = (model.spec.sigma or f.N / 8.0) * f.dp
-        sig = sigmas.get(i, default_sigma)
+        sig = sigmas.get(i, f.N / 8.0 * f.dp)
         p0 = centers_p.get(i, 0.0)
         x0 = centers_x.get(i, 0.0)
         pv = grids[i][mesh[i]]
@@ -336,8 +320,8 @@ def gaussian_physical_state(model: Model, *, centers_x=None, centers_p=None,
     total = model.plain_diag.reshape(dims)
     scale = max(float(np.max(np.abs(total))), 1.0)
     mask = np.abs(total) < 1e-9 * scale
-    solved = grids[solve_factor][mesh[solve_factor]]
-    x0s = centers_x.get(solve_factor, 0.0)
+    solved = grids[_SOLVE_FACTOR][mesh[_SOLVE_FACTOR]]
+    x0s = centers_x.get(_SOLVE_FACTOR, 0.0)
     amp = amp * np.exp(-1j * x0s * solved / hbar)
     psi = np.where(mask, amp, 0.0).reshape(-1)
     norm = np.linalg.norm(psi)

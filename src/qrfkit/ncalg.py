@@ -28,7 +28,7 @@ import numpy as np
 import sympy as sp
 
 from .errors import DegreeExceeded, RelationViolation
-from .kinspace import KinOperator
+from .kinspace import _COLUMN_BLOCK, KinOperator
 
 HBAR = sp.Symbol("hbar", positive=True)
 
@@ -457,7 +457,7 @@ def _as_operator(space, op) -> KinOperator:
     """``op`` itself, or a raw array wrapped as a dense KinOperator."""
     if isinstance(op, KinOperator):
         return op
-    return KinOperator.from_matrix(space, op, ())
+    return KinOperator.from_matrix(space, op)
 
 
 def verify_assignment(gens: GeneratorSet, space, assignment,
@@ -467,10 +467,11 @@ def verify_assignment(gens: GeneratorSet, space, assignment,
     Each relation [a, b] = i*hbar*sum_k alpha_k y_k is read from one residual
     on a column block V: R = a(bV) - b(aV) - sum_k i*hbar*alpha_k y_k V,
     with y_k V = V for the identity component.  Lie-type relations (no
-    identity component) take V = the D x D identity and must hold as exact
-    matrix identities, max |R| <= 1e-10, else RelationViolation.  Relations
-    with an identity component (canonical pairs) cannot hold globally on a
-    finite lattice; V holds the caller's localized test states as columns
+    identity component) must hold as exact matrix identities: V runs over
+    the D unit columns in blocks of ``_COLUMN_BLOCK`` (256), and
+    max |R| <= 1e-10, else RelationViolation.  Relations with an identity
+    component (canonical pairs) cannot hold globally on a finite lattice;
+    V holds the caller's localized test states as columns
     (D x len(test_states)) and the report gives max |v^dag R v| / v^dag v
     over them, or None without test states.
     """
@@ -480,22 +481,31 @@ def verify_assignment(gens: GeneratorSet, space, assignment,
     report = {}
     for (i, j), comps in gens.relations.items():
         key = (gens.names[i], gens.names[j])
-        lie = IDENTITY not in comps
-        V = np.eye(space.dim) if lie else states
-        if V is None:
-            report[key] = None
-            continue
         a, b = ops[key[0]], ops[key[1]]
-        R = a.apply(b.apply(V)) - b.apply(a.apply(V))
-        for k, alpha in comps.items():
-            R -= numeric(sp.I * HBAR * alpha, space.hbar) * (
-                V if k == IDENTITY else ops[gens.names[k]].apply(V))
-        if lie:
-            report[key] = float(np.max(np.abs(R)))
+        terms = [(numeric(sp.I * HBAR * alpha, space.hbar),
+                  None if k == IDENTITY else ops[gens.names[k]])
+                 for k, alpha in comps.items()]
+        if IDENTITY not in comps:
+            dim = space.dim
+            report[key] = max(float(np.max(np.abs(_relation_residual(
+                a, b, terms, np.eye(dim, min(_COLUMN_BLOCK, dim - c), -c)))))
+                for c in range(0, dim, _COLUMN_BLOCK))
             if report[key] > 1e-10:
                 raise RelationViolation(f"relation [{key[0]}, {key[1]}] "
                                         f"fails: residual {report[key]:.2e}")
+        elif states is None:
+            report[key] = None
         else:
-            report[key] = float(np.max(np.abs(np.sum(V.conj() * R, axis=0))
-                                       / np.sum(np.abs(V) ** 2, axis=0)))
+            R = _relation_residual(a, b, terms, states)
+            report[key] = float(np.max(
+                np.abs(np.sum(states.conj() * R, axis=0))
+                / np.sum(np.abs(states) ** 2, axis=0)))
     return report
+
+
+def _relation_residual(a, b, terms, V: np.ndarray) -> np.ndarray:
+    """R = a(bV) - b(aV) - sum c y V over ``terms`` (c, y); y None means 1."""
+    R = a.apply(b.apply(V)) - b.apply(a.apply(V))
+    for c, y in terms:
+        R -= c * (V if y is None else y.apply(V))
+    return R

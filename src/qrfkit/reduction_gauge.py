@@ -18,15 +18,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algstates import AlgebraicState, from_hilbert
 from .errors import (IllConditionedFlow, IndexOutOfRange, SameFrame,
                      UnsupportedSupport)
+from .kinspace import _COLUMN_BLOCK as _GAUGE_BLOCK
 from .kinspace import KinOperator, LatticeSpace, check_physical, tensor_space
 from .relobs import OrientationFrame, orientation_state_at, theta_projector
-
-_GAUGE_BLOCK = 256  # unit columns per block in verify_gauge
 
 
 def reduced_space(space: LatticeSpace, factor: int) -> LatticeSpace:
@@ -152,11 +150,12 @@ def verify_gauge(phi: KinOperator, Pi: KinOperator) -> dict:
 def composite_gauge(phi: KinOperator, o1: np.ndarray, o2: np.ndarray,
                     C: KinOperator) -> KinOperator:
     """exp(i O1 C) Phi exp(i O2 C) for hermitian Dirac observables O1, O2."""
+    from scipy.linalg import expm  # here, so importing qrfkit skips it
+
     Cm = C.matrix
     left = expm(1j * np.asarray(o1) @ Cm)
     right = expm(1j * np.asarray(o2) @ Cm)
-    return KinOperator.from_matrix(phi.space, left @ phi.matrix @ right,
-                                   range(len(phi.space.factors)))
+    return KinOperator.from_matrix(phi.space, left @ phi.matrix @ right)
 
 
 def gauge_transform_state(omega: AlgebraicState, phi_b: KinOperator,
@@ -274,11 +273,10 @@ def system_projector(frame: OrientationFrame, Pi: KinOperator) -> KinOperator:
     space = frame.space
     dims = space.dims
     k = frame.factor
-    support = frozenset(range(len(dims))) - {k}
     if Pi.is_diagonal:
         d = Pi.diag.reshape(dims).sum(axis=k, keepdims=True)
         return KinOperator.from_diag(
-            space, np.broadcast_to(d, dims).reshape(-1), support)
+            space, np.broadcast_to(d, dims).reshape(-1))
     rho = float(frame.grid[0])
     block = reduce_state(frame, rho, embed_state(
         frame, rho, np.eye(space.dim // dims[k]), Pi))
@@ -287,5 +285,4 @@ def system_projector(frame: OrientationFrame, Pi: KinOperator) -> KinOperator:
     full = np.moveaxis(np.multiply.outer(np.eye(dims[k]),
                                          block.reshape(rest + rest)),
                        [0, 1], [k, len(dims) + k])
-    return KinOperator.from_matrix(space, full.reshape(space.dim, space.dim),
-                                   support)
+    return KinOperator.from_matrix(space, full.reshape(space.dim, space.dim))

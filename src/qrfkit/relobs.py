@@ -125,11 +125,9 @@ def g_twirl(space: LatticeSpace, C: KinOperator, A: KinOperator) -> KinOperator:
     mask = np.abs(vals[:, None] - vals[None, :]) < 1e-9 * max(
         1.0, float(np.max(np.abs(vals))))
     if vecs is None:
-        return KinOperator.from_matrix(space, A.matrix * mask,
-                                       A.support | C.support)
+        return KinOperator.from_matrix(space, A.matrix * mask)
     a = vecs.conj().T @ A.matrix @ vecs
-    return KinOperator.from_matrix(space, vecs @ (a * mask) @ vecs.conj().T,
-                                   A.support | C.support)
+    return KinOperator.from_matrix(space, vecs @ (a * mask) @ vecs.conj().T)
 
 
 def frame_system_generator(space: LatticeSpace, C: KinOperator,
@@ -205,5 +203,4 @@ def _closed_form(space, C, frame, rho, f_s):
     out = (G.T @ G.conj()).reshape(dims + dims)
     rest = dims[:k] + dims[k + 1:]
     out *= np.expand_dims(f_rest.reshape(rest + rest), (k, n + k)) / n_f
-    return KinOperator.from_matrix(space, out.reshape(space.dim, space.dim),
-                                   f_s.support | {frame.factor})
+    return KinOperator.from_matrix(space, out.reshape(space.dim, space.dim))

@@ -1,8 +1,10 @@
-"""Independent test oracles: the explicit finite cyclic group of a constraint
-and the G-twirl as its finite sum of conjugations.
+"""Independent test oracles: the explicit finite cyclic group of a constraint,
+the G-twirl as its finite sum of conjugations, and the factor support of an
+operator read off its full matrix.
 
 The library computes the group average and the G-twirl spectrally; these
-sums check them from the group itself.
+sums check them from the group itself.  It computes support block by block
+from the stored form; the oracle rebuilds each Kronecker product in full.
 """
 
 from fractions import Fraction
@@ -12,7 +14,7 @@ from math import gcd
 import numpy as np
 from scipy.linalg import expm
 
-from qrfkit.kinspace import KinOperator, LatticeSpace, _eig
+from qrfkit.kinspace import HERM_TOL, KinOperator, LatticeSpace, _eig
 
 
 def cyclic_group(C: KinOperator, pairwise: bool = False):
@@ -57,3 +59,19 @@ def g_twirl_oracle(space: LatticeSpace, C: KinOperator,
         U = expm(-1j * j * step * Cm / space.hbar)
         out += U @ A.matrix @ U.conj().T
     return out / order
+
+
+def support_oracle(op: KinOperator) -> frozenset:
+    """Factors k with M != 1_k (x) <0|M|0> (to HERM_TOL), M = ``op.matrix``,
+    by building 1_k (x) <0|M|0> as a full D x D array."""
+    dims = op.space.dims
+    n = len(dims)
+    M = op.matrix.reshape(dims + dims)
+    out = set()
+    for k in range(n):
+        B = M.take(0, axis=k).take(0, axis=n - 1 + k)
+        kron = np.moveaxis(np.multiply.outer(np.eye(dims[k]), B), [0, 1],
+                           [k, n + k])
+        if np.max(np.abs(kron - M)) >= HERM_TOL:
+            out.add(k)
+    return frozenset(out)

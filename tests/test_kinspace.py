@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import cyclic_group
+from oracles import cyclic_group, support_oracle
 from qrfkit import kinspace as ks
 from qrfkit.errors import (
     EmptyKernel,
@@ -11,6 +13,7 @@ from qrfkit.errors import (
     NegativeGenerator,
     NotAFrameFactor,
     NotPhysical,
+    UnsupportedSupport,
 )
 
 
@@ -238,6 +241,14 @@ class TestSectorsAndFactorization:
         with pytest.raises(NegativeGenerator):
             ks.factorize_constraint(sp, 0, g)
 
+    def test_dense_generator_on_the_frame_rejected(self):
+        sp = self.degenerate_space()
+        p = ks.momentum_operator(sp, 0)
+        g = ks.generator_operator(sp, 1)
+        with pytest.raises(UnsupportedSupport):
+            ks.factorize_constraint(
+                sp, 0, ks.KinOperator.from_matrix(sp, (g + p @ p).matrix))
+
     def test_kernel_splits_into_sector_factor_kernels(self):
         sp = self.degenerate_space()
         p = ks.momentum_operator(sp, 0)
@@ -280,14 +291,13 @@ class TestOperatorForms:
 
         if form == "diag":
             d = sample(sp.dim)
-            op = ks.KinOperator.from_diag(sp, d.real if hermitian else d,
-                                          set())
+            op = ks.KinOperator.from_diag(sp, d.real if hermitian else d)
         else:
             m = sample(8, 8) if form == "local" else sample(sp.dim, sp.dim)
             if hermitian:
                 m = (m + m.conj().T) / 2
             op = (ks.factor_operator(sp, 1, m) if form == "local"
-                  else ks.KinOperator.from_matrix(sp, m, {0, 1, 2}))
+                  else ks.KinOperator.from_matrix(sp, m))
         assert op.is_diagonal == (form == "diag")
         assert (op.local is not None) == (form == "local")
         M = op.matrix
@@ -317,12 +327,11 @@ class TestOperatorForms:
             return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
         if form == "diag":
-            return ks.KinOperator.from_diag(sp, sample(sp.dim), {factor})
+            return ks.KinOperator.from_diag(sp, sample(sp.dim))
         if form == "local":
             n = sp.dims[factor]
             return ks.factor_operator(sp, factor, sample(n, n))
-        return ks.KinOperator.from_matrix(sp, sample(sp.dim, sp.dim),
-                                          {0, 1, 2})
+        return ks.KinOperator.from_matrix(sp, sample(sp.dim, sp.dim))
 
     @pytest.mark.parametrize("right", ["diag", "local", "dense"])
     @pytest.mark.parametrize("left", ["diag", "local", "dense"])
@@ -376,12 +385,48 @@ class TestOperatorForms:
             with pytest.raises(ValueError, match="C-contiguous complex"):
                 op.apply(vec, out=bad)
 
+    @pytest.mark.parametrize("frame", [0, 1, 2], ids=["first", "middle",
+                                                      "last"])
+    @pytest.mark.parametrize("form", ["diag", "local", "dense"])
+    def test_support_matches_oracle(self, form, frame):
+        factors = [ks.FactorSpec.system([0.0, 1.0, -1.0]),
+                   ks.FactorSpec.system([0.0, 1.0, 2.0, -1.0])]
+        factors.insert(frame, ks.FactorSpec.frame(6, 1.0, "R"))
+        sp = ks.tensor_space(factors)
+        rng = np.random.default_rng(139)
+
+        def sample(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        for acts_on in (s for r in range(4)
+                        for s in combinations(range(3), r)):
+            if form == "diag":
+                op = ks.KinOperator.from_diag(sp, np.ones(sp.dim) + sum(
+                    sp.embed_diag(k, sample(sp.dims[k])) for k in acts_on))
+            elif form == "local":
+                if len(acts_on) != 1:
+                    continue
+                n = sp.dims[acts_on[0]]
+                op = ks.factor_operator(sp, acts_on[0], sample(n, n))
+            else:
+                op = ks.KinOperator.from_matrix(sp, np.eye(sp.dim) + sum(
+                    sp.embed_matrix(k, sample(sp.dims[k], sp.dims[k]))
+                    for k in acts_on))
+            assert op.support == support_oracle(op) == frozenset(acts_on)
+
+    def test_stale_support_argument_raises(self):
+        sp = self.mixed_space()
+        with pytest.raises(TypeError):
+            ks.KinOperator.from_matrix(sp, np.eye(sp.dim), {0})
+        with pytest.raises(TypeError):
+            ks.KinOperator.from_diag(sp, np.ones(sp.dim), {0})
+
     def test_constructors_leave_caller_arrays_writeable(self):
         sp = self.mixed_space()
         m = np.eye(sp.dim, dtype=complex)
         d = np.ones(sp.dim, dtype=complex)
-        ks.KinOperator.from_matrix(sp, m, ())
-        ks.KinOperator.from_diag(sp, d, ())
+        ks.KinOperator.from_matrix(sp, m)
+        ks.KinOperator.from_diag(sp, d)
         assert m.flags.writeable and d.flags.writeable
 
 

@@ -39,11 +39,13 @@ def test_package_data_globs_match_files(pyproject):
                 f"package-data {package!r}: {pattern!r} matches no file")
 
 
-def test_import_does_not_load_sparse_linalg():
-    # gauge_flow imports scipy.sparse.linalg only on its non-diagonal path
+@pytest.mark.parametrize("module", ["scipy.sparse.linalg", "scipy.linalg"])
+def test_import_does_not_load_sparse_linalg(module):
+    # gauge_flow imports scipy.sparse.linalg only on its non-diagonal path,
+    # composite_gauge scipy.linalg only when called
     code = ("import sys; import qrfkit.models, qrfkit.relobs, "
             "qrfkit.reduction_gauge, qrfkit.algstates; "
-            "print('scipy.sparse.linalg' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     path = os.pathsep.join(p for p in (str(ROOT / "src"),
                                        os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], check=True,

@@ -355,13 +355,13 @@ class TestThetaGauge:
         expected = np.einsum("kl,ijmn->ikjmln", np.eye(8),
                              block).reshape(96, 96)
         dense = rg.system_projector(fr, ks.KinOperator.from_matrix(
-            space, P, {0, 1, 2}))
+            space, P))
         assert np.max(np.abs(dense.matrix - expected)) < 1e-12
         d = rng.normal(size=96)
         from_diag = rg.system_projector(
-            fr, ks.KinOperator.from_diag(space, d, {0, 1, 2}))
+            fr, ks.KinOperator.from_diag(space, d))
         from_dense = rg.system_projector(
-            fr, ks.KinOperator.from_matrix(space, np.diag(d), {0, 1, 2}))
+            fr, ks.KinOperator.from_matrix(space, np.diag(d)))
         assert from_diag.is_diagonal
         assert np.max(np.abs(from_diag.matrix - from_dense.matrix)) < 1e-12
 
@@ -380,7 +380,7 @@ class TestThetaGauge:
 
     def test_zero_map_invalid(self, model):
         zero = ks.KinOperator.from_matrix(
-            model.space, np.zeros((model.space.dim, model.space.dim)), ())
+            model.space, np.zeros((model.space.dim, model.space.dim)))
         rep = rg.verify_gauge(zero, model.Pi)
         assert not rep["valid"]
         assert rep["pi_phi_pi"] >= 1.0 - 1e-12

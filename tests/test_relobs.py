@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from oracles import g_twirl_oracle
 from qrfkit import kinspace as ks
+from qrfkit import models as md
 from qrfkit import relobs as ro
 from qrfkit.errors import IndexOutOfRange, UnsupportedForm
 
@@ -132,7 +133,7 @@ class TestGTwirl:
     def test_twirl_commutes_with_constraint(self):
         d = self.sp.dim
         m = self.rng.normal(size=(d, d)) + 1j * self.rng.normal(size=(d, d))
-        A = ks.KinOperator.from_matrix(self.sp, m, {0, 1})
+        A = ks.KinOperator.from_matrix(self.sp, m)
         tw = ro.g_twirl(self.sp, self.C, A)
         comm = tw.matrix @ self.C.matrix - self.C.matrix @ tw.matrix
         assert np.max(np.abs(comm)) < 1e-10
@@ -140,7 +141,7 @@ class TestGTwirl:
     def test_twirl_against_explicit_group_sum(self):
         d = self.sp.dim
         m = self.rng.normal(size=(d, d)) + 1j * self.rng.normal(size=(d, d))
-        A = ks.KinOperator.from_matrix(self.sp, m, {0, 1})
+        A = ks.KinOperator.from_matrix(self.sp, m)
         tw = ro.g_twirl(self.sp, self.C, A)
         oracle = g_twirl_oracle(self.sp, self.C, A)
         assert np.max(np.abs(tw.matrix - oracle)) < 1e-10
@@ -156,9 +157,9 @@ class TestGTwirl:
         U, _ = np.linalg.qr(self.rng.normal(size=(d, d))
                             + 1j * self.rng.normal(size=(d, d)))
         C = ks.KinOperator.from_matrix(
-            self.sp, (U * self.C.diag) @ U.conj().T, {0, 1})
+            self.sp, (U * self.C.diag) @ U.conj().T)
         m = self.rng.normal(size=(d, d)) + 1j * self.rng.normal(size=(d, d))
-        A = ks.KinOperator.from_matrix(self.sp, m, {0, 1})
+        A = ks.KinOperator.from_matrix(self.sp, m)
         tw = ro.g_twirl(self.sp, C, A)
         oracle = g_twirl_oracle(self.sp, C, A)
         assert np.max(np.abs(tw.matrix - oracle)) < 1e-10
@@ -270,6 +271,45 @@ class TestRelationalObservable:
             ro.relational_observable(self.sp, self.C, self.fr, 0.0, f)
 
 
+class TestDerivedSupport:
+    """The frame guard reads the support of f_S off its stored form."""
+
+    FORMS = ["kinematical", "closed", "physical"]
+
+    @staticmethod
+    def nparticle():
+        model = md.build_model(md.ModelSpec("nparticle", n_particles=3,
+                                            lattice_size=8))
+        return model, model.frames["A"], model.frames["A"].grid[3]
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_dense_f_on_the_frame_rejected(self, form):
+        # 1 x q_C + q_A acts on frame A.  Declared with support {2} it used to
+        # pass, and its closed and kinematical forms then differed by 0.39 in
+        # norm on the default Gaussian physical state.
+        model, fr, rho = self.nparticle()
+        q = model.assignment
+        f = ks.KinOperator.from_matrix(model.space,
+                                       (q["q_C"] + q["q_A"]).matrix)
+        with pytest.raises(UnsupportedForm):
+            ro.relational_observable(model.space, model.constraint, fr, rho,
+                                     f, form=form, Pi=model.Pi)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_dense_f_off_the_frame_matches_factor_local(self, form):
+        model, fr, rho = self.nparticle()
+        rng = np.random.default_rng(173)
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        m = (m + m.conj().T) / 2
+        local = ks.factor_operator(model.space, 2, m)
+        dense = ks.KinOperator.from_matrix(model.space, np.kron(np.eye(64), m))
+        got, want = (ro.relational_observable(model.space, model.constraint,
+                                              fr, rho, f, form=form,
+                                              Pi=model.Pi)
+                     for f in (dense, local))
+        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
+
+
 class TestSu2ClosedForm:
     def test_spin_dirac_observable(self):
         # system algebra su(2), j=1: the dressed J_x is an exact rotation
@@ -284,8 +324,7 @@ class TestSu2ClosedForm:
         beta = 1.0
         sp = ks.tensor_space(
             [ks.FactorSpec.frame(16, 1.0, "A"), ks.FactorSpec.frame(16, 1.0, "B"),
-             ks.FactorSpec.system(-beta * np.diag(jz).real, name="S",
-                                  ops={"J_x": jx, "J_y": jy, "J_z": jz})],
+             ks.FactorSpec.system(-beta * np.diag(jz).real, name="S")],
             hbar=hbar)
         fr = ro.OrientationFrame(sp, 0)
         C = ks.build_constraint(sp, {0: 1.0, 1: 1.0, 2: 1.0})
