@@ -14,14 +14,15 @@ all-degree statements; every report records the bound it was run at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
-import sympy as sp
 
 from . import ncalg
 from .errors import DegreeExceeded, UnsupportedSupport
 from .kinspace import KinOperator, LatticeSpace, check_physical
-from .ncalg import HBAR, AlgebraElement, GeneratorSet, commutator
+from .ncalg import AlgebraElement, Coef, GeneratorSet, commutator
 from .relobs import theta_projector
 
 DEFAULT_DEGREE_BOUND = 8
@@ -108,7 +109,7 @@ def from_hilbert(bra: np.ndarray, ket: np.ndarray, space: LatticeSpace,
                  assignment: dict, gens: GeneratorSet,
                  degree_bound: int = DEFAULT_DEGREE_BOUND,
                  normalize: bool = True) -> AlgebraicState:
-    """State omega(a) = <bra| represent(a) |ket>, normalized to omega(1) = 1."""
+    """State omega(a) = <bra| a |ket>, normalized to omega(1) = 1."""
     bra = np.asarray(bra, dtype=complex)
     ket = np.asarray(ket, dtype=complex)
     if normalize:
@@ -215,7 +216,7 @@ def verify_reference_frame(gens: GeneratorSet, z_name: str,
     z = gens.gen(z_name)
     z_sa = ncalg.adjoint(z) == z
     c_sa = ncalg.adjoint(C) == C
-    conj = commutator(z, C) == sp.I * HBAR * gens.one()
+    conj = commutator(z, C) == ncalg.I_HBAR * gens.one()
 
     big_basis = gens.monomial_basis(degree)
     idx = {m: i for i, m in enumerate(big_basis)}
@@ -306,10 +307,11 @@ def dress_system_element(gens: GeneratorSet, f_s: AlgebraElement,
             if nested.is_zero():
                 return out
             prefactor = prefactor * q_shift
-            term = AlgebraElement(
-                gens, {m: sp.expand((sp.I / HBAR) ** n * c / sp.factorial(n))
-                       for m, c in nested.terms.items()})
-            out = out + prefactor * term
+            # (i / hbar)^n / n!
+            re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[n % 4]
+            scale = Coef({-n: (Fraction(re, factorial(n)),
+                               Fraction(im, factorial(n)))})
+            out = out + prefactor * (scale * nested)
     except DegreeExceeded:
         pass
     raise UnsupportedSupport(

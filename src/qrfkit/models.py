@@ -17,11 +17,12 @@ quadratic form).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 import numpy as np
-import sympy as sp
 
 from . import kinspace as ks
 from . import ncalg
@@ -110,6 +111,13 @@ def build_model(spec: ModelSpec) -> Model:
     raise ConfigError(f"unknown model {spec.name!r}")
 
 
+def _exact(x):
+    """``x`` as the Fraction of denominator <= 10**6 that reproduces it, else
+    as a float (so the coefficient it enters is float-tainted)."""
+    f = Fraction(x).limit_denominator(10 ** 6)
+    return f if float(f) == x else float(x)
+
+
 def _plain_diag(space, terms) -> np.ndarray:
     total = np.zeros(space.dim)
     for factor, coef in terms.items():
@@ -176,9 +184,10 @@ def _build_su2(spec: ModelSpec) -> Model:
     }
     terms = {0: 1.0, 1: 1.0, 2: 1.0}
     C = ks.build_constraint(space, terms)
-    beta_sym = sp.nsimplify(spec.beta) * sp.nsimplify(spec.dp) / ncalg.HBAR
+    # beta*dp/hbar: exact when beta and dp are, float-tainted otherwise
+    beta_coef = ncalg.Coef({-1: (_exact(spec.beta) * _exact(spec.dp), 0)})
     c_elem = (gens.gen("p_A") + gens.gen("p_B")
-              - beta_sym * gens.gen("J_z"))
+              - beta_coef * gens.gen("J_z"))
     Pi = ks.group_average(space, C)
     frames = {"A": OrientationFrame(space, 0), "B": OrientationFrame(space, 1)}
     return Model(spec, space, gens, assignment, frames, C, c_elem, Pi,
@@ -208,8 +217,8 @@ def _build_newtonian(spec: ModelSpec) -> Model:
     }
     terms = {0: 1.0, 1: 1.0}
     C = ks.build_constraint(space, terms)
-    c_elem = gens.gen("p_C") + sp.Rational(1, 2) * (gens.gen("p_S")
-                                                    * gens.gen("p_S"))
+    c_elem = gens.gen("p_C") + Fraction(1, 2) * (gens.gen("p_S")
+                                                 * gens.gen("p_S"))
     Pi = ks.group_average(space, C)
     frames = {"C": OrientationFrame(space, 0)}
     return Model(spec, space, gens, assignment, frames, C, c_elem, Pi,
@@ -287,10 +296,11 @@ def gaussian_physical_state(model: Model, *, centers_x=None, centers_p=None,
     space = model.space
     dims = space.dims
     n = len(dims)
-    centers_x = dict(centers_x or {})
-    centers_p = dict(centers_p or {})
-    sigmas = dict(sigmas or {})
-    shear = dict(shear or {})
+    centers_x = _mapping("centers_x", centers_x)
+    centers_p = _mapping("centers_p", centers_p)
+    sigmas = _mapping("sigmas", sigmas)
+    shear = _mapping("shear", shear)
+    system_amp = _mapping("system_amp", system_amp)
     grids = [space.factors[i].generator_spectrum for i in range(n)]
 
     mesh = np.meshgrid(*[np.arange(d) for d in dims], indexing="ij")
@@ -302,7 +312,7 @@ def gaussian_physical_state(model: Model, *, centers_x=None, centers_p=None,
             continue
         f = space.factors[i]
         if not f.is_frame:
-            if system_amp is not None and i in system_amp:
+            if i in system_amp:
                 amp = amp * np.asarray(system_amp[i])[mesh[i]]
             continue
         sig = sigmas.get(i, f.N / 8.0 * f.dp)
@@ -328,6 +338,16 @@ def gaussian_physical_state(model: Model, *, centers_x=None, centers_p=None,
     if norm < 1e-14:
         raise ConfigError("state recipe has no support on the kernel")
     return psi / norm
+
+
+def _mapping(name: str, value) -> dict:
+    """A copy of the optional mapping argument ``name``; {} for None."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name} must be a mapping keyed by factor index, "
+                          f"not {type(value).__name__}")
+    return dict(value)
 
 
 def spin_coherent(j: int, theta: float, phi: float) -> np.ndarray:

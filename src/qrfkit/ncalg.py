@@ -7,11 +7,17 @@ Generators satisfy hbar-graded commutation relations
 covering canonical pairs (identity component only) and Lie structure
 constants.  Elements are stored as maps from normal-ordered monomials
 (exponent vectors under the fixed generator order, configuration before
-momentum within each canonical pair) to coefficients in Q(i)[sqrt(hbar)],
-so results such as the -i*hbar/2 gauge-fixing value are reproduced exactly.
-A float enters only through ``_coef``, as the ``sp.Float`` of its value, and
-terms built from it are floating-point.  ``numeric`` is the one place where
-a coefficient becomes a complex number.
+momentum within each canonical pair) to ``Coef`` coefficients: Laurent
+polynomials in hbar over Q(i), held as exact ``int``/``Fraction`` parts, so
+results such as the -i*hbar/2 gauge-fixing value are reproduced exactly.
+A float enters only through ``_coef``; the parts it reaches are Python
+floats from then on (float-tainted), the rest stay exact.  ``numeric`` is
+the one place where a coefficient becomes a complex number.
+
+Sympy is imported only at the boundary, lazily: by ``_coef`` given sympy
+input, by ``AlgebraElement.serialize``, by ``Coef._sympy_`` and by the module
+attribute ``HBAR`` (the sympy Symbol hbar).  Importing this module and the
+arithmetic, normal ordering and evaluation never load it.
 
 Every commutator rewrite introduces exactly one factor i*hbar*alpha, so the
 hbar power of a coefficient counts the rewrites along any normal-ordering
@@ -23,36 +29,207 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from numbers import Integral
 
 import numpy as np
-import sympy as sp
 
 from .errors import DegreeExceeded, RelationViolation
 from .kinspace import _COLUMN_BLOCK, KinOperator
 
-HBAR = sp.Symbol("hbar", positive=True)
-
-_ZERO = sp.Integer(0)
-_ONE = sp.Integer(1)
-
 IDENTITY = -1  # index of the identity component in relation tables
 
 
-def _coef(x):
-    """Coerce to a sympy scalar: exact, or the ``sp.Float`` of a float."""
-    if isinstance(x, (int, float, Fraction, sp.Expr)):
-        return sp.sympify(x)
+def __getattr__(name):
+    """``HBAR``: the sympy Symbol hbar, for sympy input and expected values."""
+    if name == "HBAR":
+        import sympy as sp
+
+        return sp.Symbol("hbar", positive=True)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _part(x):
+    """A summed part in stored form: 0 for any zero, an integral Fraction as
+    its int, anything else unchanged."""
+    if x == 0:
+        return 0
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _normalized(raw: dict) -> dict:
+    out = {}
+    for k, (re, im) in raw.items():
+        re, im = _part(re), _part(im)
+        if re or im:
+            out[k] = (re, im)
+    return out
+
+
+def _mul_into(acc: dict, x: dict, y: dict) -> None:
+    """acc[k] += the hbar**k pair of x*y; an exact-zero part contributes no
+    product (so it cannot float-taint a sum), as in a sparse expansion."""
+    for k1, (a, b) in x.items():
+        for k2, (c, d) in y.items():
+            re = (a * c if a and c else 0) - (b * d if b and d else 0)
+            im = (a * d if a and d else 0) + (b * c if b and c else 0)
+            k = k1 + k2
+            p = acc.get(k)
+            acc[k] = (re, im) if p is None else (p[0] + re, p[1] + im)
+
+
+def _add_into(acc: dict, y: dict) -> None:
+    for k, (c, d) in y.items():
+        p = acc.get(k)
+        acc[k] = (c, d) if p is None else (p[0] + c, p[1] + d)
+
+
+class Coef:
+    """A Laurent polynomial in hbar over Q(i): sum_k (re_k + i im_k) hbar**k.
+
+    ``terms`` maps the hbar power k to the pair (re_k, im_k).  Parts are
+    ``int`` where possible and ``Fraction`` where needed; a part a float
+    entered is a Python ``float`` and stays one through later arithmetic.
+    A part that sums to zero, exact or float, is stored as the int 0 and a
+    pair (0, 0) is not stored, so zero has no terms.  Treat as immutable.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = _normalized(dict(terms or {}))
+
+    @classmethod
+    def _of(cls, terms: dict) -> "Coef":
+        """Wrap ``terms`` already in stored form."""
+        c = object.__new__(cls)
+        c.terms = terms
+        return c
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        other = _coef(other)
+        acc = dict(self.terms)
+        _add_into(acc, other.terms)
+        return Coef._of(_normalized(acc))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Coef._of({k: (-re, -im) for k, (re, im) in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-_coef(other))
+
+    def __rsub__(self, other):
+        return _coef(other) + (-self)
+
+    def __mul__(self, other):
+        if isinstance(other, AlgebraElement):
+            return NotImplemented
+        acc = {}
+        _mul_into(acc, self.terms, _coef(other).terms)
+        return Coef._of(_normalized(acc))
+
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "Coef":
+        return Coef._of({k: (re, -im) for k, (re, im) in self.terms.items()})
+
+    def __eq__(self, other):
+        try:
+            other = _coef(other)
+        except TypeError:
+            return NotImplemented
+        return not (self - other).terms
+
+    def __repr__(self):
+        return f"Coef({self.terms!r})"
+
+    def _sympy_(self):
+        """The coefficient as an expanded sympy expression."""
+        import sympy as sp
+
+        hbar = __getattr__("HBAR")
+
+        def num(x):
+            if type(x) is float:
+                return sp.Float(x)
+            x = Fraction(x)
+            return sp.Rational(x.numerator, x.denominator)
+
+        return sp.Add(*[(num(re) + num(im) * sp.I) * hbar ** k
+                        for k, (re, im) in self.terms.items()]).expand()
+
+
+_ZERO = Coef._of({})
+_ONE = Coef._of({0: (1, 0)})
+I_HBAR = Coef._of({1: (0, 1)})  # the i*hbar of every commutator rewrite
+
+
+def _coef(x) -> Coef:
+    """Coerce a scalar to a ``Coef``.
+
+    Accepts a ``Coef``; an ``int`` (or other integral), ``Fraction`` or
+    ``float`` (kept as a float part); a ``complex`` with integral parts; or
+    a sympy expression that expands to a Laurent polynomial in ``HBAR``
+    with rational or float coefficients over Q(i).  Anything else raises
+    TypeError.
+    """
+    if type(x) is Coef:
+        return x
+    if isinstance(x, Integral):
+        return Coef._of({0: (int(x), 0)}) if x else _ZERO
+    if isinstance(x, Fraction):
+        return Coef._of({0: (_part(x), 0)}) if x else _ZERO
+    if isinstance(x, float):
+        return Coef._of({0: (float(x), 0)}) if x else _ZERO
     if isinstance(x, complex):
         if x != complex(int(x.real), int(x.imag)):
-            raise TypeError("inexact complex literal; use sympy I and Rational")
-        return sp.Integer(int(x.real)) + sp.I * sp.Integer(int(x.imag))
+            raise TypeError("inexact complex literal; use Fraction parts")
+        return Coef({0: (int(x.real), int(x.imag))})
+    if type(x).__module__.partition(".")[0] == "sympy":
+        return _from_sympy(x)
     raise TypeError(f"unsupported coefficient type {type(x)!r}")
 
 
-@lru_cache(maxsize=4096)
+def _from_sympy(x) -> Coef:
+    import sympy as sp
+
+    hbar = __getattr__("HBAR")
+    acc = {}
+    for term in sp.Add.make_args(sp.expand(x)):
+        c, k = term.as_coeff_exponent(hbar)
+        re, im = c.as_real_imag()
+        if not (k.is_Integer and re.is_Number and im.is_Number):
+            raise TypeError(f"{x} is not a Laurent polynomial in hbar "
+                            "over Q(i)")
+        _add_into(acc, {int(k): tuple(
+            float(v) if v.is_Float else Fraction(int(v.p), int(v.q))
+            for v in (re, im))})
+    return Coef._of(_normalized(acc))
+
+
 def numeric(c, hbar) -> complex:
-    """The complex value of the coefficient ``c`` at ``HBAR = hbar``."""
-    return complex(c.subs(HBAR, hbar))
+    """The complex value of the coefficient ``c`` (anything ``_coef``
+    accepts) at hbar = ``hbar``: sum_k (re_k + i im_k) hbar**k in floats, a
+    negative power divided by hbar**-k.  Each operation rounds, so a term
+    with a non-dyadic part or |k| >= 2 can differ in the last bit from a
+    once-rounded evaluation of the exact value."""
+    re_sum = im_sum = 0.0
+    for k, (re, im) in _coef(c).terms.items():
+        if k > 0:
+            s = hbar ** k
+            re, im = re * s, im * s
+        elif k < 0:
+            s = hbar ** -k
+            re, im = re / s, im / s
+        re_sum += re
+        im_sum += im
+    return complex(re_sum, im_sum)
 
 
 class GeneratorSet:
@@ -75,8 +252,13 @@ class GeneratorSet:
             if not (0 <= i < j < len(self.names)):
                 raise ValueError(f"relation key {(i, j)} must have i < j")
             table[(i, j)] = {k: _coef(a) for k, a in comps.items()
-                             if _coef(a) != 0}
+                             if _coef(a)}
         self.relations = table
+        # (a, b) -> [(replacement word, i*hbar*alpha)] for y_a y_b, a > b
+        self._rewrites = {
+            (a, b): [(() if k == IDENTITY else (k,), I_HBAR * alpha)
+                     for k, alpha in self.alpha(a, b).items()]
+            for (b, a) in table}
         self._word_cache = {}
         self._weyl_cache = {}
         self._verify_jacobi()
@@ -132,9 +314,10 @@ class GeneratorSet:
                             if m == IDENTITY:
                                 continue  # [1, y] = 0
                             for l, beta in self.alpha(m, c).items():
-                                acc[l] = acc.get(l, _ZERO) + alpha * beta
+                                _mul_into(acc.setdefault(l, {}),
+                                          alpha.terms, beta.terms)
                     for l, v in acc.items():
-                        if sp.expand(v) != 0:
+                        if _normalized(v):
                             raise ValueError(
                                 f"Jacobi identity fails for generators "
                                 f"({self.names[i]},{self.names[j]},{self.names[k]})")
@@ -156,12 +339,11 @@ class GeneratorSet:
         return AlgebraElement(self, {tuple(m): _ONE})
 
     def element(self, terms) -> "AlgebraElement":
-        out = {}
+        """The element sum_m c_m y^m; each c_m is anything ``_coef`` takes."""
+        acc = {}
         for m, c in terms.items():
-            c = _coef(c)
-            if c != 0:
-                out[tuple(m)] = out.get(tuple(m), _ZERO) + c
-        return AlgebraElement(self, {m: c for m, c in out.items() if c != 0})
+            _add_into(acc.setdefault(tuple(m), {}), _coef(c).terms)
+        return AlgebraElement._of(self, acc)
 
     def monomial_basis(self, max_degree: int):
         """All normal-ordered exponent vectors with degree <= max_degree."""
@@ -189,7 +371,7 @@ class GeneratorSet:
         cached = self._word_cache.get(word)
         if cached is not None:
             return cached
-        out = {}
+        acc = {}
         stack = [(word, _ONE)]
         while stack:
             w, c = stack.pop()
@@ -202,20 +384,19 @@ class GeneratorSet:
                 m = [0] * len(self.names)
                 for g in w:
                     m[g] += 1
-                key = tuple(m)
-                out[key] = out.get(key, _ZERO) + c
+                _add_into(acc.setdefault(tuple(m), {}), c.terms)
                 continue
             a, b = w[pos], w[pos + 1]
             stack.append((w[:pos] + (b, a) + w[pos + 2:], c))
-            for k, alpha in self.alpha(a, b).items():
-                repl = () if k == IDENTITY else (k,)
+            for repl, i_hbar_alpha in self._rewrites.get((a, b), ()):
                 stack.append((w[:pos] + repl + w[pos + 2:],
-                              c * sp.I * HBAR * alpha))
-        out = {m: sp.expand(c) for m, c in out.items() if sp.expand(c) != 0}
+                              c * i_hbar_alpha))
+        out = AlgebraElement._of(self, acc).terms
         self._word_cache[word] = out
         return out
 
 
+@lru_cache(maxsize=1 << 14)
 def monomial_word(m: tuple) -> tuple:
     """Expand an exponent vector to its sorted word."""
     w = []
@@ -233,6 +414,16 @@ class AlgebraElement:
         self.gens = gens
         self.terms = dict(terms)
 
+    @classmethod
+    def _of(cls, gens: GeneratorSet, acc: dict) -> "AlgebraElement":
+        """The element of ``acc``: monomial -> summed hbar-power pairs, zero
+        sums dropped."""
+        el = object.__new__(cls)
+        el.gens = gens
+        el.terms = {m: Coef._of(t) for m, t in
+                    ((m, _normalized(raw)) for m, raw in acc.items()) if t}
+        return el
+
     # -- basic structure ---------------------------------------------------
 
     def degree(self) -> int:
@@ -241,15 +432,16 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, m) -> sp.Expr:
+    def coefficient(self, m) -> Coef:
+        """The ``Coef`` of the monomial ``m`` (exponent vector); zero if absent."""
         return self.terms.get(tuple(m), _ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         keys = set(self.terms) | set(other.terms)
-        return all(sp.expand(self.terms.get(k, _ZERO)
-                             - other.terms.get(k, _ZERO)) == 0 for k in keys)
+        return all(self.terms.get(k, _ZERO) == other.terms.get(k, _ZERO)
+                   for k in keys)
 
     def __hash__(self):
         raise TypeError("AlgebraElement is not hashable")
@@ -258,14 +450,10 @@ class AlgebraElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.terms)
+        acc = {m: dict(c.terms) for m, c in self.terms.items()}
         for m, c in other.terms.items():
-            v = sp.expand(out.get(m, _ZERO) + c)
-            if v == 0:
-                out.pop(m, None)
-            else:
-                out[m] = v
-        return AlgebraElement(self.gens, out)
+            _add_into(acc.setdefault(m, {}), c.terms)
+        return AlgebraElement._of(self.gens, acc)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -281,10 +469,10 @@ class AlgebraElement:
 
     def __rmul__(self, scalar):
         c = _coef(scalar)
-        if c == 0:
+        if not c:
             return self.gens.zero()
-        return AlgebraElement(self.gens,
-                              {m: sp.expand(c * v) for m, v in self.terms.items()})
+        return AlgebraElement(self.gens, {m: v for m, v in (
+            (m, c * v) for m, v in self.terms.items()) if v})
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -301,14 +489,17 @@ class AlgebraElement:
     # -- serialization -----------------------------------------------------
 
     def serialize(self) -> str:
-        """Canonical text: sorted monomials with exact coefficient literals."""
+        """Canonical text: sorted monomials with exact coefficient literals
+        (sympy's ``sstr`` of each expanded coefficient)."""
         if not self.terms:
             return "0"
+        import sympy as sp
+
         lines = []
         for m in sorted(self.terms, key=lambda m: (sum(m), m)):
             mono = "*".join(f"{self.gens.names[g]}^{e}"
                             for g, e in enumerate(m) if e) or "1"
-            lines.append(f"{mono} : {sp.sstr(sp.expand(self.terms[m]))}")
+            lines.append(f"{mono} : {sp.sstr(self.terms[m]._sympy_())}")
         return "\n".join(lines)
 
     def __repr__(self):
@@ -321,20 +512,20 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         raise ValueError("elements belong to different generator sets")
     gens = a.gens
     cap = gens.degree_cap
-    out = {}
+    right = [(monomial_word(mb), sum(mb), cb.terms)
+             for mb, cb in b.terms.items()]
+    acc = {}
     for ma, ca in a.terms.items():
-        wa = monomial_word(ma)
-        for mb, cb in b.terms.items():
-            if sum(ma) + sum(mb) > cap:
+        wa, da = monomial_word(ma), sum(ma)
+        for wb, db, cb in right:
+            if da + db > cap:
                 raise DegreeExceeded(
-                    f"product degree {sum(ma) + sum(mb)} exceeds cap {cap}")
-            ordered = gens.normal_order_word(wa + monomial_word(mb))
-            cc = ca * cb
-            for m, c in ordered.items():
-                v = out.get(m, _ZERO) + cc * c
-                out[m] = v
-    out = {m: sp.expand(c) for m, c in out.items()}
-    return AlgebraElement(gens, {m: c for m, c in out.items() if c != 0})
+                    f"product degree {da + db} exceeds cap {cap}")
+            cc = {}  # unnormalized: _mul_into skips its zero parts
+            _mul_into(cc, ca.terms, cb)
+            for m, c in gens.normal_order_word(wa + wb).items():
+                _mul_into(acc.setdefault(m, {}), cc, c.terms)
+    return AlgebraElement._of(gens, acc)
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -344,14 +535,13 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def adjoint(a: AlgebraElement) -> AlgebraElement:
     """The *-involution: reverse each word, conjugate each coefficient."""
     gens = a.gens
-    out = gens.zero()
+    acc = {}
     for m, c in a.terms.items():
         rev = tuple(reversed(monomial_word(m)))
-        ordered = gens.normal_order_word(rev)
-        out = out + AlgebraElement(
-            gens, {mm: sp.expand(sp.conjugate(c) * cc)
-                   for mm, cc in ordered.items()})
-    return out
+        cc = c.conjugate().terms
+        for mm, c2 in gens.normal_order_word(rev).items():
+            _mul_into(acc.setdefault(mm, {}), cc, c2.terms)
+    return AlgebraElement._of(gens, acc)
 
 
 def weyl_symmetrize(gens: GeneratorSet, m) -> AlgebraElement:
@@ -365,10 +555,11 @@ def weyl_symmetrize(gens: GeneratorSet, m) -> AlgebraElement:
     if cached is not None:
         return cached
     perms = dict.fromkeys(permutations(monomial_word(m)))
-    acc = gens.zero()
+    acc = {}
     for perm in perms:
-        acc = acc + AlgebraElement(gens, gens.normal_order_word(perm))
-    result = sp.Rational(1, len(perms)) * acc
+        for mm, c in gens.normal_order_word(perm).items():
+            _add_into(acc.setdefault(mm, {}), c.terms)
+    result = Fraction(1, len(perms)) * AlgebraElement._of(gens, acc)
     gens._weyl_cache[m] = result
     return result
 
@@ -381,41 +572,28 @@ def to_weyl_basis(a: AlgebraElement) -> dict:
     while residual:
         m = max(residual, key=lambda m: (sum(m), m))
         c = residual.pop(m)
-        if sp.expand(c) == 0:
-            continue
-        coeffs[m] = sp.expand(coeffs.get(m, _ZERO) + c)
+        coeffs[m] = c
         if sum(m) == 0:
             continue
-        w = weyl_symmetrize(gens, m)
-        for mm, cc in w.terms.items():
+        for mm, cc in weyl_symmetrize(gens, m).terms.items():
             if mm == m:
                 continue
-            v = sp.expand(residual.get(mm, _ZERO) - c * cc)
-            if v == 0:
-                residual.pop(mm, None)
-            else:
+            v = residual.get(mm, _ZERO) - c * cc
+            if v:
                 residual[mm] = v
-    return {m: c for m, c in coeffs.items() if sp.expand(c) != 0}
+            else:
+                residual.pop(mm, None)
+    return coeffs
 
 
 def from_weyl_basis(gens: GeneratorSet, coeffs: dict) -> AlgebraElement:
-    out = gens.zero()
+    """sum_m c_m * Weyl(m); each c_m is anything ``_coef`` takes."""
+    acc = {}
     for m, c in coeffs.items():
-        out = out + _coef(c) * weyl_symmetrize(gens, tuple(m))
-    return out
-
-
-def represent(a: AlgebraElement, space, assignment) -> "np.ndarray":
-    """Evaluate the element as a matrix under ``assignment: name -> operator``.
-
-    The assignment is assumed to satisfy the relations table (see
-    ``verify_assignment``); on the lattice the canonical relation holds only
-    away from the wraparound edge, which is the representation caveat
-    documented there.
-    """
-    ops = {name: _as_operator(space, assignment[name])
-           for name in a.gens.names}
-    return apply_element(a, space, ops, np.eye(space.dim, dtype=complex))
+        c = _coef(c).terms
+        for mm, cc in weyl_symmetrize(gens, tuple(m)).terms.items():
+            _mul_into(acc.setdefault(mm, {}), c, cc.terms)
+    return AlgebraElement._of(gens, acc)
 
 
 def apply_element(a: AlgebraElement, space, assignment,
@@ -482,7 +660,7 @@ def verify_assignment(gens: GeneratorSet, space, assignment,
     for (i, j), comps in gens.relations.items():
         key = (gens.names[i], gens.names[j])
         a, b = ops[key[0]], ops[key[1]]
-        terms = [(numeric(sp.I * HBAR * alpha, space.hbar),
+        terms = [(numeric(I_HBAR * alpha, space.hbar),
                   None if k == IDENTITY else ops[gens.names[k]])
                  for k, alpha in comps.items()]
         if IDENTITY not in comps:

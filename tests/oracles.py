@@ -1,6 +1,7 @@
 """Independent test oracles: the explicit finite cyclic group of a constraint,
-the G-twirl as its finite sum of conjugations, and the factor support of an
-operator read off its full matrix.
+the G-twirl as its finite sum of conjugations, the factor support of an
+operator read off its full matrix, and the dense matrix of an algebra
+element.
 
 The library computes the group average and the G-twirl spectrally; these
 sums check them from the group itself.  It computes support block by block
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from qrfkit.kinspace import HERM_TOL, KinOperator, LatticeSpace, _eig
+from qrfkit.ncalg import AlgebraElement, monomial_word, numeric
 
 
 def cyclic_group(C: KinOperator, pairwise: bool = False):
@@ -75,3 +77,20 @@ def support_oracle(op: KinOperator) -> frozenset:
         if np.max(np.abs(kron - M)) >= HERM_TOL:
             out.add(k)
     return frozenset(out)
+
+
+def represent(a: AlgebraElement, space: LatticeSpace,
+              assignment) -> np.ndarray:
+    """Dense D x D matrix of ``a`` under ``assignment: name -> operator or
+    array``: sum over terms of numeric(c) times the full matrix product of
+    the term's word, with no prefix sharing and no apply."""
+    mats = {name: np.asarray(op.matrix if isinstance(op, KinOperator)
+                             else op, dtype=complex)
+            for name, op in assignment.items()}
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for m, c in a.terms.items():
+        word = np.eye(space.dim, dtype=complex)
+        for g in monomial_word(m):
+            word = word @ mats[a.gens.names[g]]
+        out += numeric(c, space.hbar) * word
+    return out

@@ -1,0 +1,44 @@
+"""Argument checks of the model state recipes and the exact su2 coupling."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from qrfkit import models as md
+from qrfkit.errors import ConfigError
+
+
+@pytest.fixture(scope="module")
+def su2():
+    return md.build_model(md.ModelSpec("su2", lattice_size=8))
+
+
+@pytest.mark.parametrize("name", ["centers_x", "centers_p", "sigmas",
+                                  "shear", "system_amp"])
+def test_gaussian_state_rejects_a_non_mapping_argument(su2, name):
+    with pytest.raises(ConfigError, match=name):
+        md.gaussian_physical_state(su2, **{name: np.array([0.5, 0.2])})
+
+
+def test_gaussian_state_takes_mappings(su2):
+    psi = md.gaussian_physical_state(
+        su2, centers_x={1: 0.5}, centers_p={1: 0.0}, sigmas={1: 1.5},
+        shear={(1, 2): 0.1}, system_amp={2: md.spin_coherent(1, 0.4, 0.3)})
+    assert abs(np.linalg.norm(psi) - 1) < 1e-12
+    assert np.linalg.norm(su2.constraint.apply(psi)) < 1e-9
+
+
+@pytest.mark.parametrize("dp, coefficient", [
+    (1.0, -3), (0.5, Fraction(-3, 2)), (0.1, Fraction(-3, 10)),
+    (np.pi / 4, -3 * (np.pi / 4))])
+def test_su2_coupling_is_exact_where_a_fraction_reproduces_dp(dp,
+                                                               coefficient):
+    # C = p_A + p_B - beta*dp/hbar J_z
+    model = md.build_model(md.ModelSpec("su2", beta=3, dp=dp,
+                                        lattice_size=4))
+    j_z = model.gens.gen("J_z")
+    (m,) = j_z.terms
+    ((power, (re, im)),) = model.constraint_elem.coefficient(m).terms.items()
+    assert (power, re, im) == (-1, coefficient, 0)
+    assert type(re) is type(coefficient)

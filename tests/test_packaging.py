@@ -39,16 +39,62 @@ def test_package_data_globs_match_files(pyproject):
                 f"package-data {package!r}: {pattern!r} matches no file")
 
 
-@pytest.mark.parametrize("module", ["scipy.sparse.linalg", "scipy.linalg"])
-def test_import_does_not_load_sparse_linalg(module):
-    # gauge_flow imports scipy.sparse.linalg only on its non-diagonal path,
-    # composite_gauge scipy.linalg only when called
-    code = ("import sys; import qrfkit.models, qrfkit.relobs, "
-            "qrfkit.reduction_gauge, qrfkit.algstates; "
-            f"print({module!r} in sys.modules)")
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on ``src``."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"),
                                        os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["scipy.sparse.linalg", "scipy.linalg",
+                                    "sympy"])
+def test_import_does_not_load_sparse_linalg(module):
+    # gauge_flow imports scipy.sparse.linalg only on its non-diagonal path,
+    # composite_gauge scipy.linalg only when called; ncalg imports sympy
+    # only for sympy input, serialize and the HBAR symbol
+    code = ("import sys; import qrfkit.models, qrfkit.relobs, "
+            "qrfkit.reduction_gauge, qrfkit.algstates; "
+            f"print({module!r} in sys.modules)")
+    assert run_fresh(code) == "False"
+
+
+def test_algebra_pipeline_does_not_load_sympy():
+    # a lazy sympy import inside a pass would cost about 0.4 s there
+    code = """if True:
+        import sys
+        from qrfkit import algstates as ast, models as md, ncalg
+        from qrfkit import reduction_gauge as rg
+        for spec, f_sys in ((md.ModelSpec("nparticle", lattice_size=8), "q_C"),
+                            (md.ModelSpec("su2", lattice_size=8), "J_z")):
+            model = md.build_model(spec)
+            g = model.gens
+            psi = md.gaussian_physical_state(model, centers_x={1: 0.5})
+            fa, fb = model.frames["A"], model.frames["B"]
+            rho_a, rho_b = fa.grid[2], fb.grid[5]
+
+            def state(frame, rho):
+                return ast.frame_state(model.space, model.constraint, frame,
+                                       rho, psi, model.assignment, g, 4)
+
+            om = state(fa, rho_a)
+            om.value_table(4)
+            ast.check_constraint_surface(om, model.constraint_elem)
+            ast.check_frame_gauge(om, "q_A", rho_a)
+            ast.verify_reference_frame(g, "q_A", model.constraint_elem, 4)
+            ast.transform_frame(state(fb, rho_b), frame_a=("q_A", "p_A"),
+                                rho_a=rho_a, frame_b=("q_B", "p_B"),
+                                rho_b=rho_b, f=g.gen("q_B") * g.gen(f_sys),
+                                g_s=model.g_s_elem("A"))
+            rg.gauge_transform_state(om, rg.theta_gauge(fb, rho_b), model.Pi)
+            s = g.zero()
+            for k, name in enumerate(g.names):
+                s = s + (k + 1) * g.gen(name)
+            ncalg.adjoint(ncalg.multiply(s, s))
+            ncalg.commutator(s, s * s)
+            ncalg.from_weyl_basis(g, ncalg.to_weyl_basis(s * s))
+        print("sympy" in sys.modules)
+    """
+    assert run_fresh(code) == "False"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from oracles import represent
 from qrfkit import algstates as ast
 from qrfkit import kinspace as ks
 from qrfkit import models as md
@@ -445,7 +446,7 @@ class TestGaugeFlow:
         a = ks.factor_operator(model.space, 2, (m + m.T) / 2)
         g = model.gens
         b = g.gen("q_C") * g.gen("p_C")
-        b_mat = ncalg.represent(b, model.space, model.assignment)
+        b_mat = represent(b, model.space, model.assignment)
         eps = 1e-5
         om_p = rg.gauge_flow(om, a, +eps, model.constraint)
         om_m = rg.gauge_flow(om, a, -eps, model.constraint)
