@@ -34,7 +34,9 @@ class AlgebraicState:
     """Complex linear functional on AlgebraElements up to a degree bound.
 
     On a Hilbert backing omega(m) = <bra| y^m |ket>, cached per monomial.
-    Below, g is the lowest generator index in m and m - e_g drops one y_g.
+    With g the lowest generator index in m and m - e_g dropping one y_g, a
+    non-unit monomial is valued by the *-structure as
+    omega(m) = <y_g^dag bra| y^(m - e_g) |ket>.
     """
 
     gens: GeneratorSet
@@ -60,8 +62,10 @@ class AlgebraicState:
     __call__ = evaluate
 
     def evaluate_all(self, elements) -> list:
-        """omega of each element; one prefix walk over the union of their
-        uncached monomials, <= degree + 1 vectors alive, bitwise per word."""
+        """omega of each element: the union of their uncached monomials is
+        valued by ``_fill_cache`` as <y_g^dag bra| y^(m - e_g) |ket>, with
+        <= degree - 1 walk buffers plus one adjoint bra per distinct head
+        alive, freed on return."""
         for a in elements:
             if a.gens is not self.gens:
                 raise ValueError("element belongs to a different generator set")
@@ -73,21 +77,41 @@ class AlgebraicState:
                      for m, c in a.terms.items()), 0j) for a in elements]
 
     def _fill_cache(self, monomials):
-        missing = {ncalg.monomial_word(m): m for m in monomials
-                   if m not in self._cache}
+        """Cache the value of each uncached monomial.
+
+        Hilbert backing: the unit is <bra|ket>, and a word (g,) + t is
+        vdot(y_g^dag bra, y^t ket), with one ``apply_adjoint`` of the bra per
+        distinct head g and one prefix walk over the distinct tails t.  At
+        most degree - 1 walk buffers and one adjoint bra per head are alive,
+        all freed on return; each value is bitwise the same whichever call
+        computes it.
+        """
+        missing = [m for m in monomials if m not in self._cache]
         if self.table is None:
-            for w, vec in ncalg._prefix_walk(self.gens, missing,
+            heads = {}  # tail word -> [(head, monomial)]
+            for m in missing:
+                w = ncalg.monomial_word(m)
+                if w:
+                    heads.setdefault(w[1:], []).append((w[0], m))
+                else:
+                    self._cache[m] = complex(np.vdot(self.bra, self.ket))
+            bras = {g: self.assignment[self.gens.names[g]].apply_adjoint(
+                self.bra) for g in {g for hs in heads.values() for g, _ in hs}}
+            for t, vec in ncalg._prefix_walk(self.gens, heads,
                                              self.assignment, self.ket):
-                self._cache[missing[w]] = complex(np.vdot(self.bra, vec))
+                for g, m in heads[t]:
+                    self._cache[m] = complex(np.vdot(bras[g], vec))
             return
-        for m in missing.values():
+        for m in missing:
             if m not in self.table:
                 raise DegreeExceeded(f"monomial {m} missing from value table")
             self._cache[m] = complex(self.table[m])
 
     def value_table(self, max_degree: int = None) -> dict:
-        """Monomial -> value map (golden files) by one prefix walk: y^m ket is
-        y_g y^(m - e_g) ket, <= degree + 1 alive, bitwise per-word values."""
+        """Monomial -> value map (golden files), each value
+        <y_g^dag bra| y^(m - e_g) |ket> by ``_fill_cache``: the walk covers
+        the tails of degree <= d - 1, with <= d - 1 walk buffers plus one
+        adjoint bra per distinct head alive, freed on return."""
         d = self.degree_bound if max_degree is None else max_degree
         if d > self.degree_bound:
             raise DegreeExceeded(

@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyKernel,
     IncommensurableSpectrum,
     IndexOutOfRange,
@@ -61,11 +62,11 @@ class FactorSpec:
     @staticmethod
     def frame(N: int, dp: float = 1.0, name: str = "") -> "FactorSpec":
         if N < 4 or N % 2 != 0:
-            raise ValueError(f"frame dimension must be even and >= 4, got {N}")
-        if dp <= 0:
-            raise ValueError("momentum spacing must be positive")
+            raise ConfigError(
+                f"frame dimension must be even and >= 4, got {N}")
+        dp = positive_finite("momentum spacing dp", dp)
         spectrum = dp * np.arange(-N // 2, N // 2, dtype=float)
-        return FactorSpec(FRAME, N, float(dp), spectrum, name=name)
+        return FactorSpec(FRAME, N, dp, spectrum, name=name)
 
     @staticmethod
     def system(generator_spectrum, name: str = "") -> "FactorSpec":
@@ -180,6 +181,14 @@ def _check_out(out: np.ndarray, shape: tuple) -> None:
             f"out must be a C-contiguous complex array of shape {shape}")
 
 
+def positive_finite(name: str, value) -> float:
+    """``value`` as a float, or ConfigError unless it is finite and > 0."""
+    value = float(value)
+    if not (isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def tensor_space(factors, hbar: float = 1.0) -> LatticeSpace:
     """Build a lattice space and validate commensurability.
 
@@ -188,8 +197,7 @@ def tensor_space(factors, hbar: float = 1.0) -> LatticeSpace:
     ``dp * Z`` so that the constraint kernel is exactly representable.
     """
     factors = tuple(factors)
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    hbar = positive_finite("hbar", hbar)
     frame_dps = {f.dp for f in factors if f.is_frame}
     if len(frame_dps) > 1:
         raise IncommensurableSpectrum(
@@ -205,7 +213,7 @@ def tensor_space(factors, hbar: float = 1.0) -> LatticeSpace:
                     raise IncommensurableSpectrum(
                         f"system eigenvalue {v} of factor {f.name or '?'} "
                         f"is off the frame momentum lattice (dp={dp})")
-    return LatticeSpace(factors, float(hbar))
+    return LatticeSpace(factors, hbar)
 
 
 @dataclass(frozen=True, eq=False)

@@ -157,7 +157,10 @@ def _build_nparticle(spec: ModelSpec) -> Model:
 def _build_su2(spec: ModelSpec) -> Model:
     if spec.j < 1 or int(spec.j) != spec.j:
         raise ConfigError("su2 model needs an integer spin j >= 1")
-    beta_val = spec.beta * spec.dp / spec.hbar
+    frame_factors = [FactorSpec.frame(spec.lattice_size, spec.dp, "A"),
+                     FactorSpec.frame(spec.lattice_size, spec.dp, "B")]
+    # the system spectrum divides by hbar before tensor_space checks it
+    beta_val = spec.beta * spec.dp / ks.positive_finite("hbar", spec.hbar)
     jx, jy, jz = spin_matrices(int(spec.j), spec.hbar)
     gs_spec = -beta_val * np.diag(jz).real
     off = gs_spec / spec.dp
@@ -165,9 +168,7 @@ def _build_su2(spec: ModelSpec) -> Model:
         raise IncommensurableSpectrum(
             "beta*J_z eigenvalues leave the frame momentum lattice; "
             "pick beta an integer multiple of dp/hbar")
-    factors = [FactorSpec.frame(spec.lattice_size, spec.dp, "A"),
-               FactorSpec.frame(spec.lattice_size, spec.dp, "B"),
-               FactorSpec.system(gs_spec, name="S")]
+    factors = frame_factors + [FactorSpec.system(gs_spec, name="S")]
     space = ks.tensor_space(factors, hbar=spec.hbar)
     gens = GeneratorSet.canonical_with_su2(
         [("q_A", "p_A"), ("q_B", "p_B")])
@@ -197,14 +198,14 @@ def _build_su2(spec: ModelSpec) -> Model:
 
 def _build_newtonian(spec: ModelSpec) -> Model:
     dp = spec.dp
+    clock = FactorSpec.frame(spec.clock_size, dp, "C")
     n_s = spec.system_size
     p_s = dp * np.arange(-n_s // 2, n_s // 2)
     kinetic = p_s * p_s / 2.0
     if np.max(np.abs(kinetic / dp - np.rint(kinetic / dp))) > 1e-9:
         raise IncommensurableSpectrum(
             "p_S^2/2 leaves the clock momentum lattice; use dp = 2")
-    factors = [FactorSpec.frame(spec.clock_size, dp, "C"),
-               FactorSpec.system(kinetic, name="S")]
+    factors = [clock, FactorSpec.system(kinetic, name="S")]
     space = ks.tensor_space(factors, hbar=spec.hbar)
     gens = GeneratorSet.canonical([("t_C", "p_C"), ("q_S", "p_S")])
     assignment = {
@@ -227,13 +228,13 @@ def _build_newtonian(spec: ModelSpec) -> Model:
 
 def _build_degenerate(spec: ModelSpec) -> Model:
     N = spec.lattice_size
+    frame = FactorSpec.frame(N, spec.dp, "R")
     levels = np.asarray(spec.levels, dtype=float)
     if np.any(levels < 0):
         raise ConfigError("sqrt(G_S) levels must be non-negative")
     if np.any(levels >= N * spec.dp / 2):
         raise ConfigError("levels must stay inside the momentum window")
-    factors = [FactorSpec.frame(N, spec.dp, "R"),
-               FactorSpec.system(levels * levels, name="S")]
+    factors = [frame, FactorSpec.system(levels * levels, name="S")]
     space = ks.tensor_space(factors, hbar=spec.hbar)
     gens = GeneratorSet.canonical([("q_R", "p_R")], centrals=("H",))
     p = ks.momentum_operator(space, 0)

@@ -331,20 +331,40 @@ def per_word(gens, assignment, m, vec):
     return vec
 
 
+def split_lowest(m):
+    """(g, m - e_g) with g the lowest generator index in m."""
+    g = next(g for g, e in enumerate(m) if e)
+    return g, m[:g] + (m[g] - 1,) + m[g + 1:]
+
+
+def adjoint_bra(om, g):
+    return om.assignment[om.gens.names[g]].apply_adjoint(om.bra)
+
+
 def per_word_value(om, m):
-    vec = per_word(om.gens, om.assignment, m, om.ket)
-    return complex(np.vdot(om.bra, vec))
+    """omega(m) by its definition: <bra|ket> for the unit monomial, else
+    <y_g^dag bra| y^(m - e_g) ket>, each side computed on its own."""
+    if not any(m):
+        return complex(np.vdot(om.bra, om.ket))
+    g, tail = split_lowest(m)
+    vec = per_word(om.gens, om.assignment, tail, om.ket)
+    return complex(np.vdot(adjoint_bra(om, g), vec))
 
 
 class CountingOp:
-    """An assignment entry that records the ``out`` of each ``apply`` call."""
+    """An assignment entry that records the ``out`` of each ``apply`` call
+    and the input of each ``apply_adjoint`` call, in two lists."""
 
-    def __init__(self, op, calls):
-        self.op, self.calls = op, calls
+    def __init__(self, op, calls, adjoint_calls):
+        self.op, self.calls, self.adjoint_calls = op, calls, adjoint_calls
 
     def apply(self, vec, out=None):
         self.calls.append(out)
         return self.op.apply(vec, out=out)
+
+    def apply_adjoint(self, vec):
+        self.adjoint_calls.append(vec)
+        return self.op.apply_adjoint(vec)
 
 
 def prefix_closure(monomials):
@@ -354,9 +374,22 @@ def prefix_closure(monomials):
     for m in monomials:
         while any(m):
             out.add(m)
-            g = next(g for g, e in enumerate(m) if e)
-            m = m[:g] + (m[g] - 1,) + m[g + 1:]
+            m = split_lowest(m)[1]
     return out
+
+
+def tails_and_heads(monomials):
+    """The tails m - e_g and the heads g of the non-unit monomials."""
+    splits = [split_lowest(m) for m in monomials if any(m)]
+    return {t for _, t in splits}, {g for g, _ in splits}
+
+
+def counting_state(model, om, calls, adjoint_calls):
+    """``om`` with every assignment entry wrapped in a CountingOp."""
+    spy = {name: CountingOp(op, calls, adjoint_calls)
+           for name, op in model.assignment.items()}
+    return ast.from_hilbert(om.bra, om.ket, model.space, spy, model.gens,
+                            degree_bound=om.degree_bound, normalize=False)
 
 
 class TestPrefixWalk:
@@ -381,18 +414,17 @@ class TestPrefixWalk:
                 assert all(v == per_word_value(state, m)
                            for m, v in table.items())
 
-    def counting_state(self, npmodel, loc_state, calls):
-        spy = {name: CountingOp(op, calls)
-               for name, op in npmodel.assignment.items()}
+    def counting_state(self, npmodel, loc_state, calls, adjoint_calls):
         om = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
-        return ast.from_hilbert(om.bra, om.ket, npmodel.space, spy,
-                                npmodel.gens, degree_bound=5, normalize=False)
+        return counting_state(npmodel, om, calls, adjoint_calls)
 
     def test_value_table_applies_once_per_monomial(self, npmodel, loc_state):
-        calls = []
-        om = self.counting_state(npmodel, loc_state, calls)
+        # the walk covers the degree-4 tails, one adjoint per generator
+        calls, adjoint_calls = [], []
+        om = self.counting_state(npmodel, loc_state, calls, adjoint_calls)
         table = om.value_table(5)
-        assert len(calls) == len(npmodel.gens.monomial_basis(5)) - 1
+        assert len(calls) == len(npmodel.gens.monomial_basis(4)) - 1
+        assert len(adjoint_calls) == len(npmodel.gens.names)
         om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
         assert table == om_plain.value_table(5)
 
@@ -401,11 +433,13 @@ class TestPrefixWalk:
         g = npmodel.gens
         qb, pb, pc = g.gen("q_B"), g.gen("p_B"), g.gen("p_C")
         el = qb * pb * pc * pc + 3 * qb * pc * pc + pb * pc - 2 * g.one()
-        calls = []
-        om = self.counting_state(npmodel, loc_state, calls)
+        calls, adjoint_calls = [], []
+        om = self.counting_state(npmodel, loc_state, calls, adjoint_calls)
         value = om.evaluate(el)
-        closure = prefix_closure(el.terms)
+        tails, heads = tails_and_heads(el.terms)
+        closure = prefix_closure(tails)
         assert len(calls) == len(closure)
+        assert len(adjoint_calls) == len(heads)
         assert len(closure) < sum(sum(m) for m in el.terms)
         om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
         assert value == sum((ncalg.numeric(c, npmodel.hbar)
@@ -413,6 +447,7 @@ class TestPrefixWalk:
                              for m, c in el.terms.items()), 0j)
         om.evaluate(el)
         assert len(calls) == len(closure)
+        assert len(adjoint_calls) == len(heads)
 
     @pytest.mark.parametrize("check", ["constraint", "frame_gauge",
                                        "positivity"])
@@ -435,10 +470,12 @@ class TestPrefixWalk:
                 lambda om: ast.check_almost_positive(
                     om, ["q_B", "p_B", "q_C", "p_C"], 5)),
         }[check]
-        calls = []
-        value = run(self.counting_state(npmodel, loc_state, calls))
-        union = {m for p in products for m in p.terms}
-        assert len(calls) == len(prefix_closure(union))
+        calls, adjoint_calls = [], []
+        value = run(self.counting_state(npmodel, loc_state, calls,
+                                        adjoint_calls))
+        tails, heads = tails_and_heads(m for p in products for m in p.terms)
+        assert len(calls) == len(prefix_closure(tails))
+        assert len(adjoint_calls) == len(heads)
         # the value the per-product evaluation gives, bit for bit
         om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
         if check == "positivity":
@@ -451,17 +488,62 @@ class TestPrefixWalk:
 
     def test_walk_applies_into_one_buffer_per_depth(self, npmodel,
                                                    loc_state):
-        calls = []
-        om = self.counting_state(npmodel, loc_state, calls)
-        ket = om.ket.copy()
+        calls, adjoint_calls = [], []
+        om = self.counting_state(npmodel, loc_state, calls, adjoint_calls)
+        ket, bra = om.ket.copy(), om.bra.copy()
         table = om.value_table(5)
-        assert len(calls) == len(npmodel.gens.monomial_basis(5)) - 1
+        assert len(calls) == len(npmodel.gens.monomial_basis(4)) - 1
         assert all(isinstance(out, np.ndarray) for out in calls)
-        assert len({id(out) for out in calls}) <= 5
+        assert len({id(out) for out in calls}) <= 4
         assert not any(np.shares_memory(out, om.ket) for out in calls)
+        assert all(vec is om.bra for vec in adjoint_calls)
         assert np.array_equal(om.ket, ket)
+        assert np.array_equal(om.bra, bra)
         om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
         assert table == om_plain.value_table(5)
+
+    @pytest.mark.parametrize("spec", [
+        md.ModelSpec("nparticle"), md.ModelSpec("su2"),
+        md.ModelSpec("degenerate"), md.ModelSpec("newtonian", dp=2.0)],
+        ids=lambda spec: spec.name)
+    def test_split_values_match_the_full_chain(self, spec):
+        # <y_g^dag bra, y^(m - e_g) ket> against <bra, y^m ket>, for the
+        # frame state and a gauge-transformed bra
+        model = md.build_model(spec)
+        psi = md.random_physical_state(model, np.random.default_rng(19))
+        labels = list(model.frames)
+        om = frame_omega(model, labels[0], model.frames[labels[0]].grid[3],
+                         psi, degree=6)
+        fr_b = model.frames[labels[-1]]
+        om_b = rg.gauge_transform_state(om, rg.theta_gauge(fr_b, fr_b.grid[2]),
+                                        model.Pi)
+        for state in (om, om_b):
+            bras = [adjoint_bra(state, g)
+                    for g in range(len(model.gens.names))]
+            for m, v in state.value_table(6).items():
+                full = complex(np.vdot(state.bra, per_word(
+                    model.gens, state.assignment, m, state.ket)))
+                if not any(m):
+                    assert v == full
+                    continue
+                g, tail = split_lowest(m)
+                scale = np.linalg.norm(bras[g]) * np.linalg.norm(per_word(
+                    model.gens, state.assignment, tail, state.ket))
+                assert abs(v - full) <= 1e-13 * scale
+
+    def test_value_table_counts_at_the_benchmarked_shape(self):
+        # nparticle L = 32 (D = 32768) at degree 6: the 461 non-unit words of
+        # degree <= 5 are walked (the full-word walk made 923 applies), and
+        # each of the 6 generators is applied once to the bra
+        model = md.build_model(md.ModelSpec("nparticle", n_particles=3,
+                                            lattice_size=32))
+        psi = md.random_physical_state(model, np.random.default_rng(5))
+        om = frame_omega(model, "A", model.frames["A"].grid[3], psi)
+        calls, adjoint_calls = [], []
+        table = counting_state(model, om, calls, adjoint_calls).value_table(6)
+        assert len(table) == 924
+        assert (len(calls), len(adjoint_calls)) == (461, 6)
+        assert table == om.value_table(6)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="ru_minflt counts minor faults on Linux")

@@ -1,5 +1,7 @@
-"""Argument checks of the model state recipes and the exact su2 coupling."""
+"""Argument checks of the model builders and state recipes, and the exact
+su2 coupling."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -42,3 +44,22 @@ def test_su2_coupling_is_exact_where_a_fraction_reproduces_dp(dp,
     ((power, (re, im)),) = model.constraint_elem.coefficient(m).terms.items()
     assert (power, re, im) == (-1, coefficient, 0)
     assert type(re) is type(coefficient)
+
+
+SPECS = [md.ModelSpec("nparticle"), md.ModelSpec("su2"),
+         md.ModelSpec("degenerate"), md.ModelSpec("newtonian", dp=2.0)]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+@pytest.mark.parametrize("field, value", [
+    ("dp", 0.0), ("dp", -1.0), ("dp", np.nan), ("dp", np.inf),
+    ("hbar", 0.0), ("hbar", -1.0), ("hbar", np.nan), ("hbar", np.inf)])
+def test_build_model_rejects_a_bad_spacing_or_hbar(spec, field, value):
+    with pytest.raises(ConfigError, match="dp|hbar"):
+        md.build_model(replace(spec, **{field: value}))
+
+
+@pytest.mark.parametrize("N", [2, 5, 7])
+def test_build_model_rejects_an_odd_or_small_frame(N):
+    with pytest.raises(ConfigError, match="even and >= 4"):
+        md.build_model(md.ModelSpec("nparticle", lattice_size=N))
