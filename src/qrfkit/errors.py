@@ -55,3 +55,7 @@ class RelationViolation(QRFError):
 
 class ConfigError(QRFError):
     """Invalid run configuration."""
+
+
+class DenseBudgetExceeded(QRFError):
+    """A dense D x D form would hold more than kinspace.DENSE_BUDGET entries."""

@@ -14,7 +14,7 @@ function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import isfinite, prod
@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DenseBudgetExceeded,
     EmptyKernel,
     IncommensurableSpectrum,
     IndexOutOfRange,
@@ -39,6 +40,8 @@ KERNEL_RTOL = 1e-9
 PHYS_RTOL = 1e-9  # psi is physical when ||C psi|| <= PHYS_RTOL * ||psi||
 # unit columns per block where a check reads an operator column by column
 _COLUMN_BLOCK = 256
+# entries a dense D x D form may hold (2^26 complex entries are 1 GiB)
+DENSE_BUDGET = 2 ** 26
 
 FRAME = "frame"
 SYSTEM = "system"
@@ -128,6 +131,7 @@ class LatticeSpace:
 
     def embed_matrix(self, factor: int, mat: np.ndarray) -> np.ndarray:
         """Lift a factor matrix to the full space (identity elsewhere)."""
+        _check_dense(self.dim)
         out = np.ones((1, 1), dtype=complex)
         for i, f in enumerate(self.factors):
             out = np.kron(out, mat if i == factor else np.eye(f.N))
@@ -170,6 +174,14 @@ class LatticeSpace:
         else:
             np.matmul(mat, v, out=o)
         return out
+
+
+def _check_dense(dim: int) -> None:
+    """Raise DenseBudgetExceeded if a D x D form exceeds DENSE_BUDGET."""
+    if dim * dim > DENSE_BUDGET:
+        raise DenseBudgetExceeded(
+            f"a dense {dim} x {dim} form exceeds DENSE_BUDGET = "
+            f"{DENSE_BUDGET} entries")
 
 
 def _check_out(out: np.ndarray, shape: tuple) -> None:
@@ -220,22 +232,38 @@ def tensor_space(factors, hbar: float = 1.0) -> LatticeSpace:
 class KinOperator:
     """An operator on the full lattice space.
 
-    Exactly one form is stored:
+    Exactly one of four forms is stored:
 
     - ``diag``: the diagonal in the computational basis;
     - ``local`` on ``factor``: an n x n matrix on one tensor factor (identity
       on the others), applied by tensor contraction;
-    - a dense D x D matrix.
+    - a dense D x D matrix;
+    - composed: ``operands`` combined by ``kind``, times ``scalar``.  Kind
+      ``"@"`` is their product (the rightmost acts first), ``"+"`` their
+      sum, and ``"twirl"`` is sum_c P_c A P_c for the one operand A, with
+      P_c the diagonal projector onto the basis states whose entry in
+      ``classes`` is c.
 
     ``apply`` and ``apply_adjoint`` take a D-vector or a D x k block of
-    columns.  ``apply(vec, out=o)`` writes the result into ``o``, a
-    C-contiguous complex array of ``vec``'s shape that does not overlap
-    ``vec``, and returns it, the same bits as ``apply(vec)``.  ``A @ B``
-    has two rules: diag @ diag stays diagonal, and any other pair is the
-    dense ``A.apply(B.matrix)``.  ``matrix`` builds the dense D x D form
-    only when a caller reads it.  ``hermitian`` and ``support`` (the factors
-    k on which the operator is not 1_k (x) B) are computed from the stored
-    form on first use, never declared, to the absolute tolerance HERM_TOL.
+    columns; a composed form chains its operands' own applies.
+    ``apply(vec, out=o)`` writes the result into ``o``, a C-contiguous
+    complex array of ``vec``'s shape that does not overlap ``vec``, and
+    returns it, the same bits as ``apply(vec)``.
+
+    ``A @ B`` is diagonal when both operands are diagonal, the dense
+    ``np.matmul`` when both are dense, and composed otherwise.  ``A + B`` is
+    diagonal when both are diagonal and composed otherwise.
+
+    ``matrix`` builds the dense D x D form only when a caller reads it, a
+    composed form from identity blocks of ``_COLUMN_BLOCK`` columns, and
+    raises DenseBudgetExceeded above DENSE_BUDGET (2^26) entries.
+    ``hermitian`` and ``support`` (the factors k on which the operator is
+    not 1_k (x) B) are computed from the stored form on first use, never
+    declared, to the absolute tolerance HERM_TOL.  A composed form's
+    ``hermitian`` reads ``matrix``.  Its ``support`` is the union of its
+    operands' supports (and, for a twirl, of ``classes``): an upper bound,
+    so a guard on it may refuse an operator whose parts cancel on a
+    factor, but never accepts one that acts there.
     """
 
     space: LatticeSpace
@@ -244,6 +272,10 @@ class KinOperator:
     warnings: tuple = ()
     factor: int = None
     local: np.ndarray = None
+    operands: tuple = None
+    kind: str = None
+    scalar: complex = 1.0
+    classes: np.ndarray = None
 
     @staticmethod
     def from_matrix(space, matrix, *, warnings=()) -> "KinOperator":
@@ -257,6 +289,28 @@ class KinOperator:
         diag.setflags(write=False)
         return KinOperator(space, None, diag, tuple(warnings))
 
+    @staticmethod
+    def composed(kind: str, operands, scalar=1.0,
+                 classes=None) -> "KinOperator":
+        """The composed form of ``operands``; a product operand is spliced
+        into a product, and a sum operand with no scalar into a sum."""
+        if kind not in ("@", "+", "twirl"):
+            raise ValueError(f"unknown composition {kind!r}")
+        flat = []
+        for op in operands:
+            op._check(operands[0])
+            if kind != "twirl" and op.kind == kind and (
+                    kind == "@" or op.scalar == 1):
+                flat += op.operands
+                scalar = scalar * op.scalar
+            else:
+                flat.append(op)
+        if classes is not None:
+            classes = np.asarray(classes, dtype=np.intp).view()
+            classes.setflags(write=False)
+        return KinOperator(operands[0].space, operands=tuple(flat),
+                           kind=kind, scalar=scalar, classes=classes)
+
     @property
     def is_diagonal(self) -> bool:
         return self.diag is not None
@@ -265,13 +319,19 @@ class KinOperator:
     def hermitian(self) -> bool:
         if self.is_diagonal:
             return bool(np.max(np.abs(self.diag.imag)) < HERM_TOL)
-        m = self._matrix if self.local is None else self.local
+        m = self.matrix if self.local is None else self.local
         return bool(np.max(np.abs(m - m.conj().T)) < HERM_TOL)
 
     @cached_property
     def support(self) -> frozenset:
         if self.local is not None:
             return frozenset({self.factor})
+        if self.operands is not None:
+            parts = [op.support for op in self.operands]
+            if self.classes is not None:
+                parts.append(KinOperator.from_diag(self.space,
+                                                   self.classes).support)
+            return frozenset().union(*parts)
         return frozenset(k for k in range(len(self.space.dims))
                          if not self._identity_on(k))
 
@@ -290,9 +350,29 @@ class KinOperator:
     def matrix(self) -> np.ndarray:
         if self._matrix is not None:
             return self._matrix
+        dim = self.space.dim
+        _check_dense(dim)
         if self.is_diagonal:
             return np.diag(self.diag)
-        return self.space.embed_matrix(self.factor, self.local)
+        if self.local is not None:
+            return self.space.embed_matrix(self.factor, self.local)
+        out = np.empty((dim, dim), dtype=complex)
+        for c in range(0, dim, _COLUMN_BLOCK):
+            k = min(_COLUMN_BLOCK, dim - c)
+            out[:, c:c + k] = self._unit_columns(c, k)
+        return out
+
+    def _unit_columns(self, start: int, k: int) -> np.ndarray:
+        """Columns start .. start + k - 1 of a composed form, from one
+        D x k identity block.  Column j of a twirl is P_c A e_j with c the
+        class of j: A's column with the rows of other classes cleared."""
+        eye = np.eye(self.space.dim, k, -start)
+        if self.kind != "twirl":
+            return self.apply(eye)
+        cols = self.operands[0].apply(eye)
+        cols[self.classes[:, None] != self.classes[start:start + k]] = 0.0
+        cols *= self.scalar
+        return cols
 
     def diagonal(self) -> np.ndarray:
         """The full-space diagonal, without forming a dense matrix."""
@@ -300,7 +380,17 @@ class KinOperator:
             return self.diag
         if self.local is not None:
             return self.space.embed_diag(self.factor, np.diagonal(self.local))
-        return np.diagonal(self._matrix)
+        if self._matrix is not None:
+            return np.diagonal(self._matrix)
+        if self.kind == "@":
+            dim = self.space.dim
+            out = np.empty(dim, dtype=complex)
+            for c in range(0, dim, _COLUMN_BLOCK):
+                k = min(_COLUMN_BLOCK, dim - c)
+                out[c:c + k] = np.diagonal(self._unit_columns(c, k), -c)
+            return out
+        # a sum's diagonal is the sum of its operands'; a twirl keeps A's
+        return self.scalar * sum(op.diagonal() for op in self.operands)
 
     def apply(self, vec: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         if self.local is not None:
@@ -310,7 +400,9 @@ class KinOperator:
         if self.is_diagonal:
             return np.multiply(self.diag.reshape((-1,) + (1,) * (vec.ndim - 1)),
                                vec, out=out)
-        return np.matmul(self._matrix, vec, out=out)
+        if self._matrix is not None:
+            return np.matmul(self._matrix, vec, out=out)
+        return self._apply_composed(vec, out, adjoint=False)
 
     def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
         """The adjoint applied to ``vec``, without forming the adjoint."""
@@ -319,7 +411,63 @@ class KinOperator:
         if self.local is not None:
             return self.space.apply_factor(self.factor, self.local.conj().T,
                                            vec)
-        return (vec.conj().T @ self._matrix).conj().T
+        if self._matrix is not None:
+            return (vec.conj().T @ self._matrix).conj().T
+        return self._apply_composed(vec, None, adjoint=True)
+
+    def _apply_composed(self, vec, out, adjoint: bool) -> np.ndarray:
+        """A composed form (or its adjoint) on ``vec``, operand by operand."""
+        def act(op, v, o=None):
+            return op.apply_adjoint(v) if adjoint else op.apply(v, o)
+
+        ops = self.operands
+        if self.kind == "twirl":
+            out = self._twirl(vec, out, act)
+        elif self.kind == "+":
+            out = act(ops[0], vec, out)
+            tmp = None if adjoint else np.empty(vec.shape, dtype=complex)
+            for op in ops[1:]:
+                out += act(op, vec, tmp)
+        elif adjoint:
+            # (A_1 ... A_n)^dag = A_n^dag ... A_1^dag: A_1^dag acts first
+            for op in ops:
+                vec = op.apply_adjoint(vec)
+            out = vec
+        else:
+            # the rightmost operand acts first; intermediates alternate
+            # between two buffers
+            bufs = [np.empty(vec.shape, dtype=complex) for _ in ops[1:3]]
+            for i, op in enumerate(ops[:0:-1]):
+                vec = op.apply(vec, bufs[i % 2])
+            out = ops[0].apply(vec, out)
+        if self.scalar != 1:
+            out *= np.conj(self.scalar) if adjoint else self.scalar
+        return out
+
+    def _twirl(self, vec, out, act) -> np.ndarray:
+        """sum_c P_c A P_c on ``vec``, A applied (or adjoint-applied) by ``act``.
+
+        Each column is scattered into a D x n_c block whose column c holds
+        its entries of class c; A acts on the block once, and entry i is
+        gathered from column ``classes[i]``.  Columns of ``vec`` go
+        ``_COLUMN_BLOCK // n_c`` at a time (at least one), so a block is at
+        most D x max(n_c, _COLUMN_BLOCK).
+        """
+        cls = self.classes
+        dim, n = cls.size, int(cls.max()) + 1
+        rows = np.arange(dim)
+        cols = vec.reshape(dim, -1)
+        if out is None:
+            out = np.empty(vec.shape, dtype=complex)
+        res = out.reshape(dim, -1)
+        width = max(1, _COLUMN_BLOCK // n)
+        for i in range(0, cols.shape[1], width):
+            part = cols[:, i:i + width]
+            block = np.zeros((dim, n, part.shape[1]), dtype=complex)
+            block[rows, cls] = part
+            y = act(self.operands[0], block.reshape(dim, -1))
+            res[:, i:i + width] = y.reshape(dim, n, -1)[rows, cls]
+        return out
 
     def expectation(self, ket: np.ndarray, bra: np.ndarray = None) -> complex:
         b = ket if bra is None else bra
@@ -329,7 +477,7 @@ class KinOperator:
         self._check(other)
         if self.is_diagonal and other.is_diagonal:
             return KinOperator.from_diag(self.space, self.diag + other.diag)
-        return KinOperator.from_matrix(self.space, self.matrix + other.matrix)
+        return KinOperator.composed("+", (self, other))
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -340,13 +488,18 @@ class KinOperator:
         if self.local is not None:
             return factor_operator(self.space, self.factor,
                                    scalar * self.local)
-        return KinOperator.from_matrix(self.space, scalar * self._matrix)
+        if self._matrix is not None:
+            return KinOperator.from_matrix(self.space, scalar * self._matrix)
+        return replace(self, scalar=scalar * self.scalar)
 
     def __matmul__(self, other):
         self._check(other)
         if self.is_diagonal and other.is_diagonal:
             return KinOperator.from_diag(self.space, self.diag * other.diag)
-        return KinOperator.from_matrix(self.space, self.apply(other.matrix))
+        if self._matrix is not None and other._matrix is not None:
+            return KinOperator.from_matrix(
+                self.space, np.matmul(self._matrix, other._matrix))
+        return KinOperator.composed("@", (self, other))
 
     def _check(self, other):
         if other.space is not self.space:
@@ -438,6 +591,7 @@ def _eig(C: KinOperator):
     """(eigenvalues, eigenvectors or None) -- None means computational basis."""
     if C.is_diagonal:
         return C.diag.real.copy(), None
+    _check_dense(C.space.dim)
     if not C.hermitian:
         raise ValueError("constraint must be hermitian")
     return np.linalg.eigh(C.matrix)
@@ -525,6 +679,7 @@ def factorize_constraint(space: LatticeSpace, frame: int,
         root = np.sqrt(np.clip(gd, 0.0, None))
         h = KinOperator.from_diag(space, root)
     else:
+        _check_dense(space.dim)
         vals, vecs = np.linalg.eigh(g_s.matrix)
         if np.min(vals) < -1e-12:
             raise NegativeGenerator(

@@ -23,7 +23,8 @@ from .algstates import AlgebraicState, from_hilbert
 from .errors import (IllConditionedFlow, IndexOutOfRange, SameFrame,
                      UnsupportedSupport)
 from .kinspace import _COLUMN_BLOCK as _GAUGE_BLOCK
-from .kinspace import KinOperator, LatticeSpace, check_physical, tensor_space
+from .kinspace import (KinOperator, LatticeSpace, _check_dense,
+                       check_physical, tensor_space)
 from .relobs import OrientationFrame, orientation_state_at, theta_projector
 
 
@@ -123,21 +124,21 @@ def verify_gauge(phi: KinOperator, Pi: KinOperator) -> dict:
     non-zero; they are taken as unit columns E in blocks of
     ``_GAUGE_BLOCK`` (256), and with B = Pi E, Y = Phi B the residuals are
     max |Pi Y - B| and max |Phi Pi Y - Y|.  B, Y and Pi Y are written into
-    three block arrays made once, and both differences are taken in place.
+    three block arrays made once; E is written into the one that later
+    holds Pi Y, and both differences are taken in place.
     """
     Pi._check(phi)
     cols = np.flatnonzero(Pi.diagonal())
     dim, width = Pi.space.dim, min(_GAUGE_BLOCK, cols.size)
-    E = np.zeros((dim, width))
     store = np.empty((3, dim * width), dtype=complex)
     r1 = r2 = 0.0
     for i in range(0, cols.size, _GAUGE_BLOCK):
         block = cols[i:i + _GAUGE_BLOCK]
         k = block.size
-        E[block, np.arange(k)] = 1.0
         B, Y, PY = (s[:dim * k].reshape(dim, k) for s in store)
-        Pi.apply(E[:, :k], out=B)
-        E[block, np.arange(k)] = 0.0
+        PY.fill(0.0)
+        PY[block, np.arange(k)] = 1.0
+        Pi.apply(PY, out=B)
         phi.apply(B, out=Y)
         Pi.apply(Y, out=PY)
         r1 = max(r1, float(np.max(np.abs(np.subtract(PY, B, out=B)))))
@@ -152,6 +153,7 @@ def composite_gauge(phi: KinOperator, o1: np.ndarray, o2: np.ndarray,
     """exp(i O1 C) Phi exp(i O2 C) for hermitian Dirac observables O1, O2."""
     from scipy.linalg import expm  # here, so importing qrfkit skips it
 
+    _check_dense(phi.space.dim)
     Cm = C.matrix
     left = expm(1j * np.asarray(o1) @ Cm)
     right = expm(1j * np.asarray(o2) @ Cm)
@@ -254,12 +256,24 @@ def _spectral_norm_estimate(X) -> float:
 def _trace_of_product(a: KinOperator, C: KinOperator) -> complex:
     """tr(aC) from the stored forms, without forming aC.
 
-    When either operand is diagonal only the diagonals are read, so a
-    factor-local operand is never densified.
+    When either operand is diagonal only the diagonals are read.  Two
+    factor-local operands give (D/n) tr(ab) on one factor of size n, and
+    D tr(a) tr(b) / (n_a n_b) on two factors.  A dense operand is paired
+    with the other's D x D matrix.  Any other pair sums the diagonal of
+    the composed product aC, read from identity column blocks.
     """
     if a.is_diagonal or C.is_diagonal:
         return complex(np.dot(a.diagonal(), C.diagonal()))
-    return complex(np.einsum("ij,ji->", a.matrix, C.matrix))
+    dim = a.space.dim
+    if a.local is not None and C.local is not None:
+        n_a, n_c = len(a.local), len(C.local)
+        if a.factor == C.factor:
+            return complex(dim // n_a * np.einsum("ij,ji->", a.local, C.local))
+        return complex(dim * np.trace(a.local) * np.trace(C.local)
+                       / (n_a * n_c))
+    if a._matrix is not None or C._matrix is not None:
+        return complex(np.einsum("ij,ji->", a.matrix, C.matrix))
+    return complex(np.sum((a @ C).diagonal()))
 
 
 def system_projector(frame: OrientationFrame, Pi: KinOperator) -> KinOperator:
@@ -277,6 +291,7 @@ def system_projector(frame: OrientationFrame, Pi: KinOperator) -> KinOperator:
         d = Pi.diag.reshape(dims).sum(axis=k, keepdims=True)
         return KinOperator.from_diag(
             space, np.broadcast_to(d, dims).reshape(-1))
+    _check_dense(space.dim)
     rho = float(frame.grid[0])
     block = reduce_state(frame, rho, embed_state(
         frame, rho, np.eye(space.dim // dims[k]), Pi))

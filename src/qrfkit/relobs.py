@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotAFrameFactor, UnsupportedForm
+from .errors import (IncommensurableSpectrum, IndexOutOfRange, NotAFrameFactor,
+                     UnsupportedForm)
 from .kinspace import (
     KinOperator,
     LatticeSpace,
     _eig,
     factor_operator,
     momentum_operator,
-    reduce_mod_period,
 )
 
 
@@ -118,16 +118,45 @@ def g_twirl(space: LatticeSpace, C: KinOperator, A: KinOperator) -> KinOperator:
     """Incoherent group average of A over the cyclic group generated by C.
 
     In the eigenbasis of C the average keeps exactly the matrix elements
-    between equal eigenvalues (the group order is computed from the pairwise
-    difference spectrum, so no distinct eigenvalues are aliased).
+    between eigenvalues closer than 1e-9 * max(1, max |C|) (the group order
+    is computed from the pairwise difference spectrum, so no distinct
+    eigenvalues are aliased).
+
+    For a diagonal C the result is the composed form sum_c P_c A P_c over
+    the eigenvalue classes c of C.  It stores A and one class index per
+    basis state; an apply is one apply of A to a D x n_c block (n_c the
+    number of classes), and reading ``matrix`` costs D/256 applies of A to
+    256 identity columns.  The classes are computed once: sorted
+    eigenvalues closer than the tolerance share one, and a class that spans
+    the tolerance or more has no consistent split, so it raises
+    IncommensurableSpectrum.  A non-diagonal C is diagonalised densely
+    (``eigh`` of its D x D matrix) and gives a dense result.
     """
     vals, vecs = _eig(C)
-    mask = np.abs(vals[:, None] - vals[None, :]) < 1e-9 * max(
-        1.0, float(np.max(np.abs(vals))))
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
     if vecs is None:
-        return KinOperator.from_matrix(space, A.matrix * mask)
+        return KinOperator.composed("twirl", (A,),
+                                    classes=_eigenvalue_classes(vals, tol))
+    mask = np.abs(vals[:, None] - vals[None, :]) < tol
     a = vecs.conj().T @ A.matrix @ vecs
     return KinOperator.from_matrix(space, vecs @ (a * mask) @ vecs.conj().T)
+
+
+def _eigenvalue_classes(vals: np.ndarray, tol: float) -> np.ndarray:
+    """Class index of each eigenvalue; sorted neighbours closer than ``tol``
+    share a class.  The twirl keeps the pairs with |v_i - v_j| < tol, which
+    is this partition only when no class spans ``tol`` or more."""
+    order = np.argsort(vals, kind="stable")
+    s = vals[order]
+    gap = np.diff(s) >= tol
+    starts = np.flatnonzero(np.r_[True, gap])
+    ends = np.r_[starts[1:], s.size] - 1
+    if np.any(s[ends] - s[starts] >= tol):
+        raise IncommensurableSpectrum(
+            f"constraint eigenvalues chain across the twirl tolerance {tol:.1e}")
+    classes = np.empty(vals.size, dtype=np.intp)
+    classes[order] = np.cumsum(np.r_[False, gap])
+    return classes
 
 
 def frame_system_generator(space: LatticeSpace, C: KinOperator,
@@ -152,12 +181,24 @@ def relational_observable(space: LatticeSpace, C: KinOperator,
                           Pi: KinOperator = None) -> KinOperator:
     """Relational Dirac observable: f_S conditioned on the frame reading rho.
 
+    Each form is a composed ``KinOperator`` that stores its parts, never a
+    D x D matrix (for a diagonal C), and applies them in turn.  Reading
+    its ``matrix`` builds the D x D form from 256-column identity blocks,
+    D/256 block applies, and raises DenseBudgetExceeded above
+    ``kinspace.DENSE_BUDGET``.
+
     form="kinematical": G-twirl of |rho><rho| (x) f_S over the constraint
-    group.  form="closed": conjugation of f_S by exp(-i(R-rho)G_S/hbar)
-    computed spectrally on the orientation grid; requires an ideal frame
-    (every commensurate lattice frame with a linear constraint is ideal).
+    group (see ``g_twirl``).  Stores Theta, f_S and one eigenvalue class
+    per basis state; an apply is one apply of Theta f_S to a D x n_c block.
+    form="closed": conjugation of f_S by exp(-i(R-rho)G_S/hbar), taken in
+    the orientation basis as F E f_S E^dag F^dag / N, with F the
+    factor-local matrix of orientation kets and E the diagonal
+    exp(-i(rho_j-rho)G_S/hbar) over (frame slot j, rest).  Stores F, F^dag,
+    f_S and two D-vectors; an apply is five.  Requires an ideal frame
+    (every commensurate lattice frame with a linear constraint is ideal)
+    and a diagonal C.
     form="physical": Pi (|rho><rho| (x) f_S), the representation on the
-    physical Hilbert space.
+    physical Hilbert space.  Stores Pi, Theta and f_S; an apply is three.
     """
     if frame.factor in f_s.support:
         raise UnsupportedForm("f_S must be supported off the frame factor")
@@ -168,39 +209,19 @@ def relational_observable(space: LatticeSpace, C: KinOperator,
         if not C.is_diagonal:
             raise UnsupportedForm(
                 "closed form needs an ideal frame with a diagonal constraint")
-        return _closed_form(space, C, frame, rho, f_s)
+        k = frame.factor
+        # G_S is constant along the frame axis: keep it on the other factors
+        gs = np.moveaxis(frame_system_generator(space, C, frame).diag
+                         .reshape(space.dims), k, 0)[0]
+        e = np.exp(-1j * np.multiply.outer(frame.grid - rho, gs) / space.hbar)
+        e = np.moveaxis(e, 0, k).reshape(-1)
+        F = frame.fourier_matrix()
+        return KinOperator.composed("@", (
+            factor_operator(space, k, F), KinOperator.from_diag(space, e), f_s,
+            KinOperator.from_diag(space, e.conj()),
+            factor_operator(space, k, F.conj().T)), scalar=1.0 / frame.N)
     if form == "physical":
         if Pi is None:
             raise ValueError("physical form requires the projector Pi")
         return Pi @ (theta_projector(frame, rho) @ f_s)
     raise UnsupportedForm(f"unknown form {form!r}")
-
-
-def _closed_form(space, C, frame, rho, f_s):
-    """exp(-i(R-rho)G_S/h) f_S exp(+i(R-rho)G_S/h) via the orientation basis.
-
-    The sum over the grid of |rho_j><rho_j|/N (x) e_j f_rest e_j^* with
-    e_j = exp(-i(rho_j-rho)G_S/h) equals (G^T G^*) * (1 (x) f_rest) / N,
-    where row j of G is |rho_j> (x) e_j: one rank-N product scaled in
-    place, with no D x D term per grid point.
-    """
-    gs_diag = frame_system_generator(space, C, frame).diag
-    dims = space.dims
-    n = len(dims)
-    k = frame.factor
-    n_f = frame.N
-    # G_S is constant along the frame axis: keep it on the other factors
-    gs = np.moveaxis(gs_diag.reshape(dims), k, 0)[0]
-    # f_rest = <p_0| f_S |p_0> on the other factors, as f_S = 1 x f_rest
-    p0 = np.eye(n_f, 1)
-    f_rest = space.apply_factor(k, p0.T, f_s.apply(
-        space.apply_factor(k, p0, np.eye(space.dim // n_f))))
-
-    F = frame.fourier_matrix()
-    e = np.exp(-1j * np.multiply.outer(frame.grid - rho, gs) / space.hbar)
-    kets = F.T.reshape((n_f,) + (1,) * k + (n_f,) + (1,) * (n - 1 - k))
-    G = (np.expand_dims(e, 1 + k) * kets).reshape(n_f, space.dim)
-    out = (G.T @ G.conj()).reshape(dims + dims)
-    rest = dims[:k] + dims[k + 1:]
-    out *= np.expand_dims(f_rest.reshape(rest + rest), (k, n + k)) / n_f
-    return KinOperator.from_matrix(space, out.reshape(space.dim, space.dim))

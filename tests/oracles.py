@@ -1,7 +1,7 @@
 """Independent test oracles: the explicit finite cyclic group of a constraint,
-the G-twirl as its finite sum of conjugations, the factor support of an
-operator read off its full matrix, and the dense matrix of an algebra
-element.
+the G-twirl as its finite sum of conjugations, the dense closed-form
+relational observable, the factor support of an operator read off its full
+matrix, and the dense matrix of an algebra element.
 
 The library computes the group average and the G-twirl spectrally; these
 sums check them from the group itself.  It computes support block by block
@@ -17,6 +17,7 @@ from scipy.linalg import expm
 
 from qrfkit.kinspace import HERM_TOL, KinOperator, LatticeSpace, _eig
 from qrfkit.ncalg import AlgebraElement, monomial_word, numeric
+from qrfkit.relobs import frame_system_generator
 
 
 def cyclic_group(C: KinOperator, pairwise: bool = False):
@@ -61,6 +62,33 @@ def g_twirl_oracle(space: LatticeSpace, C: KinOperator,
         U = expm(-1j * j * step * Cm / space.hbar)
         out += U @ A.matrix @ U.conj().T
     return out / order
+
+
+def closed_form_oracle(space, C, frame, rho, f_s) -> np.ndarray:
+    """exp(-i(R-rho)G_S/h) f_S exp(+i(R-rho)G_S/h) as a dense D x D array.
+
+    The sum over the grid of |rho_j><rho_j|/N (x) e_j f_rest e_j^* with
+    e_j = exp(-i(rho_j-rho)G_S/h) equals (G^T G^*) * (1 (x) f_rest) / N,
+    where row j of G is |rho_j> (x) e_j and f_rest = <p_0| f_S |p_0>.
+    """
+    gs_diag = frame_system_generator(space, C, frame).diag
+    dims = space.dims
+    n = len(dims)
+    k = frame.factor
+    n_f = frame.N
+    gs = np.moveaxis(gs_diag.reshape(dims), k, 0)[0]
+    p0 = np.eye(n_f, 1)
+    f_rest = space.apply_factor(k, p0.T, f_s.apply(
+        space.apply_factor(k, p0, np.eye(space.dim // n_f))))
+
+    F = frame.fourier_matrix()
+    e = np.exp(-1j * np.multiply.outer(frame.grid - rho, gs) / space.hbar)
+    kets = F.T.reshape((n_f,) + (1,) * k + (n_f,) + (1,) * (n - 1 - k))
+    G = (np.expand_dims(e, 1 + k) * kets).reshape(n_f, space.dim)
+    out = (G.T @ G.conj()).reshape(dims + dims)
+    rest = dims[:k] + dims[k + 1:]
+    out *= np.expand_dims(f_rest.reshape(rest + rest), (k, n + k)) / n_f
+    return out.reshape(space.dim, space.dim)
 
 
 def support_oracle(op: KinOperator) -> frozenset:

@@ -163,7 +163,7 @@ def test_verify_gauge_in_reused_blocks_is_bitwise_fresh_blocks(kind):
         blockwise_gauge_residuals(phi, Pi)
 
 
-def test_verify_gauge_peak_below_four_and_a_half_blocks():
+def test_verify_gauge_peak_below_four_blocks():
     import tracemalloc
 
     model = md.build_model(md.ModelSpec("nparticle", n_particles=3,
@@ -179,8 +179,10 @@ def test_verify_gauge_peak_below_four_and_a_half_blocks():
     finally:
         tracemalloc.stop()
     assert rep["valid"]
-    # B, Y and Pi Y, the real unit block E and one real |difference|
-    assert peak <= 4.5 * D * rg._GAUGE_BLOCK * 16
+    # B, Y and Pi Y (the unit columns are written into Pi Y's block) and
+    # one real |difference|: 3.5 blocks, where a separate real unit block
+    # made 4.0
+    assert peak < 3.75 * D * rg._GAUGE_BLOCK * 16
     assert (rep["pi_phi_pi"], rep["phi_pi_phi"]) == \
         blockwise_gauge_residuals(theta, model.Pi)
 

@@ -7,12 +7,14 @@ from scipy.linalg import expm
 from oracles import cyclic_group, support_oracle
 from qrfkit import kinspace as ks
 from qrfkit.errors import (
+    DenseBudgetExceeded,
     EmptyKernel,
     IncommensurableSpectrum,
     IndexOutOfRange,
     NegativeGenerator,
     NotAFrameFactor,
     NotPhysical,
+    QRFError,
     UnsupportedSupport,
 )
 
@@ -428,6 +430,86 @@ class TestOperatorForms:
         ks.KinOperator.from_matrix(sp, m)
         ks.KinOperator.from_diag(sp, d)
         assert m.flags.writeable and d.flags.writeable
+
+
+class TestComposedForm:
+    """Products and sums that the diagonal and dense rules do not cover hold
+    their operands; every read agrees with the dense reference."""
+
+    @staticmethod
+    def operands(rng):
+        sp = TestOperatorForms.mixed_space()
+        make = TestOperatorForms.operator
+        return sp, (make(sp, "diag", 0, rng), make(sp, "local", 1, rng),
+                    make(sp, "local", 2, rng), make(sp, "dense", 0, rng))
+
+    def test_reads_match_dense_reference(self):
+        rng = np.random.default_rng(181)
+        sp, (d, l1, l2, m) = self.operands(rng)
+        D, L1, L2, M = (x.matrix for x in (d, l1, l2, m))
+        s = 0.4 - 0.9j
+        cases = [(l1 @ l2, L1 @ L2), (d @ l1 @ m, D @ L1 @ M),
+                 (l1 + m, L1 + M), (m + m, M + M),
+                 (s * (l1 @ d + m @ l2), s * (L1 @ D + M @ L2)),
+                 ((l1 + d) @ (l2 - m), (L1 + D) @ (L2 - M))]
+        v = rng.normal(size=(sp.dim, 3)) + 1j * rng.normal(size=(sp.dim, 3))
+        for op, ref in cases:
+            tol = 1e-12 * np.max(np.abs(ref))
+            assert op.kind in ("@", "+") and op._matrix is None
+            assert np.max(np.abs(op.matrix - ref)) < tol
+            assert np.max(np.abs(op.diagonal() - np.diagonal(ref))) < tol
+            for x in (v, v[:, 0], np.asfortranarray(v)):
+                assert np.max(np.abs(op.apply(x) - ref @ x)) < 10 * tol
+                assert np.max(np.abs(op.apply_adjoint(x)
+                                     - ref.conj().T @ x)) < 10 * tol
+            out = np.full(v.shape, np.nan, dtype=complex)
+            assert op.apply(v, out=out) is out
+            assert np.array_equal(out, op.apply(v))
+        assert (l1 + ks.factor_operator(sp, 1, l1.local.conj().T)).hermitian
+        assert not (l1 + m).hermitian and not (l1 @ d).hermitian
+
+    def test_composition_rules(self):
+        sp, (d, l1, l2, m) = self.operands(np.random.default_rng(191))
+        assert (d @ d).is_diagonal and (d + d).is_diagonal
+        assert (m @ m)._matrix is not None
+        for a, b in [(d, l1), (l1, l2), (l1, m), (m, d)]:
+            assert (a @ b).kind == "@" and (a + b).kind == "+"
+        # nested products are spliced into one, and the scalar rides along
+        prod = 2.0 * (l1 @ l2) @ (d @ m)
+        assert prod.operands == (l1, l2, d, m) and prod.scalar == 2.0
+        assert (l1 + l2 + m).operands == (l1, l2, m)
+
+    def test_support_is_the_union_of_operand_supports(self):
+        sp = TestOperatorForms.mixed_space()
+        rng = np.random.default_rng(193)
+        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        a = ks.factor_operator(sp, 1, m)
+        b = ks.factor_operator(sp, 1, np.linalg.inv(m))
+        c = ks.factor_operator(sp, 2, rng.normal(size=(4, 4)))
+        # an upper bound: a b is the identity, yet factor 1 stays in it
+        assert (a @ b).support == frozenset({1})
+        assert support_oracle(a @ b) == frozenset()
+        assert (a + c).support == frozenset({1, 2}) == support_oracle(a + c)
+
+    def test_matrix_above_the_budget_raises(self):
+        sp = ks.tensor_space([ks.FactorSpec.frame(32, 1.0, name)
+                              for name in "ABC"])
+        assert sp.dim == 32768 and sp.dim ** 2 > ks.DENSE_BUDGET
+        rng = np.random.default_rng(197)
+        a, b = (ks.factor_operator(sp, k, rng.normal(size=(32, 32)))
+                for k in (0, 1))
+        prod = a @ b
+        assert prod.kind == "@"
+        assert issubclass(DenseBudgetExceeded, QRFError)
+        for read in (lambda: prod.matrix, lambda: a.matrix,
+                     lambda: ks.identity_operator(sp).matrix,
+                     lambda: sp.embed_matrix(0, np.eye(32)),
+                     lambda: ks.group_average(sp, prod + a)):
+            with pytest.raises(DenseBudgetExceeded):
+                read()
+        v = rng.normal(size=sp.dim)
+        ref = a.apply(b.apply(v))
+        assert np.array_equal(prod.apply(v), ref)
 
 
 class TestRectangularApplyFactor:

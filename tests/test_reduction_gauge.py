@@ -674,3 +674,36 @@ def test_gauge_and_assignment_checks_read_no_dense_form(model, psi,
                                      model.assignment, test_states=[psi])
     assert len(report) == 3
     assert all(np.isfinite(v) for v in report.values())
+
+
+TRACE_FORMS = ["diag", "local0", "local2", "dense", "product", "sum"]
+
+
+@pytest.mark.parametrize("right", TRACE_FORMS)
+@pytest.mark.parametrize("left", TRACE_FORMS)
+def test_trace_of_product_matches_einsum(left, right):
+    # unequal factor sizes, so (D/n) and n_a * n_b cannot be swapped
+    space = ks.tensor_space([ks.FactorSpec.system([0.0, 1.0, -1.0]),
+                             ks.FactorSpec.frame(6, 1.0, "R"),
+                             ks.FactorSpec.system([0.0, 1.0, 2.0, -1.0])])
+    rng = np.random.default_rng(229)
+
+    def sample(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def make(form):
+        if form == "diag":
+            return ks.KinOperator.from_diag(space, sample(space.dim))
+        if form.startswith("local"):
+            k = int(form[-1])
+            n = space.dims[k]
+            return ks.factor_operator(space, k, sample(n, n))
+        if form == "dense":
+            return ks.KinOperator.from_matrix(space,
+                                              sample(space.dim, space.dim))
+        a, b = make("local0"), make("local2")
+        return a @ make("diag") @ b if form == "product" else a + b
+
+    a, b = make(left), make(right)
+    ref = np.einsum("ij,ji->", a.matrix, b.matrix)
+    assert abs(rg._trace_of_product(a, b) - ref) <= 1e-12 * max(1.0, abs(ref))

@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import g_twirl_oracle
+from oracles import closed_form_oracle, g_twirl_oracle
+from test_packaging import run_fresh
 from qrfkit import kinspace as ks
 from qrfkit import models as md
 from qrfkit import relobs as ro
-from qrfkit.errors import IndexOutOfRange, UnsupportedForm
+from qrfkit.errors import (IncommensurableSpectrum, IndexOutOfRange,
+                           UnsupportedForm)
 
 
 def ideal_space(N=8, sys_dim=3):
@@ -308,6 +312,90 @@ class TestDerivedSupport:
                                               Pi=model.Pi)
                      for f in (dense, local))
         assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
+
+
+class TestComposedForms:
+    """Each form stores its parts; its matrix and adjoint match dense
+    oracles built without the composed form."""
+
+    @pytest.mark.parametrize("spec,f_name", [
+        (md.ModelSpec("nparticle", n_particles=3, lattice_size=8), "q_C"),
+        (md.ModelSpec("su2", lattice_size=8, j=2), "J_x")],
+        ids=["nparticle", "su2"])
+    def test_forms_match_dense_oracles(self, spec, f_name):
+        model = md.build_model(spec)
+        sp, C, Pi = model.space, model.constraint, model.Pi
+        fr = model.frames["A"]
+        rho = fr.grid[3]
+        f_s = model.assignment[f_name]
+        theta_f = ro.theta_projector(fr, rho).matrix @ f_s.matrix
+        refs = {"kinematical": g_twirl_oracle(
+                    sp, C, ks.KinOperator.from_matrix(sp, theta_f)),
+                "closed": closed_form_oracle(sp, C, fr, rho, f_s),
+                "physical": Pi.matrix @ theta_f}
+        rng = np.random.default_rng(211)
+        V = rng.normal(size=(sp.dim, 3)) + 1j * rng.normal(size=(sp.dim, 3))
+        for form, ref in refs.items():
+            obs = ro.relational_observable(sp, C, fr, rho, f_s, form=form,
+                                           Pi=Pi)
+            assert obs.kind == ("twirl" if form == "kinematical" else "@")
+            tol = 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(obs.matrix - ref)) < tol, form
+            assert np.max(np.abs(obs.apply_adjoint(V)
+                                 - ref.conj().T @ V)) < tol, form
+
+    def test_class_spanning_the_tolerance_raises(self):
+        sp = ideal_space()
+        A = rand_system_op(sp, np.random.default_rng(223), herm=False)
+        # largest eigenvalue 5, so the twirl tolerance is 5e-9
+        vals = np.full(sp.dim, 5.0)
+        vals[:3] = [0.0, 3e-9, 6e-9]  # neighbours within it, ends not
+        with pytest.raises(IncommensurableSpectrum):
+            ro.g_twirl(sp, ks.KinOperator.from_diag(sp, vals), A)
+        vals[2] = 9e-9  # classes {0, 3e-9} and {9e-9}, 6e-9 apart
+        tw = ro.g_twirl(sp, ks.KinOperator.from_diag(sp, vals), A)
+        mask = np.abs(vals[:, None] - vals[None, :]) < 5e-9
+        assert np.count_nonzero(mask[:3, :3]) == 5
+        assert np.array_equal(tw.matrix, A.matrix * mask)
+
+    def test_all_forms_at_d32768_in_a_fresh_interpreter(self):
+        """nparticle L = 32 under a 3 GB address-space limit: the forms agree
+        on two physical probes, and each build plus two applies stays under
+        64 MiB of tracemalloc peak (a D x D complex array is 16 GiB)."""
+        code = """if True:
+            import json, resource, tracemalloc
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            limit = 3_000_000 * 1024
+            if hard != resource.RLIM_INFINITY:
+                limit = min(limit, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+            import numpy as np
+            from qrfkit import models as md, relobs as ro
+            model = md.build_model(md.ModelSpec("nparticle", n_particles=3,
+                                                lattice_size=32))
+            fr = model.frames["A"]
+            probes = [md.gaussian_physical_state(model),
+                      md.random_physical_state(model,
+                                               np.random.default_rng(227))]
+            peaks, outs = {}, {}
+            for form in ("kinematical", "closed", "physical"):
+                tracemalloc.start()
+                obs = ro.relational_observable(
+                    model.space, model.constraint, fr, fr.grid[13],
+                    model.assignment["q_C"], form=form, Pi=model.Pi)
+                outs[form] = [obs.apply(p) for p in probes]
+                peaks[form] = tracemalloc.get_traced_memory()[1] / 2**20
+                tracemalloc.stop()
+            errs = {form: max(float(np.linalg.norm(a - b) / np.linalg.norm(b))
+                              for a, b in zip(outs[form], outs["kinematical"]))
+                    for form in ("closed", "physical")}
+            print(json.dumps({"dim": model.space.dim, "peaks": peaks,
+                              "errs": errs}))
+        """
+        rep = json.loads(run_fresh(code).splitlines()[-1])
+        assert rep["dim"] == 32768
+        assert all(peak < 64 for peak in rep["peaks"].values()), rep
+        assert all(err < 1e-9 for err in rep["errs"].values()), rep
 
 
 class TestSu2ClosedForm:
