@@ -72,9 +72,14 @@ class AlgebraicState:
             if a.degree() > self.degree_bound:
                 raise DegreeExceeded(
                     f"degree {a.degree()} exceeds bound {self.degree_bound}")
-        self._fill_cache(dict.fromkeys(m for a in elements for m in a.terms))
+        return self._values([a.terms for a in elements])
+
+    def _values(self, term_maps) -> list:
+        """sum_m numeric(c_m) * omega(m) for each monomial -> Coef map, the
+        union of their monomials valued by one ``_fill_cache``."""
+        self._fill_cache(dict.fromkeys(m for t in term_maps for m in t))
         return [sum((ncalg.numeric(c, self.hbar) * self._cache[m]
-                     for m, c in a.terms.items()), 0j) for a in elements]
+                     for m, c in t.items()), 0j) for t in term_maps]
 
     def _fill_cache(self, monomials):
         """Cache the value of each uncached monomial.
@@ -168,29 +173,68 @@ def frame_state(space: LatticeSpace, C: KinOperator, frame, rho: float,
     return from_hilbert(bra, psi_phys, space, assignment, gens, degree_bound)
 
 
-def _max_abs_value(omega: AlgebraicState, degree: int, product) -> float:
-    """max |omega(product(a))| over the monomials a with deg a <= degree."""
-    basis = omega.gens.monomial_basis(max(degree, 0))
-    return max(map(abs, omega.evaluate_all(
-        [product(omega.gens.element({m: 1})) for m in basis])))
+def _max_abs_value(omega: AlgebraicState, degree: int,
+                   left: AlgebraElement, right: AlgebraElement) -> float:
+    """max |omega(left a right)| over the monomials a with deg a <= degree.
+
+    Each product is read from ``normal_order_word(word(l) + word(a) +
+    word(r))`` over the terms l of ``left`` and r of ``right``, its exact
+    coefficients summed per monomial in the order ``multiply`` sums them
+    (so each value is bitwise that of the evaluated product), without
+    building an element per monomial.
+    """
+    gens = omega.gens
+    if left.gens is not gens or right.gens is not gens:
+        raise ValueError("elements belong to different generator sets")
+    total = max(degree, 0) + left.degree() + right.degree()
+    if total > gens.degree_cap:
+        raise DegreeExceeded(f"product degree {total} exceeds cap "
+                             f"{gens.degree_cap}")
+    if total > omega.degree_bound:
+        raise DegreeExceeded(
+            f"degree {total} exceeds bound {omega.degree_bound}")
+    pairs = []  # (word(l), word(r), c_l * c_r)
+    for ml, cl in left.terms.items():
+        for mr, cr in right.terms.items():
+            cc = {}
+            ncalg._mul_into(cc, cl.terms, cr.terms)
+            pairs.append((ncalg.monomial_word(ml), ncalg.monomial_word(mr),
+                          cc))
+    products = []
+    for m in gens.monomial_basis(max(degree, 0)):
+        wa = ncalg.monomial_word(m)
+        acc = {}
+        for wl, wr, cc in pairs:
+            for mm, c in gens.normal_order_word(wl + wa + wr).items():
+                ncalg._mul_into(acc.setdefault(mm, {}), cc, c.terms)
+        products.append({mm: Coef._of(t) for mm, t in (
+            (mm, ncalg._normalized(raw)) for mm, raw in acc.items()) if t})
+    return max(map(abs, omega._values(products)))
 
 
 def check_constraint_surface(omega: AlgebraicState, C: AlgebraElement,
                              degree: int = None) -> float:
-    """max |omega(a C)| over the monomial basis with deg a <= D - deg C."""
+    """max |omega(a C)| over the monomial basis with deg a <= D - deg C.
+
+    Each product a C is normal-ordered with exact coefficients; only its
+    valuation is floating point (numeric coefficients at the state's hbar
+    times the monomial values of ``omega``).
+    """
     d = (omega.degree_bound if degree is None else degree) - C.degree()
-    return _max_abs_value(omega, d, lambda a: a * C)
+    return _max_abs_value(omega, d, omega.gens.one(), C)
 
 
 def check_frame_gauge(omega: AlgebraicState, z_name: str, rho: float,
                       degree: int = None) -> float:
     """max |omega((Z - rho) a)| over the monomial basis with deg a <= D - 1.
 
-    rho is used exactly as given (a float stays a float coefficient).
+    Each product (Z - rho) a is normal-ordered with exact coefficients, rho
+    entering as given (a float rho makes a float-tainted coefficient); only
+    its valuation is floating point, as in ``check_constraint_surface``.
     """
     z = omega.gens.gen(z_name) - rho * omega.gens.one()
     d = (omega.degree_bound if degree is None else degree) - 1
-    return _max_abs_value(omega, d, lambda a: z * a)
+    return _max_abs_value(omega, d, z, omega.gens.one())
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +266,21 @@ def _coef_vector(elem: AlgebraElement, basis_index: dict) -> np.ndarray:
     for m, c in elem.terms.items():
         v[basis_index[m]] = ncalg.numeric(c, 1.0)
     return v
+
+
+def _commutant(gens: GeneratorSet, z_name: str, basis) -> list:
+    """Positions in ``basis`` of the monomials m with [Z, m] = 0 exactly.
+
+    Z commutes with every block but its own, so [Z, m] = 0 exactly when
+    [Z, m'] = 0 for m' the part of m in Z's block; each distinct part is
+    tested with one exact commutator.
+    """
+    z = gens.gen(z_name)
+    z_block = next(b for b in gens._blocks if gens.index[z_name] in b)
+    parts = [gens._block_part(m, z_block) for m in basis]
+    commutes = {p: commutator(z, gens.element({p: 1})).is_zero()
+                for p in dict.fromkeys(parts)}
+    return [i for i, p in enumerate(parts) if commutes[p]]
 
 
 def verify_reference_frame(gens: GeneratorSet, z_name: str,
@@ -267,8 +326,7 @@ def verify_reference_frame(gens: GeneratorSet, z_name: str,
     # The commutant of Z at the bounded degree is spanned by distinct unit
     # vectors: its rank is its size, and eliminating it deletes its rows
     # from the image block.
-    commutant = [idx[m] for m in big_basis
-                 if commutator(z, gens.element({m: 1})).is_zero()]
+    commutant = _commutant(gens, z_name, big_basis)
     B_img = np.array([_coef_vector(el, idx) for el in images
                       if not el.is_zero()]).T
     if B_img.size == 0:

@@ -447,26 +447,32 @@ class KinOperator:
     def _twirl(self, vec, out, act) -> np.ndarray:
         """sum_c P_c A P_c on ``vec``, A applied (or adjoint-applied) by ``act``.
 
-        Each column is scattered into a D x n_c block whose column c holds
-        its entries of class c; A acts on the block once, and entry i is
-        gathered from column ``classes[i]``.  Columns of ``vec`` go
-        ``_COLUMN_BLOCK // n_c`` at a time (at least one), so a block is at
-        most D x max(n_c, _COLUMN_BLOCK).
+        The classes go in groups of at most ``_COLUMN_BLOCK`` (256).  Each
+        column's entries in a group's classes are scattered into a D x n_g
+        block whose column c holds those of class c; A acts on the block
+        once, and entry i of the group's rows is gathered from column
+        ``classes[i]``.  Groups fill disjoint rows of the result.  Columns
+        of ``vec`` go ``_COLUMN_BLOCK // n_g`` at a time (at least one), so
+        a block is at most D x _COLUMN_BLOCK whatever the number of classes.
         """
         cls = self.classes
         dim, n = cls.size, int(cls.max()) + 1
-        rows = np.arange(dim)
         cols = vec.reshape(dim, -1)
         if out is None:
             out = np.empty(vec.shape, dtype=complex)
         res = out.reshape(dim, -1)
-        width = max(1, _COLUMN_BLOCK // n)
-        for i in range(0, cols.shape[1], width):
-            part = cols[:, i:i + width]
-            block = np.zeros((dim, n, part.shape[1]), dtype=complex)
-            block[rows, cls] = part
-            y = act(self.operands[0], block.reshape(dim, -1))
-            res[:, i:i + width] = y.reshape(dim, n, -1)[rows, cls]
+        for lo in range(0, n, _COLUMN_BLOCK):
+            n_g = min(_COLUMN_BLOCK, n - lo)
+            rows = np.flatnonzero((cls >= lo) & (cls < lo + n_g))
+            sub = cls[rows] - lo
+            width = max(1, _COLUMN_BLOCK // n_g)
+            for i in range(0, cols.shape[1], width):
+                part = cols[rows, i:i + width]
+                block = np.zeros((dim, n_g, part.shape[1]), dtype=complex)
+                block[rows, sub] = part
+                y = act(self.operands[0], block.reshape(dim, -1))
+                res[rows, i:i + width] = y.reshape(dim, n_g, -1)[rows, sub]
+                del block, y  # free before the next block is made
         return out
 
     def expectation(self, ket: np.ndarray, bra: np.ndarray = None) -> complex:

@@ -22,6 +22,15 @@ arithmetic, normal ordering and evaluation never load it.
 Every commutator rewrite introduces exactly one factor i*hbar*alpha, so the
 hbar power of a coefficient counts the rewrites along any normal-ordering
 path (path independence is what makes the ordering confluent).
+
+A generator set splits into commuting blocks: the classes of generators
+linked by a non-zero relation, directly or through one of its components.
+Each block spans a subalgebra closed under the relations, and generators in
+different blocks commute exactly, so a normal-ordered monomial is the product
+of its parts in each block, in any order.  The Weyl average is a product of
+per-block averages, and a commutator with one generator vanishes on a
+monomial exactly when it vanishes on the monomial's part in that
+generator's block.  Normal ordering itself works on whole words.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from numbers import Integral
+from operator import add
 
 import numpy as np
 
@@ -239,6 +249,12 @@ class GeneratorSet:
     ``IDENTITY``) to the exact structure constant alpha in
     ``[y_i, y_j] = i*hbar*sum_k alpha_k y_k``.  Antisymmetry is implicit;
     the Jacobi identity is verified once at construction.
+
+    The commuting blocks are computed once from the table: generators i and
+    j share a block when relation (i, j) is non-zero, and each of its
+    components shares the block of i and j.  Generators in different blocks
+    commute exactly.  ``monomial_basis`` is built once, degree by degree,
+    and extended on demand.
     """
 
     def __init__(self, names, relations, degree_cap: int = 12):
@@ -254,6 +270,7 @@ class GeneratorSet:
             table[(i, j)] = {k: _coef(a) for k, a in comps.items()
                              if _coef(a)}
         self.relations = table
+        self._blocks = self._commuting_blocks()
         # (a, b) -> [(replacement word, i*hbar*alpha)] for y_a y_b, a > b
         self._rewrites = {
             (a, b): [(() if k == IDENTITY else (k,), I_HBAR * alpha)
@@ -261,6 +278,8 @@ class GeneratorSet:
             for (b, a) in table}
         self._word_cache = {}
         self._weyl_cache = {}
+        self._basis = []       # monomials sorted by (degree, m)
+        self._basis_ends = []  # _basis_ends[d]: end of degree d in _basis
         self._verify_jacobi()
 
     # -- constructors ------------------------------------------------------
@@ -302,6 +321,32 @@ class GeneratorSet:
         if i < j:
             return self.relations.get((i, j), {})
         return {k: -a for k, a in self.relations.get((j, i), {}).items()}
+
+    def _commuting_blocks(self) -> tuple:
+        """Generator index tuples, each in increasing order: the classes of
+        generators linked by a non-zero relation or one of its components."""
+        parent = list(range(len(self.names)))
+
+        def root(g):
+            while parent[g] != g:
+                parent[g] = parent[parent[g]]
+                g = parent[g]
+            return g
+
+        for (i, j), comps in self.relations.items():
+            if comps:
+                for g in (j, *(k for k in comps if k != IDENTITY)):
+                    parent[root(g)] = root(i)
+        roots = [root(g) for g in range(len(self.names))]
+        return tuple(tuple(g for g, r in enumerate(roots) if r == b)
+                     for b in dict.fromkeys(roots))
+
+    def _block_part(self, m: tuple, block: tuple) -> tuple:
+        """``m`` restricted to the generators of ``block``, zero elsewhere."""
+        part = [0] * len(m)
+        for g in block:
+            part[g] = m[g]
+        return tuple(part)
 
     def _verify_jacobi(self):
         n = len(self.names)
@@ -346,18 +391,27 @@ class GeneratorSet:
         return AlgebraElement._of(self, acc)
 
     def monomial_basis(self, max_degree: int):
-        """All normal-ordered exponent vectors with degree <= max_degree."""
+        """All normal-ordered exponent vectors with degree <= max_degree,
+        sorted by (degree, m); a fresh list each call."""
+        if max_degree < 0:
+            return []
         n = len(self.names)
 
-        def rec(slot, remaining):
+        def exactly(slot, remaining):
+            """Exponent vectors of degree ``remaining`` on the generators
+            from ``slot`` on, in increasing order."""
             if slot == n:
-                yield ()
+                if remaining == 0:
+                    yield ()
                 return
             for e in range(remaining + 1):
-                for rest in rec(slot + 1, remaining - e):
+                for rest in exactly(slot + 1, remaining - e):
                     yield (e,) + rest
 
-        return sorted(rec(0, max_degree), key=lambda m: (sum(m), m))
+        while len(self._basis_ends) <= max_degree:
+            self._basis.extend(exactly(0, len(self._basis_ends)))
+            self._basis_ends.append(len(self._basis))
+        return self._basis[:self._basis_ends[max_degree]]
 
     # -- word rewriting ----------------------------------------------------
 
@@ -548,41 +602,63 @@ def weyl_symmetrize(gens: GeneratorSet, m) -> AlgebraElement:
     """Average over all distinct orderings of the monomial's multiset.
 
     The result is expressed in normal order; its leading (same-degree)
-    monomial is ``m`` with coefficient one.
+    monomial is ``m`` with coefficient one.  Parts of ``m`` in different
+    commuting blocks commute, so the average is the product of the
+    per-block averages (their monomials add, their coefficients multiply);
+    only a part within one block is averaged over its orderings.  Every
+    average is cached on ``gens``.
     """
     m = tuple(m)
     cached = gens._weyl_cache.get(m)
     if cached is not None:
         return cached
-    perms = dict.fromkeys(permutations(monomial_word(m)))
-    acc = {}
-    for perm in perms:
-        for mm, c in gens.normal_order_word(perm).items():
-            _add_into(acc.setdefault(mm, {}), c.terms)
-    result = Fraction(1, len(perms)) * AlgebraElement._of(gens, acc)
+    parts = [p for p in (gens._block_part(m, b) for b in gens._blocks)
+             if any(p)]
+    if len(parts) > 1:
+        acc = {gens.unit_monomial(): _ONE.terms}
+        for part in parts:
+            block_avg = weyl_symmetrize(gens, part).terms.items()
+            nxt = {}
+            for m1, c1 in acc.items():
+                for m2, c2 in block_avg:
+                    _mul_into(nxt.setdefault(tuple(map(add, m1, m2)), {}),
+                              c1, c2.terms)
+            acc = nxt
+        result = AlgebraElement._of(gens, acc)
+    else:
+        perms = dict.fromkeys(permutations(monomial_word(m)))
+        acc = {}
+        for perm in perms:
+            for mm, c in gens.normal_order_word(perm).items():
+                _add_into(acc.setdefault(mm, {}), c.terms)
+        result = Fraction(1, len(perms)) * AlgebraElement._of(gens, acc)
     gens._weyl_cache[m] = result
     return result
 
 
 def to_weyl_basis(a: AlgebraElement) -> dict:
-    """Coefficients c_m with ``a = sum_m c_m * Weyl(m)`` (exact, triangular)."""
+    """Coefficients c_m with ``a = sum_m c_m * Weyl(m)`` (exact, triangular).
+
+    The residual is cleared one degree at a time from the top, in
+    descending m within a degree: Weyl(m) - m has only lower-degree terms,
+    so clearing degree d never touches degree d or above.
+    """
     gens = a.gens
     residual = dict(a.terms)
     coeffs = {}
-    while residual:
-        m = max(residual, key=lambda m: (sum(m), m))
-        c = residual.pop(m)
-        coeffs[m] = c
-        if sum(m) == 0:
-            continue
-        for mm, cc in weyl_symmetrize(gens, m).terms.items():
-            if mm == m:
+    for d in range(a.degree(), -1, -1):
+        for m in sorted((m for m in residual if sum(m) == d), reverse=True):
+            c = coeffs[m] = residual.pop(m)
+            if d == 0:
                 continue
-            v = residual.get(mm, _ZERO) - c * cc
-            if v:
-                residual[mm] = v
-            else:
-                residual.pop(mm, None)
+            for mm, cc in weyl_symmetrize(gens, m).terms.items():
+                if mm == m:
+                    continue
+                v = residual.get(mm, _ZERO) - c * cc
+                if v:
+                    residual[mm] = v
+                else:
+                    residual.pop(mm, None)
     return coeffs
 
 

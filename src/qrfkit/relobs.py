@@ -124,12 +124,12 @@ def g_twirl(space: LatticeSpace, C: KinOperator, A: KinOperator) -> KinOperator:
 
     For a diagonal C the result is the composed form sum_c P_c A P_c over
     the eigenvalue classes c of C.  It stores A and one class index per
-    basis state; an apply is one apply of A to a D x n_c block (n_c the
-    number of classes), and reading ``matrix`` costs D/256 applies of A to
-    256 identity columns.  The classes are computed once: sorted
-    eigenvalues closer than the tolerance share one, and a class that spans
-    the tolerance or more has no consistent split, so it raises
-    IncommensurableSpectrum.  A non-diagonal C is diagonalised densely
+    basis state; an apply is one apply of A per group of at most 256
+    classes, to a D x n_g block (n_g the classes in the group), and reading
+    ``matrix`` costs D/256 applies of A to 256 identity columns.  The
+    classes are computed once: sorted eigenvalues closer than the tolerance
+    share one, and a class that spans the tolerance or more has no
+    consistent split, so it raises IncommensurableSpectrum.  A non-diagonal C is diagonalised densely
     (``eigh`` of its D x D matrix) and gives a dense result.
     """
     vals, vecs = _eig(C)

@@ -1,22 +1,28 @@
 """Independent test oracles: the explicit finite cyclic group of a constraint,
 the G-twirl as its finite sum of conjugations, the dense closed-form
 relational observable, the factor support of an operator read off its full
-matrix, and the dense matrix of an algebra element.
+matrix, the dense matrix of an algebra element, and the algebra layer
+without commuting blocks.
 
 The library computes the group average and the G-twirl spectrally; these
 sums check them from the group itself.  It computes support block by block
 from the stored form; the oracle rebuilds each Kronecker product in full.
+It factors Weyl averages, commutants and check products by commuting
+generator blocks; the oracles average every ordering of the whole word,
+commute with every basis monomial and multiply out every product.
 """
 
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations, product
 from math import gcd
 
 import numpy as np
 from scipy.linalg import expm
 
 from qrfkit.kinspace import HERM_TOL, KinOperator, LatticeSpace, _eig
-from qrfkit.ncalg import AlgebraElement, monomial_word, numeric
+from qrfkit.ncalg import (_ZERO, AlgebraElement, _add_into, commutator,
+                          monomial_word, numeric)
 from qrfkit.relobs import frame_system_generator
 
 
@@ -122,3 +128,61 @@ def represent(a: AlgebraElement, space: LatticeSpace,
             word = word @ mats[a.gens.names[g]]
         out += numeric(c, space.hbar) * word
     return out
+
+
+def monomial_basis_oracle(n: int, max_degree: int) -> list:
+    """Exponent vectors on n generators with degree <= max_degree, sorted by
+    (degree, m) from the full grid."""
+    return sorted((m for m in product(range(max(max_degree, 0) + 1),
+                                      repeat=n) if sum(m) <= max_degree),
+                  key=lambda m: (sum(m), m))
+
+
+def weyl_symmetrize_oracle(gens, m) -> AlgebraElement:
+    """Average of the normal-ordered products of every distinct ordering of
+    the whole word of ``m``, uncached."""
+    perms = dict.fromkeys(permutations(monomial_word(tuple(m))))
+    acc = {}
+    for perm in perms:
+        for mm, c in gens.normal_order_word(perm).items():
+            _add_into(acc.setdefault(mm, {}), c.terms)
+    return Fraction(1, len(perms)) * AlgebraElement._of(gens, acc)
+
+
+def to_weyl_basis_oracle(a: AlgebraElement) -> dict:
+    """Weyl coefficients by clearing the residual's largest (degree, m)
+    monomial, found by a ``max`` scan each time, with the oracle averages."""
+    residual = dict(a.terms)
+    coeffs = {}
+    while residual:
+        m = max(residual, key=lambda m: (sum(m), m))
+        c = residual.pop(m)
+        coeffs[m] = c
+        if sum(m) == 0:
+            continue
+        for mm, cc in weyl_symmetrize_oracle(a.gens, m).terms.items():
+            if mm == m:
+                continue
+            v = residual.get(mm, _ZERO) - c * cc
+            if v:
+                residual[mm] = v
+            else:
+                residual.pop(mm, None)
+    return coeffs
+
+
+def commutant_oracle(gens, z_name: str, basis) -> list:
+    """Positions in ``basis`` of the monomials that commute with Z, one full
+    commutator per monomial."""
+    z = gens.gen(z_name)
+    return [i for i, m in enumerate(basis)
+            if commutator(z, gens.element({m: 1})).is_zero()]
+
+
+def max_abs_value_oracle(omega, degree: int, product) -> float:
+    """max |omega(product(a))| over the monomials a with deg a <= degree,
+    each product an element built by ``multiply`` and evaluated."""
+    gens = omega.gens
+    basis = monomial_basis_oracle(len(gens.names), max(degree, 0))
+    return max(map(abs, omega.evaluate_all(
+        [product(gens.element({m: 1})) for m in basis])))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from oracles import commutant_oracle, max_abs_value_oracle
 from qrfkit import algstates as ast
 from qrfkit import kinspace as ks
 from qrfkit import models as md
@@ -191,6 +192,94 @@ class TestVerifyReferenceFrame:
             assert all(type(f) is bool for f in fields)
             assert fields == tuple(bool(f) for f in self.brute_force_report(
                 model.gens, q_name, model.constraint_elem, 4))
+
+
+MODELS = [md.ModelSpec("nparticle"), md.ModelSpec("su2", j=1),
+          md.ModelSpec("degenerate"), md.ModelSpec("newtonian", dp=2.0)]
+
+
+class TestBlockFactoredChecks:
+    """The commutant, reports and check values against the oracles that
+    commute with, and multiply out, every basis monomial."""
+
+    @pytest.mark.parametrize("spec", MODELS, ids=lambda spec: spec.name)
+    def test_commutant_equals_brute_force(self, spec):
+        gens = md.build_model(spec).gens
+        basis = gens.monomial_basis(5)
+        for z_name in gens.names:
+            assert (ast._commutant(gens, z_name, basis)
+                    == commutant_oracle(gens, z_name, basis)), z_name
+
+    @pytest.mark.parametrize("spec, degrees", [
+        (md.ModelSpec("nparticle"), (3, 5)),
+        (md.ModelSpec("su2", j=1), (4, 6)),
+        (md.ModelSpec("degenerate"), (6,)),
+        (md.ModelSpec("newtonian", dp=2.0), (6,))],
+        ids=lambda x: getattr(x, "name", None))
+    def test_reports_unchanged(self, spec, degrees, monkeypatch):
+        model = md.build_model(spec)
+        q_name = model.frame_pairs[next(iter(model.frames))][0]
+        for degree in degrees:
+            args = (model.gens, q_name, model.constraint_elem, degree)
+            report = ast.verify_reference_frame(*args)
+            with monkeypatch.context() as mp:
+                mp.setattr(ast, "_commutant", commutant_oracle)
+                assert report == ast.verify_reference_frame(*args)
+
+    @staticmethod
+    def states(model):
+        """A frame state, and a generic bra/ket pair off both surfaces."""
+        rng = np.random.default_rng(43)
+        psi = md.random_physical_state(model, rng)
+        label = next(iter(model.frames))
+        rho = model.frames[label].grid[3]
+        bra, ket = (rng.normal(size=(2, model.space.dim))
+                    + 1j * rng.normal(size=(2, model.space.dim)))
+        return rho, [frame_omega(model, label, rho, psi, degree=5),
+                     ast.from_hilbert(bra, ket, model.space, model.assignment,
+                                      model.gens, degree_bound=5)]
+
+    @pytest.mark.parametrize("spec", MODELS, ids=lambda spec: spec.name)
+    def test_checks_match_the_product_oracle(self, spec):
+        model = md.build_model(spec)
+        C = model.constraint_elem
+        q_name = model.frame_pairs[next(iter(model.frames))][0]
+        rho, states = self.states(model)
+        z = model.gens.gen(q_name) - rho * model.gens.one()
+        for om in states:
+            for d in (C.degree(), 4, 5):
+                got = ast.check_constraint_surface(om, C, d)
+                ref = max_abs_value_oracle(om, d - C.degree(), lambda a: a * C)
+                assert abs(got - ref) <= 1e-12 * max(ref, 1e-300)
+                got = ast.check_frame_gauge(om, q_name, rho, d)
+                ref = max_abs_value_oracle(om, d - 1, lambda a: z * a)
+                assert abs(got - ref) <= 1e-12 * max(ref, 1e-300)
+
+    def test_checks_on_a_table_state_match_the_product_oracle(self, npmodel,
+                                                              loc_state):
+        table = frame_omega(npmodel, "A", 0.0, loc_state, 4).value_table(4)
+        om = ast.from_table(npmodel.gens, table, degree_bound=4,
+                            hbar=npmodel.hbar)
+        C = npmodel.constraint_elem
+        z = npmodel.gens.gen("q_B") - 0.25 * npmodel.gens.one()
+        assert ast.check_constraint_surface(om, C) == max_abs_value_oracle(
+            om, 3, lambda a: a * C)
+        assert ast.check_frame_gauge(om, "q_B", 0.25) == max_abs_value_oracle(
+            om, 3, lambda a: z * a)
+
+    def test_checks_raise_above_the_bound(self, npmodel, loc_state):
+        om = frame_omega(npmodel, "A", 0.0, loc_state, degree=4)
+        with pytest.raises(DegreeExceeded, match="exceeds bound 4"):
+            ast.check_constraint_surface(om, npmodel.constraint_elem, 5)
+        with pytest.raises(DegreeExceeded, match="exceeds bound 4"):
+            ast.check_frame_gauge(om, "q_A", 0.0, 5)
+
+    def test_constraint_from_another_generator_set_rejected(self, npmodel,
+                                                            loc_state):
+        om = frame_omega(npmodel, "A", 0.0, loc_state, degree=4)
+        other = md.build_model(md.ModelSpec("nparticle", lattice_size=8))
+        with pytest.raises(ValueError, match="different generator sets"):
+            ast.check_constraint_surface(om, other.constraint_elem, 4)
 
 
 class TestAlmostPositive:

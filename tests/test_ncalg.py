@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from oracles import represent
+from oracles import (monomial_basis_oracle, represent, to_weyl_basis_oracle,
+                     weyl_symmetrize_oracle)
 from qrfkit import kinspace as ks
+from qrfkit import models as md
 from qrfkit import ncalg
 from qrfkit.algstates import from_table
 from qrfkit.errors import DegreeExceeded, RelationViolation
@@ -196,6 +198,103 @@ class TestWeyl:
             coeffs = ncalg.to_weyl_basis(a)
             back = ncalg.from_weyl_basis(su2set, coeffs)
             assert back == a
+
+
+def interleaved():
+    """Two canonical pairs whose blocks interleave in the generator order."""
+    return GeneratorSet(("q1", "q2", "p1", "p2"),
+                        {(0, 2): {ncalg.IDENTITY: 1},
+                         (1, 3): {ncalg.IDENTITY: 1}})
+
+
+BLOCK_SETS = {
+    "nparticle": lambda: md.build_model(md.ModelSpec("nparticle")).gens,
+    "su2": lambda: md.build_model(md.ModelSpec("su2")).gens,
+    "degenerate": lambda: md.build_model(md.ModelSpec("degenerate")).gens,
+    "newtonian": lambda: md.build_model(
+        md.ModelSpec("newtonian", dp=2.0)).gens,
+    "interleaved": interleaved,
+}
+
+
+class TestCommutingBlocks:
+    @pytest.mark.parametrize("name, blocks", [
+        ("nparticle", ((0, 1), (2, 3), (4, 5))),
+        ("su2", ((0, 1), (2, 3), (4, 5, 6))),
+        ("degenerate", ((0, 1), (2,))),
+        ("newtonian", ((0, 1), (2, 3))),
+        ("interleaved", ((0, 2), (1, 3))),
+    ])
+    def test_blocks_of_the_relation_tables(self, name, blocks):
+        assert BLOCK_SETS[name]()._blocks == blocks
+
+    def test_a_component_joins_its_relation_block(self):
+        # Heisenberg [x, y] = i*hbar*z: z shares the block; w is alone, and
+        # a relation whose components are all zero links nothing
+        gens = GeneratorSet(("x", "y", "z", "w"),
+                            {(0, 1): {2: 1}, (2, 3): {ncalg.IDENTITY: 0}})
+        assert gens._blocks == ((0, 1, 2), (3,))
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_SETS))
+    def test_weyl_equals_the_permutation_oracle(self, name):
+        gens = BLOCK_SETS[name]()
+        for m in gens.monomial_basis(5):
+            w, ref = weyl_symmetrize(gens, m), weyl_symmetrize_oracle(gens, m)
+            assert w == ref, m
+            assert w.serialize() == ref.serialize(), m
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_SETS))
+    def test_to_weyl_basis_equals_the_oracle_term_for_term(self, name):
+        gens = BLOCK_SETS[name]()
+        rng = np.random.default_rng(41)
+        basis = gens.monomial_basis(4)
+
+        def coef(kind):
+            num = int(rng.integers(-5, 6))
+            return {"rational": Fraction(num, 3),
+                    "complex": complex(num, int(rng.integers(-3, 4))),
+                    "float": num / 3}[kind]
+
+        elements = [gens.element({basis[int(rng.integers(0, len(basis)))]:
+                                  coef(kind) for _ in range(6)})
+                    for kind in ("rational", "complex", "float")
+                    for _ in range(4)]
+        s = gens.zero()
+        for k, n in enumerate(gens.names):
+            s = s + (k + 1) * gens.gen(n)
+        elements.append((s * s) * (s * s))
+        for a in elements:
+            coeffs, ref = ncalg.to_weyl_basis(a), to_weyl_basis_oracle(a)
+            assert list(coeffs) == list(ref)
+            assert all(coeffs[m].terms == ref[m].terms for m in ref)
+            assert ncalg.from_weyl_basis(gens, coeffs) == a
+
+    def test_weyl_normal_orders_one_word_per_block_ordering(self):
+        # q_A p_A q_B p_B q_C p_C: 2 + 2 + 2 block orderings, where the
+        # whole word has 720 distinct orderings
+        gens = md.build_model(md.ModelSpec("nparticle")).gens
+        calls = []
+        plain = gens.normal_order_word
+
+        def counting(word):
+            calls.append(word)
+            return plain(word)
+
+        gens.normal_order_word = counting
+        w = weyl_symmetrize(gens, (1, 1, 1, 1, 1, 1))
+        assert len(calls) <= 8
+        assert w == weyl_symmetrize_oracle(gens, (1, 1, 1, 1, 1, 1))
+
+    def test_monomial_basis_is_sorted_and_fresh(self):
+        for n in range(1, 8):
+            gens = GeneratorSet([f"y{g}" for g in range(n)], {})
+            for d in (3, 0, 6, 2):  # grown, then read back below the top
+                basis = gens.monomial_basis(d)
+                assert basis == monomial_basis_oracle(n, d)
+                basis.append(None)
+                basis[0] = None
+                assert gens.monomial_basis(d) == monomial_basis_oracle(n, d)
+            assert gens.monomial_basis(-1) == []
 
 
 class TestAdjoint:

@@ -358,6 +358,70 @@ class TestComposedForms:
         assert np.count_nonzero(mask[:3, :3]) == 5
         assert np.array_equal(tw.matrix, A.matrix * mask)
 
+    @staticmethod
+    def many_class_twirl(lattice_size, n_classes, seed):
+        """g_twirl(C, A) on three frames, C diagonal with ``n_classes``
+        integer eigenvalues in a random order and A a dense operator."""
+        model = md.build_model(md.ModelSpec("nparticle", n_particles=3,
+                                            lattice_size=lattice_size))
+        sp = model.space
+        rng = np.random.default_rng(seed)
+        vals = (rng.permutation(sp.dim) % n_classes).astype(float)
+        A = ks.KinOperator.from_matrix(sp, rng.normal(size=(sp.dim, sp.dim))
+                                       + 1j * rng.normal(size=(sp.dim, sp.dim)))
+        C = ks.KinOperator.from_diag(sp, vals)
+        V = rng.normal(size=(sp.dim, 3)) + 1j * rng.normal(size=(sp.dim, 3))
+        return sp, C, A, ro.g_twirl(sp, C, A), V
+
+    def test_grouped_classes_match_the_group_sum(self, monkeypatch):
+        # groups of at most 4 classes: 24 classes at D = 64 take six groups
+        monkeypatch.setattr(ks, "_COLUMN_BLOCK", 4)
+        sp, C, A, tw, V = self.many_class_twirl(4, 24, 229)
+        ref = g_twirl_oracle(sp, C, A)
+        tol = 1e-12 * np.max(np.abs(ref))
+        for v in (V, V[:, 0]):
+            assert np.max(np.abs(tw.apply(v) - ref @ v)) < tol
+            assert np.max(np.abs(tw.apply_adjoint(v) - ref.conj().T @ v)) < tol
+
+    def test_more_classes_than_a_block_at_d512(self):
+        # 300 classes at D = 512: two groups of at most 256
+        sp, C, A, tw, V = self.many_class_twirl(8, 300, 233)
+        vals = C.diag.real
+        ref = A.matrix * (vals[:, None] == vals[None, :])
+        tol = 1e-12 * np.max(np.abs(ref))
+        for v in (V, V[:, 0]):
+            assert np.max(np.abs(tw.apply(v) - ref @ v)) < tol
+            assert np.max(np.abs(tw.apply_adjoint(v) - ref.conj().T @ v)) < tol
+
+    def test_all_distinct_classes_apply_in_bounded_blocks(self):
+        """C = diag(0, ..., D - 1) on three 12-site frames (D = 1728): each
+        basis state is its own class, so the twirl keeps A's diagonal.  One
+        vector apply stays under 16 MiB of tracemalloc peak; one D x D
+        complex array is 45.6 MiB."""
+        import tracemalloc
+
+        model = md.build_model(md.ModelSpec("nparticle", n_particles=3,
+                                            lattice_size=12))
+        sp = model.space
+        assert sp.dim == 1728
+        rng = np.random.default_rng(239)
+        A = ks.factor_operator(sp, 1, rng.normal(size=(12, 12))
+                               + 1j * rng.normal(size=(12, 12)))
+        C = ks.KinOperator.from_diag(sp, np.arange(sp.dim, dtype=float))
+        tw = ro.g_twirl(sp, C, A)
+        v = rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim)
+        tracemalloc.start()
+        try:
+            y = tw.apply(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, peak / 2 ** 20
+        d = A.diagonal()
+        assert np.max(np.abs(y - d * v)) < 1e-12 * np.max(np.abs(d * v))
+        assert np.max(np.abs(tw.apply_adjoint(v) - d.conj() * v)) \
+            < 1e-12 * np.max(np.abs(d * v))
+
     def test_all_forms_at_d32768_in_a_fresh_interpreter(self):
         """nparticle L = 32 under a 3 GB address-space limit: the forms agree
         on two physical probes, and each build plus two applies stays under
