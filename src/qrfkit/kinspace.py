@@ -250,9 +250,8 @@ class KinOperator:
     complex array of ``vec``'s shape that does not overlap ``vec``, and
     returns it, the same bits as ``apply(vec)``.
 
-    ``A @ B`` is diagonal when both operands are diagonal, the dense
-    ``np.matmul`` when both are dense, and composed otherwise.  ``A + B`` is
-    diagonal when both are diagonal and composed otherwise.
+    ``A @ B`` and ``A + B`` are diagonal when both operands are diagonal
+    and composed otherwise; no product or sum is densified.
 
     ``matrix`` builds the dense D x D form only when a caller reads it, a
     composed form from identity blocks of ``_COLUMN_BLOCK`` columns, and
@@ -502,14 +501,34 @@ class KinOperator:
         self._check(other)
         if self.is_diagonal and other.is_diagonal:
             return KinOperator.from_diag(self.space, self.diag * other.diag)
-        if self._matrix is not None and other._matrix is not None:
-            return KinOperator.from_matrix(
-                self.space, np.matmul(self._matrix, other._matrix))
         return KinOperator.composed("@", (self, other))
 
     def _check(self, other):
         if other.space is not self.space:
             raise ValueError("operators live on different spaces")
+
+
+def _trace_of_product(a: KinOperator, C: KinOperator) -> complex:
+    """tr(aC) from the stored forms, without forming aC.
+
+    When either operand is diagonal only the diagonals are read.  Two
+    factor-local operands give (D/n) tr(ab) on one factor of size n, and
+    D tr(a) tr(b) / (n_a n_b) on two factors.  A dense operand is paired
+    with the other's D x D matrix.  Any other pair sums the diagonal of
+    the composed product aC, read from identity column blocks.
+    """
+    if a.is_diagonal or C.is_diagonal:
+        return complex(np.dot(a.diagonal(), C.diagonal()))
+    dim = a.space.dim
+    if a.local is not None and C.local is not None:
+        n_a, n_c = len(a.local), len(C.local)
+        if a.factor == C.factor:
+            return complex(dim // n_a * np.einsum("ij,ji->", a.local, C.local))
+        return complex(dim * np.trace(a.local) * np.trace(C.local)
+                       / (n_a * n_c))
+    if a._matrix is not None or C._matrix is not None:
+        return complex(np.einsum("ij,ji->", a.matrix, C.matrix))
+    return complex(np.sum((a @ C).diagonal()))
 
 
 def identity_operator(space: LatticeSpace) -> KinOperator:

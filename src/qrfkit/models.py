@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kinspace as ks
 from . import ncalg
-from .errors import ConfigError, IncommensurableSpectrum
+from .errors import ConfigError
 from .kinspace import FactorSpec, KinOperator
 from .ncalg import GeneratorSet
 from .relobs import OrientationFrame, frame_system_generator
@@ -163,11 +163,6 @@ def _build_su2(spec: ModelSpec) -> Model:
     beta_val = spec.beta * spec.dp / ks.positive_finite("hbar", spec.hbar)
     jx, jy, jz = spin_matrices(int(spec.j), spec.hbar)
     gs_spec = -beta_val * np.diag(jz).real
-    off = gs_spec / spec.dp
-    if np.max(np.abs(off - np.rint(off))) > 1e-9:
-        raise IncommensurableSpectrum(
-            "beta*J_z eigenvalues leave the frame momentum lattice; "
-            "pick beta an integer multiple of dp/hbar")
     factors = frame_factors + [FactorSpec.system(gs_spec, name="S")]
     space = ks.tensor_space(factors, hbar=spec.hbar)
     gens = GeneratorSet.canonical_with_su2(
@@ -202,9 +197,6 @@ def _build_newtonian(spec: ModelSpec) -> Model:
     n_s = spec.system_size
     p_s = dp * np.arange(-n_s // 2, n_s // 2)
     kinetic = p_s * p_s / 2.0
-    if np.max(np.abs(kinetic / dp - np.rint(kinetic / dp))) > 1e-9:
-        raise IncommensurableSpectrum(
-            "p_S^2/2 leaves the clock momentum lattice; use dp = 2")
     factors = [clock, FactorSpec.system(kinetic, name="S")]
     space = ks.tensor_space(factors, hbar=spec.hbar)
     gens = GeneratorSet.canonical([("t_C", "p_C"), ("q_S", "p_S")])

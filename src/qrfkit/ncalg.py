@@ -44,7 +44,7 @@ from operator import add
 import numpy as np
 
 from .errors import DegreeExceeded, RelationViolation
-from .kinspace import _COLUMN_BLOCK, KinOperator
+from .kinspace import _COLUMN_BLOCK
 
 IDENTITY = -1  # index of the identity component in relation tables
 
@@ -707,16 +707,10 @@ def _prefix_walk(gens: GeneratorSet, words, assignment, vec):
                   if (g,) + w in closure]
 
 
-def _as_operator(space, op) -> KinOperator:
-    """``op`` itself, or a raw array wrapped as a dense KinOperator."""
-    if isinstance(op, KinOperator):
-        return op
-    return KinOperator.from_matrix(space, op)
-
-
 def verify_assignment(gens: GeneratorSet, space, assignment,
                       test_states=None) -> dict:
-    """Check the relation table under an assignment, through ``apply`` only.
+    """Check the relation table under an assignment (generator name to
+    KinOperator), through ``apply`` only.
 
     Each relation [a, b] = i*hbar*sum_k alpha_k y_k is read from one residual
     on a column block V: R = a(bV) - b(aV) - sum_k i*hbar*alpha_k y_k V,
@@ -729,15 +723,14 @@ def verify_assignment(gens: GeneratorSet, space, assignment,
     (D x len(test_states)) and the report gives max |v^dag R v| / v^dag v
     over them, or None without test states.
     """
-    ops = {name: _as_operator(space, op) for name, op in assignment.items()}
     states = list(() if test_states is None else test_states)
     states = np.column_stack(states) if states else None
     report = {}
     for (i, j), comps in gens.relations.items():
         key = (gens.names[i], gens.names[j])
-        a, b = ops[key[0]], ops[key[1]]
+        a, b = assignment[key[0]], assignment[key[1]]
         terms = [(numeric(I_HBAR * alpha, space.hbar),
-                  None if k == IDENTITY else ops[gens.names[k]])
+                  None if k == IDENTITY else assignment[gens.names[k]])
                  for k, alpha in comps.items()]
         if IDENTITY not in comps:
             dim = space.dim

@@ -24,7 +24,7 @@ from .errors import (IllConditionedFlow, IndexOutOfRange, SameFrame,
                      UnsupportedSupport)
 from .kinspace import _COLUMN_BLOCK as _GAUGE_BLOCK
 from .kinspace import (KinOperator, LatticeSpace, _check_dense,
-                       check_physical, tensor_space)
+                       _trace_of_product, check_physical, tensor_space)
 from .relobs import OrientationFrame, orientation_state_at, theta_projector
 
 
@@ -183,97 +183,63 @@ def gauge_flow(omega: AlgebraicState, a: KinOperator, lam: float,
     infinitesimal version reproduces the derivation flow
     d/dlam omega'(b)|_0 = omega([b, aC])/(i hbar).
 
-    The new bra is exp(-i lam (aC)^dag / hbar) applied to the old one;
-    neither aC nor its exponential is ever formed.  When ``a`` and ``C``
-    are both diagonal the flow is an elementwise phase on the bra and
-    ||aC||_2 = max |a_ii C_ii| exactly.  Otherwise the exponential acts on
+    The new bra is exp(-i lam X^dag / hbar) applied to the old one, with
+    X = a @ C formed once; its exponential is never formed.  A diagonal X
+    (``a`` and ``C`` both diagonal) gives an elementwise phase on the bra
+    and ||X||_2 = max |X_ii| exactly.  Otherwise the exponential acts on
     the bra through ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy &
-    Higham 2011) on an operator built from ``apply``, and the ||aC||_2 in
-    the guard is a power-iteration estimate (from below).  The guard raises
-    ``IllConditionedFlow`` when |lam| ||aC||_2 / hbar exceeds
-    ``max_exponent``.
+    Higham 2011) on an operator built from ``X.apply_adjoint`` and
+    ``X.apply``, and the ||X||_2 in the guard is a power-iteration
+    estimate (from below).  The guard raises ``IllConditionedFlow`` when
+    |lam| ||X||_2 / hbar exceeds ``max_exponent``.
     """
     if omega.bra is None:
         raise ValueError("gauge flows need a Hilbert-backed state")
     hbar = omega.space.hbar
-    if a.is_diagonal and C.is_diagonal:
-        x = a.diag * C.diag
-        norm = float(np.max(np.abs(x)))
+    X = a @ C
+    if X.is_diagonal:
+        norm = float(np.max(np.abs(X.diag)))
     else:
-        X = _product_operator(a, C)
         norm = _spectral_norm_estimate(X)
     scale = abs(lam) * norm / hbar
     if scale > max_exponent:
         raise IllConditionedFlow(
             f"|lam|*||aC||/hbar = {scale:.1f} exceeds {max_exponent}")
-    if a.is_diagonal and C.is_diagonal:
-        new_bra = np.exp(-1j * lam * x.conj() / hbar) * omega.bra
+    if X.is_diagonal:
+        new_bra = np.exp(-1j * lam * X.diag.conj() / hbar) * omega.bra
     else:
-        from scipy.sparse.linalg import expm_multiply
+        # imported here, so importing qrfkit skips it
+        from scipy.sparse.linalg import LinearOperator, expm_multiply
 
         coeff = -1j * lam / hbar
         trace = coeff * np.conj(_trace_of_product(a, C))
-        new_bra = expm_multiply(coeff * X.H, omega.bra, traceA=trace)
+        X_dag = LinearOperator((X.space.dim,) * 2, dtype=complex,
+                               matvec=X.apply_adjoint, rmatvec=X.apply)
+        new_bra = expm_multiply(coeff * X_dag, omega.bra, traceA=trace)
     return from_hilbert(new_bra, omega.ket, omega.space, omega.assignment,
                         omega.gens, omega.degree_bound, normalize=False)
 
 
-def _product_operator(a: KinOperator, C: KinOperator):
-    """aC as a LinearOperator that only calls ``apply``/``apply_adjoint``.
-
-    scipy.sparse.linalg is imported here, not at module level, so that
-    importing qrfkit does not pay for it when every flow is diagonal.
-    """
-    from scipy.sparse.linalg import LinearOperator
-
-    return LinearOperator(
-        (a.space.dim, a.space.dim), dtype=complex,
-        matvec=lambda v: a.apply(C.apply(np.ravel(v))),
-        rmatvec=lambda v: C.apply_adjoint(a.apply_adjoint(np.ravel(v))))
-
-
-def _spectral_norm_estimate(X) -> float:
+def _spectral_norm_estimate(X: KinOperator) -> float:
     """||X||_2 from below, by power iteration on X^dag X from a fixed start.
 
     Stops when two iterates agree to 1e-6 relative, which is ample for a
     guard on the exponent's size, or after 100 iterations.
     """
+    dim = X.space.dim
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(X.shape[1]) + 1j * rng.standard_normal(X.shape[1])
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     est = 0.0
     for _ in range(100):
-        w = X.matvec(v)
+        w = X.apply(v)
         new = float(np.linalg.norm(w))
         if new == 0.0 or abs(new - est) <= 1e-6 * new:
             return new
         est = new
-        v = X.rmatvec(w)
+        v = X.apply_adjoint(w)
         v /= np.linalg.norm(v)
     return est
-
-
-def _trace_of_product(a: KinOperator, C: KinOperator) -> complex:
-    """tr(aC) from the stored forms, without forming aC.
-
-    When either operand is diagonal only the diagonals are read.  Two
-    factor-local operands give (D/n) tr(ab) on one factor of size n, and
-    D tr(a) tr(b) / (n_a n_b) on two factors.  A dense operand is paired
-    with the other's D x D matrix.  Any other pair sums the diagonal of
-    the composed product aC, read from identity column blocks.
-    """
-    if a.is_diagonal or C.is_diagonal:
-        return complex(np.dot(a.diagonal(), C.diagonal()))
-    dim = a.space.dim
-    if a.local is not None and C.local is not None:
-        n_a, n_c = len(a.local), len(C.local)
-        if a.factor == C.factor:
-            return complex(dim // n_a * np.einsum("ij,ji->", a.local, C.local))
-        return complex(dim * np.trace(a.local) * np.trace(C.local)
-                       / (n_a * n_c))
-    if a._matrix is not None or C._matrix is not None:
-        return complex(np.einsum("ij,ji->", a.matrix, C.matrix))
-    return complex(np.sum((a @ C).diagonal()))
 
 
 def system_projector(frame: OrientationFrame, Pi: KinOperator) -> KinOperator:

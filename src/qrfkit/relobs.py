@@ -120,26 +120,28 @@ def g_twirl(space: LatticeSpace, C: KinOperator, A: KinOperator) -> KinOperator:
     In the eigenbasis of C the average keeps exactly the matrix elements
     between eigenvalues closer than 1e-9 * max(1, max |C|) (the group order
     is computed from the pairwise difference spectrum, so no distinct
-    eigenvalues are aliased).
+    eigenvalues are aliased).  That is sum_c P_c A P_c over the eigenvalue
+    classes c of C, P_c the projector onto class c's eigenvectors.  The
+    classes are computed once, for every C: sorted eigenvalues closer than
+    the tolerance share one, and a class that spans the tolerance or more
+    has no consistent split, so it raises IncommensurableSpectrum.
 
-    For a diagonal C the result is the composed form sum_c P_c A P_c over
-    the eigenvalue classes c of C.  It stores A and one class index per
-    basis state; an apply is one apply of A per group of at most 256
-    classes, to a D x n_g block (n_g the classes in the group), and reading
-    ``matrix`` costs D/256 applies of A to 256 identity columns.  The
-    classes are computed once: sorted eigenvalues closer than the tolerance
-    share one, and a class that spans the tolerance or more has no
-    consistent split, so it raises IncommensurableSpectrum.  A non-diagonal C is diagonalised densely
-    (``eigh`` of its D x D matrix) and gives a dense result.
+    For a diagonal C the result is the composed form.  It stores A and one
+    class index per basis state; an apply is one apply of A per group of
+    at most 256 classes, to a D x n_g block (n_g the classes in the
+    group), and reading ``matrix`` costs D/256 applies of A to 256
+    identity columns.  A non-diagonal C is diagonalised densely (``eigh``
+    of its D x D matrix) and gives a dense result: A in C's eigenbasis
+    with the entries between different classes zeroed.
     """
     vals, vecs = _eig(C)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
+    classes = _eigenvalue_classes(vals, tol)
     if vecs is None:
-        return KinOperator.composed("twirl", (A,),
-                                    classes=_eigenvalue_classes(vals, tol))
-    mask = np.abs(vals[:, None] - vals[None, :]) < tol
+        return KinOperator.composed("twirl", (A,), classes=classes)
     a = vecs.conj().T @ A.matrix @ vecs
-    return KinOperator.from_matrix(space, vecs @ (a * mask) @ vecs.conj().T)
+    a[classes[:, None] != classes[None, :]] = 0.0
+    return KinOperator.from_matrix(space, vecs @ a @ vecs.conj().T)
 
 
 def _eigenvalue_classes(vals: np.ndarray, tol: float) -> np.ndarray:

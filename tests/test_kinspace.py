@@ -433,8 +433,8 @@ class TestOperatorForms:
 
 
 class TestComposedForm:
-    """Products and sums that the diagonal and dense rules do not cover hold
-    their operands; every read agrees with the dense reference."""
+    """Products and sums that the diagonal rule does not cover hold their
+    operands; every read agrees with the dense reference."""
 
     @staticmethod
     def operands(rng):
@@ -451,7 +451,7 @@ class TestComposedForm:
         cases = [(l1 @ l2, L1 @ L2), (d @ l1 @ m, D @ L1 @ M),
                  (l1 + m, L1 + M), (m + m, M + M),
                  (s * (l1 @ d + m @ l2), s * (L1 @ D + M @ L2)),
-                 ((l1 + d) @ (l2 - m), (L1 + D) @ (L2 - M))]
+                 ((l1 + d) @ (l2 - m), (L1 + D) @ (L2 - M)), (m @ m, M @ M)]
         v = rng.normal(size=(sp.dim, 3)) + 1j * rng.normal(size=(sp.dim, 3))
         for op, ref in cases:
             tol = 1e-12 * np.max(np.abs(ref))
@@ -471,8 +471,7 @@ class TestComposedForm:
     def test_composition_rules(self):
         sp, (d, l1, l2, m) = self.operands(np.random.default_rng(191))
         assert (d @ d).is_diagonal and (d + d).is_diagonal
-        assert (m @ m)._matrix is not None
-        for a, b in [(d, l1), (l1, l2), (l1, m), (m, d)]:
+        for a, b in [(d, l1), (l1, l2), (l1, m), (m, d), (m, m)]:
             assert (a @ b).kind == "@" and (a + b).kind == "+"
         # nested products are spliced into one, and the scalar rides along
         prod = 2.0 * (l1 @ l2) @ (d @ m)

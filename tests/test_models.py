@@ -1,6 +1,7 @@
 """Argument checks of the model builders and state recipes, and the exact
 su2 coupling."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from qrfkit import models as md
-from qrfkit.errors import ConfigError
+from qrfkit.errors import ConfigError, IncommensurableSpectrum
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,17 @@ def test_su2_coupling_is_exact_where_a_fraction_reproduces_dp(dp,
     ((power, (re, im)),) = model.constraint_elem.coefficient(m).terms.items()
     assert (power, re, im) == (-1, coefficient, 0)
     assert type(re) is type(coefficient)
+
+
+@pytest.mark.parametrize("spec, eigenvalue", [
+    (md.ModelSpec("newtonian", dp=1.0), "4.5"),
+    (md.ModelSpec("su2", beta=0.5), "-0.5")], ids=["newtonian", "su2"])
+def test_off_lattice_system_spectrum_raises(spec, eigenvalue):
+    # tensor_space checks every system spectrum against dp * Z and names
+    # the first eigenvalue off the lattice
+    with pytest.raises(IncommensurableSpectrum,
+                       match=f"system eigenvalue {re.escape(eigenvalue)} "):
+        md.build_model(spec)
 
 
 SPECS = [md.ModelSpec("nparticle"), md.ModelSpec("su2"),

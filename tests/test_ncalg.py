@@ -339,7 +339,9 @@ class TestRepresent:
         sp_lat = ks.tensor_space([ks.FactorSpec.system([1.0, 0.0, -1.0])])
         jx, jy, jz = self.spin_matrices(sp_lat.hbar)
         assign = {"J_x": jx, "J_y": jy, "J_z": jz}
-        report = ncalg.verify_assignment(gens, sp_lat, assign)
+        report = ncalg.verify_assignment(gens, sp_lat, {
+            name: ks.KinOperator.from_matrix(sp_lat, m)
+            for name, m in assign.items()})
         assert all(v < 1e-12 for v in report.values())
         el = commutator(gens.gen("J_x"), gens.gen("J_y"))
         mat = represent(el, sp_lat, assign)
@@ -360,8 +362,9 @@ class TestRepresent:
         sp_lat = ks.tensor_space([ks.FactorSpec.system([1.0, 0.0, -1.0])])
         jx, jy, jz = self.spin_matrices(sp_lat.hbar)
         with pytest.raises(RelationViolation):
-            ncalg.verify_assignment(gens, sp_lat,
-                                    {"J_x": jx, "J_y": jy, "J_z": 2 * jz})
+            ncalg.verify_assignment(gens, sp_lat, {
+                name: ks.KinOperator.from_matrix(sp_lat, m)
+                for name, m in (("J_x", jx), ("J_y", jy), ("J_z", 2 * jz))})
 
     def test_canonical_residual_reported_on_localized_states(self):
         pairset = GeneratorSet.canonical([("q", "p")])

@@ -499,7 +499,8 @@ class TestGaugeFlow:
         with pytest.raises(IllConditionedFlow):
             rg.gauge_flow(om, 100.0 * a, 10.0, model.constraint)
 
-    @pytest.mark.parametrize("kind", ["identity", "diagonal", "general"])
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "general",
+                                      "dense"])
     def test_matches_dense_exponential(self, kind):
         # the dense formula the flow replaced, where it is still affordable
         model = md.build_model(md.ModelSpec("nparticle", n_particles=3,
@@ -514,14 +515,22 @@ class TestGaugeFlow:
         elif kind == "diagonal":
             a = ks.factor_operator(model.space, 1, rng.normal(size=8)
                                    + 1j * rng.normal(size=8))
-        else:
+        elif kind == "general":
             a = ks.factor_operator(model.space, 2, rng.normal(size=(8, 8))
                                    + 1j * rng.normal(size=(8, 8)))
-        assert a.is_diagonal == (kind != "general")
+        else:
+            d = model.space.dim
+            a = ks.KinOperator.from_matrix(
+                model.space, (rng.normal(size=(d, d))
+                              + 1j * rng.normal(size=(d, d))) / np.sqrt(d))
+        assert a.is_diagonal == (kind in ("identity", "diagonal"))
+        # a dense a meets a dense C: a @ C is composed, never a matmul
+        C = (ks.KinOperator.from_matrix(model.space, model.constraint.matrix)
+             if kind == "dense" else model.constraint)
         lam = -0.37
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            flowed = rg.gauge_flow(om, a, lam, model.constraint)
+            flowed = rg.gauge_flow(om, a, lam, C)
         X = a.matrix @ model.constraint.matrix
         expected = expm(1j * lam * X / model.hbar).conj().T @ om.bra
         assert np.max(np.abs(flowed.bra - expected)) < 1e-12
@@ -706,4 +715,4 @@ def test_trace_of_product_matches_einsum(left, right):
 
     a, b = make(left), make(right)
     ref = np.einsum("ij,ji->", a.matrix, b.matrix)
-    assert abs(rg._trace_of_product(a, b) - ref) <= 1e-12 * max(1.0, abs(ref))
+    assert abs(ks._trace_of_product(a, b) - ref) <= 1e-12 * max(1.0, abs(ref))

@@ -358,6 +358,22 @@ class TestComposedForms:
         assert np.count_nonzero(mask[:3, :3]) == 5
         assert np.array_equal(tw.matrix, A.matrix * mask)
 
+    def test_rotated_class_spanning_the_tolerance_raises(self):
+        # the same chain in a rotated basis: the dense path takes the same
+        # classes, so it raises too instead of returning a twirl that is
+        # not a partition
+        sp = ks.tensor_space([ks.FactorSpec.system(np.arange(8.0))])
+        rng = np.random.default_rng(227)
+        A = ks.KinOperator.from_matrix(
+            sp, rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        vals = np.array([0.0, 0.6e-9, 1.2e-9, 0.5, 0.6, 0.7, 0.8, 0.9])
+        U, _ = np.linalg.qr(rng.normal(size=(8, 8))
+                            + 1j * rng.normal(size=(8, 8)))
+        for C in (ks.KinOperator.from_diag(sp, vals),
+                  ks.KinOperator.from_matrix(sp, (U * vals) @ U.conj().T)):
+            with pytest.raises(IncommensurableSpectrum):
+                ro.g_twirl(sp, C, A)
+
     @staticmethod
     def many_class_twirl(lattice_size, n_classes, seed):
         """g_twirl(C, A) on three frames, C diagonal with ``n_classes``
