@@ -26,7 +26,8 @@ class IndexOutOfRange(QRFError, IndexError):
 
 
 class UnsupportedForm(QRFError):
-    """Requested closed-form relational observable on a non-ideal frame."""
+    """An operator's form is unsupported: a frame-supported f_S, an unknown
+    form name, or a constraint, G_S or Pi not stored diagonal and hermitian."""
 
 
 class SameFrame(QRFError):

@@ -30,6 +30,7 @@ from .errors import (
     NegativeGenerator,
     NotAFrameFactor,
     NotPhysical,
+    UnsupportedForm,
     UnsupportedSupport,
 )
 
@@ -117,20 +118,28 @@ class LatticeSpace:
             raise NotAFrameFactor("space has no frame factor")
         return max(f.N * f.dp for f in frames)
 
+    def _factor(self, factor: int) -> FactorSpec:
+        """Factor ``factor``'s spec; IndexOutOfRange outside [0, len(dims))."""
+        if not 0 <= factor < len(self.factors):
+            raise IndexOutOfRange(
+                f"factor {factor} outside [0, {len(self.factors)})")
+        return self.factors[factor]
+
     def orientation_spacing(self, factor: int) -> float:
-        f = self.factors[factor]
+        f = self._factor(factor)
         if not f.is_frame:
             raise NotAFrameFactor(f"factor {factor} is not a frame")
         return 2.0 * np.pi * self.hbar / (f.N * f.dp)
 
     def orientation_grid(self, factor: int) -> np.ndarray:
         """Orientations ``rho_j = j*dr`` for ``j in [-N/2, N/2)``."""
-        f = self.factors[factor]
+        f = self._factor(factor)
         dr = self.orientation_spacing(factor)
         return dr * np.arange(-f.N // 2, f.N // 2, dtype=float)
 
     def embed_matrix(self, factor: int, mat: np.ndarray) -> np.ndarray:
         """Lift a factor matrix to the full space (identity elsewhere)."""
+        self._factor(factor)
         _check_dense(self.dim)
         out = np.ones((1, 1), dtype=complex)
         for i, f in enumerate(self.factors):
@@ -140,7 +149,7 @@ class LatticeSpace:
     def embed_diag(self, factor: int, diag: np.ndarray) -> np.ndarray:
         """Lift a factor diagonal to a full-space diagonal (cheap)."""
         return self.apply_factor(factor, np.asarray(diag)[:, None],
-                                 np.ones(self.dim // self.dims[factor]))
+                                 np.ones(self.dim // self._factor(factor).N))
 
     def apply_factor(self, factor: int, mat: np.ndarray, vec: np.ndarray,
                      out: np.ndarray = None) -> np.ndarray:
@@ -154,9 +163,7 @@ class LatticeSpace:
         is returned: a C-contiguous complex array of the result's shape that
         does not overlap ``vec``.  The values are the same bits either way.
         """
-        if not 0 <= factor < len(self.dims):
-            raise IndexOutOfRange(
-                f"factor {factor} outside [0, {len(self.dims)})")
+        self._factor(factor)
         m, n = mat.shape
         a, b = prod(self.dims[:factor]), prod(self.dims[factor + 1:])
         bk = b * prod(vec.shape[1:])
@@ -508,29 +515,6 @@ class KinOperator:
             raise ValueError("operators live on different spaces")
 
 
-def _trace_of_product(a: KinOperator, C: KinOperator) -> complex:
-    """tr(aC) from the stored forms, without forming aC.
-
-    When either operand is diagonal only the diagonals are read.  Two
-    factor-local operands give (D/n) tr(ab) on one factor of size n, and
-    D tr(a) tr(b) / (n_a n_b) on two factors.  A dense operand is paired
-    with the other's D x D matrix.  Any other pair sums the diagonal of
-    the composed product aC, read from identity column blocks.
-    """
-    if a.is_diagonal or C.is_diagonal:
-        return complex(np.dot(a.diagonal(), C.diagonal()))
-    dim = a.space.dim
-    if a.local is not None and C.local is not None:
-        n_a, n_c = len(a.local), len(C.local)
-        if a.factor == C.factor:
-            return complex(dim // n_a * np.einsum("ij,ji->", a.local, C.local))
-        return complex(dim * np.trace(a.local) * np.trace(C.local)
-                       / (n_a * n_c))
-    if a._matrix is not None or C._matrix is not None:
-        return complex(np.einsum("ij,ji->", a.matrix, C.matrix))
-    return complex(np.sum((a @ C).diagonal()))
-
-
 def identity_operator(space: LatticeSpace) -> KinOperator:
     return KinOperator.from_diag(space, np.ones(space.dim))
 
@@ -542,6 +526,7 @@ def factor_operator(space: LatticeSpace, factor: int,
     A diagonal ``mat`` (or a 1d array of its diagonal) gives the diagonal
     form; any other matrix is kept in the factor-local form.
     """
+    space._factor(factor)
     mat = np.array(mat, dtype=complex)
     if mat.ndim == 1 or (mat.ndim == 2 and mat.shape[0] == mat.shape[1]
                          and np.count_nonzero(mat - np.diag(np.diag(mat))) == 0):
@@ -553,7 +538,7 @@ def factor_operator(space: LatticeSpace, factor: int,
 
 def momentum_operator(space: LatticeSpace, factor: int) -> KinOperator:
     """Frame momentum, diagonal with eigenvalues ``k*dp``."""
-    f = space.factors[factor]
+    f = space._factor(factor)
     if not f.is_frame:
         raise NotAFrameFactor(f"factor {factor} is not a frame")
     return KinOperator.from_diag(
@@ -563,7 +548,7 @@ def momentum_operator(space: LatticeSpace, factor: int) -> KinOperator:
 def generator_operator(space: LatticeSpace, factor: int,
                        coefficient: float = 1.0) -> KinOperator:
     """The factor's declared transformation generator, embedded and scaled."""
-    f = space.factors[factor]
+    f = space._factor(factor)
     return KinOperator.from_diag(
         space, space.embed_diag(factor, coefficient * f.generator_spectrum))
 
@@ -588,7 +573,7 @@ def build_constraint(space: LatticeSpace, terms) -> KinOperator:
     """
     total = np.zeros(space.dim, dtype=float)
     for factor, term in dict(terms).items():
-        f = space.factors[factor]
+        f = space._factor(factor)
         if np.isscalar(term):
             diag = float(term) * f.generator_spectrum
         else:
@@ -612,24 +597,25 @@ def build_constraint(space: LatticeSpace, terms) -> KinOperator:
     return KinOperator.from_diag(space, total, warnings=warnings)
 
 
-def _eig(C: KinOperator):
-    """(eigenvalues, eigenvectors or None) -- None means computational basis."""
-    if C.is_diagonal:
-        return C.diag.real.copy(), None
-    _check_dense(C.space.dim)
-    if not C.hermitian:
-        raise ValueError("constraint must be hermitian")
-    return np.linalg.eigh(C.matrix)
+def _diagonal_spectrum(op: KinOperator) -> np.ndarray:
+    """The real spectrum of a constraint, G_S or Pi stored diagonal and
+    hermitian, as ``build_constraint`` makes them; any other operator raises
+    UnsupportedForm before a D x D form is read."""
+    if not (op.is_diagonal and op.hermitian):
+        raise UnsupportedForm(
+            "expected an operator stored diagonal and hermitian")
+    return op.diag.real
 
 
 def group_average(space: LatticeSpace, C: KinOperator) -> KinOperator:
     """Coherent group averaging: the orthogonal projector onto ker(C).
 
     On the lattice the average of ``exp(i*s*C/hbar)`` over the cyclic group
-    determined by the constraint spectrum is exactly the kernel projector;
-    it is computed here spectrally.
+    determined by the constraint spectrum is exactly the kernel projector:
+    the diagonal indicator of C's zero eigenvalues.  C must be diagonal and
+    hermitian (UnsupportedForm otherwise).
     """
-    vals, vecs = _eig(C)
+    vals = _diagonal_spectrum(C)
     norm = max(float(np.max(np.abs(vals))), 1.0)
     mask = np.abs(vals) < KERNEL_RTOL * norm
     notes = ()
@@ -638,10 +624,7 @@ def group_average(space: LatticeSpace, C: KinOperator) -> KinOperator:
                  "inputs may be incommensurate",)
     if not np.any(mask):
         raise EmptyKernel("constraint kernel is trivial")
-    if vecs is None:
-        return KinOperator.from_diag(space, mask.astype(float), warnings=notes)
-    V = vecs[:, mask]
-    return KinOperator.from_matrix(space, V @ V.conj().T, warnings=notes)
+    return KinOperator.from_diag(space, mask.astype(float), warnings=notes)
 
 
 def check_physical(C: KinOperator, psi: np.ndarray) -> None:
@@ -676,7 +659,7 @@ def sector_projectors(space: LatticeSpace, frame: int):
     Both commute with any constraint diagonal in the computational basis,
     in particular with the doubly degenerate ``p^2 - G_S`` family.
     """
-    f = space.factors[frame]
+    f = space._factor(frame)
     if not f.is_frame:
         raise NotAFrameFactor(f"factor {frame} is not a frame")
     pos = (f.generator_spectrum >= 0).astype(float)
@@ -689,26 +672,17 @@ def factorize_constraint(space: LatticeSpace, frame: int,
                          g_s: KinOperator):
     """Split ``C = p^2 - G_S`` into commuting linear factors ``p +- sqrt(G_S)``.
 
-    The square root is the principal (non-negative) root per eigenvalue of
-    G_S.  Returns ``(C_plus, C_minus)`` with ``C_plus @ C_minus == C``.
+    G_S must be supported off the frame (UnsupportedSupport), diagonal and
+    hermitian (UnsupportedForm).  The square root is the principal
+    (non-negative) root per diagonal entry.  Returns ``(C_plus, C_minus)``
+    with ``C_plus @ C_minus == C``.
     """
     if frame in g_s.support:
         raise UnsupportedSupport(
             f"G_S must be supported off the frame factor {frame}")
     p = momentum_operator(space, frame)
-    if g_s.is_diagonal:
-        gd = g_s.diag.real
-        if np.min(gd) < -1e-12:
-            raise NegativeGenerator(
-                f"G_S has negative eigenvalue {np.min(gd)}")
-        root = np.sqrt(np.clip(gd, 0.0, None))
-        h = KinOperator.from_diag(space, root)
-    else:
-        _check_dense(space.dim)
-        vals, vecs = np.linalg.eigh(g_s.matrix)
-        if np.min(vals) < -1e-12:
-            raise NegativeGenerator(
-                f"G_S has negative eigenvalue {np.min(vals)}")
-        root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-        h = KinOperator.from_matrix(space, root)
+    gd = _diagonal_spectrum(g_s)
+    if np.min(gd) < -1e-12:
+        raise NegativeGenerator(f"G_S has negative eigenvalue {np.min(gd)}")
+    h = KinOperator.from_diag(space, np.sqrt(np.clip(gd, 0.0, None)))
     return p + h, p - h

@@ -20,19 +20,16 @@ from functools import cached_property
 import numpy as np
 
 from .algstates import AlgebraicState, from_hilbert
-from .errors import (IllConditionedFlow, IndexOutOfRange, SameFrame,
-                     UnsupportedSupport)
+from .errors import IllConditionedFlow, SameFrame, UnsupportedSupport
 from .kinspace import _COLUMN_BLOCK as _GAUGE_BLOCK
 from .kinspace import (KinOperator, LatticeSpace, _check_dense,
-                       _trace_of_product, check_physical, tensor_space)
+                       _diagonal_spectrum, check_physical, tensor_space)
 from .relobs import OrientationFrame, orientation_state_at, theta_projector
 
 
 def reduced_space(space: LatticeSpace, factor: int) -> LatticeSpace:
     """The space without ``factor``, validated by ``tensor_space``."""
-    if not 0 <= factor < len(space.factors):
-        raise IndexOutOfRange(
-            f"factor {factor} outside [0, {len(space.factors)})")
+    space._factor(factor)
     return tensor_space(space.factors[:factor] + space.factors[factor + 1:],
                         space.hbar)
 
@@ -150,13 +147,14 @@ def verify_gauge(phi: KinOperator, Pi: KinOperator) -> dict:
 
 def composite_gauge(phi: KinOperator, o1: np.ndarray, o2: np.ndarray,
                     C: KinOperator) -> KinOperator:
-    """exp(i O1 C) Phi exp(i O2 C) for hermitian Dirac observables O1, O2."""
+    """exp(i O1 C) Phi exp(i O2 C) for dense hermitian Dirac observables
+    O1, O2 and C diagonal and hermitian (UnsupportedForm otherwise)."""
     from scipy.linalg import expm  # here, so importing qrfkit skips it
 
+    c = _diagonal_spectrum(C)
     _check_dense(phi.space.dim)
-    Cm = C.matrix
-    left = expm(1j * np.asarray(o1) @ Cm)
-    right = expm(1j * np.asarray(o2) @ Cm)
+    left = expm(1j * np.asarray(o1) * c)
+    right = expm(1j * np.asarray(o2) * c)
     return KinOperator.from_matrix(phi.space, left @ phi.matrix @ right)
 
 
@@ -183,19 +181,22 @@ def gauge_flow(omega: AlgebraicState, a: KinOperator, lam: float,
     infinitesimal version reproduces the derivation flow
     d/dlam omega'(b)|_0 = omega([b, aC])/(i hbar).
 
-    The new bra is exp(-i lam X^dag / hbar) applied to the old one, with
+    C must be diagonal and hermitian (UnsupportedForm otherwise).  The
+    new bra is exp(-i lam X^dag / hbar) applied to the old one, with
     X = a @ C formed once; its exponential is never formed.  A diagonal X
-    (``a`` and ``C`` both diagonal) gives an elementwise phase on the bra
-    and ||X||_2 = max |X_ii| exactly.  Otherwise the exponential acts on
-    the bra through ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy &
-    Higham 2011) on an operator built from ``X.apply_adjoint`` and
-    ``X.apply``, and the ||X||_2 in the guard is a power-iteration
-    estimate (from below).  The guard raises ``IllConditionedFlow`` when
-    |lam| ||X||_2 / hbar exceeds ``max_exponent``.
+    (``a`` diagonal) gives an elementwise phase on the bra and
+    ||X||_2 = max |X_ii| exactly.  Otherwise the exponential acts on the
+    bra through ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham
+    2011) on an operator built from ``X.apply_adjoint`` and ``X.apply``,
+    with tr(X) = <diag(a), spectrum of C> as its ``traceA``, and the
+    ||X||_2 in the guard is a power-iteration estimate (from below).  The
+    guard raises ``IllConditionedFlow`` when |lam| ||X||_2 / hbar exceeds
+    ``max_exponent``.
     """
     if omega.bra is None:
         raise ValueError("gauge flows need a Hilbert-backed state")
     hbar = omega.space.hbar
+    c = _diagonal_spectrum(C)
     X = a @ C
     if X.is_diagonal:
         norm = float(np.max(np.abs(X.diag)))
@@ -212,7 +213,7 @@ def gauge_flow(omega: AlgebraicState, a: KinOperator, lam: float,
         from scipy.sparse.linalg import LinearOperator, expm_multiply
 
         coeff = -1j * lam / hbar
-        trace = coeff * np.conj(_trace_of_product(a, C))
+        trace = coeff * np.conj(np.dot(a.diagonal(), c))
         X_dag = LinearOperator((X.space.dim,) * 2, dtype=complex,
                                matvec=X.apply_adjoint, rmatvec=X.apply)
         new_bra = expm_multiply(coeff * X_dag, omega.bra, traceA=trace)
@@ -247,23 +248,12 @@ def system_projector(frame: OrientationFrame, Pi: KinOperator) -> KinOperator:
 
     Independent of which orientation is used; on a commensurate lattice
     with a linear constraint this is the identity (every frame is ideal).
-    A diagonal Pi gives a diagonal pi_hat: |<p_k|rho>| = 1, so the block's
-    diagonal is the sum of Pi's diagonal along the frame axis.
+    Pi must be diagonal and hermitian (UnsupportedForm otherwise), and so
+    is pi_hat: |<p_k|rho>| = 1, so the block's diagonal is the sum of Pi's
+    diagonal along the frame axis.
     """
-    space = frame.space
-    dims = space.dims
-    k = frame.factor
-    if Pi.is_diagonal:
-        d = Pi.diag.reshape(dims).sum(axis=k, keepdims=True)
-        return KinOperator.from_diag(
-            space, np.broadcast_to(d, dims).reshape(-1))
-    _check_dense(space.dim)
-    rho = float(frame.grid[0])
-    block = reduce_state(frame, rho, embed_state(
-        frame, rho, np.eye(space.dim // dims[k]), Pi))
-    rest = dims[:k] + dims[k + 1:]
-    # 1_frame x block, with both frame slots moved back to position k
-    full = np.moveaxis(np.multiply.outer(np.eye(dims[k]),
-                                         block.reshape(rest + rest)),
-                       [0, 1], [k, len(dims) + k])
-    return KinOperator.from_matrix(space, full.reshape(space.dim, space.dim))
+    dims = frame.space.dims
+    d = _diagonal_spectrum(Pi).reshape(dims).sum(axis=frame.factor,
+                                               keepdims=True)
+    return KinOperator.from_diag(frame.space,
+                                 np.broadcast_to(d, dims).reshape(-1))

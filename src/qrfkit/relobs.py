@@ -23,7 +23,7 @@ from .errors import (IncommensurableSpectrum, IndexOutOfRange, NotAFrameFactor,
 from .kinspace import (
     KinOperator,
     LatticeSpace,
-    _eig,
+    _diagonal_spectrum,
     factor_operator,
     momentum_operator,
 )
@@ -37,7 +37,7 @@ class OrientationFrame:
     factor: int
 
     def __post_init__(self):
-        if not self.space.factors[self.factor].is_frame:
+        if not self.space._factor(self.factor).is_frame:
             raise NotAFrameFactor(f"factor {self.factor} is not a frame")
 
     @property
@@ -117,31 +117,25 @@ def wraparound_weight(frame: OrientationFrame, vec: np.ndarray,
 def g_twirl(space: LatticeSpace, C: KinOperator, A: KinOperator) -> KinOperator:
     """Incoherent group average of A over the cyclic group generated by C.
 
-    In the eigenbasis of C the average keeps exactly the matrix elements
-    between eigenvalues closer than 1e-9 * max(1, max |C|) (the group order
-    is computed from the pairwise difference spectrum, so no distinct
-    eigenvalues are aliased).  That is sum_c P_c A P_c over the eigenvalue
-    classes c of C, P_c the projector onto class c's eigenvectors.  The
-    classes are computed once, for every C: sorted eigenvalues closer than
-    the tolerance share one, and a class that spans the tolerance or more
-    has no consistent split, so it raises IncommensurableSpectrum.
+    C must be diagonal and hermitian (UnsupportedForm otherwise).  The
+    average keeps exactly the matrix elements between eigenvalues closer
+    than 1e-9 * max(1, max |C|) (the group order is computed from the
+    pairwise difference spectrum, so no distinct eigenvalues are aliased).
+    That is sum_c P_c A P_c over the eigenvalue classes c of C, P_c the
+    diagonal projector onto class c's basis states.  Sorted eigenvalues
+    closer than the tolerance share a class, and a class that spans the
+    tolerance or more has no consistent split, so it raises
+    IncommensurableSpectrum.
 
-    For a diagonal C the result is the composed form.  It stores A and one
-    class index per basis state; an apply is one apply of A per group of
-    at most 256 classes, to a D x n_g block (n_g the classes in the
-    group), and reading ``matrix`` costs D/256 applies of A to 256
-    identity columns.  A non-diagonal C is diagonalised densely (``eigh``
-    of its D x D matrix) and gives a dense result: A in C's eigenbasis
-    with the entries between different classes zeroed.
+    The result is the composed form.  It stores A and one class index per
+    basis state; an apply is one apply of A per group of at most 256
+    classes, to a D x n_g block (n_g the classes in the group), and
+    reading ``matrix`` costs D/256 applies of A to 256 identity columns.
     """
-    vals, vecs = _eig(C)
+    vals = _diagonal_spectrum(C)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
-    classes = _eigenvalue_classes(vals, tol)
-    if vecs is None:
-        return KinOperator.composed("twirl", (A,), classes=classes)
-    a = vecs.conj().T @ A.matrix @ vecs
-    a[classes[:, None] != classes[None, :]] = 0.0
-    return KinOperator.from_matrix(space, vecs @ a @ vecs.conj().T)
+    return KinOperator.composed("twirl", (A,),
+                                classes=_eigenvalue_classes(vals, tol))
 
 
 def _eigenvalue_classes(vals: np.ndarray, tol: float) -> np.ndarray:
@@ -183,8 +177,9 @@ def relational_observable(space: LatticeSpace, C: KinOperator,
                           Pi: KinOperator = None) -> KinOperator:
     """Relational Dirac observable: f_S conditioned on the frame reading rho.
 
-    Each form is a composed ``KinOperator`` that stores its parts, never a
-    D x D matrix (for a diagonal C), and applies them in turn.  Reading
+    C must be diagonal and hermitian (UnsupportedForm otherwise), for every
+    form.  Each form is a composed ``KinOperator`` that stores its parts,
+    never a D x D matrix, and applies them in turn.  Reading
     its ``matrix`` builds the D x D form from 256-column identity blocks,
     D/256 block applies, and raises DenseBudgetExceeded above
     ``kinspace.DENSE_BUDGET``.
@@ -197,20 +192,17 @@ def relational_observable(space: LatticeSpace, C: KinOperator,
     factor-local matrix of orientation kets and E the diagonal
     exp(-i(rho_j-rho)G_S/hbar) over (frame slot j, rest).  Stores F, F^dag,
     f_S and two D-vectors; an apply is five.  Requires an ideal frame
-    (every commensurate lattice frame with a linear constraint is ideal)
-    and a diagonal C.
+    (every commensurate lattice frame with a linear constraint is ideal).
     form="physical": Pi (|rho><rho| (x) f_S), the representation on the
     physical Hilbert space.  Stores Pi, Theta and f_S; an apply is three.
     """
+    _diagonal_spectrum(C)
     if frame.factor in f_s.support:
         raise UnsupportedForm("f_S must be supported off the frame factor")
     if form == "kinematical":
         theta = theta_projector(frame, rho)
         return g_twirl(space, C, theta @ f_s)
     if form == "closed":
-        if not C.is_diagonal:
-            raise UnsupportedForm(
-                "closed form needs an ideal frame with a diagonal constraint")
         k = frame.factor
         # G_S is constant along the frame axis: keep it on the other factors
         gs = np.moveaxis(frame_system_generator(space, C, frame).diag

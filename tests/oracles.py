@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 from scipy.linalg import expm
 
-from qrfkit.kinspace import HERM_TOL, KinOperator, LatticeSpace, _eig
+from qrfkit.kinspace import HERM_TOL, KinOperator, LatticeSpace
 from qrfkit.ncalg import (_ZERO, AlgebraElement, _add_into, commutator,
                           monomial_word, numeric)
 from qrfkit.relobs import frame_system_generator
@@ -34,9 +34,10 @@ def cyclic_group(C: KinOperator, pairwise: bool = False):
     spacing with all eigenvalues on ``delta*Z``; ``order`` is the smallest
     order whose average isolates exact eigenvalue coincidences (pairwise
     differences when ``pairwise``, the kernel otherwise).  Never assumed,
-    always derived from the constraint at hand.
+    always derived from the constraint at hand, whose spectrum is read
+    here by ``eigvalsh`` of its matrix.
     """
-    vals, _ = _eig(C)
+    vals = np.linalg.eigvalsh(C.matrix)
     scale = max(float(np.max(np.abs(vals))), 1.0)
     fracs = [Fraction(float(v) / scale).limit_denominator(10**6) for v in vals]
     den = reduce(lambda a, b: a * b // gcd(a, b),

@@ -1,17 +1,21 @@
 """verify_gauge and verify_assignment against dense references written here
-from ``.matrix``, over random commensurate spaces and the four models."""
+from ``.matrix``, over random commensurate spaces and the four models, and
+group_average and g_twirl against the explicit cyclic-group oracles."""
 
 import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from oracles import cyclic_group, g_twirl_oracle
 from qrfkit import kinspace as ks
 from qrfkit import models as md
 from qrfkit import ncalg
 from qrfkit import reduction_gauge as rg
 from qrfkit import relobs as ro
+from qrfkit.errors import UnsupportedForm
 
 
 def dense_gauge_residuals(phi, Pi):
@@ -47,10 +51,14 @@ def test_verify_gauge_matches_dense_formula(frames, spectrum, hbar, dense_pi,
     d = space.dim
     C = ks.build_constraint(space, {i: 1.0 for i in range(len(frames) + 1)})
     rng = np.random.default_rng(seed)
-    if dense_pi:
-        U = random_unitary(rng, d)
-        C = ks.KinOperator.from_matrix(space, (U * C.diag) @ U.conj().T)
     Pi = ks.group_average(space, C)
+    if dense_pi:
+        # a rotated C is refused; the rotated Pi is still a dense projector
+        U = random_unitary(rng, d)
+        with pytest.raises(UnsupportedForm):
+            ks.group_average(space, ks.KinOperator.from_matrix(
+                space, (U * C.diag) @ U.conj().T))
+        Pi = ks.KinOperator.from_matrix(space, (U * Pi.diag) @ U.conj().T)
     assert Pi.is_diagonal != dense_pi
     if kind == "theta":
         fr = ro.OrientationFrame(space, 0)
@@ -64,6 +72,34 @@ def test_verify_gauge_matches_dense_formula(frames, spectrum, hbar, dense_pi,
     else:
         phi = ks.KinOperator.from_matrix(space, np.zeros((d, d)))
     assert_matches_dense(phi, Pi)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(n_frames=st.integers(1, 2), N=st.sampled_from([4, 6, 8]),
+       dp=st.sampled_from([1.0, 0.7]), hbar=st.sampled_from([1.0, 0.7]),
+       levels=st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_group_average_and_twirl_match_the_cyclic_group(n_frames, N, dp, hbar,
+                                                        levels, seed):
+    # frames of one size only: the group of mixed frame sizes is not settled
+    space = ks.tensor_space([ks.FactorSpec.frame(N, dp)] * n_frames
+                            + [ks.FactorSpec.system(dp * np.array(levels))],
+                            hbar=hbar)
+    d = space.dim
+    assert d <= 192
+    C = ks.build_constraint(space, {i: 1.0 for i in range(n_frames + 1)})
+    P, Cm = ks.group_average(space, C).matrix, C.matrix
+    _, order, step = cyclic_group(C)
+    group = sum(expm(1j * j * step * Cm / hbar) for j in range(order)) / order
+    assert np.max(np.abs(P - group)) < 1e-10
+    assert np.max(np.abs(P @ P - P)) < 1e-12
+    assert np.max(np.abs(P - P.conj().T)) < 1e-12
+    assert np.max(np.abs(Cm @ P)) < 1e-12
+    rng = np.random.default_rng(seed)
+    A = ks.KinOperator.from_matrix(space, rng.normal(size=(d, d))
+                                   + 1j * rng.normal(size=(d, d)))
+    tw = ro.g_twirl(space, C, A)
+    assert np.max(np.abs(tw.matrix - g_twirl_oracle(space, C, A))) < 1e-10
 
 
 def test_verify_gauge_across_a_block_boundary():

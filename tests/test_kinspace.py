@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from oracles import cyclic_group, support_oracle
 from qrfkit import kinspace as ks
+from qrfkit import relobs as ro
 from qrfkit.errors import (
     DenseBudgetExceeded,
     EmptyKernel,
@@ -15,6 +16,7 @@ from qrfkit.errors import (
     NotAFrameFactor,
     NotPhysical,
     QRFError,
+    UnsupportedForm,
     UnsupportedSupport,
 )
 
@@ -161,6 +163,14 @@ class TestGroupAverage:
         with pytest.raises(EmptyKernel):
             ks.group_average(sp, C)
 
+    def test_non_hermitian_diagonal_constraint_rejected(self):
+        # C = i 1 has a trivial kernel; its real part, 0, would give the
+        # identity as the kernel projector
+        sp = ks.tensor_space([ks.FactorSpec.frame(8, 1.0)])
+        with pytest.raises(UnsupportedForm):
+            ks.group_average(sp, ks.KinOperator.from_diag(
+                sp, 1j * np.ones(sp.dim)))
+
 
 class TestPhysicalInnerProduct:
     def setup_method(self):
@@ -241,6 +251,14 @@ class TestSectorsAndFactorization:
                               ks.FactorSpec.system([-1.0, 1.0])])
         g = ks.generator_operator(sp, 1)
         with pytest.raises(NegativeGenerator):
+            ks.factorize_constraint(sp, 0, g)
+
+    def test_non_hermitian_generator_rejected(self):
+        # the real part of G_S = (4 + 3i) 1 would give p +- 2
+        sp = ks.tensor_space([ks.FactorSpec.frame(8, 1.0),
+                              ks.FactorSpec.system([4.0, 4.0], name="S")])
+        g = ks.KinOperator.from_diag(sp, (4.0 + 3.0j) * np.ones(sp.dim))
+        with pytest.raises(UnsupportedForm):
             ks.factorize_constraint(sp, 0, g)
 
     def test_dense_generator_on_the_frame_rejected(self):
@@ -502,10 +520,12 @@ class TestComposedForm:
         assert issubclass(DenseBudgetExceeded, QRFError)
         for read in (lambda: prod.matrix, lambda: a.matrix,
                      lambda: ks.identity_operator(sp).matrix,
-                     lambda: sp.embed_matrix(0, np.eye(32)),
-                     lambda: ks.group_average(sp, prod + a)):
+                     lambda: sp.embed_matrix(0, np.eye(32))):
             with pytest.raises(DenseBudgetExceeded):
                 read()
+        # a composed constraint is refused before any D x D form is read
+        with pytest.raises(UnsupportedForm):
+            ks.group_average(sp, prod + a)
         v = rng.normal(size=sp.dim)
         ref = a.apply(b.apply(v))
         assert np.array_equal(prod.apply(v), ref)
@@ -585,6 +605,33 @@ class TestRectangularApplyFactor:
                     np.empty((rows, 4), dtype=complex)[:, ::2]):
             with pytest.raises(ValueError, match="C-contiguous complex"):
                 sp.apply_factor(0, mat, vec, out=bad)
+
+
+FACTOR_ENTRY_POINTS = {
+    "build_constraint": lambda sp, k: ks.build_constraint(sp, {k: 1.0}),
+    "momentum_operator": ks.momentum_operator,
+    "generator_operator": ks.generator_operator,
+    "sector_projectors": ks.sector_projectors,
+    "orientation_grid": lambda sp, k: sp.orientation_grid(k),
+    "orientation_spacing": lambda sp, k: sp.orientation_spacing(k),
+    "embed_diag": lambda sp, k: sp.embed_diag(k, np.ones(4)),
+    "embed_matrix": lambda sp, k: sp.embed_matrix(k, np.eye(4)),
+    "factor_operator_dense": lambda sp, k: ks.factor_operator(
+        sp, k, np.ones((4, 4))),
+    "factor_operator_diag": lambda sp, k: ks.factor_operator(
+        sp, k, np.eye(4)),
+    "OrientationFrame": ro.OrientationFrame,
+}
+
+
+@pytest.mark.parametrize("factor", [3, -1])
+@pytest.mark.parametrize("entry", sorted(FACTOR_ENTRY_POINTS))
+def test_factor_index_outside_the_space_raises(entry, factor):
+    # three frames, so a wrapped -1 would name a valid frame
+    sp = ks.tensor_space([ks.FactorSpec.frame(4, 1.0, name) for name in "ABC"])
+    assert len(sp.dims) == 3
+    with pytest.raises(IndexOutOfRange):
+        FACTOR_ENTRY_POINTS[entry](sp, factor)
 
 
 class TestPhysicalCheck:

@@ -12,7 +12,8 @@ from qrfkit import ncalg
 from qrfkit import reduction_gauge as rg
 from qrfkit import relobs as ro
 from qrfkit.errors import (IllConditionedFlow, IncommensurableSpectrum,
-                           IndexOutOfRange, NotPhysical, SameFrame)
+                           IndexOutOfRange, NotPhysical, SameFrame,
+                           UnsupportedForm)
 
 
 @pytest.fixture(scope="module")
@@ -349,22 +350,21 @@ class TestThetaGauge:
                                  ks.FactorSpec.system([0.0, 1.0, -1.0])])
         fr = ro.OrientationFrame(space, 1)
         rng = np.random.default_rng(101)
-        P = rng.normal(size=(96, 96)) + 1j * rng.normal(size=(96, 96))
+        d = rng.normal(size=96)
         v = ro.orientation_state_at(fr, fr.grid[0])
         R = np.kron(np.kron(np.eye(4), v.conj()[None, :]), np.eye(3))
-        block = (R @ P @ R.conj().T).reshape(4, 3, 4, 3)
+        block = (R @ np.diag(d) @ R.conj().T).reshape(4, 3, 4, 3)
         expected = np.einsum("kl,ijmn->ikjmln", np.eye(8),
                              block).reshape(96, 96)
-        dense = rg.system_projector(fr, ks.KinOperator.from_matrix(
-            space, P))
-        assert np.max(np.abs(dense.matrix - expected)) < 1e-12
-        d = rng.normal(size=96)
         from_diag = rg.system_projector(
             fr, ks.KinOperator.from_diag(space, d))
-        from_dense = rg.system_projector(
-            fr, ks.KinOperator.from_matrix(space, np.diag(d)))
         assert from_diag.is_diagonal
-        assert np.max(np.abs(from_diag.matrix - from_dense.matrix)) < 1e-12
+        assert np.max(np.abs(from_diag.matrix - expected)) < 1e-12
+        P = rng.normal(size=(96, 96)) + 1j * rng.normal(size=(96, 96))
+        for dense in (P, np.diag(d)):
+            with pytest.raises(UnsupportedForm):
+                rg.system_projector(fr, ks.KinOperator.from_matrix(space,
+                                                                   dense))
 
     def test_composite_gauge_is_gauge(self, model):
         rng = np.random.default_rng(67)
@@ -524,16 +524,39 @@ class TestGaugeFlow:
                 model.space, (rng.normal(size=(d, d))
                               + 1j * rng.normal(size=(d, d))) / np.sqrt(d))
         assert a.is_diagonal == (kind in ("identity", "diagonal"))
-        # a dense a meets a dense C: a @ C is composed, never a matmul
-        C = (ks.KinOperator.from_matrix(model.space, model.constraint.matrix)
-             if kind == "dense" else model.constraint)
+        # a dense a makes a @ C composed, so expm_multiply takes it
         lam = -0.37
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            flowed = rg.gauge_flow(om, a, lam, C)
+            flowed = rg.gauge_flow(om, a, lam, model.constraint)
         X = a.matrix @ model.constraint.matrix
         expected = expm(1j * lam * X / model.hbar).conj().T @ om.bra
         assert np.max(np.abs(flowed.bra - expected)) < 1e-12
+
+
+def _relational(form):
+    return lambda model, om, C: ro.relational_observable(
+        model.space, C, model.frames["A"], 0.0, model.assignment["q_C"],
+        form=form, Pi=model.Pi)
+
+
+# each function that reads a constraint, G_S or Pi, given ``op`` in its place
+GUARDED_CALLS = {
+    "group_average": lambda model, om, op: ks.group_average(model.space, op),
+    "g_twirl": lambda model, om, op: ro.g_twirl(model.space, op, model.Pi),
+    "relational_observable.kinematical": _relational("kinematical"),
+    "relational_observable.closed": _relational("closed"),
+    "relational_observable.physical": _relational("physical"),
+    "factorize_constraint": lambda model, om, op: ks.factorize_constraint(
+        model.space, 0, op),
+    "system_projector": lambda model, om, op: rg.system_projector(
+        model.frames["A"], op),
+    "gauge_flow": lambda model, om, op: rg.gauge_flow(
+        om, ks.identity_operator(model.space), 0.1, op),
+    # O1 and O2 are never read: the constraint is refused first
+    "composite_gauge": lambda model, om, op: rg.composite_gauge(
+        model.Pi, None, None, op),
+}
 
 
 class TestLargeLattice:
@@ -589,6 +612,30 @@ class TestLargeLattice:
         pi_hat = rg.system_projector(model.frames["A"], model.Pi)
         assert pi_hat.is_diagonal
         assert np.max(np.abs(pi_hat.apply(psi) - psi)) < 1e-10
+
+    @pytest.mark.parametrize("bad", ["composed", "non-hermitian"])
+    @pytest.mark.parametrize("call", sorted(GUARDED_CALLS))
+    def test_unsupported_form_raises_without_a_dense_form(self, big, call,
+                                                          bad, monkeypatch):
+        model, psi = big
+        sp = model.space
+        if bad == "composed":
+            # hermitian, off frame A, and not stored diagonal
+            m = np.random.default_rng(233).normal(size=(32, 32))
+            op = ks.generator_operator(sp, 2) + ks.factor_operator(
+                sp, 2, m + m.T)
+            assert op.kind == "+"
+        else:
+            op = ks.KinOperator.from_diag(sp, 1j * np.ones(sp.dim))
+        om = ast.from_hilbert(psi, psi, sp, model.assignment, model.gens, 2)
+
+        def dense(*args):
+            raise AssertionError("a dense D x D form was read")
+
+        monkeypatch.setattr(ks.KinOperator, "matrix", property(dense))
+        monkeypatch.setattr(ks.LatticeSpace, "embed_matrix", dense)
+        with pytest.raises(UnsupportedForm):
+            GUARDED_CALLS[call](model, om, op)
 
     def test_gauge_transform_keeps_dirac_values(self, big):
         model, psi = big
@@ -691,7 +738,8 @@ TRACE_FORMS = ["diag", "local0", "local2", "dense", "product", "sum"]
 @pytest.mark.parametrize("right", TRACE_FORMS)
 @pytest.mark.parametrize("left", TRACE_FORMS)
 def test_trace_of_product_matches_einsum(left, right):
-    # unequal factor sizes, so (D/n) and n_a * n_b cannot be swapped
+    # tr(ab) of any two stored forms, from the diagonal of the composed
+    # product; unequal factor sizes, so a misplaced factor slot shows
     space = ks.tensor_space([ks.FactorSpec.system([0.0, 1.0, -1.0]),
                              ks.FactorSpec.frame(6, 1.0, "R"),
                              ks.FactorSpec.system([0.0, 1.0, 2.0, -1.0])])
@@ -715,4 +763,8 @@ def test_trace_of_product_matches_einsum(left, right):
 
     a, b = make(left), make(right)
     ref = np.einsum("ij,ji->", a.matrix, b.matrix)
-    assert abs(ks._trace_of_product(a, b) - ref) <= 1e-12 * max(1.0, abs(ref))
+    tol = 1e-12 * max(1.0, abs(ref))
+    assert abs(np.sum((a @ b).diagonal()) - ref) <= tol
+    if b.is_diagonal:
+        # gauge_flow's traceA: one dot product with the diagonal constraint
+        assert abs(np.dot(a.diagonal(), b.diag) - ref) <= tol
