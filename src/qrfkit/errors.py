@@ -43,7 +43,7 @@ class NotPhysical(QRFError):
 
 
 class IllConditionedFlow(QRFError):
-    """Gauge-flow exponent too large for a reliable matrix exponential."""
+    """An exponent |s| ||X||_2 too large for a reliable exp(s X) action."""
 
 
 class DegreeExceeded(QRFError):
@@ -54,8 +54,8 @@ class RelationViolation(QRFError):
     """A represented commutation relation fails beyond tolerance."""
 
 
-class ConfigError(QRFError):
-    """Invalid run configuration."""
+class ConfigError(QRFError, ValueError):
+    """Invalid run configuration or input."""
 
 
 class DenseBudgetExceeded(QRFError):

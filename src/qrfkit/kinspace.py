@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     DenseBudgetExceeded,
     EmptyKernel,
+    IllConditionedFlow,
     IncommensurableSpectrum,
     IndexOutOfRange,
     NegativeGenerator,
@@ -76,7 +77,7 @@ class FactorSpec:
     def system(generator_spectrum, name: str = "") -> "FactorSpec":
         spectrum = np.asarray(generator_spectrum, dtype=float)
         if spectrum.ndim != 1 or spectrum.size == 0:
-            raise ValueError("system spectrum must be a non-empty 1d sequence")
+            raise ConfigError("system spectrum must be a non-empty 1d sequence")
         return FactorSpec(SYSTEM, spectrum.size, 0.0, spectrum, name=name)
 
     @property
@@ -247,15 +248,17 @@ class KinOperator:
     - a dense D x D matrix;
     - composed: ``operands`` combined by ``kind``, times ``scalar``.  Kind
       ``"@"`` is their product (the rightmost acts first), ``"+"`` their
-      sum, and ``"twirl"`` is sum_c P_c A P_c for the one operand A, with
+      sum, ``"twirl"`` is sum_c P_c A P_c for the one operand A, with
       P_c the diagonal projector onto the basis states whose entry in
-      ``classes`` is c.
+      ``classes`` is c, and ``"exp"`` is exp(X) for the one operand X.
 
     ``apply`` and ``apply_adjoint`` take a D-vector or a D x k block of
     columns; a composed form chains its operands' own applies.
     ``apply(vec, out=o)`` writes the result into ``o``, a C-contiguous
     complex array of ``vec``'s shape that does not overlap ``vec``, and
-    returns it, the same bits as ``apply(vec)``.
+    returns it, the same bits as ``apply(vec)``.  (A non-diagonal exp agrees
+    only to rounding between applies: scipy's norm estimate in
+    ``expm_multiply`` draws from numpy's global random state.)
 
     ``A @ B`` and ``A + B`` are diagonal when both operands are diagonal
     and composed otherwise; no product or sum is densified.
@@ -292,6 +295,8 @@ class KinOperator:
     @staticmethod
     def from_diag(space, diag, *, warnings=()) -> "KinOperator":
         diag = np.asarray(diag, dtype=complex).view()
+        if diag.shape != (space.dim,):
+            raise ConfigError(f"diagonal {diag.shape} on a space of {space.dim}")
         diag.setflags(write=False)
         return KinOperator(space, None, diag, tuple(warnings))
 
@@ -300,12 +305,12 @@ class KinOperator:
                  classes=None) -> "KinOperator":
         """The composed form of ``operands``; a product operand is spliced
         into a product, and a sum operand with no scalar into a sum."""
-        if kind not in ("@", "+", "twirl"):
+        if kind not in ("@", "+", "twirl", "exp"):
             raise ValueError(f"unknown composition {kind!r}")
+        _check_space(operands[0].space, *operands)
         flat = []
         for op in operands:
-            op._check(operands[0])
-            if kind != "twirl" and op.kind == kind and (
+            if kind in ("@", "+") and op.kind == kind and (
                     kind == "@" or op.scalar == 1):
                 flat += op.operands
                 scalar = scalar * op.scalar
@@ -316,6 +321,19 @@ class KinOperator:
             classes.setflags(write=False)
         return KinOperator(operands[0].space, operands=tuple(flat),
                            kind=kind, scalar=scalar, classes=classes)
+
+    @staticmethod
+    def exp(X: "KinOperator", s, max_exponent: float = 50.0) -> "KinOperator":
+        """exp(s X), the kind ``"exp"`` on s X: a phase for a diagonal X, else
+        ``expm_multiply`` (Al-Mohy & Higham 2011) with tr(s X) from the
+        diagonal.  IllConditionedFlow when |s| ||X||_2 > ``max_exponent``
+        (max |X_ii| for a diagonal X, else a power-iteration lower bound)."""
+        norm = (float(np.max(np.abs(X.diag))) if X.is_diagonal
+                else _spectral_norm_estimate(X))
+        if abs(s) * norm > max_exponent:
+            raise IllConditionedFlow(
+                f"|s|*||X||_2 = {abs(s) * norm:.1f} exceeds {max_exponent}")
+        return KinOperator.composed("exp", (complex(s) * X,))
 
     @property
     def is_diagonal(self) -> bool:
@@ -363,22 +381,24 @@ class KinOperator:
         if self.local is not None:
             return self.space.embed_matrix(self.factor, self.local)
         out = np.empty((dim, dim), dtype=complex)
-        for c in range(0, dim, _COLUMN_BLOCK):
-            k = min(_COLUMN_BLOCK, dim - c)
-            out[:, c:c + k] = self._unit_columns(c, k)
+        for c, cols in self._unit_columns():
+            out[:, c:c + cols.shape[1]] = cols
         return out
 
-    def _unit_columns(self, start: int, k: int) -> np.ndarray:
-        """Columns start .. start + k - 1 of a composed form, from one
-        D x k identity block.  Column j of a twirl is P_c A e_j with c the
-        class of j: A's column with the rows of other classes cleared."""
-        eye = np.eye(self.space.dim, k, -start)
-        if self.kind != "twirl":
-            return self.apply(eye)
-        cols = self.operands[0].apply(eye)
-        cols[self.classes[:, None] != self.classes[start:start + k]] = 0.0
-        cols *= self.scalar
-        return cols
+    def _unit_columns(self):
+        """(c, columns c .. c + k - 1) of a composed form, each block from one
+        D x k identity block, k <= _COLUMN_BLOCK.  Column j of a twirl is
+        P_c A e_j with c the class of j: A's column with the rows of other
+        classes cleared."""
+        dim = self.space.dim
+        for c in range(0, dim, _COLUMN_BLOCK):
+            eye = np.eye(dim, min(_COLUMN_BLOCK, dim - c), -c)
+            if self.kind != "twirl":
+                yield c, self.apply(eye)
+                continue
+            cols = self.operands[0].apply(eye)
+            cols[self.classes[:, None] != self.classes[c:c + eye.shape[1]]] = 0
+            yield c, self.scalar * cols
 
     def diagonal(self) -> np.ndarray:
         """The full-space diagonal, without forming a dense matrix."""
@@ -388,15 +408,15 @@ class KinOperator:
             return self.space.embed_diag(self.factor, np.diagonal(self.local))
         if self._matrix is not None:
             return np.diagonal(self._matrix)
-        if self.kind == "@":
-            dim = self.space.dim
-            out = np.empty(dim, dtype=complex)
-            for c in range(0, dim, _COLUMN_BLOCK):
-                k = min(_COLUMN_BLOCK, dim - c)
-                out[c:c + k] = np.diagonal(self._unit_columns(c, k), -c)
-            return out
-        # a sum's diagonal is the sum of its operands'; a twirl keeps A's
-        return self.scalar * sum(op.diagonal() for op in self.operands)
+        if self.kind in ("+", "twirl"):
+            # a sum's diagonal is the sum of its operands'; a twirl keeps A's
+            return self.scalar * sum(op.diagonal() for op in self.operands)
+        if self.kind == "@" and sum(not op.is_diagonal
+                                    for op in self.operands) <= 1:
+            # diag(D_1 A D_2) = d_1 diag(A) d_2 for diagonal D_1, D_2
+            return self.scalar * prod(op.diagonal() for op in self.operands)
+        return np.concatenate([np.diagonal(cols, -c)
+                               for c, cols in self._unit_columns()])
 
     def apply(self, vec: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         if self.local is not None:
@@ -429,6 +449,8 @@ class KinOperator:
         ops = self.operands
         if self.kind == "twirl":
             out = self._twirl(vec, out, act)
+        elif self.kind == "exp":
+            out = self._exp(vec, out, adjoint)
         elif self.kind == "+":
             out = act(ops[0], vec, out)
             tmp = None if adjoint else np.empty(vec.shape, dtype=complex)
@@ -448,6 +470,26 @@ class KinOperator:
             out = ops[0].apply(vec, out)
         if self.scalar != 1:
             out *= np.conj(self.scalar) if adjoint else self.scalar
+        return out
+
+    def _exp(self, vec, out, adjoint: bool) -> np.ndarray:
+        """exp(X) (or exp(X^dag)) on ``vec``, X the one operand."""
+        X = self.operands[0]
+        if X.is_diagonal:
+            d = np.exp(X.diag.conj() if adjoint else X.diag)
+            return KinOperator.from_diag(X.space, d).apply(vec, out)
+        # imported here, so importing qrfkit skips it
+        from scipy.sparse.linalg import LinearOperator, expm_multiply
+
+        mv, rmv = ((X.apply_adjoint, X.apply) if adjoint
+                   else (X.apply, X.apply_adjoint))
+        trace = np.sum(X.diagonal())
+        A = LinearOperator((X.space.dim,) * 2, dtype=complex, matvec=mv,
+                           rmatvec=rmv, matmat=mv, rmatmat=rmv)
+        res = expm_multiply(A, vec, traceA=np.conj(trace) if adjoint else trace)
+        if out is None:
+            return res
+        out[...] = res
         return out
 
     def _twirl(self, vec, out, act) -> np.ndarray:
@@ -486,7 +528,7 @@ class KinOperator:
         return complex(np.vdot(b, self.apply(ket)))
 
     def __add__(self, other):
-        self._check(other)
+        _check_space(self.space, other)
         if self.is_diagonal and other.is_diagonal:
             return KinOperator.from_diag(self.space, self.diag + other.diag)
         return KinOperator.composed("+", (self, other))
@@ -505,14 +547,36 @@ class KinOperator:
         return replace(self, scalar=scalar * self.scalar)
 
     def __matmul__(self, other):
-        self._check(other)
+        _check_space(self.space, other)
         if self.is_diagonal and other.is_diagonal:
             return KinOperator.from_diag(self.space, self.diag * other.diag)
         return KinOperator.composed("@", (self, other))
 
-    def _check(self, other):
-        if other.space is not self.space:
-            raise ValueError("operators live on different spaces")
+
+def _check_space(space: LatticeSpace, *ops: KinOperator) -> None:
+    """Raise ConfigError unless every operator in ``ops`` is on ``space``."""
+    if any(op.space is not space for op in ops):
+        raise ConfigError("operators live on different spaces")
+
+
+def _spectral_norm_estimate(X: KinOperator) -> float:
+    """||X||_2 from below, by power iteration on X^dag X from a fixed start,
+    until two iterates agree to 1e-6 relative (ample for a guard on the
+    exponent's size) or for 100 iterations."""
+    dim = X.space.dim
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    est = 0.0
+    for _ in range(100):
+        w = X.apply(v)
+        new = float(np.linalg.norm(w))
+        if new == 0.0 or abs(new - est) <= 1e-6 * new:
+            return new
+        est = new
+        v = X.apply_adjoint(w)
+        v /= np.linalg.norm(v)
+    return est
 
 
 def identity_operator(space: LatticeSpace) -> KinOperator:
@@ -579,7 +643,7 @@ def build_constraint(space: LatticeSpace, terms) -> KinOperator:
         else:
             diag = np.asarray(term, dtype=float)
             if diag.shape != (f.N,):
-                raise ValueError(
+                raise ConfigError(
                     f"diagonal for factor {factor} must have length {f.N}")
         total = total + space.embed_diag(factor, diag).real
 
@@ -613,8 +677,9 @@ def group_average(space: LatticeSpace, C: KinOperator) -> KinOperator:
     On the lattice the average of ``exp(i*s*C/hbar)`` over the cyclic group
     determined by the constraint spectrum is exactly the kernel projector:
     the diagonal indicator of C's zero eigenvalues.  C must be diagonal and
-    hermitian (UnsupportedForm otherwise).
+    hermitian (UnsupportedForm otherwise), and on ``space`` (ConfigError).
     """
+    _check_space(space, C)
     vals = _diagonal_spectrum(C)
     norm = max(float(np.max(np.abs(vals))), 1.0)
     mask = np.abs(vals) < KERNEL_RTOL * norm

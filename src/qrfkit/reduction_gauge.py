@@ -8,8 +8,8 @@ QRF change V = R_B(rho_B) Pi R_A^dag(rho_A) is kept as these maps.
 Generalized gauge maps Phi satisfy Pi Phi Pi = Pi on the constraint kernel.
 A gauge map is a ``KinOperator`` like any other operator on the
 kinematical space: the reference gauge Theta(rho) = |rho><rho| x 1 stays
-factor-local and is applied by tensor contraction, while a composite gauge
-exp(i O1 C) Phi exp(i O2 C) is dense.
+factor-local and is applied by tensor contraction, and a composite gauge
+exp(i O1 C) Phi exp(i O2 C) composes two ``KinOperator.exp`` actions.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .algstates import AlgebraicState, from_hilbert
-from .errors import IllConditionedFlow, SameFrame, UnsupportedSupport
+from .errors import SameFrame, UnsupportedSupport
 from .kinspace import _COLUMN_BLOCK as _GAUGE_BLOCK
-from .kinspace import (KinOperator, LatticeSpace, _check_dense,
+from .kinspace import (KinOperator, LatticeSpace, _check_space,
                        _diagonal_spectrum, check_physical, tensor_space)
 from .relobs import OrientationFrame, orientation_state_at, theta_projector
 
@@ -124,7 +124,7 @@ def verify_gauge(phi: KinOperator, Pi: KinOperator) -> dict:
     three block arrays made once; E is written into the one that later
     holds Pi Y, and both differences are taken in place.
     """
-    Pi._check(phi)
+    _check_space(Pi.space, phi)
     cols = np.flatnonzero(Pi.diagonal())
     dim, width = Pi.space.dim, min(_GAUGE_BLOCK, cols.size)
     store = np.empty((3, dim * width), dtype=complex)
@@ -145,17 +145,13 @@ def verify_gauge(phi: KinOperator, Pi: KinOperator) -> dict:
             "valid": bool(r1 < 1e-10 and r2 < 1e-10)}
 
 
-def composite_gauge(phi: KinOperator, o1: np.ndarray, o2: np.ndarray,
+def composite_gauge(phi: KinOperator, o1: KinOperator, o2: KinOperator,
                     C: KinOperator) -> KinOperator:
-    """exp(i O1 C) Phi exp(i O2 C) for dense hermitian Dirac observables
-    O1, O2 and C diagonal and hermitian (UnsupportedForm otherwise)."""
-    from scipy.linalg import expm  # here, so importing qrfkit skips it
-
-    c = _diagonal_spectrum(C)
-    _check_dense(phi.space.dim)
-    left = expm(1j * np.asarray(o1) * c)
-    right = expm(1j * np.asarray(o2) * c)
-    return KinOperator.from_matrix(phi.space, left @ phi.matrix @ right)
+    """exp(i O1 C) Phi exp(i O2 C) for hermitian Dirac observables O1, O2
+    and C diagonal and hermitian (UnsupportedForm otherwise), composed from
+    two ``KinOperator.exp`` actions around Phi; no D x D form is built."""
+    _diagonal_spectrum(C)
+    return KinOperator.exp(o1 @ C, 1j) @ phi @ KinOperator.exp(o2 @ C, 1j)
 
 
 def gauge_transform_state(omega: AlgebraicState, phi_b: KinOperator,
@@ -175,72 +171,19 @@ def gauge_transform_state(omega: AlgebraicState, phi_b: KinOperator,
 
 def gauge_flow(omega: AlgebraicState, a: KinOperator, lam: float,
                C: KinOperator, max_exponent: float = 50.0) -> AlgebraicState:
-    """omega'(.) = omega(exp(i lam a C / hbar) (.)).
-
-    Physically equivalent to omega on right-solution states; the
-    infinitesimal version reproduces the derivation flow
-    d/dlam omega'(b)|_0 = omega([b, aC])/(i hbar).
-
-    C must be diagonal and hermitian (UnsupportedForm otherwise).  The
-    new bra is exp(-i lam X^dag / hbar) applied to the old one, with
-    X = a @ C formed once; its exponential is never formed.  A diagonal X
-    (``a`` diagonal) gives an elementwise phase on the bra and
-    ||X||_2 = max |X_ii| exactly.  Otherwise the exponential acts on the
-    bra through ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham
-    2011) on an operator built from ``X.apply_adjoint`` and ``X.apply``,
-    with tr(X) = <diag(a), spectrum of C> as its ``traceA``, and the
-    ||X||_2 in the guard is a power-iteration estimate (from below).  The
-    guard raises ``IllConditionedFlow`` when |lam| ||X||_2 / hbar exceeds
-    ``max_exponent``.
+    """omega'(.) = omega(exp(i lam a C / hbar) (.)): the bra moves by the
+    adjoint of ``KinOperator.exp(a @ C, i lam / hbar, max_exponent)``
+    (IllConditionedFlow), for C diagonal and hermitian (UnsupportedForm).
+    Physically equivalent to omega on right-solution states, with
+    d/dlam omega'(b)|_0 = omega([b, aC])/(i hbar) the derivation flow.
     """
     if omega.bra is None:
         raise ValueError("gauge flows need a Hilbert-backed state")
-    hbar = omega.space.hbar
-    c = _diagonal_spectrum(C)
-    X = a @ C
-    if X.is_diagonal:
-        norm = float(np.max(np.abs(X.diag)))
-    else:
-        norm = _spectral_norm_estimate(X)
-    scale = abs(lam) * norm / hbar
-    if scale > max_exponent:
-        raise IllConditionedFlow(
-            f"|lam|*||aC||/hbar = {scale:.1f} exceeds {max_exponent}")
-    if X.is_diagonal:
-        new_bra = np.exp(-1j * lam * X.diag.conj() / hbar) * omega.bra
-    else:
-        # imported here, so importing qrfkit skips it
-        from scipy.sparse.linalg import LinearOperator, expm_multiply
-
-        coeff = -1j * lam / hbar
-        trace = coeff * np.conj(np.dot(a.diagonal(), c))
-        X_dag = LinearOperator((X.space.dim,) * 2, dtype=complex,
-                               matvec=X.apply_adjoint, rmatvec=X.apply)
-        new_bra = expm_multiply(coeff * X_dag, omega.bra, traceA=trace)
-    return from_hilbert(new_bra, omega.ket, omega.space, omega.assignment,
-                        omega.gens, omega.degree_bound, normalize=False)
-
-
-def _spectral_norm_estimate(X: KinOperator) -> float:
-    """||X||_2 from below, by power iteration on X^dag X from a fixed start.
-
-    Stops when two iterates agree to 1e-6 relative, which is ample for a
-    guard on the exponent's size, or after 100 iterations.
-    """
-    dim = X.space.dim
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(100):
-        w = X.apply(v)
-        new = float(np.linalg.norm(w))
-        if new == 0.0 or abs(new - est) <= 1e-6 * new:
-            return new
-        est = new
-        v = X.apply_adjoint(w)
-        v /= np.linalg.norm(v)
-    return est
+    _diagonal_spectrum(C)
+    flow = KinOperator.exp(a @ C, 1j * lam / omega.space.hbar, max_exponent)
+    return from_hilbert(flow.apply_adjoint(omega.bra), omega.ket, omega.space,
+                        omega.assignment, omega.gens, omega.degree_bound,
+                        normalize=False)
 
 
 def system_projector(frame: OrientationFrame, Pi: KinOperator) -> KinOperator:

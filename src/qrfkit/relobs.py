@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IncommensurableSpectrum, IndexOutOfRange, NotAFrameFactor,
-                     UnsupportedForm)
+from .errors import (ConfigError, IncommensurableSpectrum, IndexOutOfRange,
+                     NotAFrameFactor, UnsupportedForm)
 from .kinspace import (
     KinOperator,
     LatticeSpace,
+    _check_space,
     _diagonal_spectrum,
     factor_operator,
     momentum_operator,
@@ -117,14 +118,14 @@ def wraparound_weight(frame: OrientationFrame, vec: np.ndarray,
 def g_twirl(space: LatticeSpace, C: KinOperator, A: KinOperator) -> KinOperator:
     """Incoherent group average of A over the cyclic group generated by C.
 
-    C must be diagonal and hermitian (UnsupportedForm otherwise).  The
-    average keeps exactly the matrix elements between eigenvalues closer
-    than 1e-9 * max(1, max |C|) (the group order is computed from the
-    pairwise difference spectrum, so no distinct eigenvalues are aliased).
-    That is sum_c P_c A P_c over the eigenvalue classes c of C, P_c the
-    diagonal projector onto class c's basis states.  Sorted eigenvalues
-    closer than the tolerance share a class, and a class that spans the
-    tolerance or more has no consistent split, so it raises
+    C must be diagonal and hermitian (UnsupportedForm), and C and A on
+    ``space`` (ConfigError).  The average keeps exactly the matrix elements
+    between eigenvalues closer than 1e-9 * max(1, max |C|) (the group order
+    is computed from the pairwise difference spectrum, so no distinct
+    eigenvalues are aliased).  That is sum_c P_c A P_c over the eigenvalue
+    classes c of C, P_c the diagonal projector onto class c's basis states.
+    Sorted eigenvalues closer than the tolerance share a class, and a class
+    that spans the tolerance or more has no consistent split, so it raises
     IncommensurableSpectrum.
 
     The result is the composed form.  It stores A and one class index per
@@ -132,6 +133,7 @@ def g_twirl(space: LatticeSpace, C: KinOperator, A: KinOperator) -> KinOperator:
     classes, to a D x n_g block (n_g the classes in the group), and
     reading ``matrix`` costs D/256 applies of A to 256 identity columns.
     """
+    _check_space(space, C, A)
     vals = _diagonal_spectrum(C)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
     return KinOperator.composed("twirl", (A,),
@@ -216,6 +218,6 @@ def relational_observable(space: LatticeSpace, C: KinOperator,
             factor_operator(space, k, F.conj().T)), scalar=1.0 / frame.N)
     if form == "physical":
         if Pi is None:
-            raise ValueError("physical form requires the projector Pi")
+            raise ConfigError("physical form requires the projector Pi")
         return Pi @ (theta_projector(frame, rho) @ f_s)
     raise UnsupportedForm(f"unknown form {form!r}")

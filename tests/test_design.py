@@ -1,5 +1,6 @@
 """Design invariants read from the source: only ``kinspace`` knows how a
-KinOperator is stored, and no module takes a dense eigendecomposition."""
+KinOperator is stored or builds an exponential, no module takes a dense
+eigendecomposition, and only the two dense reads check the dense budget."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,44 @@ def test_no_module_calls_eigh(path):
              and getattr(node.func, "attr", getattr(node.func, "id", None))
              == "eigh"]
     assert not calls, calls
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "kinspace.py"),
+                         ids=lambda p: p.name)
+def test_only_kinspace_builds_exponentials(path):
+    # KinOperator.exp is the one exponential action
+    names = [f"{path.name}:{node.lineno} {name}"
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in (getattr(node, "id", None),
+                          getattr(node, "attr", None),
+                          getattr(node, "name", None))
+             if name in {"expm", "expm_multiply", "LinearOperator"}]
+    assert not names, names
+
+
+def _callers(tree, name):
+    """Qualified names of the functions and methods that call ``name``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) == name:
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_dense_reads_check_the_dense_budget():
+    # DenseBudgetExceeded comes from a .matrix read or embed_matrix only
+    callers = {f"{path.stem}.{caller}" for path in SRC.glob("*.py")
+               for caller in _callers(ast.parse(path.read_text()),
+                                      "_check_dense")}
+    assert callers == {"kinspace.KinOperator.matrix",
+                       "kinspace.LatticeSpace.embed_matrix"}

@@ -8,8 +8,10 @@ from oracles import cyclic_group, support_oracle
 from qrfkit import kinspace as ks
 from qrfkit import relobs as ro
 from qrfkit.errors import (
+    ConfigError,
     DenseBudgetExceeded,
     EmptyKernel,
+    IllConditionedFlow,
     IncommensurableSpectrum,
     IndexOutOfRange,
     NegativeGenerator,
@@ -469,11 +471,16 @@ class TestComposedForm:
         cases = [(l1 @ l2, L1 @ L2), (d @ l1 @ m, D @ L1 @ M),
                  (l1 + m, L1 + M), (m + m, M + M),
                  (s * (l1 @ d + m @ l2), s * (L1 @ D + M @ L2)),
-                 ((l1 + d) @ (l2 - m), (L1 + D) @ (L2 - M)), (m @ m, M @ M)]
+                 ((l1 + d) @ (l2 - m), (L1 + D) @ (L2 - M)), (m @ m, M @ M),
+                 # exp(s X) for a diagonal X, a product with one non-diagonal
+                 # operand, and a scaled dense X: the scalar stays outside
+                 (ks.KinOperator.exp(d, s), expm(s * D)),
+                 (ks.KinOperator.exp(l1 @ d, 0.3j), expm(0.3j * L1 @ D)),
+                 (s * ks.KinOperator.exp(m, 0.1j), s * expm(0.1j * M))]
         v = rng.normal(size=(sp.dim, 3)) + 1j * rng.normal(size=(sp.dim, 3))
         for op, ref in cases:
             tol = 1e-12 * np.max(np.abs(ref))
-            assert op.kind in ("@", "+") and op._matrix is None
+            assert op.kind in ("@", "+", "exp") and op._matrix is None
             assert np.max(np.abs(op.matrix - ref)) < tol
             assert np.max(np.abs(op.diagonal() - np.diagonal(ref))) < tol
             for x in (v, v[:, 0], np.asfortranarray(v)):
@@ -482,7 +489,12 @@ class TestComposedForm:
                                      - ref.conj().T @ x)) < 10 * tol
             out = np.full(v.shape, np.nan, dtype=complex)
             assert op.apply(v, out=out) is out
-            assert np.array_equal(out, op.apply(v))
+            if op.kind == "exp" and not op.operands[0].is_diagonal:
+                # expm_multiply's norm estimate draws from numpy's global
+                # random state, so two applies agree to rounding only
+                assert np.max(np.abs(out - ref @ v)) < 10 * tol
+            else:
+                assert np.array_equal(out, op.apply(v))
         assert (l1 + ks.factor_operator(sp, 1, l1.local.conj().T)).hermitian
         assert not (l1 + m).hermitian and not (l1 @ d).hermitian
 
@@ -495,6 +507,39 @@ class TestComposedForm:
         prod = 2.0 * (l1 @ l2) @ (d @ m)
         assert prod.operands == (l1, l2, d, m) and prod.scalar == 2.0
         assert (l1 + l2 + m).operands == (l1, l2, m)
+        # an exp is never spliced, and a scalar multiplies it
+        e = ks.KinOperator.exp(l1, 0.1)
+        assert ks.KinOperator.composed("exp", (e,)).operands == (e,)
+        assert (2.0 * e).operands == e.operands and (2.0 * e).scalar == 2.0
+        assert (e @ e).operands == (e, e)
+
+    def test_product_diagonal_reads_no_columns(self, monkeypatch):
+        # all operands of a product but one diagonal: d_1 diag(A) d_2
+        sp, (d, l1, _, m) = self.operands(np.random.default_rng(211))
+        cases = [(2.0 * (d @ l1 @ d), 2.0 * d.diag * l1.diagonal() * d.diag),
+                 (m @ d, np.diagonal(m.matrix) * d.diag)]
+
+        def columns(self):
+            raise AssertionError("unit columns were read")
+
+        monkeypatch.setattr(ks.KinOperator, "_unit_columns", columns)
+        for op, ref in cases:
+            assert op.kind == "@"
+            assert np.max(np.abs(op.diagonal() - ref)) \
+                < 1e-12 * np.max(np.abs(ref))
+
+    def test_ill_conditioned_exponential_rejected(self):
+        sp, (d, l1, _, _) = self.operands(np.random.default_rng(199))
+        # diagonal X: ||X||_2 = max |X_ii| exactly
+        big = 10.0 / np.max(np.abs(d.diag)) * d
+        with pytest.raises(IllConditionedFlow):
+            ks.KinOperator.exp(big, 6.0)
+        ks.KinOperator.exp(big, 4.9)
+        # any other X: a power-iteration estimate of ||X||_2
+        exact = np.linalg.norm(l1.matrix, 2)
+        with pytest.raises(IllConditionedFlow):
+            ks.KinOperator.exp(l1, 1j, max_exponent=0.99 * exact)
+        ks.KinOperator.exp(l1, 1j, max_exponent=1.01 * exact)
 
     def test_support_is_the_union_of_operand_supports(self):
         sp = TestOperatorForms.mixed_space()
@@ -605,6 +650,55 @@ class TestRectangularApplyFactor:
                     np.empty((rows, 4), dtype=complex)[:, ::2]):
             with pytest.raises(ValueError, match="C-contiguous complex"):
                 sp.apply_factor(0, mat, vec, out=bad)
+
+
+def _other_space_operands():
+    """Operators on a 4-site and an 8-site two-frame space."""
+    small, large = two_frame_space(N=4), two_frame_space(N=8)
+    return (small, ks.build_constraint(small, {0: 1.0, 1: 1.0}),
+            ks.build_constraint(large, {0: 1.0, 1: 1.0}))
+
+
+WRONG_SPACE_CALLS = {
+    "from_diag": lambda sp, c, c_other: ks.KinOperator.from_diag(
+        sp, c_other.diag),
+    "group_average": lambda sp, c, c_other: ks.group_average(sp, c_other),
+    "g_twirl_C": lambda sp, c, c_other: ro.g_twirl(sp, c_other, c),
+    "g_twirl_A": lambda sp, c, c_other: ro.g_twirl(sp, c, c_other),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONG_SPACE_CALLS))
+def test_operator_on_another_space_raises(call):
+    with pytest.raises(ConfigError):
+        WRONG_SPACE_CALLS[call](*_other_space_operands())
+
+
+def _physical_form_without_pi():
+    sp = two_frame_space()
+    C = ks.build_constraint(sp, {0: 1.0, 1: 1.0})
+    return ro.relational_observable(sp, C, ro.OrientationFrame(sp, 0), 0.0,
+                                    ks.identity_operator(sp), form="physical")
+
+
+CONFIG_ERRORS = {
+    # two spaces of equal dimension, so only the space check can catch it
+    "different_spaces": lambda: (ks.identity_operator(two_frame_space())
+                                 + ks.identity_operator(two_frame_space())),
+    "relational_observable.physical": _physical_form_without_pi,
+    "build_constraint": lambda: ks.build_constraint(two_frame_space(),
+                                                    {0: np.ones(3)}),
+    "FactorSpec.system": lambda: ks.FactorSpec.system([]),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CONFIG_ERRORS))
+def test_bad_input_raises_config_error(site):
+    # a QRFError that existing ``pytest.raises(ValueError)`` still catch
+    assert issubclass(ConfigError, QRFError)
+    assert issubclass(ConfigError, ValueError)
+    with pytest.raises(ConfigError):
+        CONFIG_ERRORS[site]()
 
 
 FACTOR_ENTRY_POINTS = {

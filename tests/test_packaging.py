@@ -52,9 +52,9 @@ def run_fresh(code: str) -> str:
 @pytest.mark.parametrize("module", ["scipy.sparse.linalg", "scipy.linalg",
                                     "sympy"])
 def test_import_does_not_load_sparse_linalg(module):
-    # gauge_flow imports scipy.sparse.linalg only on its non-diagonal path,
-    # composite_gauge scipy.linalg only when called; ncalg imports sympy
-    # only for sympy input, serialize and the HBAR symbol
+    # KinOperator.exp imports scipy.sparse.linalg only on its non-diagonal
+    # path, and nothing imports scipy.linalg; ncalg imports sympy only for
+    # sympy input, serialize and the HBAR symbol
     code = ("import sys; import qrfkit.models, qrfkit.relobs, "
             "qrfkit.reduction_gauge, qrfkit.algstates; "
             f"print({module!r} in sys.modules)")

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from oracles import represent
+from test_packaging import run_fresh
 from qrfkit import algstates as ast
 from qrfkit import kinspace as ks
 from qrfkit import models as md
@@ -375,7 +377,30 @@ class TestThetaGauge:
         o1 = model.Pi.matrix @ o1 @ model.Pi.matrix  # supported on the kernel
         o2 = np.diag(rng.normal(size=model.space.dim))
         o2 = model.Pi.matrix @ o2 @ model.Pi.matrix
-        comp = rg.composite_gauge(theta, o1, o2, model.constraint)
+        comp = rg.composite_gauge(theta,
+                                  ks.KinOperator.from_matrix(model.space, o1),
+                                  ks.KinOperator.from_matrix(model.space, o2),
+                                  model.constraint)
+        rep = rg.verify_gauge(comp, model.Pi)
+        assert rep["valid"], rep
+
+    def test_composite_gauge_with_nonzero_exponents(self, model):
+        # O1 C != 0: O1 is a non-diagonal Dirac observable (the twirl of a
+        # hermitian on one factor), so its exponential takes
+        # expm_multiply, and O2 an unprojected diagonal, a phase
+        rng = np.random.default_rng(239)
+        sp, C = model.space, model.constraint
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        o1 = ro.g_twirl(sp, C, ks.factor_operator(sp, 2, (m + m.conj().T) / 4))
+        o2 = ks.KinOperator.from_diag(sp, rng.normal(size=sp.dim))
+        assert not o1.is_diagonal
+        fr = model.frames["A"]
+        theta = rg.theta_gauge(fr, fr.grid[4])
+        comp = rg.composite_gauge(theta, o1, o2, C)
+        ref = (expm(1j * o1.matrix @ C.matrix) @ theta.matrix
+               @ expm(1j * o2.matrix @ C.matrix))
+        assert np.max(np.abs(comp.matrix - ref)) < 1e-12
+        assert np.max(np.abs(ref - theta.matrix)) > 0.5  # not Theta itself
         rep = rg.verify_gauge(comp, model.Pi)
         assert rep["valid"], rep
 
@@ -664,6 +689,46 @@ class TestLargeLattice:
         x = rng.normal(size=(32 * 32, 3)) + 1j * rng.normal(size=(32 * 32, 3))
         assert np.max(np.abs(v_ba.apply(v_ab.apply(x)) - x)) < 1e-10
 
+    def test_composite_gauge_in_a_fresh_interpreter(self):
+        """Under a 3 GB address-space limit the composite gauge with
+        unprojected diagonal O1, O2 is a gauge, and transforming a state by
+        it keeps the Dirac values (a D x D complex array is 16 GiB)."""
+        code = """if True:
+            import json, resource
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            limit = 3_000_000 * 1024
+            if hard != resource.RLIM_INFINITY:
+                limit = min(limit, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+            import numpy as np
+            from qrfkit import algstates as ast, kinspace as ks, models as md
+            from qrfkit import reduction_gauge as rg
+            model = md.build_model(md.ModelSpec("nparticle", n_particles=3,
+                                                lattice_size=32))
+            sp, g = model.space, model.gens
+            psi = md.gaussian_physical_state(
+                model, centers_x={0: 0.0, 1: 0.3, 2: -0.3},
+                sigmas={1: 1.7, 2: 1.7})
+            rng = np.random.default_rng(241)
+            o1, o2 = (ks.KinOperator.from_diag(sp, rng.normal(size=sp.dim) / 8)
+                      for _ in range(2))
+            fa, fb = model.frames["A"], model.frames["B"]
+            comp = rg.composite_gauge(rg.theta_gauge(fb, fb.grid[15]), o1, o2,
+                                      model.constraint)
+            rep = rg.verify_gauge(comp, model.Pi)
+            om_a = ast.frame_state(sp, model.constraint, fa, fa.grid[16], psi,
+                                   model.assignment, g, 2)
+            om_b = rg.gauge_transform_state(om_a, comp, model.Pi)
+            drift = max(abs(om_b.evaluate(el) - om_a.evaluate(el))
+                        for el in (g.one(), g.gen("p_A"), g.gen("p_B"),
+                                   g.gen("p_C")))
+            print(json.dumps({"dim": sp.dim, "rep": rep, "drift": drift}))
+        """
+        out = json.loads(run_fresh(code).splitlines()[-1])
+        assert out["dim"] == 32768
+        assert out["rep"]["valid"], out
+        assert out["drift"] < 1e-10, out
+
     def test_verify_gauge(self, big):
         model, _ = big
         fr = model.frames["B"]
@@ -766,5 +831,5 @@ def test_trace_of_product_matches_einsum(left, right):
     tol = 1e-12 * max(1.0, abs(ref))
     assert abs(np.sum((a @ b).diagonal()) - ref) <= tol
     if b.is_diagonal:
-        # gauge_flow's traceA: one dot product with the diagonal constraint
+        # tr(aC) for a diagonal C: one dot product with a's diagonal
         assert abs(np.dot(a.diagonal(), b.diag) - ref) <= tol
