@@ -20,7 +20,7 @@ from math import factorial
 import numpy as np
 
 from . import ncalg
-from .errors import DegreeExceeded, UnsupportedSupport
+from .errors import ConfigError, DegreeExceeded, UnsupportedSupport
 from .kinspace import KinOperator, LatticeSpace, check_physical
 from .ncalg import AlgebraElement, Coef, GeneratorSet, commutator
 from .relobs import theta_projector
@@ -34,9 +34,11 @@ class AlgebraicState:
     """Complex linear functional on AlgebraElements up to a degree bound.
 
     On a Hilbert backing omega(m) = <bra| y^m |ket>, cached per monomial.
-    With g the lowest generator index in m and m - e_g dropping one y_g, a
-    non-unit monomial is valued by the *-structure as
-    omega(m) = <y_g^dag bra| y^(m - e_g) |ket>.
+    A non-unit monomial is valued by the *-structure: with m_0 > 0 the whole
+    power of the first generator moves to the bra,
+    omega(m) = <(y_0^dag)^(m_0) bra| y^(m - m_0 e_0) |ket>; otherwise, with
+    g the lowest generator index in m, omega(m) = <y_g^dag bra| y^(m - e_g)
+    |ket>.
     """
 
     gens: GeneratorSet
@@ -63,12 +65,15 @@ class AlgebraicState:
 
     def evaluate_all(self, elements) -> list:
         """omega of each element: the union of their uncached monomials is
-        valued by ``_fill_cache`` as <y_g^dag bra| y^(m - e_g) |ket>, with
-        <= degree - 1 walk buffers plus one adjoint bra per distinct head
-        alive, freed on return."""
+        valued by ``_fill_cache`` as <(y_0^dag)^(m_0) bra| y^(m - m_0 e_0)
+        |ket> when m_0 > 0, else <y_g^dag bra| y^(m - e_g) |ket>, with
+        <= degree - 1 walk buffers, the needed powers of y_0^dag on the bra
+        and one adjoint bra per other distinct head alive, freed on
+        return."""
         for a in elements:
             if a.gens is not self.gens:
-                raise ValueError("element belongs to a different generator set")
+                raise ConfigError(
+                    "element belongs to a different generator set")
             if a.degree() > self.degree_bound:
                 raise DegreeExceeded(
                     f"degree {a.degree()} exceeds bound {self.degree_bound}")
@@ -84,28 +89,41 @@ class AlgebraicState:
     def _fill_cache(self, monomials):
         """Cache the value of each uncached monomial.
 
-        Hilbert backing: the unit is <bra|ket>, and a word (g,) + t is
-        vdot(y_g^dag bra, y^t ket), with one ``apply_adjoint`` of the bra per
-        distinct head g and one prefix walk over the distinct tails t.  At
-        most degree - 1 walk buffers and one adjoint bra per head are alive,
-        all freed on return; each value is bitwise the same whichever call
+        Hilbert backing: the unit is <bra|ket>.  A word with m_0 > 0 is
+        y_0^(m_0) t, valued as vdot((y_0^dag)^(m_0) bra, y^t ket); any other
+        word is (g,) + t, valued as vdot(y_g^dag bra, y^t ket).  No tail t
+        holds y_0, so one prefix walk over the distinct tails never applies
+        it.  Each head g takes repeated ``apply_adjoint`` of the bra up to
+        its largest power (m_0 for y_0, 1 for any other head), and only the
+        needed powers are kept.  At most degree - 1 walk buffers, the needed
+        powers of y_0^dag and one adjoint bra per other head are alive, all
+        freed on return; each value is bitwise the same whichever call
         computes it.
         """
         missing = [m for m in monomials if m not in self._cache]
         if self.table is None:
-            heads = {}  # tail word -> [(head, monomial)]
+            heads = {}  # tail word -> [((head, power), monomial)]
+            powers = {}  # head -> the powers of its adjoint that are needed
             for m in missing:
                 w = ncalg.monomial_word(m)
                 if w:
-                    heads.setdefault(w[1:], []).append((w[0], m))
+                    k = m[0] or 1
+                    heads.setdefault(w[k:], []).append(((w[0], k), m))
+                    powers.setdefault(w[0], set()).add(k)
                 else:
                     self._cache[m] = complex(np.vdot(self.bra, self.ket))
-            bras = {g: self.assignment[self.gens.names[g]].apply_adjoint(
-                self.bra) for g in {g for hs in heads.values() for g, _ in hs}}
+            bras = {}
+            for g, ks in powers.items():
+                bra = self.bra
+                for k in range(1, max(ks) + 1):
+                    bra = self.assignment[self.gens.names[g]].apply_adjoint(
+                        bra)
+                    if k in ks:
+                        bras[g, k] = bra
             for t, vec in ncalg._prefix_walk(self.gens, heads,
                                              self.assignment, self.ket):
-                for g, m in heads[t]:
-                    self._cache[m] = complex(np.vdot(bras[g], vec))
+                for key, m in heads[t]:
+                    self._cache[m] = complex(np.vdot(bras[key], vec))
             return
         for m in missing:
             if m not in self.table:
@@ -114,9 +132,11 @@ class AlgebraicState:
 
     def value_table(self, max_degree: int = None) -> dict:
         """Monomial -> value map (golden files), each value
-        <y_g^dag bra| y^(m - e_g) |ket> by ``_fill_cache``: the walk covers
-        the tails of degree <= d - 1, with <= d - 1 walk buffers plus one
-        adjoint bra per distinct head alive, freed on return."""
+        <(y_0^dag)^(m_0) bra| y^(m - m_0 e_0) |ket> when m_0 > 0, else
+        <y_g^dag bra| y^(m - e_g) |ket>, by ``_fill_cache``: the walk covers
+        the tails of degree <= d - 1 free of y_0, with <= d - 1 walk buffers,
+        the powers 1..d of y_0^dag on the bra and one adjoint bra per other
+        generator alive, freed on return."""
         d = self.degree_bound if max_degree is None else max_degree
         if d > self.degree_bound:
             raise DegreeExceeded(
@@ -144,7 +164,7 @@ def from_hilbert(bra: np.ndarray, ket: np.ndarray, space: LatticeSpace,
     if normalize:
         n = complex(np.vdot(bra, ket))
         if abs(n) < 1e-14:
-            raise ValueError("bra/ket pair has vanishing overlap")
+            raise ConfigError("bra/ket pair has vanishing overlap")
         bra = bra / np.conj(n)
     return AlgebraicState(gens, degree_bound, space=space, bra=bra, ket=ket,
                           assignment=assignment)
@@ -154,7 +174,7 @@ def from_table(gens: GeneratorSet, table: dict,
                degree_bound: int = DEFAULT_DEGREE_BOUND,
                hbar: float = 1.0) -> AlgebraicState:
     if abs(table.get(gens.unit_monomial(), 0.0) - 1.0) > 1e-12:
-        raise ValueError("value table must be normalized: omega(1) = 1")
+        raise ConfigError("value table must be normalized: omega(1) = 1")
     return AlgebraicState(gens, degree_bound, table=dict(table),
                           table_hbar=hbar)
 
@@ -185,7 +205,7 @@ def _max_abs_value(omega: AlgebraicState, degree: int,
     """
     gens = omega.gens
     if left.gens is not gens or right.gens is not gens:
-        raise ValueError("elements belong to different generator sets")
+        raise ConfigError("elements belong to different generator sets")
     total = max(degree, 0) + left.degree() + right.degree()
     if total > gens.degree_cap:
         raise DegreeExceeded(f"product degree {total} exceeds cap "

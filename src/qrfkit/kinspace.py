@@ -193,11 +193,11 @@ def _check_dense(dim: int) -> None:
 
 
 def _check_out(out: np.ndarray, shape: tuple) -> None:
-    """Raise ValueError unless ``out`` is a C-contiguous complex array of
+    """Raise ConfigError unless ``out`` is a C-contiguous complex array of
     ``shape``, so that its reshaped views write into ``out`` itself."""
     if not (isinstance(out, np.ndarray) and out.shape == shape
             and out.dtype == complex and out.flags.c_contiguous):
-        raise ValueError(
+        raise ConfigError(
             f"out must be a C-contiguous complex array of shape {shape}")
 
 
@@ -306,7 +306,7 @@ class KinOperator:
         """The composed form of ``operands``; a product operand is spliced
         into a product, and a sum operand with no scalar into a sum."""
         if kind not in ("@", "+", "twirl", "exp"):
-            raise ValueError(f"unknown composition {kind!r}")
+            raise ConfigError(f"unknown composition {kind!r}")
         _check_space(operands[0].space, *operands)
         flat = []
         for op in operands:

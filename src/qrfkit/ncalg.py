@@ -43,7 +43,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import DegreeExceeded, RelationViolation
+from .errors import ConfigError, DegreeExceeded, RelationViolation
 from .kinspace import _COLUMN_BLOCK
 
 IDENTITY = -1  # index of the identity component in relation tables
@@ -261,12 +261,12 @@ class GeneratorSet:
         self.names = tuple(names)
         self.index = {n: i for i, n in enumerate(self.names)}
         if len(self.index) != len(self.names):
-            raise ValueError("generator names must be unique")
+            raise ConfigError("generator names must be unique")
         self.degree_cap = degree_cap
         table = {}
         for (i, j), comps in relations.items():
             if not (0 <= i < j < len(self.names)):
-                raise ValueError(f"relation key {(i, j)} must have i < j")
+                raise ConfigError(f"relation key {(i, j)} must have i < j")
             table[(i, j)] = {k: _coef(a) for k, a in comps.items()
                              if _coef(a)}
         self.relations = table
@@ -363,7 +363,7 @@ class GeneratorSet:
                                           alpha.terms, beta.terms)
                     for l, v in acc.items():
                         if _normalized(v):
-                            raise ValueError(
+                            raise ConfigError(
                                 f"Jacobi identity fails for generators "
                                 f"({self.names[i]},{self.names[j]},{self.names[k]})")
 
@@ -536,7 +536,8 @@ class AlgebraElement:
     def _coerce(self, x):
         if isinstance(x, AlgebraElement):
             if x.gens is not self.gens:
-                raise ValueError("elements belong to different generator sets")
+                raise ConfigError(
+                    "elements belong to different generator sets")
             return x
         return _coef(x) * self.gens.one()
 
@@ -563,7 +564,7 @@ class AlgebraElement:
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Associative product, rewritten to normal order."""
     if a.gens is not b.gens:
-        raise ValueError("elements belong to different generator sets")
+        raise ConfigError("elements belong to different generator sets")
     gens = a.gens
     cap = gens.degree_cap
     right = [(monomial_word(mb), sum(mb), cb.terms)

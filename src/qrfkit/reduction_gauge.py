@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .algstates import AlgebraicState, from_hilbert
-from .errors import SameFrame, UnsupportedSupport
+from .errors import ConfigError, SameFrame, UnsupportedSupport
 from .kinspace import _COLUMN_BLOCK as _GAUGE_BLOCK
 from .kinspace import (KinOperator, LatticeSpace, _check_space,
                        _diagonal_spectrum, check_physical, tensor_space)
@@ -163,7 +163,7 @@ def gauge_transform_state(omega: AlgebraicState, phi_b: KinOperator,
     drifting omega'(1) flags a state that was not a solution.
     """
     if omega.bra is None:
-        raise ValueError("gauge transforms need a Hilbert-backed state")
+        raise ConfigError("gauge transforms need a Hilbert-backed state")
     new_bra = phi_b.apply_adjoint(Pi.apply(omega.bra))
     return from_hilbert(new_bra, omega.ket, omega.space, omega.assignment,
                         omega.gens, omega.degree_bound, normalize=False)
@@ -178,7 +178,7 @@ def gauge_flow(omega: AlgebraicState, a: KinOperator, lam: float,
     d/dlam omega'(b)|_0 = omega([b, aC])/(i hbar) the derivation flow.
     """
     if omega.bra is None:
-        raise ValueError("gauge flows need a Hilbert-backed state")
+        raise ConfigError("gauge flows need a Hilbert-backed state")
     _diagonal_spectrum(C)
     flow = KinOperator.exp(a @ C, 1j * lam / omega.space.hbar, max_exponent)
     return from_hilbert(flow.apply_adjoint(omega.bra), omega.ket, omega.space,

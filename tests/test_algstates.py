@@ -420,29 +420,44 @@ def per_word(gens, assignment, m, vec):
     return vec
 
 
-def split_lowest(m):
-    """(g, m - e_g) with g the lowest generator index in m."""
+def drop_lowest(m, k=1):
+    """(g, m - k e_g) with g the lowest generator index in m."""
     g = next(g for g, e in enumerate(m) if e)
-    return g, m[:g] + (m[g] - 1,) + m[g + 1:]
+    return g, m[:g] + (m[g] - k,) + m[g + 1:]
 
 
-def adjoint_bra(om, g):
-    return om.assignment[om.gens.names[g]].apply_adjoint(om.bra)
+def split_lowest(m):
+    """(g, k, m - k e_g) with g the lowest generator index in m: the bra
+    takes the whole power k = m_0 of y_0, or one letter (k = 1) when m_0 is
+    zero."""
+    k = m[0] or 1
+    g, tail = drop_lowest(m, k)
+    return g, k, tail
+
+
+def adjoint_bra(om, g, k=1):
+    """(y_g^dag)^k bra, one ``apply_adjoint`` at a time."""
+    bra = om.bra
+    for _ in range(k):
+        bra = om.assignment[om.gens.names[g]].apply_adjoint(bra)
+    return bra
 
 
 def per_word_value(om, m):
     """omega(m) by its definition: <bra|ket> for the unit monomial, else
-    <y_g^dag bra| y^(m - e_g) ket>, each side computed on its own."""
+    <(y_g^dag)^k bra| y^(m - k e_g) ket> with (g, k) from ``split_lowest``,
+    each side computed on its own."""
     if not any(m):
         return complex(np.vdot(om.bra, om.ket))
-    g, tail = split_lowest(m)
+    g, k, tail = split_lowest(m)
     vec = per_word(om.gens, om.assignment, tail, om.ket)
-    return complex(np.vdot(adjoint_bra(om, g), vec))
+    return complex(np.vdot(adjoint_bra(om, g, k), vec))
 
 
 class CountingOp:
     """An assignment entry that records the ``out`` of each ``apply`` call
-    and the input of each ``apply_adjoint`` call, in two lists."""
+    in one list, and (op, input, result) of each ``apply_adjoint`` call in
+    another."""
 
     def __init__(self, op, calls, adjoint_calls):
         self.op, self.calls, self.adjoint_calls = op, calls, adjoint_calls
@@ -452,8 +467,9 @@ class CountingOp:
         return self.op.apply(vec, out=out)
 
     def apply_adjoint(self, vec):
-        self.adjoint_calls.append(vec)
-        return self.op.apply_adjoint(vec)
+        out = self.op.apply_adjoint(vec)
+        self.adjoint_calls.append((self.op, vec, out))
+        return out
 
 
 def prefix_closure(monomials):
@@ -463,14 +479,15 @@ def prefix_closure(monomials):
     for m in monomials:
         while any(m):
             out.add(m)
-            m = split_lowest(m)[1]
+            m = drop_lowest(m)[1]
     return out
 
 
-def tails_and_heads(monomials):
-    """The tails m - e_g and the heads g of the non-unit monomials."""
+def tails_and_bras(monomials):
+    """The tails m - k e_g and the distinct (head g, power k) bras of the
+    non-unit monomials, split by ``split_lowest``."""
     splits = [split_lowest(m) for m in monomials if any(m)]
-    return {t for _, t in splits}, {g for g, _ in splits}
+    return {t for _, _, t in splits}, {(g, k) for g, k, _ in splits}
 
 
 def counting_state(model, om, calls, adjoint_calls):
@@ -508,12 +525,15 @@ class TestPrefixWalk:
         return counting_state(npmodel, om, calls, adjoint_calls)
 
     def test_value_table_applies_once_per_monomial(self, npmodel, loc_state):
-        # the walk covers the degree-4 tails, one adjoint per generator
+        # the walk covers the degree-4 tails free of y_0; one adjoint per
+        # other generator, and the powers 1..5 of y_0^dag on the bra
+        g = npmodel.gens
         calls, adjoint_calls = [], []
         om = self.counting_state(npmodel, loc_state, calls, adjoint_calls)
         table = om.value_table(5)
-        assert len(calls) == len(npmodel.gens.monomial_basis(4)) - 1
-        assert len(adjoint_calls) == len(npmodel.gens.names)
+        assert len(calls) == len([m for m in g.monomial_basis(4)
+                                  if not m[0]]) - 1 == 125
+        assert len(adjoint_calls) == len(g.names) - 1 + 5
         om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
         assert table == om_plain.value_table(5)
 
@@ -525,10 +545,10 @@ class TestPrefixWalk:
         calls, adjoint_calls = [], []
         om = self.counting_state(npmodel, loc_state, calls, adjoint_calls)
         value = om.evaluate(el)
-        tails, heads = tails_and_heads(el.terms)
+        tails, bras = tails_and_bras(el.terms)
         closure = prefix_closure(tails)
         assert len(calls) == len(closure)
-        assert len(adjoint_calls) == len(heads)
+        assert len(adjoint_calls) == len(bras)
         assert len(closure) < sum(sum(m) for m in el.terms)
         om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
         assert value == sum((ncalg.numeric(c, npmodel.hbar)
@@ -536,7 +556,7 @@ class TestPrefixWalk:
                              for m, c in el.terms.items()), 0j)
         om.evaluate(el)
         assert len(calls) == len(closure)
-        assert len(adjoint_calls) == len(heads)
+        assert len(adjoint_calls) == len(bras)
 
     @pytest.mark.parametrize("check", ["constraint", "frame_gauge",
                                        "positivity"])
@@ -562,9 +582,9 @@ class TestPrefixWalk:
         calls, adjoint_calls = [], []
         value = run(self.counting_state(npmodel, loc_state, calls,
                                         adjoint_calls))
-        tails, heads = tails_and_heads(m for p in products for m in p.terms)
+        tails, bras = tails_and_bras(m for p in products for m in p.terms)
         assert len(calls) == len(prefix_closure(tails))
-        assert len(adjoint_calls) == len(heads)
+        assert len(adjoint_calls) == len(bras)
         # the value the per-product evaluation gives, bit for bit
         om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
         if check == "positivity":
@@ -581,11 +601,21 @@ class TestPrefixWalk:
         om = self.counting_state(npmodel, loc_state, calls, adjoint_calls)
         ket, bra = om.ket.copy(), om.bra.copy()
         table = om.value_table(5)
-        assert len(calls) == len(npmodel.gens.monomial_basis(4)) - 1
+        assert len(calls) == len([m for m in npmodel.gens.monomial_basis(4)
+                                  if not m[0]]) - 1
         assert all(isinstance(out, np.ndarray) for out in calls)
         assert len({id(out) for out in calls}) <= 4
         assert not any(np.shares_memory(out, om.ket) for out in calls)
-        assert all(vec is om.bra for vec in adjoint_calls)
+        # each adjoint input is the bra, or the power of y_0^dag on the bra
+        # that the call before it on y_0 returned
+        y0 = npmodel.assignment[npmodel.gens.names[0]]
+        chain = [(vec, out) for op, vec, out in adjoint_calls if op is y0]
+        assert len(chain) == 5
+        assert [vec is om.bra for vec, _ in chain] == [True] + [False] * 4
+        assert all(vec is prev for (vec, _), (_, prev) in zip(chain[1:],
+                                                              chain))
+        assert all(vec is om.bra for op, vec, _ in adjoint_calls
+                   if op is not y0)
         assert np.array_equal(om.ket, ket)
         assert np.array_equal(om.bra, bra)
         om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
@@ -596,8 +626,8 @@ class TestPrefixWalk:
         md.ModelSpec("degenerate"), md.ModelSpec("newtonian", dp=2.0)],
         ids=lambda spec: spec.name)
     def test_split_values_match_the_full_chain(self, spec):
-        # <y_g^dag bra, y^(m - e_g) ket> against <bra, y^m ket>, for the
-        # frame state and a gauge-transformed bra
+        # <(y_g^dag)^k bra, y^(m - k e_g) ket> against <bra, y^m ket>, for
+        # the frame state and a gauge-transformed bra
         model = md.build_model(spec)
         psi = md.random_physical_state(model, np.random.default_rng(19))
         labels = list(model.frames)
@@ -607,23 +637,25 @@ class TestPrefixWalk:
         om_b = rg.gauge_transform_state(om, rg.theta_gauge(fr_b, fr_b.grid[2]),
                                         model.Pi)
         for state in (om, om_b):
-            bras = [adjoint_bra(state, g)
-                    for g in range(len(model.gens.names))]
+            bras = {}
             for m, v in state.value_table(6).items():
                 full = complex(np.vdot(state.bra, per_word(
                     model.gens, state.assignment, m, state.ket)))
                 if not any(m):
                     assert v == full
                     continue
-                g, tail = split_lowest(m)
-                scale = np.linalg.norm(bras[g]) * np.linalg.norm(per_word(
+                g, k, tail = split_lowest(m)
+                if (g, k) not in bras:
+                    bras[g, k] = adjoint_bra(state, g, k)
+                scale = np.linalg.norm(bras[g, k]) * np.linalg.norm(per_word(
                     model.gens, state.assignment, tail, state.ket))
                 assert abs(v - full) <= 1e-13 * scale
 
     def test_value_table_counts_at_the_benchmarked_shape(self):
-        # nparticle L = 32 (D = 32768) at degree 6: the 461 non-unit words of
-        # degree <= 5 are walked (the full-word walk made 923 applies), and
-        # each of the 6 generators is applied once to the bra
+        # nparticle L = 32 (D = 32768) at degree 6: the 251 non-unit words of
+        # degree <= 5 free of y_0 are walked (the one-letter split walked 461
+        # words, the full-word walk made 923 applies); each of the 5 other
+        # generators is applied once to the bra, and y_0^dag 6 times
         model = md.build_model(md.ModelSpec("nparticle", n_particles=3,
                                             lattice_size=32))
         psi = md.random_physical_state(model, np.random.default_rng(5))
@@ -631,7 +663,20 @@ class TestPrefixWalk:
         calls, adjoint_calls = [], []
         table = counting_state(model, om, calls, adjoint_calls).value_table(6)
         assert len(table) == 924
-        assert (len(calls), len(adjoint_calls)) == (461, 6)
+        assert (len(calls), len(adjoint_calls)) == (251, 11)
+        assert table == om.value_table(6)
+
+    def test_value_table_counts_on_su2_at_l32(self):
+        # su2 L = 32 (D = 3072) at degree 6: the 461 non-unit words of
+        # degree <= 5 over the 6 generators other than y_0 are walked (the
+        # one-letter split walked 791)
+        model = md.build_model(md.ModelSpec("su2", lattice_size=32))
+        psi = md.random_physical_state(model, np.random.default_rng(5))
+        om = frame_omega(model, "A", model.frames["A"].grid[3], psi)
+        calls, adjoint_calls = [], []
+        table = counting_state(model, om, calls, adjoint_calls).value_table(6)
+        assert len(table) == 1716
+        assert (len(calls), len(adjoint_calls)) == (461, 12)
         assert table == om.value_table(6)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),

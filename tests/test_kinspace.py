@@ -5,7 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 from oracles import cyclic_group, support_oracle
+from qrfkit import algstates as ast
 from qrfkit import kinspace as ks
+from qrfkit import ncalg
+from qrfkit import reduction_gauge as rg
 from qrfkit import relobs as ro
 from qrfkit.errors import (
     ConfigError,
@@ -681,6 +684,16 @@ def _physical_form_without_pi():
                                     ks.identity_operator(sp), form="physical")
 
 
+def _pair():
+    # each call a new generator set, so elements of two calls do not mix
+    return ncalg.GeneratorSet.canonical([("q", "p")])
+
+
+def _table_state():
+    g = _pair()
+    return ast.from_table(g, {g.unit_monomial(): 1.0})
+
+
 CONFIG_ERRORS = {
     # two spaces of equal dimension, so only the space check can catch it
     "different_spaces": lambda: (ks.identity_operator(two_frame_space())
@@ -689,6 +702,32 @@ CONFIG_ERRORS = {
     "build_constraint": lambda: ks.build_constraint(two_frame_space(),
                                                     {0: np.ones(3)}),
     "FactorSpec.system": lambda: ks.FactorSpec.system([]),
+    "apply.out": lambda: ks.identity_operator(two_frame_space()).apply(
+        np.ones(64, complex), out=np.empty(3, complex)),
+    "KinOperator.composed": lambda: ks.KinOperator.composed(
+        "?", [ks.identity_operator(two_frame_space())]),
+    "gauge_transform_state": lambda: rg.gauge_transform_state(
+        _table_state(), ks.identity_operator(two_frame_space()),
+        ks.identity_operator(two_frame_space())),
+    "gauge_flow": lambda: rg.gauge_flow(
+        _table_state(), ks.identity_operator(two_frame_space()), 0.1,
+        ks.build_constraint(two_frame_space(), {0: 1.0, 1: 1.0})),
+    "evaluate_all": lambda: _table_state().evaluate(_pair().gen("q")),
+    # orthogonal bra and ket
+    "from_hilbert": lambda: ast.from_hilbert(
+        np.eye(64)[0], np.eye(64)[1], two_frame_space(), {}, _pair()),
+    "from_table": lambda: ast.from_table(
+        _pair(), {_pair().unit_monomial(): 2.0}),
+    "check_constraint_surface": lambda: ast.check_constraint_surface(
+        _table_state(), _pair().gen("p")),
+    "GeneratorSet.names": lambda: ncalg.GeneratorSet(("x", "x"), {}),
+    "GeneratorSet.relation_key": lambda: ncalg.GeneratorSet(
+        ("x", "y"), {(1, 0): {0: 1}}),
+    # [x,y]=z, [x,z]=x, [y,z]=y violates the Jacobi identity
+    "GeneratorSet.jacobi": lambda: ncalg.GeneratorSet(
+        ("x", "y", "z"), {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}}),
+    "AlgebraElement.add": lambda: _pair().gen("q") + _pair().gen("q"),
+    "multiply": lambda: ncalg.multiply(_pair().gen("q"), _pair().gen("p")),
 }
 
 
