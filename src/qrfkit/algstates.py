@@ -221,14 +221,14 @@ def _max_abs_value(omega: AlgebraicState, degree: int,
             pairs.append((ncalg.monomial_word(ml), ncalg.monomial_word(mr),
                           cc))
     products = []
+    normal_order_word = gens.structure.normal_order_word
     for m in gens.monomial_basis(max(degree, 0)):
         wa = ncalg.monomial_word(m)
         acc = {}
         for wl, wr, cc in pairs:
-            for mm, c in gens.normal_order_word(wl + wa + wr).items():
+            for mm, c in normal_order_word(wl + wa + wr).items():
                 ncalg._mul_into(acc.setdefault(mm, {}), cc, c.terms)
-        products.append({mm: Coef._of(t) for mm, t in (
-            (mm, ncalg._normalized(raw)) for mm, raw in acc.items()) if t})
+        products.append(ncalg._terms(acc))
     return max(map(abs, omega._values(products)))
 
 
@@ -296,8 +296,9 @@ def _commutant(gens: GeneratorSet, z_name: str, basis) -> list:
     tested with one exact commutator.
     """
     z = gens.gen(z_name)
-    z_block = next(b for b in gens._blocks if gens.index[z_name] in b)
-    parts = [gens._block_part(m, z_block) for m in basis]
+    z_block = next(b for b in gens.structure.blocks
+                   if gens.index[z_name] in b)
+    parts = [ncalg._block_part(m, z_block) for m in basis]
     commutes = {p: commutator(z, gens.element({p: 1})).is_zero()
                 for p in dict.fromkeys(parts)}
     return [i for i, p in enumerate(parts) if commutes[p]]

@@ -256,9 +256,7 @@ class KinOperator:
     columns; a composed form chains its operands' own applies.
     ``apply(vec, out=o)`` writes the result into ``o``, a C-contiguous
     complex array of ``vec``'s shape that does not overlap ``vec``, and
-    returns it, the same bits as ``apply(vec)``.  (A non-diagonal exp agrees
-    only to rounding between applies: scipy's norm estimate in
-    ``expm_multiply`` draws from numpy's global random state.)
+    returns it, the same bits as ``apply(vec)``.
 
     ``A @ B`` and ``A + B`` are diagonal when both operands are diagonal
     and composed otherwise; no product or sum is densified.
@@ -473,7 +471,14 @@ class KinOperator:
         return out
 
     def _exp(self, vec, out, adjoint: bool) -> np.ndarray:
-        """exp(X) (or exp(X^dag)) on ``vec``, X the one operand."""
+        """exp(X) (or exp(X^dag)) on ``vec``, X the one operand.
+
+        scipy's 1-norm estimate inside ``expm_multiply`` draws from numpy's
+        global legacy random state, so it runs under a fixed seed of that
+        state, saved before and restored after: every apply gives the same
+        bits, and the caller's random stream does not move.  Not
+        thread-safe: another thread drawing from the global state meanwhile
+        sees the fixed seed and moves this apply's draws."""
         X = self.operands[0]
         if X.is_diagonal:
             d = np.exp(X.diag.conj() if adjoint else X.diag)
@@ -486,7 +491,13 @@ class KinOperator:
         trace = np.sum(X.diagonal())
         A = LinearOperator((X.space.dim,) * 2, dtype=complex, matvec=mv,
                            rmatvec=rmv, matmat=mv, rmatmat=rmv)
-        res = expm_multiply(A, vec, traceA=np.conj(trace) if adjoint else trace)
+        state = np.random.get_state()
+        np.random.seed(0)
+        try:
+            res = expm_multiply(A, vec,
+                                traceA=np.conj(trace) if adjoint else trace)
+        finally:
+            np.random.set_state(state)
         if out is None:
             return res
         out[...] = res

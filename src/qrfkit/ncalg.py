@@ -31,6 +31,17 @@ of its parts in each block, in any order.  The Weyl average is a product of
 per-block averages, and a commutator with one generator vanishes on a
 monomial exactly when it vanishes on the monomial's part in that
 generator's block.  Normal ordering itself works on whole words.
+
+All of this depends on the relation table alone, never on the generator
+names or the degree cap, so it lives in one ``Structure`` per table: the
+table, its blocks and rewrite rules, and the caches of normal forms, Weyl
+averages and the monomial basis.  The module registry ``_STRUCTURES`` keys
+it by the number of generators and the exact table, each coefficient part
+with its type (an exact table and a float twin never share), and every
+``GeneratorSet`` on that table reads it: two builds of one model, at any
+lattice size, share normal forms.  The registry holds its structures for
+the life of the process, about 3.3 MiB after one pass of the
+``sparse-large`` benchmark workload (tracemalloc).
 """
 
 from __future__ import annotations
@@ -242,20 +253,184 @@ def numeric(c, hbar) -> complex:
     return complex(re_sum, im_sum)
 
 
-class GeneratorSet:
-    """Ordered generators with an exact commutation-relation table.
+class Structure:
+    """Everything a relation table determines, whatever its generators are
+    called: the table itself, its commuting blocks and rewrite rules, and
+    the caches of normal forms (``words``), Weyl averages (``weyl``, term
+    dicts monomial -> ``Coef``) and the monomial basis.  One instance per
+    table, shared through ``_STRUCTURES`` by every ``GeneratorSet`` built on
+    it.  Treat as read-only outside this module.
 
     ``relations[(i, j)]`` for i < j maps the component index k (or
     ``IDENTITY``) to the exact structure constant alpha in
-    ``[y_i, y_j] = i*hbar*sum_k alpha_k y_k``.  Antisymmetry is implicit;
-    the Jacobi identity is verified once at construction.
-
-    The commuting blocks are computed once from the table: generators i and
-    j share a block when relation (i, j) is non-zero, and each of its
-    components shares the block of i and j.  Generators in different blocks
-    commute exactly.  ``monomial_basis`` is built once, degree by degree,
-    and extended on demand.
+    ``[y_i, y_j] = i*hbar*sum_k alpha_k y_k``; antisymmetry is implicit.
+    Generators i and j share a block when relation (i, j) is non-zero, and
+    each of its components shares the block of i and j; generators in
+    different blocks commute exactly.
     """
+
+    __slots__ = ("n", "relations", "blocks", "rewrites", "words", "weyl",
+                 "basis", "basis_ends")
+
+    def __init__(self, n: int, relations: dict):
+        self.n = n
+        self.relations = relations
+        self.blocks = self._commuting_blocks()
+        # (a, b) -> [(replacement word, i*hbar*alpha)] for y_a y_b, a > b
+        self.rewrites = {
+            (a, b): [(() if k == IDENTITY else (k,), I_HBAR * alpha)
+                     for k, alpha in self.alpha(a, b).items()]
+            for (b, a) in relations}
+        self.words = {}
+        self.weyl = {}
+        self.basis = []       # monomials sorted by (degree, m)
+        self.basis_ends = []  # basis_ends[d]: end of degree d in basis
+
+    def alpha(self, i: int, j: int) -> dict:
+        """Components of [y_i, y_j] without the i*hbar prefactor."""
+        if i == j:
+            return {}
+        if i < j:
+            return self.relations.get((i, j), {})
+        return {k: -a for k, a in self.relations.get((j, i), {}).items()}
+
+    def _commuting_blocks(self) -> tuple:
+        """Generator index tuples, each in increasing order: the classes of
+        generators linked by a non-zero relation or one of its components."""
+        parent = list(range(self.n))
+
+        def root(g):
+            while parent[g] != g:
+                parent[g] = parent[parent[g]]
+                g = parent[g]
+            return g
+
+        for (i, j), comps in self.relations.items():
+            if comps:
+                for g in (j, *(k for k in comps if k != IDENTITY)):
+                    parent[root(g)] = root(i)
+        roots = [root(g) for g in range(self.n)]
+        return tuple(tuple(g for g, r in enumerate(roots) if r == b)
+                     for b in dict.fromkeys(roots))
+
+    def jacobi_failure(self):
+        """The first triple i < j < k that breaks the Jacobi identity, or
+        None."""
+        n = self.n
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    acc = {}
+                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, alpha in self.alpha(a, b).items():
+                            if m == IDENTITY:
+                                continue  # [1, y] = 0
+                            for l, beta in self.alpha(m, c).items():
+                                _mul_into(acc.setdefault(l, {}),
+                                          alpha.terms, beta.terms)
+                    if any(_normalized(v) for v in acc.values()):
+                        return i, j, k
+        return None
+
+    def monomial_basis(self, max_degree: int):
+        """All normal-ordered exponent vectors with degree <= max_degree,
+        sorted by (degree, m); a fresh list each call."""
+        if max_degree < 0:
+            return []
+        n = self.n
+
+        def exactly(slot, remaining):
+            """Exponent vectors of degree ``remaining`` on the generators
+            from ``slot`` on, in increasing order."""
+            if slot == n:
+                if remaining == 0:
+                    yield ()
+                return
+            for e in range(remaining + 1):
+                for rest in exactly(slot + 1, remaining - e):
+                    yield (e,) + rest
+
+        while len(self.basis_ends) <= max_degree:
+            self.basis.extend(exactly(0, len(self.basis_ends)))
+            self.basis_ends.append(len(self.basis))
+        return self.basis[:self.basis_ends[max_degree]]
+
+    def normal_order_word(self, word: tuple) -> dict:
+        """Normal-order a product word of generator indices.
+
+        Returns a map monomial -> coefficient, cached in ``words``.  Each
+        adjacent swap of an out-of-order pair (a, b) with a > b applies
+        ``y_a y_b = y_b y_a + i*hbar*sum_k alpha_abk y_k``.
+        """
+        cached = self.words.get(word)
+        if cached is not None:
+            return cached
+        acc = {}
+        stack = [(word, _ONE)]
+        while stack:
+            w, c = stack.pop()
+            pos = -1
+            for t in range(len(w) - 1):
+                if w[t] > w[t + 1]:
+                    pos = t
+                    break
+            if pos < 0:
+                m = [0] * self.n
+                for g in w:
+                    m[g] += 1
+                _add_into(acc.setdefault(tuple(m), {}), c.terms)
+                continue
+            a, b = w[pos], w[pos + 1]
+            stack.append((w[:pos] + (b, a) + w[pos + 2:], c))
+            for repl, i_hbar_alpha in self.rewrites.get((a, b), ()):
+                stack.append((w[:pos] + repl + w[pos + 2:],
+                              c * i_hbar_alpha))
+        out = self.words[word] = _terms(acc)
+        return out
+
+
+_STRUCTURES = {}  # (n, typed relation table) -> Structure
+
+
+def _structure(names: tuple, table: dict) -> Structure:
+    """The shared structure of ``table`` on ``len(names)`` generators; a new
+    table is Jacobi-checked (``names`` only name a failing triple) before it
+    is registered, so a bad table is never shared.  Each coefficient part is
+    keyed with its type: an exact 1 and a float 1.0 are equal and hash
+    alike."""
+    key = (len(names), tuple(sorted(
+        (ij, tuple(sorted((k, tuple(sorted(
+            (p, type(re), re, type(im), im)
+            for p, (re, im) in a.terms.items())))
+            for k, a in comps.items())))
+        for ij, comps in table.items())))
+    found = _STRUCTURES.get(key)
+    if found is not None:
+        return found
+    s = Structure(len(names), table)
+    bad = s.jacobi_failure()
+    if bad is not None:
+        raise ConfigError("Jacobi identity fails for generators "
+                          f"({','.join(names[g] for g in bad)})")
+    return _STRUCTURES.setdefault(key, s)
+
+
+class GeneratorSet:
+    """Ordered named generators with an exact commutation-relation table.
+
+    ``relations`` is the table of ``structure`` (see ``Structure``); the
+    Jacobi identity is verified when a table is first registered.  A
+    generator set holds only its names, their index, ``degree_cap`` (read
+    by ``multiply`` only) and ``structure``: the registered ``Structure``
+    of its table, shared by every generator set with the same number of
+    generators and the same exact table, whatever the names or the cap,
+    and kept for the life of the process.  The key holds each coefficient
+    part with its type, so an exact table and a float-tainted twin never
+    share.  Two sets on one structure are still distinct: their elements
+    do not mix.
+    """
+
+    __slots__ = ("names", "index", "degree_cap", "structure")
 
     def __init__(self, names, relations, degree_cap: int = 12):
         self.names = tuple(names)
@@ -269,18 +444,7 @@ class GeneratorSet:
                 raise ConfigError(f"relation key {(i, j)} must have i < j")
             table[(i, j)] = {k: _coef(a) for k, a in comps.items()
                              if _coef(a)}
-        self.relations = table
-        self._blocks = self._commuting_blocks()
-        # (a, b) -> [(replacement word, i*hbar*alpha)] for y_a y_b, a > b
-        self._rewrites = {
-            (a, b): [(() if k == IDENTITY else (k,), I_HBAR * alpha)
-                     for k, alpha in self.alpha(a, b).items()]
-            for (b, a) in table}
-        self._word_cache = {}
-        self._weyl_cache = {}
-        self._basis = []       # monomials sorted by (degree, m)
-        self._basis_ends = []  # _basis_ends[d]: end of degree d in _basis
-        self._verify_jacobi()
+        self.structure = _structure(self.names, table)
 
     # -- constructors ------------------------------------------------------
 
@@ -312,60 +476,9 @@ class GeneratorSet:
         names.extend(spin_names)
         return GeneratorSet(names, rel, degree_cap)
 
-    # -- structure ---------------------------------------------------------
-
-    def alpha(self, i: int, j: int) -> dict:
-        """Components of [y_i, y_j] without the i*hbar prefactor."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.relations.get((i, j), {})
-        return {k: -a for k, a in self.relations.get((j, i), {}).items()}
-
-    def _commuting_blocks(self) -> tuple:
-        """Generator index tuples, each in increasing order: the classes of
-        generators linked by a non-zero relation or one of its components."""
-        parent = list(range(len(self.names)))
-
-        def root(g):
-            while parent[g] != g:
-                parent[g] = parent[parent[g]]
-                g = parent[g]
-            return g
-
-        for (i, j), comps in self.relations.items():
-            if comps:
-                for g in (j, *(k for k in comps if k != IDENTITY)):
-                    parent[root(g)] = root(i)
-        roots = [root(g) for g in range(len(self.names))]
-        return tuple(tuple(g for g, r in enumerate(roots) if r == b)
-                     for b in dict.fromkeys(roots))
-
-    def _block_part(self, m: tuple, block: tuple) -> tuple:
-        """``m`` restricted to the generators of ``block``, zero elsewhere."""
-        part = [0] * len(m)
-        for g in block:
-            part[g] = m[g]
-        return tuple(part)
-
-    def _verify_jacobi(self):
-        n = len(self.names)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    acc = {}
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, alpha in self.alpha(a, b).items():
-                            if m == IDENTITY:
-                                continue  # [1, y] = 0
-                            for l, beta in self.alpha(m, c).items():
-                                _mul_into(acc.setdefault(l, {}),
-                                          alpha.terms, beta.terms)
-                    for l, v in acc.items():
-                        if _normalized(v):
-                            raise ConfigError(
-                                f"Jacobi identity fails for generators "
-                                f"({self.names[i]},{self.names[j]},{self.names[k]})")
+    @property
+    def relations(self) -> dict:
+        return self.structure.relations
 
     # -- element constructors ---------------------------------------------
 
@@ -391,63 +504,30 @@ class GeneratorSet:
         return AlgebraElement._of(self, acc)
 
     def monomial_basis(self, max_degree: int):
-        """All normal-ordered exponent vectors with degree <= max_degree,
-        sorted by (degree, m); a fresh list each call."""
-        if max_degree < 0:
-            return []
-        n = len(self.names)
-
-        def exactly(slot, remaining):
-            """Exponent vectors of degree ``remaining`` on the generators
-            from ``slot`` on, in increasing order."""
-            if slot == n:
-                if remaining == 0:
-                    yield ()
-                return
-            for e in range(remaining + 1):
-                for rest in exactly(slot + 1, remaining - e):
-                    yield (e,) + rest
-
-        while len(self._basis_ends) <= max_degree:
-            self._basis.extend(exactly(0, len(self._basis_ends)))
-            self._basis_ends.append(len(self._basis))
-        return self._basis[:self._basis_ends[max_degree]]
-
-    # -- word rewriting ----------------------------------------------------
+        """``Structure.monomial_basis``: all normal-ordered exponent vectors
+        with degree <= max_degree, sorted by (degree, m); a fresh list."""
+        return self.structure.monomial_basis(max_degree)
 
     def normal_order_word(self, word: tuple) -> dict:
-        """Normal-order a product word of generator indices.
+        """``Structure.normal_order_word``: the normal form of a product word
+        of generator indices, monomial -> coefficient (shared; do not
+        mutate)."""
+        return self.structure.normal_order_word(word)
 
-        Returns a map monomial -> coefficient.  Each adjacent swap of an
-        out-of-order pair (a, b) with a > b applies
-        ``y_a y_b = y_b y_a + i*hbar*sum_k alpha_abk y_k``.
-        """
-        cached = self._word_cache.get(word)
-        if cached is not None:
-            return cached
-        acc = {}
-        stack = [(word, _ONE)]
-        while stack:
-            w, c = stack.pop()
-            pos = -1
-            for t in range(len(w) - 1):
-                if w[t] > w[t + 1]:
-                    pos = t
-                    break
-            if pos < 0:
-                m = [0] * len(self.names)
-                for g in w:
-                    m[g] += 1
-                _add_into(acc.setdefault(tuple(m), {}), c.terms)
-                continue
-            a, b = w[pos], w[pos + 1]
-            stack.append((w[:pos] + (b, a) + w[pos + 2:], c))
-            for repl, i_hbar_alpha in self._rewrites.get((a, b), ()):
-                stack.append((w[:pos] + repl + w[pos + 2:],
-                              c * i_hbar_alpha))
-        out = AlgebraElement._of(self, acc).terms
-        self._word_cache[word] = out
-        return out
+
+def _block_part(m: tuple, block: tuple) -> tuple:
+    """``m`` restricted to the generators of ``block``, zero elsewhere."""
+    part = [0] * len(m)
+    for g in block:
+        part[g] = m[g]
+    return tuple(part)
+
+
+def _terms(acc: dict) -> dict:
+    """monomial -> summed hbar-power pairs, as monomial -> ``Coef`` with the
+    zero sums dropped."""
+    return {m: Coef._of(t) for m, t in
+            ((m, _normalized(raw)) for m, raw in acc.items()) if t}
 
 
 @lru_cache(maxsize=1 << 14)
@@ -474,8 +554,7 @@ class AlgebraElement:
         sums dropped."""
         el = object.__new__(cls)
         el.gens = gens
-        el.terms = {m: Coef._of(t) for m, t in
-                    ((m, _normalized(raw)) for m, raw in acc.items()) if t}
+        el.terms = _terms(acc)
         return el
 
     # -- basic structure ---------------------------------------------------
@@ -567,6 +646,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         raise ConfigError("elements belong to different generator sets")
     gens = a.gens
     cap = gens.degree_cap
+    normal_order_word = gens.structure.normal_order_word
     right = [(monomial_word(mb), sum(mb), cb.terms)
              for mb, cb in b.terms.items()]
     acc = {}
@@ -578,7 +658,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                     f"product degree {da + db} exceeds cap {cap}")
             cc = {}  # unnormalized: _mul_into skips its zero parts
             _mul_into(cc, ca.terms, cb)
-            for m, c in gens.normal_order_word(wa + wb).items():
+            for m, c in normal_order_word(wa + wb).items():
                 _mul_into(acc.setdefault(m, {}), cc, c.terms)
     return AlgebraElement._of(gens, acc)
 
@@ -607,33 +687,39 @@ def weyl_symmetrize(gens: GeneratorSet, m) -> AlgebraElement:
     commuting blocks commute, so the average is the product of the
     per-block averages (their monomials add, their coefficients multiply);
     only a part within one block is averaged over its orderings.  Every
-    average is cached on ``gens``.
+    average is cached on the shared ``gens.structure``.
     """
-    m = tuple(m)
-    cached = gens._weyl_cache.get(m)
+    return AlgebraElement(gens, _weyl_terms(gens.structure, tuple(m)))
+
+
+def _weyl_terms(s: Structure, m: tuple) -> dict:
+    """The terms of ``weyl_symmetrize`` for ``m``, cached in ``s.weyl``
+    (shared; do not mutate)."""
+    cached = s.weyl.get(m)
     if cached is not None:
         return cached
-    parts = [p for p in (gens._block_part(m, b) for b in gens._blocks)
-             if any(p)]
+    parts = [p for p in (_block_part(m, b) for b in s.blocks) if any(p)]
     if len(parts) > 1:
-        acc = {gens.unit_monomial(): _ONE.terms}
+        acc = {(0,) * s.n: _ONE.terms}
         for part in parts:
-            block_avg = weyl_symmetrize(gens, part).terms.items()
+            block_avg = _weyl_terms(s, part).items()
             nxt = {}
             for m1, c1 in acc.items():
                 for m2, c2 in block_avg:
                     _mul_into(nxt.setdefault(tuple(map(add, m1, m2)), {}),
                               c1, c2.terms)
             acc = nxt
-        result = AlgebraElement._of(gens, acc)
+        result = _terms(acc)
     else:
         perms = dict.fromkeys(permutations(monomial_word(m)))
         acc = {}
         for perm in perms:
-            for mm, c in gens.normal_order_word(perm).items():
+            for mm, c in s.normal_order_word(perm).items():
                 _add_into(acc.setdefault(mm, {}), c.terms)
-        result = Fraction(1, len(perms)) * AlgebraElement._of(gens, acc)
-    gens._weyl_cache[m] = result
+        scale = _coef(Fraction(1, len(perms)))
+        result = {mm: v for mm, v in ((mm, scale * c)
+                                      for mm, c in _terms(acc).items()) if v}
+    s.weyl[m] = result
     return result
 
 
@@ -644,7 +730,7 @@ def to_weyl_basis(a: AlgebraElement) -> dict:
     descending m within a degree: Weyl(m) - m has only lower-degree terms,
     so clearing degree d never touches degree d or above.
     """
-    gens = a.gens
+    s = a.gens.structure
     residual = dict(a.terms)
     coeffs = {}
     for d in range(a.degree(), -1, -1):
@@ -652,7 +738,7 @@ def to_weyl_basis(a: AlgebraElement) -> dict:
             c = coeffs[m] = residual.pop(m)
             if d == 0:
                 continue
-            for mm, cc in weyl_symmetrize(gens, m).terms.items():
+            for mm, cc in _weyl_terms(s, m).items():
                 if mm == m:
                     continue
                 v = residual.get(mm, _ZERO) - c * cc
@@ -668,7 +754,7 @@ def from_weyl_basis(gens: GeneratorSet, coeffs: dict) -> AlgebraElement:
     acc = {}
     for m, c in coeffs.items():
         c = _coef(c).terms
-        for mm, cc in weyl_symmetrize(gens, tuple(m)).terms.items():
+        for mm, cc in _weyl_terms(gens.structure, tuple(m)).items():
             _mul_into(acc.setdefault(mm, {}), c, cc.terms)
     return AlgebraElement._of(gens, acc)
 

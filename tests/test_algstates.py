@@ -549,7 +549,7 @@ class TestPrefixWalk:
         closure = prefix_closure(tails)
         assert len(calls) == len(closure)
         assert len(adjoint_calls) == len(bras)
-        assert len(closure) < sum(sum(m) for m in el.terms)
+        assert 0 < len(closure) < sum(sum(m) for m in el.terms)
         om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
         assert value == sum((ncalg.numeric(c, npmodel.hbar)
                              * per_word_value(om_plain, m)
@@ -583,7 +583,7 @@ class TestPrefixWalk:
         value = run(self.counting_state(npmodel, loc_state, calls,
                                         adjoint_calls))
         tails, bras = tails_and_bras(m for p in products for m in p.terms)
-        assert len(calls) == len(prefix_closure(tails))
+        assert len(calls) == len(prefix_closure(tails)) > 0
         assert len(adjoint_calls) == len(bras)
         # the value the per-product evaluation gives, bit for bit
         om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)

@@ -492,12 +492,7 @@ class TestComposedForm:
                                      - ref.conj().T @ x)) < 10 * tol
             out = np.full(v.shape, np.nan, dtype=complex)
             assert op.apply(v, out=out) is out
-            if op.kind == "exp" and not op.operands[0].is_diagonal:
-                # expm_multiply's norm estimate draws from numpy's global
-                # random state, so two applies agree to rounding only
-                assert np.max(np.abs(out - ref @ v)) < 10 * tol
-            else:
-                assert np.array_equal(out, op.apply(v))
+            assert np.array_equal(out, op.apply(v))
         assert (l1 + ks.factor_operator(sp, 1, l1.local.conj().T)).hermitian
         assert not (l1 + m).hermitian and not (l1 @ d).hermitian
 
@@ -530,6 +525,24 @@ class TestComposedForm:
             assert op.kind == "@"
             assert np.max(np.abs(op.diagonal() - ref)) \
                 < 1e-12 * np.max(np.abs(ref))
+
+    def test_dense_exp_is_bit_reproducible(self):
+        # expm_multiply's norm estimate draws from numpy's global random
+        # state; the apply seeds it and puts the caller's state back
+        sp = TestOperatorForms.mixed_space()
+        rng = np.random.default_rng(223)
+        M = rng.normal(size=(sp.dim, sp.dim)) + 1j * rng.normal(
+            size=(sp.dim, sp.dim))
+        e = ks.KinOperator.exp(ks.KinOperator.from_matrix(sp, M), 0.1j)
+        v = rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim)
+        before = np.random.get_state()
+        first = e.apply(v)
+        after = np.random.get_state()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+        assert all(np.array_equal(e.apply(v), first) for _ in range(49))
+        assert np.max(np.abs(first - expm(0.1j * M) @ v)) < 1e-12 * np.max(
+            np.abs(first))
 
     def test_ill_conditioned_exponential_rejected(self):
         sp, (d, l1, _, _) = self.operands(np.random.default_rng(199))

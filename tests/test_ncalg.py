@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +10,12 @@ import sympy as sp
 
 from oracles import (monomial_basis_oracle, represent, to_weyl_basis_oracle,
                      weyl_symmetrize_oracle)
+from qrfkit import algstates as ast
 from qrfkit import kinspace as ks
 from qrfkit import models as md
 from qrfkit import ncalg
 from qrfkit.algstates import from_table
-from qrfkit.errors import DegreeExceeded, RelationViolation
+from qrfkit.errors import ConfigError, DegreeExceeded, RelationViolation
 from qrfkit.ncalg import HBAR, GeneratorSet, adjoint, commutator, weyl_symmetrize
 
 
@@ -207,6 +212,20 @@ def interleaved():
                          (1, 3): {ncalg.IDENTITY: 1}})
 
 
+def count_normal_forms(monkeypatch) -> list:
+    """The list that every ``Structure.normal_order_word`` call appends its
+    word to, until ``monkeypatch`` is undone."""
+    calls = []
+    plain = ncalg.Structure.normal_order_word
+
+    def counting(structure, word):
+        calls.append(word)
+        return plain(structure, word)
+
+    monkeypatch.setattr(ncalg.Structure, "normal_order_word", counting)
+    return calls
+
+
 BLOCK_SETS = {
     "nparticle": lambda: md.build_model(md.ModelSpec("nparticle")).gens,
     "su2": lambda: md.build_model(md.ModelSpec("su2")).gens,
@@ -226,14 +245,14 @@ class TestCommutingBlocks:
         ("interleaved", ((0, 2), (1, 3))),
     ])
     def test_blocks_of_the_relation_tables(self, name, blocks):
-        assert BLOCK_SETS[name]()._blocks == blocks
+        assert BLOCK_SETS[name]().structure.blocks == blocks
 
     def test_a_component_joins_its_relation_block(self):
         # Heisenberg [x, y] = i*hbar*z: z shares the block; w is alone, and
         # a relation whose components are all zero links nothing
         gens = GeneratorSet(("x", "y", "z", "w"),
                             {(0, 1): {2: 1}, (2, 3): {ncalg.IDENTITY: 0}})
-        assert gens._blocks == ((0, 1, 2), (3,))
+        assert gens.structure.blocks == ((0, 1, 2), (3,))
 
     @pytest.mark.parametrize("name", sorted(BLOCK_SETS))
     def test_weyl_equals_the_permutation_oracle(self, name):
@@ -269,20 +288,22 @@ class TestCommutingBlocks:
             assert all(coeffs[m].terms == ref[m].terms for m in ref)
             assert ncalg.from_weyl_basis(gens, coeffs) == a
 
-    def test_weyl_normal_orders_one_word_per_block_ordering(self):
+    def test_weyl_normal_orders_one_word_per_block_ordering(self,
+                                                          monkeypatch):
         # q_A p_A q_B p_B q_C p_C: 2 + 2 + 2 block orderings, where the
-        # whole word has 720 distinct orderings
-        gens = md.build_model(md.ModelSpec("nparticle")).gens
-        calls = []
-        plain = gens.normal_order_word
-
-        def counting(word):
-            calls.append(word)
-            return plain(word)
-
-        gens.normal_order_word = counting
+        # whole word has 720 distinct orderings.  Three canonical pairs
+        # scaled by 2, 3 and 5, a table no other test builds, so the shared
+        # structure is cold (checked) and every ordering is counted.
+        gens = GeneratorSet(("q_A", "p_A", "q_B", "p_B", "q_C", "p_C"),
+                            {(0, 1): {ncalg.IDENTITY: 2},
+                             (2, 3): {ncalg.IDENTITY: 3},
+                             (4, 5): {ncalg.IDENTITY: 5}})
+        assert not gens.structure.words and not gens.structure.weyl
+        calls = count_normal_forms(monkeypatch)
         w = weyl_symmetrize(gens, (1, 1, 1, 1, 1, 1))
-        assert len(calls) <= 8
+        assert sorted(calls) == [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5),
+                                 (5, 4)]
+        monkeypatch.undo()
         assert w == weyl_symmetrize_oracle(gens, (1, 1, 1, 1, 1, 1))
 
     def test_monomial_basis_is_sorted_and_fresh(self):
@@ -295,6 +316,123 @@ class TestCommutingBlocks:
                 basis[0] = None
                 assert gens.monomial_basis(d) == monomial_basis_oracle(n, d)
             assert gens.monomial_basis(-1) == []
+
+
+SU2_TABLE = {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}
+
+# Run in a fresh interpreter (cold structures) and in this one (warm): the
+# normal forms, Weyl averages and one constraint check, as exact reprs and
+# float hex strings.
+COLD_WARM = """if True:
+    import numpy as np
+    from qrfkit import algstates as ast, models as md, ncalg
+
+    def report():
+        registered = len(ncalg._STRUCTURES)
+        su2 = ncalg.GeneratorSet(("x", "y", "z"), {
+            (0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+        floaty = ncalg.GeneratorSet(("q", "p"), {(0, 1): {-1: 0.5}})
+        lines = [str(registered)]
+        for gens, word in [(su2, (2, 1, 0, 2)), (su2, (1, 1, 0, 0)),
+                           (floaty, (1, 1, 0, 0))]:
+            terms = gens.normal_order_word(word)
+            lines.append(repr(sorted((m, c.terms) for m, c in terms.items())))
+        model = md.build_model(md.ModelSpec("nparticle"))
+        for m in model.gens.monomial_basis(4)[::7]:
+            w = ncalg.weyl_symmetrize(model.gens, m)
+            lines.append(repr(sorted((k, c.terms) for k, c in w.terms.items())))
+        psi = md.random_physical_state(model, np.random.default_rng(3))
+        fr = model.frames["A"]
+        om = ast.frame_state(model.space, model.constraint, fr, fr.grid[2],
+                             psi, model.assignment, model.gens, 5)
+        lines.append(ast.check_constraint_surface(
+            om, model.constraint_elem, 5).hex())
+        return "\\n".join(lines)
+"""
+
+
+class TestSharedStructure:
+    """Generator sets with the same number of generators and the same exact
+    relation table share one ``Structure``: its normal forms, Weyl averages
+    and monomial basis."""
+
+    def test_two_builds_of_one_model_share_the_structure(self):
+        spec = md.ModelSpec("su2", lattice_size=6)
+        a, b = md.build_model(spec).gens, md.build_model(spec).gens
+        assert a is not b and a.structure is b.structure
+        # their elements still do not mix
+        with pytest.raises(ConfigError, match="different generator sets"):
+            a.gen("q_A") * b.gen("q_A")
+
+    def test_names_and_degree_cap_are_not_in_the_key(self):
+        a = GeneratorSet.canonical([("q", "p")], centrals=("H",))
+        b = GeneratorSet.canonical([("t", "s")], centrals=("G",),
+                                   degree_cap=4)
+        assert a.structure is b.structure
+        assert b.degree_cap == 4 and a.degree_cap == 12
+        assert b.names == ("t", "s", "G")
+        assert not hasattr(a, "__dict__")  # nothing else on the instance
+
+    def test_a_float_table_does_not_share_with_its_exact_twin(self):
+        names = ("x", "y", "z")
+        exact = GeneratorSet(names, SU2_TABLE)
+        exact.normal_order_word((1, 0))  # warm the exact structure
+        floats = GeneratorSet(names, {(0, 1): {2: 1.0}, (1, 2): {0: 1},
+                                      (0, 2): {1: -1}})
+        assert floats.structure is not exact.structure
+        assert GeneratorSet(names, {k: {c: Fraction(a) for c, a in v.items()}
+                                    for k, v in SU2_TABLE.items()}
+                            ).structure is exact.structure
+        # y x = x y - i*hbar*z: the float part stays a float, the exact
+        # part an int
+        for gens, kind in ((floats, float), (exact, int)):
+            rewritten = gens.normal_order_word((1, 0))[(0, 0, 1)].terms
+            assert rewritten == {1: (0, -1)} and type(rewritten[1][1]) is kind
+
+    def test_bad_jacobi_raises_after_a_good_table_of_its_shape(self):
+        names = ("x", "y", "z")
+        GeneratorSet(names, SU2_TABLE)
+        bad = {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}}
+        for _ in range(2):  # a bad table is never registered
+            with pytest.raises(ConfigError, match="Jacobi"):
+                GeneratorSet(names, bad)
+
+    def test_cold_and_warm_structures_give_the_same_bits(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                               if p)
+        cold = subprocess.run(
+            [sys.executable, "-c", COLD_WARM + "print(report())"],
+            check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}).stdout.rstrip("\n")
+        ns = {}
+        exec(COLD_WARM, ns)
+        ns["report"]()
+        warm = ns["report"]()
+        assert cold.split("\n")[0] == "0"  # nothing registered before
+        assert warm.split("\n")[0] != "0"
+        assert cold.split("\n")[1:] == warm.split("\n")[1:]
+
+    def test_a_second_build_adds_no_normal_form(self, monkeypatch):
+        spec = md.ModelSpec("nparticle", lattice_size=8)
+
+        def check():
+            model = md.build_model(spec)
+            psi = md.random_physical_state(model, np.random.default_rng(7))
+            fr = model.frames["A"]
+            om = ast.frame_state(model.space, model.constraint, fr,
+                                 fr.grid[1], psi, model.assignment,
+                                 model.gens, 4)
+            return model.gens, ast.check_constraint_surface(
+                om, model.constraint_elem, 4)
+
+        first, value = check()
+        words = dict(first.structure.words)
+        calls = count_normal_forms(monkeypatch)
+        second, again = check()
+        assert second is not first and second.structure is first.structure
+        assert calls and first.structure.words == words
+        assert again == value
 
 
 class TestAdjoint:
