@@ -64,12 +64,8 @@ class AlgebraicState:
     __call__ = evaluate
 
     def evaluate_all(self, elements) -> list:
-        """omega of each element: the union of their uncached monomials is
-        valued by ``_fill_cache`` as <(y_0^dag)^(m_0) bra| y^(m - m_0 e_0)
-        |ket> when m_0 > 0, else <y_g^dag bra| y^(m - e_g) |ket>, with
-        <= degree - 1 walk buffers, the needed powers of y_0^dag on the bra
-        and one adjoint bra per other distinct head alive, freed on
-        return."""
+        """omega of each element, the union of their uncached monomials
+        valued by one ``_fill_cache``."""
         for a in elements:
             if a.gens is not self.gens:
                 raise ConfigError(
@@ -272,7 +268,6 @@ class FrameReport:
     no_left_annihilator: bool
     commutant_meets_ideal_trivially: bool
     generates_algebra: bool
-    notes: tuple = ()
 
     def passed(self) -> bool:
         return all((self.z_selfadjoint, self.c_selfadjoint,
@@ -281,11 +276,40 @@ class FrameReport:
                     self.generates_algebra))
 
 
-def _coef_vector(elem: AlgebraElement, basis_index: dict) -> np.ndarray:
-    v = np.zeros(len(basis_index), dtype=complex)
-    for m, c in elem.terms.items():
-        v[basis_index[m]] = ncalg.numeric(c, 1.0)
-    return v
+def _at_hbar_one(el: AlgebraElement) -> dict:
+    """monomial -> the exact (re, im) of its coefficient at hbar = 1, a
+    float part at its exact value; zero sums dropped."""
+    row = {}
+    for m, c in el.terms.items():
+        v = tuple(sum(Fraction(x) if type(x) is float else x for x in parts)
+                  for parts in zip(*c.terms.values()))
+        if any(v):
+            row[m] = v
+    return row
+
+
+def _rank(rows) -> int:
+    """Exact rank of sparse rows, monomial -> Gaussian rational (re, im):
+    each row is reduced by the pivot rows until its leading monomial, the
+    highest (degree, m), is new, and becomes the pivot there."""
+    pivots = {}  # leading monomial -> pivot row
+    for row in map(dict, rows):
+        while row:
+            lead = max(row, key=lambda m: (sum(m), m))
+            pivot = pivots.setdefault(lead, row)
+            if pivot is row:
+                break
+            # subtract (a + bi) * pivot, a + bi = row[lead] / pivot[lead]
+            (a, b), (c, d) = row[lead], pivot[lead]
+            a, b, n = a * c + b * d, b * c - a * d, c * c + d * d
+            if n != 1:
+                a, b = Fraction(a, n), Fraction(b, n)
+            for m, (c, d) in pivot.items():
+                re, im = row.pop(m, (0, 0))
+                v = (re - a * c + b * d, im - a * d - b * c)
+                if v != (0, 0):
+                    row[m] = v
+    return len(pivots)
 
 
 def _commutant(gens: GeneratorSet, z_name: str, basis) -> list:
@@ -309,58 +333,33 @@ def verify_reference_frame(gens: GeneratorSet, z_name: str,
                            degree: int = 4) -> FrameReport:
     """Check the algebraic reference-frame conditions at a bounded degree.
 
-    Exact symbolic checks: Z* = Z, C* = C, [Z, C] = i*hbar*1.  The
-    injectivity of a -> aC uses an exact leading-monomial certificate when
-    one exists and otherwise falls back to a floating-point rank test (the
-    outcome is a report, not a proof).  The commutant-ideal intersection and
-    the generation property are rank tests over the degree-bounded monomial
-    basis.  Failures are reported, never raised.
+    Z* = Z, C* = C and [Z, C] = i*hbar*1 are exact symbolic checks.  The
+    rest are exact ranks at hbar = 1 (a float-tainted part at its exact
+    value) of the images a C, deg a <= degree - deg C: a -> aC has no kernel
+    when they have full rank; the commutant Z' (unit monomials) meets the
+    ideal trivially when deleting its coordinates keeps the rank, and with C
+    generates the algebra when |Z'| plus that rank is the basis size.  A
+    full rank at hbar = 1 holds for all but finitely many hbar, so a true
+    answer is a proof at the degree (a trivial meet given no kernel); a
+    false one is shown at hbar = 1 only.  Failures are reported, never
+    raised; a degree below deg C raises ConfigError.
     """
-    notes = []
+    if degree < C.degree():
+        raise ConfigError(f"degree {degree} is below deg C = {C.degree()}")
     z = gens.gen(z_name)
     z_sa = ncalg.adjoint(z) == z
     c_sa = ncalg.adjoint(C) == C
     conj = commutator(z, C) == ncalg.I_HBAR * gens.one()
 
-    big_basis = gens.monomial_basis(degree)
-    idx = {m: i for i, m in enumerate(big_basis)}
-    lo_basis = gens.monomial_basis(degree - C.degree())
-    # a -> aC is injective iff the leading monomials are distinct
-    leads = []
-    triangular = True
-    images = []
-    for m in lo_basis:
-        el = gens.element({m: 1}) * C
-        images.append(el)
-        if el.is_zero():
-            triangular = False
-            break
-        lead = max(el.terms, key=lambda k: (sum(k), k))
-        leads.append(lead)
-    if triangular and len(set(leads)) == len(leads):
-        no_annihilator = True
-    else:
-        M = np.array([_coef_vector(el, idx) for el in images]).T
-        no_annihilator = (np.linalg.matrix_rank(M, tol=1e-9) == len(images))
-        notes.append("injectivity decided by numerical rank")
-
-    # The commutant of Z at the bounded degree is spanned by distinct unit
-    # vectors: its rank is its size, and eliminating it deletes its rows
-    # from the image block.
-    commutant = _commutant(gens, z_name, big_basis)
-    B_img = np.array([_coef_vector(el, idx) for el in images
-                      if not el.is_zero()]).T
-    if B_img.size == 0:
-        trivial_meet, r_rest = True, 0
-    else:
-        r_rest = np.linalg.matrix_rank(np.delete(B_img, commutant, axis=0),
-                                       tol=1e-9)
-        trivial_meet = r_rest == np.linalg.matrix_rank(B_img, tol=1e-9)
-    # Z' together with C spans everything at the bounded degree
-    generates = len(commutant) + r_rest == len(big_basis)
-
-    return FrameReport(degree, z_sa, c_sa, conj, bool(no_annihilator),
-                       bool(trivial_meet), bool(generates), tuple(notes))
+    basis = gens.monomial_basis(degree)
+    images = [_at_hbar_one(gens.element({m: 1}) * C)
+              for m in gens.monomial_basis(degree - C.degree())]
+    r_all = _rank(images)
+    drop = {basis[i] for i in _commutant(gens, z_name, basis)}
+    r_rest = _rank({m: v for m, v in row.items() if m not in drop}
+                   for row in images)
+    return FrameReport(degree, z_sa, c_sa, conj, r_all == len(images),
+                       r_rest == r_all, len(drop) + r_rest == len(basis))
 
 
 def check_almost_positive(omega: AlgebraicState, names,

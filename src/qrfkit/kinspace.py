@@ -78,6 +78,8 @@ class FactorSpec:
         spectrum = np.asarray(generator_spectrum, dtype=float)
         if spectrum.ndim != 1 or spectrum.size == 0:
             raise ConfigError("system spectrum must be a non-empty 1d sequence")
+        if not np.all(np.isfinite(spectrum)):
+            raise ConfigError("system spectrum must be finite")
         return FactorSpec(SYSTEM, spectrum.size, 0.0, spectrum, name=name)
 
     @property
@@ -657,6 +659,8 @@ def build_constraint(space: LatticeSpace, terms) -> KinOperator:
                 raise ConfigError(
                     f"diagonal for factor {factor} must have length {f.N}")
         total = total + space.embed_diag(factor, diag).real
+    if not np.all(np.isfinite(total)):
+        raise ConfigError("constraint terms must be finite")
 
     period = space.momentum_period()
     dp = space.frame_dp()

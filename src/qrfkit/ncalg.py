@@ -492,15 +492,23 @@ class GeneratorSet:
         return (0,) * len(self.names)
 
     def gen(self, name: str) -> "AlgebraElement":
+        if name not in self.index:
+            raise ConfigError(f"unknown generator {name!r}")
         m = [0] * len(self.names)
         m[self.index[name]] = 1
         return AlgebraElement(self, {tuple(m): _ONE})
 
     def element(self, terms) -> "AlgebraElement":
-        """The element sum_m c_m y^m; each c_m is anything ``_coef`` takes."""
+        """The element sum_m c_m y^m; each c_m is anything ``_coef`` takes,
+        each m an exponent vector of one non-negative entry per generator
+        (ConfigError otherwise)."""
         acc = {}
         for m, c in terms.items():
-            _add_into(acc.setdefault(tuple(m), {}), _coef(c).terms)
+            m = tuple(m)
+            if len(m) != len(self.names) or min(m, default=0) < 0:
+                raise ConfigError(f"{m} is not an exponent vector of "
+                                  f"{len(self.names)} non-negative entries")
+            _add_into(acc.setdefault(m, {}), _coef(c).terms)
         return AlgebraElement._of(self, acc)
 
     def monomial_basis(self, max_degree: int):

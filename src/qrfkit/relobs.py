@@ -104,14 +104,19 @@ def wraparound_weight(frame: OrientationFrame, vec: np.ndarray,
     """Probability within ``margin`` grid points of the orientation edge.
 
     Diagnostic for the modular-arithmetic caveat: golden tests keep this
-    weight negligible by localizing states away from the edge.
+    weight negligible by localizing states away from the edge.  ``margin``
+    must lie in [0, N/2] (ConfigError); 0 weighs nothing and N/2 the whole
+    orientation range.
     """
+    if not 0 <= 2 * margin <= frame.N:
+        raise ConfigError(
+            f"margin must lie in [0, N/2] = [0, {frame.N / 2:g}], got {margin}")
     F = frame.fourier_matrix().conj().T / np.sqrt(frame.N)
     prob = np.abs(frame.space.apply_factor(frame.factor, F, vec)) ** 2
     marg = np.moveaxis(prob.reshape(frame.space.dims), frame.factor, 0)
     marg = marg.reshape(frame.N, -1).sum(axis=1)
     total = float(marg.sum())
-    edge = float(marg[:margin].sum() + marg[-margin:].sum())
+    edge = float(marg[:margin].sum() + marg[frame.N - margin:].sum())
     return edge / total if total > 0 else 0.0
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import commutant_oracle, max_abs_value_oracle
 from qrfkit import algstates as ast
@@ -194,6 +196,49 @@ class TestVerifyReferenceFrame:
                 model.gens, q_name, model.constraint_elem, 4))
 
 
+GAUSSIAN_INT = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+COLUMNS = [(i, j) for i in range(3) for j in range(3)]
+
+
+def _combination(coeffs, rows) -> dict:
+    """sum_k coeffs[k] * rows[k] over Gaussian integers (re, im)."""
+    acc = {}
+    for (a, b), row in zip(coeffs, rows):
+        for m, (c, d) in row.items():
+            re, im = acc.get(m, (0, 0))
+            acc[m] = (re + a * c - b * d, im + a * d + b * c)
+    return {m: v for m, v in acc.items() if v != (0, 0)}
+
+
+@st.composite
+def planted_rows(draw):
+    """(columns, rows, r): up to five sparse Gaussian-integer rows and up to
+    four Gaussian-integer combinations of them, shuffled, so the rank is at
+    most the r drawn rows."""
+    cols = draw(st.lists(st.sampled_from(COLUMNS), min_size=1,
+                         max_size=len(COLUMNS), unique=True))
+    drawn = [{m: v for m, v in row.items() if v != (0, 0)}
+             for row in draw(st.lists(st.dictionaries(st.sampled_from(cols),
+                                                       GAUSSIAN_INT),
+                                      max_size=5))]
+    combos = draw(st.lists(st.lists(GAUSSIAN_INT, min_size=len(drawn),
+                                    max_size=len(drawn)), max_size=4))
+    rows = drawn + [_combination(c, drawn) for c in combos]
+    return cols, draw(st.permutations(rows)), len(drawn)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(planted_rows())
+def test_exact_rank_is_the_numerical_rank(case):
+    cols, rows, planted = case
+    before = [dict(row) for row in rows]
+    M = np.array([[complex(*row.get(m, (0, 0))) for m in cols]
+                  for row in rows], dtype=complex).reshape(len(rows), len(cols))
+    want = np.linalg.matrix_rank(M) if rows else 0
+    assert ast._rank(rows) == want <= planted
+    assert rows == before  # the rows are not reduced in place
+
+
 MODELS = [md.ModelSpec("nparticle"), md.ModelSpec("su2", j=1),
           md.ModelSpec("degenerate"), md.ModelSpec("newtonian", dp=2.0)]
 
@@ -210,21 +255,41 @@ class TestBlockFactoredChecks:
             assert (ast._commutant(gens, z_name, basis)
                     == commutant_oracle(gens, z_name, basis)), z_name
 
-    @pytest.mark.parametrize("spec, degrees", [
-        (md.ModelSpec("nparticle"), (3, 5)),
-        (md.ModelSpec("su2", j=1), (4, 6)),
-        (md.ModelSpec("degenerate"), (6,)),
-        (md.ModelSpec("newtonian", dp=2.0), (6,))],
+    @pytest.mark.parametrize("spec, fields", [
+        (md.ModelSpec("nparticle"), (True, True, True)),
+        (md.ModelSpec("su2", j=1), (True, True, True)),
+        (md.ModelSpec("degenerate"), (True, True, False)),
+        (md.ModelSpec("newtonian", dp=2.0), (True, True, False))],
         ids=lambda x: getattr(x, "name", None))
-    def test_reports_unchanged(self, spec, degrees, monkeypatch):
+    def test_reports_unchanged(self, spec, fields, monkeypatch):
+        """The rank fields of every frame pair at degrees 3-6, the
+        orientation as Z (``fields``) and the momentum as Z (injective,
+        neither meeting the ideal trivially nor generating), and the same
+        reports with the oracle commutant."""
         model = md.build_model(spec)
-        q_name = model.frame_pairs[next(iter(model.frames))][0]
-        for degree in degrees:
-            args = (model.gens, q_name, model.constraint_elem, degree)
-            report = ast.verify_reference_frame(*args)
-            with monkeypatch.context() as mp:
-                mp.setattr(ast, "_commutant", commutant_oracle)
-                assert report == ast.verify_reference_frame(*args)
+        for pair in model.frame_pairs.values():
+            for z_name, want in zip(pair, (fields, (True, False, False))):
+                for degree in range(3, 7):
+                    args = (model.gens, z_name, model.constraint_elem, degree)
+                    report = ast.verify_reference_frame(*args)
+                    assert (report.no_left_annihilator,
+                            report.commutant_meets_ideal_trivially,
+                            report.generates_algebra) == want, (z_name, degree)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(ast, "_commutant", commutant_oracle)
+                        assert report == ast.verify_reference_frame(*args)
+
+    def test_reports_take_no_numerical_rank(self, monkeypatch):
+        model = md.build_model(md.ModelSpec("su2", j=1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numerical rank taken")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for degree in (3, 5):
+            assert ast.verify_reference_frame(
+                model.gens, "q_A", model.constraint_elem, degree).passed()
 
     @staticmethod
     def states(model):

@@ -1,6 +1,7 @@
 """Design invariants read from the source: only ``kinspace`` knows how a
 KinOperator is stored or builds an exponential, no module takes a dense
-eigendecomposition, and only the two dense reads check the dense budget."""
+eigendecomposition or a numerical rank, and only the two dense reads check
+the dense budget."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,18 @@ def test_no_module_calls_eigh(path):
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None))
              == "eigh"]
+    assert not calls, calls
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_takes_a_numerical_rank(path):
+    # every rank the algebra layer needs is exact (algstates._rank)
+    calls = [f"{path.name}:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in {"matrix_rank", "svd"}]
     assert not calls, calls
 
 

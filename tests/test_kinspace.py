@@ -714,7 +714,13 @@ CONFIG_ERRORS = {
     "relational_observable.physical": _physical_form_without_pi,
     "build_constraint": lambda: ks.build_constraint(two_frame_space(),
                                                     {0: np.ones(3)}),
+    "build_constraint.nan": lambda: ks.build_constraint(two_frame_space(),
+                                                        {0: np.nan}),
     "FactorSpec.system": lambda: ks.FactorSpec.system([]),
+    "FactorSpec.system.nan": lambda: ks.tensor_space(
+        [ks.FactorSpec.frame(4), ks.FactorSpec.system([np.nan])]),
+    "FactorSpec.system.inf": lambda: ks.tensor_space(
+        [ks.FactorSpec.frame(4), ks.FactorSpec.system([np.inf])]),
     "apply.out": lambda: ks.identity_operator(two_frame_space()).apply(
         np.ones(64, complex), out=np.empty(3, complex)),
     "KinOperator.composed": lambda: ks.KinOperator.composed(
@@ -739,6 +745,11 @@ CONFIG_ERRORS = {
     # [x,y]=z, [x,z]=x, [y,z]=y violates the Jacobi identity
     "GeneratorSet.jacobi": lambda: ncalg.GeneratorSet(
         ("x", "y", "z"), {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}}),
+    "GeneratorSet.gen": lambda: _pair().gen("nope"),
+    "GeneratorSet.element.length": lambda: _pair().element({(1,): 1}),
+    "GeneratorSet.element.negative": lambda: _pair().element({(1, -1): 1}),
+    "verify_reference_frame.degree": lambda: (
+        lambda g: ast.verify_reference_frame(g, "q", g.gen("p"), -1))(_pair()),
     "AlgebraElement.add": lambda: _pair().gen("q") + _pair().gen("q"),
     "multiply": lambda: ncalg.multiply(_pair().gen("q"), _pair().gen("p")),
 }

@@ -9,8 +9,8 @@ from test_packaging import run_fresh
 from qrfkit import kinspace as ks
 from qrfkit import models as md
 from qrfkit import relobs as ro
-from qrfkit.errors import (IncommensurableSpectrum, IndexOutOfRange,
-                           UnsupportedForm)
+from qrfkit.errors import (ConfigError, IncommensurableSpectrum,
+                           IndexOutOfRange, UnsupportedForm)
 
 
 def ideal_space(N=8, sys_dim=3):
@@ -548,9 +548,15 @@ class TestWraparoundWeight:
             ks.group_average(self.sp, C),
             self.rng.normal(size=self.sp.dim)
             + 1j * self.rng.normal(size=self.sp.dim))
-        for margin in (1, 2, 3):
+        for margin in (0, 1, 2, 3, 8):
             w = ro.wraparound_weight(self.fr, psi, margin)
             assert abs(w - 2 * margin / 16) < 1e-12
+
+    @pytest.mark.parametrize("margin", [-1, 9])
+    def test_margin_outside_half_the_range_raises(self, margin):
+        psi = np.ones(self.sp.dim, dtype=complex)
+        with pytest.raises(ConfigError, match="margin"):
+            ro.wraparound_weight(self.fr, psi, margin)
 
     def test_edge_orientation_state(self):
         sys = self.rng.normal(size=3) + 1j * self.rng.normal(size=3)
