@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 import numpy as np
 
@@ -190,51 +191,43 @@ def frame_state(space: LatticeSpace, C: KinOperator, frame, rho: float,
 
 
 def _max_abs_value(omega: AlgebraicState, degree: int,
-                   left: AlgebraElement, right: AlgebraElement) -> float:
-    """max |omega(left a right)| over the monomials a with deg a <= degree.
+                   left: AlgebraElement, right: AlgebraElement,
+                   shift: Coef = None) -> float:
+    """max |omega(left a right + shift a)| over the monomials a with
+    deg a <= degree.
 
-    Each product is read from ``normal_order_word(word(l) + word(a) +
-    word(r))`` over the terms l of ``left`` and r of ``right``, its exact
-    coefficients summed per monomial in the order ``multiply`` sums them
-    (so each value is bitwise that of the evaluated product), without
-    building an element per monomial.
+    The exact products left a right are the rows of ``gens.products``,
+    built once per structure, elements and degree; their numeric rows at
+    the state's hbar are cached with them, and each value is summed from 0j
+    in row order, as ``evaluate`` sums.  A ``shift`` (right = 1) joins the
+    coefficient of a in its row, or follows the row's terms, where the
+    product (left + shift) a puts it.
     """
-    gens = omega.gens
-    if left.gens is not gens or right.gens is not gens:
-        raise ConfigError("elements belong to different generator sets")
-    total = max(degree, 0) + left.degree() + right.degree()
-    if total > gens.degree_cap:
-        raise DegreeExceeded(f"product degree {total} exceeds cap "
-                             f"{gens.degree_cap}")
+    degree = max(degree, 0)
+    total = degree + left.degree() + right.degree()
     if total > omega.degree_bound:
         raise DegreeExceeded(
             f"degree {total} exceeds bound {omega.degree_bound}")
-    pairs = []  # (word(l), word(r), c_l * c_r)
-    for ml, cl in left.terms.items():
-        for mr, cr in right.terms.items():
-            cc = {}
-            ncalg._mul_into(cc, cl.terms, cr.terms)
-            pairs.append((ncalg.monomial_word(ml), ncalg.monomial_word(mr),
-                          cc))
-    products = []
-    normal_order_word = gens.structure.normal_order_word
-    for m in gens.monomial_basis(max(degree, 0)):
-        wa = ncalg.monomial_word(m)
-        acc = {}
-        for wl, wr, cc in pairs:
-            for mm, c in normal_order_word(wl + wa + wr).items():
-                ncalg._mul_into(acc.setdefault(mm, {}), cc, c.terms)
-        products.append(ncalg._terms(acc))
-    return max(map(abs, omega._values(products)))
+    table = omega.gens.products(left, right, degree)
+    if shift:
+        rows = [{**row, a: row.get(a, ncalg._ZERO) + shift} for a, row
+                in zip(omega.gens.monomial_basis(degree), table.rows)]
+        return max(map(abs, omega._values(rows)))
+    omega._fill_cache(table.columns)
+    value = omega._cache.__getitem__
+    return max(abs(sum(map(mul, coefs, map(value, row)), 0j))
+               for coefs, row in zip(table.numeric(omega.hbar), table.rows))
 
 
 def check_constraint_surface(omega: AlgebraicState, C: AlgebraElement,
                              degree: int = None) -> float:
     """max |omega(a C)| over the monomial basis with deg a <= D - deg C.
 
-    Each product a C is normal-ordered with exact coefficients; only its
-    valuation is floating point (numeric coefficients at the state's hbar
-    times the monomial values of ``omega``).
+    The products a C are the exact rows of ``gens.products`` for
+    (1, C, D - deg C), built once per structure and shared with
+    ``verify_reference_frame``; only their valuation is floating point
+    (numeric coefficients at the state's hbar, cached with the rows, times
+    the monomial values of ``omega``).
     """
     d = (omega.degree_bound if degree is None else degree) - C.degree()
     return _max_abs_value(omega, d, omega.gens.one(), C)
@@ -244,13 +237,15 @@ def check_frame_gauge(omega: AlgebraicState, z_name: str, rho: float,
                       degree: int = None) -> float:
     """max |omega((Z - rho) a)| over the monomial basis with deg a <= D - 1.
 
-    Each product (Z - rho) a is normal-ordered with exact coefficients, rho
-    entering as given (a float rho makes a float-tainted coefficient); only
-    its valuation is floating point, as in ``check_constraint_surface``.
+    The products Z a are the exact rows of ``gens.products`` for
+    (Z, 1, D - 1), built once per structure whatever rho is; -rho a enters
+    each row at call time, rho as given (a float rho makes a float-tainted
+    coefficient).  Only the valuation is floating point, as in
+    ``check_constraint_surface``.
     """
-    z = omega.gens.gen(z_name) - rho * omega.gens.one()
+    z = omega.gens.gen(z_name)
     d = (omega.degree_bound if degree is None else degree) - 1
-    return _max_abs_value(omega, d, z, omega.gens.one())
+    return _max_abs_value(omega, d, z, omega.gens.one(), -ncalg._coef(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +271,11 @@ class FrameReport:
                     self.generates_algebra))
 
 
-def _at_hbar_one(el: AlgebraElement) -> dict:
+def _at_hbar_one(terms: dict) -> dict:
     """monomial -> the exact (re, im) of its coefficient at hbar = 1, a
     float part at its exact value; zero sums dropped."""
     row = {}
-    for m, c in el.terms.items():
+    for m, c in terms.items():
         v = tuple(sum(Fraction(x) if type(x) is float else x for x in parts)
                   for parts in zip(*c.terms.values()))
         if any(v):
@@ -321,7 +316,7 @@ def _commutant(gens: GeneratorSet, z_name: str, basis) -> list:
     """
     z = gens.gen(z_name)
     z_block = next(b for b in gens.structure.blocks
-                   if gens.index[z_name] in b)
+                   if gens.index_of(z_name) in b)
     parts = [ncalg._block_part(m, z_block) for m in basis]
     commutes = {p: commutator(z, gens.element({p: 1})).is_zero()
                 for p in dict.fromkeys(parts)}
@@ -335,7 +330,9 @@ def verify_reference_frame(gens: GeneratorSet, z_name: str,
 
     Z* = Z, C* = C and [Z, C] = i*hbar*1 are exact symbolic checks.  The
     rest are exact ranks at hbar = 1 (a float-tainted part at its exact
-    value) of the images a C, deg a <= degree - deg C: a -> aC has no kernel
+    value) of the images a C, deg a <= degree - deg C, read from the exact
+    rows of ``gens.products`` for (1, C, degree - deg C), the table
+    ``check_constraint_surface`` reads: a -> aC has no kernel
     when they have full rank; the commutant Z' (unit monomials) meets the
     ideal trivially when deleting its coordinates keeps the rank, and with C
     generates the algebra when |Z'| plus that rank is the basis size.  A
@@ -352,8 +349,8 @@ def verify_reference_frame(gens: GeneratorSet, z_name: str,
     conj = commutator(z, C) == ncalg.I_HBAR * gens.one()
 
     basis = gens.monomial_basis(degree)
-    images = [_at_hbar_one(gens.element({m: 1}) * C)
-              for m in gens.monomial_basis(degree - C.degree())]
+    images = [_at_hbar_one(row) for row in gens.products(
+        gens.one(), C, degree - C.degree()).rows]
     r_all = _rank(images)
     drop = {basis[i] for i in _commutant(gens, z_name, basis)}
     r_rest = _rank({m: v for m, v in row.items() if m not in drop}
@@ -373,7 +370,7 @@ def check_almost_positive(omega: AlgebraicState, names,
     """
     gens = omega.gens
     d = (omega.degree_bound if degree is None else degree) // 2
-    allowed = {gens.index[n] for n in names}
+    allowed = {gens.index_of(n) for n in names}
     basis = [m for m in gens.monomial_basis(d)
              if all(e == 0 or g in allowed for g, e in enumerate(m))]
     elems = [gens.element({m: 1}) for m in basis]
@@ -439,8 +436,7 @@ def transform_frame(omega_b: AlgebraicState, *, frame_a, rho_a: float,
     gens = omega_b.gens
     qa, pa = frame_a
     qb, pb = frame_b
-    ia, ipa = gens.index[qa], gens.index[pa]
-    ib, ipb = gens.index[qb], gens.index[pb]
+    ia, ipa, ib, ipb = map(gens.index_of, (qa, pa, qb, pb))
 
     arg_q = (rho_b + rho_a) * gens.one() - gens.gen(qa)
     arg_p = -gens.gen(pa) - g_s

@@ -35,13 +35,15 @@ generator's block.  Normal ordering itself works on whole words.
 All of this depends on the relation table alone, never on the generator
 names or the degree cap, so it lives in one ``Structure`` per table: the
 table, its blocks and rewrite rules, and the caches of normal forms, Weyl
-averages and the monomial basis.  The module registry ``_STRUCTURES`` keys
-it by the number of generators and the exact table, each coefficient part
-with its type (an exact table and a float twin never share), and every
-``GeneratorSet`` on that table reads it: two builds of one model, at any
-lattice size, share normal forms.  The registry holds its structures for
-the life of the process, about 3.3 MiB after one pass of the
-``sparse-large`` benchmark workload (tracemalloc).
+averages, product tables (the exact rows of left a right over a monomial
+basis, with their numeric values per hbar) and the monomial basis.  The
+module registry ``_STRUCTURES`` keys it by the number of generators and the
+exact table, each coefficient part with its type (an exact table and a
+float twin never share), and every ``GeneratorSet`` on that table reads it:
+two builds of one model, at any lattice size, share normal forms and
+product tables.  The registry holds its structures for the life of the
+process, about 5.0 MiB after one pass of the ``sparse-large`` benchmark
+workload (tracemalloc), 1.7 MiB of it product tables.
 """
 
 from __future__ import annotations
@@ -257,9 +259,11 @@ class Structure:
     """Everything a relation table determines, whatever its generators are
     called: the table itself, its commuting blocks and rewrite rules, and
     the caches of normal forms (``words``), Weyl averages (``weyl``, term
-    dicts monomial -> ``Coef``) and the monomial basis.  One instance per
-    table, shared through ``_STRUCTURES`` by every ``GeneratorSet`` built on
-    it.  Treat as read-only outside this module.
+    dicts monomial -> ``Coef``), product tables (``tables``, one
+    ``ProductTable`` per left and right term dict and degree, see
+    ``products``) and the monomial basis.  One instance per table, shared
+    through ``_STRUCTURES`` by every ``GeneratorSet`` built on it.  Treat as
+    read-only outside this module.
 
     ``relations[(i, j)]`` for i < j maps the component index k (or
     ``IDENTITY``) to the exact structure constant alpha in
@@ -270,7 +274,7 @@ class Structure:
     """
 
     __slots__ = ("n", "relations", "blocks", "rewrites", "words", "weyl",
-                 "basis", "basis_ends")
+                 "tables", "basis", "basis_ends")
 
     def __init__(self, n: int, relations: dict):
         self.n = n
@@ -283,6 +287,7 @@ class Structure:
             for (b, a) in relations}
         self.words = {}
         self.weyl = {}
+        self.tables = {}
         self.basis = []       # monomials sorted by (degree, m)
         self.basis_ends = []  # basis_ends[d]: end of degree d in basis
 
@@ -388,6 +393,75 @@ class Structure:
         out = self.words[word] = _terms(acc)
         return out
 
+    def products(self, left: dict, right: dict,
+                 degree: int) -> "ProductTable":
+        """The ``ProductTable`` of left a right over the monomials a with
+        deg a <= ``degree``, ``left`` and ``right`` term dicts monomial ->
+        ``Coef``; cached in ``tables`` under their terms in order, each
+        coefficient part with its type, and the degree."""
+        key = (_terms_key(left), _terms_key(right), degree)
+        found = self.tables.get(key)
+        if found is None:
+            found = self.tables[key] = ProductTable(self, left, right, degree)
+        return found
+
+
+class ProductTable:
+    """The exact normal forms of left a right, one row (monomial ->
+    ``Coef``) per monomial a of the basis up to a degree, in basis order.
+
+    Row a is summed from ``normal_order_word(word(l) + word(a) + word(r))``
+    over the terms l of left and r of right, with c_l c_r, in the order
+    ``multiply`` sums (so a row is bitwise the product ``multiply`` builds),
+    zero sums dropped.  ``columns`` lists the monomials of all rows once;
+    ``numeric`` reads the rows at an hbar.  Treat as read-only.
+    """
+
+    __slots__ = ("rows", "columns", "_numeric")
+
+    def __init__(self, s: Structure, left: dict, right: dict, degree: int):
+        pairs = []  # (word(l), word(r), c_l * c_r)
+        for ml, cl in left.items():
+            for mr, cr in right.items():
+                cc = {}
+                _mul_into(cc, cl.terms, cr.terms)
+                pairs.append((monomial_word(ml), monomial_word(mr), cc))
+        self.rows = []
+        for m in s.monomial_basis(degree):
+            wa = monomial_word(m)
+            acc = {}
+            for wl, wr, cc in pairs:
+                for mm, c in s.normal_order_word(wl + wa + wr).items():
+                    _mul_into(acc.setdefault(mm, {}), cc, c.terms)
+            self.rows.append(_terms(acc))
+        self.columns = list(dict.fromkeys(m for row in self.rows
+                                          for m in row))
+        self._numeric = {}
+
+    def numeric(self, hbar) -> list:
+        """Per row, the tuple of ``numeric(c, hbar)`` over its terms in row
+        order; cached per value and type of hbar (an int 2 and a float 2.0
+        can round differently)."""
+        key = (type(hbar), hbar)
+        found = self._numeric.get(key)
+        if found is None:
+            found = self._numeric[key] = [
+                tuple(numeric(c, hbar) for c in row.values())
+                for row in self.rows]
+        return found
+
+
+def _coef_key(c: Coef) -> tuple:
+    """The terms of ``c`` in order, each part with its type: an exact 1 and
+    a float 1.0 are equal and hash alike."""
+    return tuple((p, type(re), re, type(im), im)
+                 for p, (re, im) in c.terms.items())
+
+
+def _terms_key(terms: dict) -> tuple:
+    """A term dict monomial -> ``Coef`` as a hashable key, in its order."""
+    return tuple((m, _coef_key(c)) for m, c in terms.items())
+
 
 _STRUCTURES = {}  # (n, typed relation table) -> Structure
 
@@ -396,13 +470,10 @@ def _structure(names: tuple, table: dict) -> Structure:
     """The shared structure of ``table`` on ``len(names)`` generators; a new
     table is Jacobi-checked (``names`` only name a failing triple) before it
     is registered, so a bad table is never shared.  Each coefficient part is
-    keyed with its type: an exact 1 and a float 1.0 are equal and hash
-    alike."""
+    keyed with its type (``_coef_key``)."""
     key = (len(names), tuple(sorted(
-        (ij, tuple(sorted((k, tuple(sorted(
-            (p, type(re), re, type(im), im)
-            for p, (re, im) in a.terms.items())))
-            for k, a in comps.items())))
+        (ij, tuple(sorted((k, tuple(sorted(_coef_key(a))))
+                          for k, a in comps.items())))
         for ij, comps in table.items())))
     found = _STRUCTURES.get(key)
     if found is not None:
@@ -421,13 +492,13 @@ class GeneratorSet:
     ``relations`` is the table of ``structure`` (see ``Structure``); the
     Jacobi identity is verified when a table is first registered.  A
     generator set holds only its names, their index, ``degree_cap`` (read
-    by ``multiply`` only) and ``structure``: the registered ``Structure``
-    of its table, shared by every generator set with the same number of
-    generators and the same exact table, whatever the names or the cap,
-    and kept for the life of the process.  The key holds each coefficient
-    part with its type, so an exact table and a float-tainted twin never
-    share.  Two sets on one structure are still distinct: their elements
-    do not mix.
+    by ``multiply`` and ``products`` only) and ``structure``: the
+    registered ``Structure`` of its table, shared by every generator set
+    with the same number of generators and the same exact table, whatever
+    the names or the cap, and kept for the life of the process.  The key
+    holds each coefficient part with its type, so an exact table and a
+    float-tainted twin never share.  Two sets on one structure are still
+    distinct: their elements do not mix.
     """
 
     __slots__ = ("names", "index", "degree_cap", "structure")
@@ -491,23 +562,30 @@ class GeneratorSet:
     def unit_monomial(self) -> tuple:
         return (0,) * len(self.names)
 
+    def index_of(self, name: str) -> int:
+        """The position of generator ``name``; ConfigError if unknown."""
+        try:
+            return self.index[name]
+        except KeyError:
+            raise ConfigError(f"unknown generator {name!r}") from None
+
     def gen(self, name: str) -> "AlgebraElement":
-        if name not in self.index:
-            raise ConfigError(f"unknown generator {name!r}")
         m = [0] * len(self.names)
-        m[self.index[name]] = 1
+        m[self.index_of(name)] = 1
         return AlgebraElement(self, {tuple(m): _ONE})
 
     def element(self, terms) -> "AlgebraElement":
         """The element sum_m c_m y^m; each c_m is anything ``_coef`` takes,
-        each m an exponent vector of one non-negative entry per generator
+        each m an exponent vector of one non-negative integer per generator
         (ConfigError otherwise)."""
         acc = {}
         for m, c in terms.items():
             m = tuple(m)
-            if len(m) != len(self.names) or min(m, default=0) < 0:
+            if (len(m) != len(self.names)
+                    or not all(isinstance(e, Integral) and e >= 0
+                               for e in m)):
                 raise ConfigError(f"{m} is not an exponent vector of "
-                                  f"{len(self.names)} non-negative entries")
+                                  f"{len(self.names)} non-negative integers")
             _add_into(acc.setdefault(m, {}), _coef(c).terms)
         return AlgebraElement._of(self, acc)
 
@@ -521,6 +599,20 @@ class GeneratorSet:
         of generator indices, monomial -> coefficient (shared; do not
         mutate)."""
         return self.structure.normal_order_word(word)
+
+    def products(self, left: "AlgebraElement", right: "AlgebraElement",
+                 degree: int) -> "ProductTable":
+        """``Structure.products``: the shared table of left a right over
+        the monomials a with deg a <= degree.  ConfigError when an element
+        is on another set, DegreeExceeded when the product degree passes
+        the cap."""
+        if left.gens is not self or right.gens is not self:
+            raise ConfigError("elements belong to different generator sets")
+        total = degree + left.degree() + right.degree()
+        if total > self.degree_cap:
+            raise DegreeExceeded(f"product degree {total} exceeds cap "
+                                 f"{self.degree_cap}")
+        return self.structure.products(left.terms, right.terms, degree)
 
 
 def _block_part(m: tuple, block: tuple) -> tuple:

@@ -17,6 +17,7 @@ from qrfkit import ncalg
 from qrfkit import reduction_gauge as rg
 from qrfkit.errors import DegreeExceeded, NotPhysical, UnsupportedSupport
 from qrfkit.ncalg import HBAR
+from test_ncalg import count_normal_forms
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +339,67 @@ class TestBlockFactoredChecks:
             ast.check_constraint_surface(om, npmodel.constraint_elem, 5)
         with pytest.raises(DegreeExceeded, match="exceeds bound 4"):
             ast.check_frame_gauge(om, "q_A", 0.0, 5)
+
+    @pytest.mark.parametrize("dyadic", [True, False],
+                             ids=["dyadic", "random"])
+    def test_numeric_rows_are_read_at_their_own_hbar(self, dyadic):
+        """Two table states on one structure, at hbar = 1 and 0.5, checked
+        alternately: each value is the oracle's at the state's own hbar."""
+        gens = ncalg.GeneratorSet.canonical([("q", "p")], centrals=("G",))
+        C = gens.gen("p") * gens.gen("q") + gens.gen("G")  # = qp - i hbar + G
+        rng = np.random.default_rng(53)
+        table = {m: (complex(rng.integers(-8, 9), rng.integers(-8, 9)) / 16
+                     if dyadic else complex(*rng.normal(size=2)))
+                 for m in gens.monomial_basis(4)}
+        table[gens.unit_monomial()] = 1.0
+        states = [ast.from_table(gens, table, degree_bound=4, hbar=h)
+                  for h in (1.0, 0.5)]
+        z = gens.gen("p") - 0.75 * gens.one()
+        seen = []
+        for om in states * 2:
+            checks = [(ast.check_constraint_surface(om, C),
+                       max_abs_value_oracle(om, 2, lambda a: a * C)),
+                      (ast.check_frame_gauge(om, "p", 0.75),
+                       max_abs_value_oracle(om, 3, lambda a: z * a))]
+            for got, ref in checks:
+                if dyadic:
+                    assert got == ref
+                else:
+                    assert abs(got - ref) <= 1e-12 * ref
+            seen.append(checks[0][0])
+        assert seen[0] != seen[1] and seen[:2] == seen[2:]
+
+    def test_frame_gauge_tables_do_not_grow_with_rho(self, npmodel,
+                                                     loc_state):
+        om = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
+        tables = npmodel.gens.structure.tables
+        ast.check_frame_gauge(om, "q_A", 0.0, 4)
+        entries = len(tables)
+        for rho in np.linspace(-1.0, 1.0, 20):
+            z = npmodel.gens.gen("q_A") - rho * npmodel.gens.one()
+            got = ast.check_frame_gauge(om, "q_A", rho, 4)
+            ref = max_abs_value_oracle(om, 3, lambda a: z * a)
+            assert abs(got - ref) <= 1e-12 * ref
+        assert len(tables) == entries
+
+    def test_verify_reference_frame_reads_the_constraint_table(
+            self, npmodel, loc_state, monkeypatch):
+        """After check_constraint_surface on the same C and degree, the
+        images a C add no product table and no normal-form call: the only
+        calls are those of the exact symbolic checks."""
+        g, C = npmodel.gens, npmodel.constraint_elem
+        om = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
+        ast.check_constraint_surface(om, C, 5)
+        entries = len(g.structure.tables)
+        calls = count_normal_forms(monkeypatch)
+        assert ast.verify_reference_frame(g, "q_A", C, 5).passed()
+        assert len(g.structure.tables) == entries
+        made = sorted(calls)
+        calls.clear()
+        z = g.gen("q_A")
+        ncalg.adjoint(z), ncalg.adjoint(C), ncalg.commutator(z, C)
+        ast._commutant(g, "q_A", g.monomial_basis(5))
+        assert made == sorted(calls)
 
     def test_constraint_from_another_generator_set_rejected(self, npmodel,
                                                             loc_state):

@@ -739,6 +739,11 @@ CONFIG_ERRORS = {
         _pair(), {_pair().unit_monomial(): 2.0}),
     "check_constraint_surface": lambda: ast.check_constraint_surface(
         _table_state(), _pair().gen("p")),
+    "check_almost_positive.name": lambda: ast.check_almost_positive(
+        _table_state(), ["nope"]),
+    "transform_frame.name": lambda: (lambda om: ast.transform_frame(
+        om, frame_a=("nope", "p"), rho_a=0.0, frame_b=("q", "p"), rho_b=0.0,
+        f=om.gens.gen("q"), g_s=om.gens.zero()))(_table_state()),
     "GeneratorSet.names": lambda: ncalg.GeneratorSet(("x", "x"), {}),
     "GeneratorSet.relation_key": lambda: ncalg.GeneratorSet(
         ("x", "y"), {(1, 0): {0: 1}}),
@@ -748,6 +753,7 @@ CONFIG_ERRORS = {
     "GeneratorSet.gen": lambda: _pair().gen("nope"),
     "GeneratorSet.element.length": lambda: _pair().element({(1,): 1}),
     "GeneratorSet.element.negative": lambda: _pair().element({(1, -1): 1}),
+    "GeneratorSet.element.fraction": lambda: _pair().element({(0.5, 0): 1}),
     "verify_reference_frame.degree": lambda: (
         lambda g: ast.verify_reference_frame(g, "q", g.gen("p"), -1))(_pair()),
     "AlgebraElement.add": lambda: _pair().gen("q") + _pair().gen("q"),
