@@ -22,9 +22,10 @@ import numpy as np
 
 from . import ncalg
 from .errors import ConfigError, DegreeExceeded, UnsupportedSupport
-from .kinspace import KinOperator, LatticeSpace, check_physical
+from .kinspace import (KinOperator, LatticeSpace, check_physical,
+                       split_adjoint)
 from .ncalg import AlgebraElement, Coef, GeneratorSet, commutator
-from .relobs import theta_projector
+from .relobs import orientation_state_at
 
 DEFAULT_DEGREE_BOUND = 8
 _MAX_TERMS = 24  # nested commutators dress_system_element tries
@@ -40,6 +41,15 @@ class AlgebraicState:
     omega(m) = <(y_0^dag)^(m_0) bra| y^(m - m_0 e_0) |ket>; otherwise, with
     g the lowest generator index in m, omega(m) = <y_g^dag bra| y^(m - e_g)
     |ket>.
+
+    A frame state (``frame_state``) also carries ``reduction``: the frame
+    factor F, v = |rho> on F and chi with bra = v (x) chi, and every
+    generator's adjoint cut at F (``kinspace.split_adjoint``).  Its values
+    are Page-Wootters reduced values: with m = a r, a the generators on F
+    and r the rest, omega(m) = <y^r^dag chi| kappa_a>, where kappa_a =
+    (<y^a^dag v| x 1) ket lives on the space without F.  That equals
+    <bra| y^m |ket> up to rounding, and exactly so only as far as the cut
+    is: supports are decided to HERM_TOL.
     """
 
     gens: GeneratorSet
@@ -49,6 +59,8 @@ class AlgebraicState:
     bra: np.ndarray = None
     ket: np.ndarray = None
     assignment: dict = None
+    # frame states: (F, v, chi, {g: F-side y_g^dag}, {name: rest y^dag})
+    reduction: tuple = None
     # table backing
     table: dict = None
     table_hbar: float = 1.0
@@ -86,19 +98,33 @@ class AlgebraicState:
     def _fill_cache(self, monomials):
         """Cache the value of each uncached monomial.
 
-        Hilbert backing: the unit is <bra|ket>.  A word with m_0 > 0 is
-        y_0^(m_0) t, valued as vdot((y_0^dag)^(m_0) bra, y^t ket); any other
-        word is (g,) + t, valued as vdot(y_g^dag bra, y^t ket).  No tail t
-        holds y_0, so one prefix walk over the distinct tails never applies
-        it.  Each head g takes repeated ``apply_adjoint`` of the bra up to
-        its largest power (m_0 for y_0, 1 for any other head), and only the
-        needed powers are kept.  At most degree - 1 walk buffers, the needed
-        powers of y_0^dag and one adjoint bra per other head are alive, all
-        freed on return; each value is bitwise the same whichever call
-        computes it.
+        Frame state (``reduction`` set): the Page-Wootters reduced value
+        vdot(y^r^dag chi, kappa_a) of ``_fill_reduced``.
+
+        Any other Hilbert backing: the unit is <bra|ket>.  A word with
+        m_0 > 0 is y_0^(m_0) t, valued as vdot((y_0^dag)^(m_0) bra,
+        y^t ket); any other word is (g,) + t, valued as
+        vdot(y_g^dag bra, y^t ket).  No tail t holds y_0, so one prefix walk
+        over the distinct tails never applies it.  Each head g takes
+        repeated ``apply_adjoint`` of the bra up to its largest power (m_0
+        for y_0, 1 for any other head), and only the needed powers are
+        kept.  At most degree - 1 walk buffers, the needed powers of
+        y_0^dag and one adjoint bra per other head are alive, all freed on
+        return.
+
+        Either way each value is bitwise the same whichever call computes
+        it.
         """
         missing = [m for m in monomials if m not in self._cache]
-        if self.table is None:
+        if self.table is not None:
+            for m in missing:
+                if m not in self.table:
+                    raise DegreeExceeded(
+                        f"monomial {m} missing from value table")
+                self._cache[m] = complex(self.table[m])
+        elif self.reduction is not None:
+            self._fill_reduced(missing)
+        else:
             heads = {}  # tail word -> [((head, power), monomial)]
             powers = {}  # head -> the powers of its adjoint that are needed
             for m in missing:
@@ -121,19 +147,46 @@ class AlgebraicState:
                                              self.assignment, self.ket):
                 for key, m in heads[t]:
                     self._cache[m] = complex(np.vdot(bras[key], vec))
-            return
+
+    def _fill_reduced(self, missing):
+        """Cache vdot(y^r^dag chi, kappa_a) for each monomial m = a r.
+
+        kappa_a = (<u_a| x 1) ket is one length-D contraction per distinct
+        a, with u_a = y^a^dag v made from v by the n x n adjoints in word
+        order.  y^r^dag chi comes from one prefix walk over the reversed
+        words of the distinct r, on vectors of size D/n with at most
+        degree walk buffers; no y_g acts on the full space.
+        """
+        factor, v, chi, on_f, rest = self.reduction
+        mask = tuple(int(g in on_f) for g in range(len(self.gens.names)))
+        kappas = {}  # a -> kappa_a
+        words = {}  # reversed word of r -> [(a, monomial)]
         for m in missing:
-            if m not in self.table:
-                raise DegreeExceeded(f"monomial {m} missing from value table")
-            self._cache[m] = complex(self.table[m])
+            a, w = ncalg._split_monomial(m, mask)
+            kappas[a] = None
+            words.setdefault(w, []).append((a, m))
+        for a in kappas:
+            u = v
+            for g in ncalg.monomial_word(a):
+                u = on_f[g] @ u
+            kappas[a] = self.space.apply_factor(factor, u.conj()[None, :],
+                                                self.ket)
+        for w, xi in ncalg._prefix_walk(self.gens, words, rest, chi):
+            for a, m in words[w]:
+                self._cache[m] = complex(np.vdot(xi, kappas[a]))
 
     def value_table(self, max_degree: int = None) -> dict:
-        """Monomial -> value map (golden files), each value
-        <(y_0^dag)^(m_0) bra| y^(m - m_0 e_0) |ket> when m_0 > 0, else
-        <y_g^dag bra| y^(m - e_g) |ket>, by ``_fill_cache``: the walk covers
-        the tails of degree <= d - 1 free of y_0, with <= d - 1 walk buffers,
-        the powers 1..d of y_0^dag on the bra and one adjoint bra per other
-        generator alive, freed on return."""
+        """Monomial -> value map (golden files), by ``_fill_cache``.
+
+        A frame state's values are Page-Wootters reduced values,
+        vdot(y^r^dag chi, kappa_a) for m = a r split at the frame factor (a
+        split exact to HERM_TOL, where supports are decided): one
+        contraction per distinct a and a walk over the r at D/n.  Any other
+        Hilbert backing values <(y_0^dag)^(m_0) bra| y^(m - m_0 e_0) |ket>
+        when m_0 > 0, else <y_g^dag bra| y^(m - e_g) |ket>: the walk covers
+        the tails of degree <= d - 1 free of y_0, with <= d - 1 walk
+        buffers, the powers 1..d of y_0^dag on the bra and one adjoint bra
+        per other generator alive, freed on return."""
         d = self.degree_bound if max_degree is None else max_degree
         if d > self.degree_bound:
             raise DegreeExceeded(
@@ -151,6 +204,14 @@ class AlgebraicState:
         return "\n".join(lines)
 
 
+def _overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
+    """<bra|ket>; ConfigError when it vanishes (below 1e-14)."""
+    n = complex(np.vdot(bra, ket))
+    if abs(n) < 1e-14:
+        raise ConfigError("bra/ket pair has vanishing overlap")
+    return n
+
+
 def from_hilbert(bra: np.ndarray, ket: np.ndarray, space: LatticeSpace,
                  assignment: dict, gens: GeneratorSet,
                  degree_bound: int = DEFAULT_DEGREE_BOUND,
@@ -159,10 +220,7 @@ def from_hilbert(bra: np.ndarray, ket: np.ndarray, space: LatticeSpace,
     bra = np.asarray(bra, dtype=complex)
     ket = np.asarray(ket, dtype=complex)
     if normalize:
-        n = complex(np.vdot(bra, ket))
-        if abs(n) < 1e-14:
-            raise ConfigError("bra/ket pair has vanishing overlap")
-        bra = bra / np.conj(n)
+        bra = bra / np.conj(_overlap(bra, ket))
     return AlgebraicState(gens, degree_bound, space=space, bra=bra, ket=ket,
                           assignment=assignment)
 
@@ -183,11 +241,38 @@ def frame_state(space: LatticeSpace, C: KinOperator, frame, rho: float,
 
     ``psi_phys`` must solve the constraint; the bra side is the physical
     state conditioned on the frame orientation, which realizes the frame
-    gauge conditions exactly.
+    gauge conditions exactly.  It is v (x) chi, v = |rho> on the frame
+    factor F and chi = (<v| x 1) psi (the Page-Wootters reduced state),
+    divided by conj(<chi|chi>) = conj(<v (x) chi|psi>) as ``from_hilbert``
+    normalizes; building it costs D.
+
+    When every generator's support lies on one side of F (to HERM_TOL),
+    the state records F, v, chi and the cut adjoints, and its values are
+    the reduced values of ``_fill_cache``: Page-Wootters expectation values
+    in the space without F, exact as far as the supports are.  A generator
+    that acts on F and another factor, or is stored dense or composed,
+    leaves the state on the full-space walk of any Hilbert-backed state.
     """
     check_physical(C, psi_phys)
-    bra = theta_projector(frame, rho).apply(psi_phys)
-    return from_hilbert(bra, psi_phys, space, assignment, gens, degree_bound)
+    psi = np.asarray(psi_phys, dtype=complex)
+    v = orientation_state_at(frame, rho)
+    chi = space.apply_factor(frame.factor, v.conj()[None, :], psi)
+    chi = chi / np.conj(_overlap(chi, chi))
+    bra = space.apply_factor(frame.factor, v[:, None], chi)
+    # dropping a factor keeps a space valid: no tensor_space check again
+    rest = LatticeSpace(space.factors[:frame.factor]
+                        + space.factors[frame.factor + 1:], space.hbar)
+    parts = [split_adjoint(assignment[name], frame.factor, rest)
+             for name in gens.names]
+    reduction = None
+    if all(p is not None for p in parts):
+        on_f = {g: p for g, p in enumerate(parts)
+                if not isinstance(p, KinOperator)}
+        off_f = {name: p for name, p in zip(gens.names, parts)
+                 if isinstance(p, KinOperator)}
+        reduction = (frame.factor, v, chi, on_f, off_f)
+    return AlgebraicState(gens, degree_bound, space=space, bra=bra, ket=psi,
+                          assignment=assignment, reduction=reduction)
 
 
 def _max_abs_value(omega: AlgebraicState, degree: int,
@@ -271,18 +356,6 @@ class FrameReport:
                     self.generates_algebra))
 
 
-def _at_hbar_one(terms: dict) -> dict:
-    """monomial -> the exact (re, im) of its coefficient at hbar = 1, a
-    float part at its exact value; zero sums dropped."""
-    row = {}
-    for m, c in terms.items():
-        v = tuple(sum(Fraction(x) if type(x) is float else x for x in parts)
-                  for parts in zip(*c.terms.values()))
-        if any(v):
-            row[m] = v
-    return row
-
-
 def _rank(rows) -> int:
     """Exact rank of sparse rows, monomial -> Gaussian rational (re, im):
     each row is reduced by the pivot rows until its leading monomial, the
@@ -332,7 +405,8 @@ def verify_reference_frame(gens: GeneratorSet, z_name: str,
     rest are exact ranks at hbar = 1 (a float-tainted part at its exact
     value) of the images a C, deg a <= degree - deg C, read from the exact
     rows of ``gens.products`` for (1, C, degree - deg C), the table
-    ``check_constraint_surface`` reads: a -> aC has no kernel
+    ``check_constraint_surface`` reads, taken at hbar = 1 once per table
+    (``ProductTable.exact_at_one``): a -> aC has no kernel
     when they have full rank; the commutant Z' (unit monomials) meets the
     ideal trivially when deleting its coordinates keeps the rank, and with C
     generates the algebra when |Z'| plus that rank is the basis size.  A
@@ -349,8 +423,7 @@ def verify_reference_frame(gens: GeneratorSet, z_name: str,
     conj = commutator(z, C) == ncalg.I_HBAR * gens.one()
 
     basis = gens.monomial_basis(degree)
-    images = [_at_hbar_one(row) for row in gens.products(
-        gens.one(), C, degree - C.degree()).rows]
+    images = gens.products(gens.one(), C, degree - C.degree()).exact_at_one()
     r_all = _rank(images)
     drop = {basis[i] for i in _commutant(gens, z_name, basis)}
     r_rest = _rank({m: v for m, v in row.items() if m not in drop}

@@ -99,11 +99,11 @@ class LatticeSpace:
     factors: tuple
     hbar: float = 1.0
 
-    @property
+    @cached_property
     def dims(self) -> tuple:
         return tuple(f.N for f in self.factors)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return prod(self.dims)
 
@@ -236,6 +236,13 @@ def tensor_space(factors, hbar: float = 1.0) -> LatticeSpace:
                         f"system eigenvalue {v} of factor {f.name or '?'} "
                         f"is off the frame momentum lattice (dp={dp})")
     return LatticeSpace(factors, hbar)
+
+
+def reduced_space(space: LatticeSpace, factor: int) -> LatticeSpace:
+    """The space without ``factor``, validated by ``tensor_space``."""
+    space._factor(factor)
+    return tensor_space(space.factors[:factor] + space.factors[factor + 1:],
+                        space.hbar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,10 +543,6 @@ class KinOperator:
                 del block, y  # free before the next block is made
         return out
 
-    def expectation(self, ket: np.ndarray, bra: np.ndarray = None) -> complex:
-        b = ket if bra is None else bra
-        return complex(np.vdot(b, self.apply(ket)))
-
     def __add__(self, other):
         _check_space(self.space, other)
         if self.is_diagonal and other.is_diagonal:
@@ -611,6 +614,35 @@ def factor_operator(space: LatticeSpace, factor: int,
         return KinOperator.from_diag(space, space.embed_diag(factor, d))
     mat.setflags(write=False)
     return KinOperator(space, factor=factor, local=mat)
+
+
+def split_adjoint(op: KinOperator, factor: int, rest: LatticeSpace):
+    """op^dag on one side of the cut at ``factor``: the n x n matrix of
+    op^dag on ``factor`` when the support is {factor}; op^dag as an operator
+    on ``rest`` (the space of the other factors, in order) when ``factor``
+    is outside the support, the empty support included; None when the
+    support holds ``factor`` and another factor, or the form is dense or
+    composed.
+
+    The support is decided to HERM_TOL, and a diagonal is read at index 0
+    of the axis it drops, so the cut is exact only up to the variation
+    below HERM_TOL that ``support`` ignores.
+    """
+    dims = op.space.dims
+    if factor not in op.support:
+        if op.is_diagonal:
+            d = np.take(op.diag.reshape(dims), 0, axis=factor)
+            return KinOperator.from_diag(rest, d.reshape(-1).conj())
+        if op.local is not None:
+            return factor_operator(rest, op.factor - (op.factor > factor),
+                                   op.local.conj().T)
+    elif op.support == {factor}:
+        if op.is_diagonal:
+            d = np.moveaxis(op.diag.reshape(dims), factor, 0)
+            return np.diag(d.reshape(dims[factor], -1)[:, 0].conj())
+        if op.local is not None:
+            return op.local.conj().T
+    return None
 
 
 def momentum_operator(space: LatticeSpace, factor: int) -> KinOperator:

@@ -29,7 +29,7 @@ from . import ncalg
 from .errors import ConfigError
 from .kinspace import FactorSpec, KinOperator
 from .ncalg import GeneratorSet
-from .relobs import OrientationFrame, frame_system_generator
+from .relobs import OrientationFrame
 
 PARTICLE_LABELS = "ABCDEFGH"
 _SOLVE_FACTOR = 0  # the frame whose momentum a Gaussian state solves for
@@ -72,10 +72,6 @@ class Model:
         """System generator seen from the given frame: C - p_frame."""
         _, p_name = self.frame_pairs[label]
         return self.constraint_elem - self.gens.gen(p_name)
-
-    def g_s_op(self, label: str) -> KinOperator:
-        return frame_system_generator(self.space, self.constraint,
-                                      self.frames[label])
 
 
 def spin_matrices(j: int, hbar: float):

@@ -36,14 +36,15 @@ All of this depends on the relation table alone, never on the generator
 names or the degree cap, so it lives in one ``Structure`` per table: the
 table, its blocks and rewrite rules, and the caches of normal forms, Weyl
 averages, product tables (the exact rows of left a right over a monomial
-basis, with their numeric values per hbar) and the monomial basis.  The
-module registry ``_STRUCTURES`` keys it by the number of generators and the
-exact table, each coefficient part with its type (an exact table and a
-float twin never share), and every ``GeneratorSet`` on that table reads it:
-two builds of one model, at any lattice size, share normal forms and
-product tables.  The registry holds its structures for the life of the
-process, about 5.0 MiB after one pass of the ``sparse-large`` benchmark
-workload (tracemalloc), 1.7 MiB of it product tables.
+basis, with their numeric values per hbar and their exact values at
+hbar = 1) and the monomial basis.  The module registry ``_STRUCTURES`` keys
+it by the number of generators and the exact table, each coefficient part
+with its type (an exact table and a float twin never share), and every
+``GeneratorSet`` on that table reads it: two builds of one model, at any
+lattice size, share normal forms and product tables.  The registry holds
+its structures for the life of the process, about 5.0 MiB after one pass
+of the ``sparse-large`` benchmark workload (tracemalloc), 1.7 MiB of it
+product tables.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from numbers import Integral
-from operator import add
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -414,10 +415,11 @@ class ProductTable:
     over the terms l of left and r of right, with c_l c_r, in the order
     ``multiply`` sums (so a row is bitwise the product ``multiply`` builds),
     zero sums dropped.  ``columns`` lists the monomials of all rows once;
-    ``numeric`` reads the rows at an hbar.  Treat as read-only.
+    ``numeric`` reads the rows at an hbar, and ``exact_at_one`` exactly at
+    hbar = 1.  Treat as read-only.
     """
 
-    __slots__ = ("rows", "columns", "_numeric")
+    __slots__ = ("rows", "columns", "_numeric", "_exact_at_one")
 
     def __init__(self, s: Structure, left: dict, right: dict, degree: int):
         pairs = []  # (word(l), word(r), c_l * c_r)
@@ -437,6 +439,15 @@ class ProductTable:
         self.columns = list(dict.fromkeys(m for row in self.rows
                                           for m in row))
         self._numeric = {}
+        self._exact_at_one = None
+
+    def exact_at_one(self) -> list:
+        """Per row, monomial -> the exact (re, im) of its coefficient at
+        hbar = 1, a float part at its exact value, zero sums dropped; built
+        on first use and cached."""
+        if self._exact_at_one is None:
+            self._exact_at_one = [_at_hbar_one(row) for row in self.rows]
+        return self._exact_at_one
 
     def numeric(self, hbar) -> list:
         """Per row, the tuple of ``numeric(c, hbar)`` over its terms in row
@@ -449,6 +460,18 @@ class ProductTable:
                 tuple(numeric(c, hbar) for c in row.values())
                 for row in self.rows]
         return found
+
+
+def _at_hbar_one(terms: dict) -> dict:
+    """monomial -> the exact (re, im) of its coefficient at hbar = 1, a
+    float part at its exact value; zero sums dropped."""
+    row = {}
+    for m, c in terms.items():
+        v = tuple(sum(Fraction(x) if type(x) is float else x for x in parts)
+                  for parts in zip(*c.terms.values()))
+        if any(v):
+            row[m] = v
+    return row
 
 
 def _coef_key(c: Coef) -> tuple:
@@ -637,6 +660,14 @@ def monomial_word(m: tuple) -> tuple:
     for g, e in enumerate(m):
         w.extend([g] * e)
     return tuple(w)
+
+
+@lru_cache(maxsize=1 << 14)
+def _split_monomial(m: tuple, mask: tuple) -> tuple:
+    """(a, the reversed word of r) for m = a r: a keeps the exponents where
+    ``mask`` is 1, r the others."""
+    a = tuple(map(mul, m, mask))
+    return a, monomial_word(tuple(map(sub, m, a)))[::-1]
 
 
 class AlgebraElement:
@@ -859,26 +890,15 @@ def from_weyl_basis(gens: GeneratorSet, coeffs: dict) -> AlgebraElement:
     return AlgebraElement._of(gens, acc)
 
 
-def apply_element(a: AlgebraElement, space, assignment,
-                  vec: np.ndarray) -> np.ndarray:
-    """Element applied to a D-vector or a D x k block of columns: a prefix walk
-    makes y^m vec = y_g y^(m - e_g) vec, g the lowest index in m (<= degree + 1
-    blocks alive, bitwise per word), and adds numeric(c) * y^m vec per term."""
-    terms = {monomial_word(m): numeric(c, space.hbar)
-             for m, c in a.terms.items()}
-    out = np.zeros_like(vec, dtype=complex)
-    for w, v in _prefix_walk(a.gens, terms, assignment, vec):
-        out += terms[w] * v
-    return out
-
-
 def _prefix_walk(gens: GeneratorSet, words, assignment, vec):
-    """Yield (w, y_w1 ... y_wn vec) for the sorted ``words``, depth first over
+    """Yield (w, y_w1 ... y_wn vec) for the ``words``, depth first over
     their suffixes.  Each node is applied from its parent's buffer into one
     complex buffer per trie depth (<= degree of them, made on first use;
     ``vec`` is never written), so a yielded vector is valid only until the
     walk's next step: use it at once or copy it."""
-    closure = {w[k:] for w in words for k in range(len(w))}
+    children = {}  # suffix -> the suffixes one letter longer
+    for w in {w[k:] for w in words for k in range(len(w))}:
+        children.setdefault(w[1:], []).append(w)
     bufs = [vec]
     stack = [()]
     while stack:
@@ -890,8 +910,7 @@ def _prefix_walk(gens: GeneratorSet, words, assignment, vec):
             assignment[gens.names[w[0]]].apply(bufs[d - 1], out=bufs[d])
         if w in words:
             yield w, bufs[d]
-        stack += [(g,) + w for g in range(w[0] + 1 if w else len(gens.names))
-                  if (g,) + w in closure]
+        stack += children.get(w, ())
 
 
 def verify_assignment(gens: GeneratorSet, space, assignment,

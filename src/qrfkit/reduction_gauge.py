@@ -22,16 +22,9 @@ import numpy as np
 from .algstates import AlgebraicState, from_hilbert
 from .errors import ConfigError, SameFrame, UnsupportedSupport
 from .kinspace import _COLUMN_BLOCK as _GAUGE_BLOCK
-from .kinspace import (KinOperator, LatticeSpace, _check_space,
-                       _diagonal_spectrum, check_physical, tensor_space)
+from .kinspace import (KinOperator, _check_space, _diagonal_spectrum,
+                       check_physical)
 from .relobs import OrientationFrame, orientation_state_at, theta_projector
-
-
-def reduced_space(space: LatticeSpace, factor: int) -> LatticeSpace:
-    """The space without ``factor``, validated by ``tensor_space``."""
-    space._factor(factor)
-    return tensor_space(space.factors[:factor] + space.factors[factor + 1:],
-                        space.hbar)
 
 
 def reduce_state(frame: OrientationFrame, rho: float, psi_phys: np.ndarray,

@@ -1,20 +1,22 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import commutant_oracle, max_abs_value_oracle
+from oracles import commutant_oracle, max_abs_value_oracle, represent
 from qrfkit import algstates as ast
 from qrfkit import kinspace as ks
 from qrfkit import models as md
 from qrfkit import ncalg
 from qrfkit import reduction_gauge as rg
+from qrfkit import relobs as ro
 from qrfkit.errors import DegreeExceeded, NotPhysical, UnsupportedSupport
 from qrfkit.ncalg import HBAR
 from test_ncalg import count_normal_forms
@@ -49,8 +51,8 @@ class TestEvaluation:
     def test_matches_direct_matrix_element(self, npmodel, loc_state):
         om = frame_omega(npmodel, "A", 0.0, loc_state)
         el = npmodel.gens.gen("q_B") * npmodel.gens.gen("p_B")
-        direct = np.vdot(om.bra, ncalg.apply_element(
-            el, npmodel.space, npmodel.assignment, om.ket))
+        direct = np.vdot(om.bra, represent(el, npmodel.space,
+                                           npmodel.assignment) @ om.ket)
         assert abs(om.evaluate(el) - direct) < 1e-12
 
     def test_canonical_pair_difference(self, npmodel, loc_state):
@@ -581,6 +583,71 @@ def per_word_value(om, m):
     return complex(np.vdot(adjoint_bra(om, g, k), vec))
 
 
+def reduced_per_word_value(om, m):
+    """A frame state's omega(m) by its definition: vdot(y^r^dag chi,
+    (<y^a^dag v| x 1) ket) for m = a r cut at the frame factor, the letters
+    of m's word taken in order on their own side, each value on its own."""
+    factor, u, xi, on_f, rest = om.reduction
+    for g in ncalg.monomial_word(m):
+        if g in on_f:
+            u = on_f[g] @ u
+        else:
+            xi = rest[om.gens.names[g]].apply(xi)
+    return complex(np.vdot(xi, om.space.apply_factor(
+        factor, u.conj()[None, :], om.ket)))
+
+
+def split_scale(om):
+    """m -> ||(y_g^dag)^k bra|| ||y^(m - k e_g) ket|| with (g, k) from
+    ``split_lowest`` (||bra|| ||ket|| for the unit): the Cauchy-Schwarz
+    scale of the split value, both sides taken on the full space."""
+    bras = {}
+
+    def scale(m):
+        if not any(m):
+            return np.linalg.norm(om.bra) * np.linalg.norm(om.ket)
+        g, k, tail = split_lowest(m)
+        if (g, k) not in bras:
+            bras[g, k] = np.linalg.norm(adjoint_bra(om, g, k))
+        return bras[g, k] * np.linalg.norm(per_word(om.gens, om.assignment,
+                                                    tail, om.ket))
+    return scale
+
+
+def cut_scale(om):
+    """m -> the largest ||(y^p)^dag bra|| ||y^s ket|| over the cuts p s of
+    m's word, both sides taken on the full space: each is a Cauchy-Schwarz
+    scale of <bra| y^m |ket>, ``split_scale``'s cut among them.  A path
+    whose intermediate vectors sit at another cut (the reduced walk moves
+    the frame letters to the ket) rounds at that cut's scale, which stays
+    finite when a word cancels to zero on both full-space sides (J_x^2
+    J_y^2 J_z is 0 on spin 1)."""
+    bras, kets = {(): om.bra}, {(): om.ket}
+
+    def bra(p):  # (y^p)^dag bra: y_(p_1)^dag acts first
+        if p not in bras:
+            bras[p] = om.assignment[om.gens.names[p[-1]]].apply_adjoint(
+                bra(p[:-1]))
+        return bras[p]
+
+    def ket(s):  # y^s ket: y_(s_n) acts first
+        if s not in kets:
+            kets[s] = om.assignment[om.gens.names[s[0]]].apply(ket(s[1:]))
+        return kets[s]
+
+    def scale(m):
+        w = ncalg.monomial_word(m)
+        return max(np.linalg.norm(bra(w[:c])) * np.linalg.norm(ket(w[c:]))
+                   for c in range(len(w) + 1))
+    return scale
+
+
+def plain_state(model, om):
+    """The generic (full-space walk) state on ``om``'s bra and ket."""
+    return ast.from_hilbert(om.bra, om.ket, model.space, model.assignment,
+                            model.gens, om.degree_bound, normalize=False)
+
+
 class CountingOp:
     """An assignment entry that records the ``out`` of each ``apply`` call
     in one list, and (op, input, result) of each ``apply_adjoint`` call in
@@ -640,12 +707,13 @@ class TestPrefixWalk:
         om_b = rg.gauge_transform_state(om, rg.theta_gauge(fr_b, fr_b.grid[2]),
                                         model.Pi)
         assert not np.array_equal(om_b.bra, om_b.ket)
-        for state in (om, om_b):
+        assert om.reduction is not None and om_b.reduction is None
+        for state, oracle in ((om, reduced_per_word_value),
+                              (om_b, per_word_value)):
             for d in (0, 4):
                 table = state.value_table(d)
                 assert list(table) == model.gens.monomial_basis(d)
-                assert all(v == per_word_value(state, m)
-                           for m, v in table.items())
+                assert all(v == oracle(state, m) for m, v in table.items())
 
     def counting_state(self, npmodel, loc_state, calls, adjoint_calls):
         om = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
@@ -661,8 +729,7 @@ class TestPrefixWalk:
         assert len(calls) == len([m for m in g.monomial_basis(4)
                                   if not m[0]]) - 1 == 125
         assert len(adjoint_calls) == len(g.names) - 1 + 5
-        om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
-        assert table == om_plain.value_table(5)
+        assert table == plain_state(npmodel, om).value_table(5)
 
     def test_evaluate_applies_only_the_prefix_closure(self, npmodel,
                                                       loc_state):
@@ -707,13 +774,13 @@ class TestPrefixWalk:
                     om, ["q_B", "p_B", "q_C", "p_C"], 5)),
         }[check]
         calls, adjoint_calls = [], []
-        value = run(self.counting_state(npmodel, loc_state, calls,
-                                        adjoint_calls))
+        om = self.counting_state(npmodel, loc_state, calls, adjoint_calls)
+        value = run(om)
         tails, bras = tails_and_bras(m for p in products for m in p.terms)
         assert len(calls) == len(prefix_closure(tails)) > 0
         assert len(adjoint_calls) == len(bras)
         # the value the per-product evaluation gives, bit for bit
-        om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
+        om_plain = plain_state(npmodel, om)
         if check == "positivity":
             M = np.array([om_plain.evaluate(p) for p in products])
             M = M.reshape(len(system), len(system))
@@ -745,16 +812,21 @@ class TestPrefixWalk:
                    if op is not y0)
         assert np.array_equal(om.ket, ket)
         assert np.array_equal(om.bra, bra)
-        om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
-        assert table == om_plain.value_table(5)
+        assert table == plain_state(npmodel, om).value_table(5)
 
     @pytest.mark.parametrize("spec", [
         md.ModelSpec("nparticle"), md.ModelSpec("su2"),
         md.ModelSpec("degenerate"), md.ModelSpec("newtonian", dp=2.0)],
         ids=lambda spec: spec.name)
     def test_split_values_match_the_full_chain(self, spec):
-        # <(y_g^dag)^k bra, y^(m - k e_g) ket> against <bra, y^m ket>, for
-        # the frame state and a gauge-transformed bra
+        # <(y_g^dag)^k bra, y^(m - k e_g) ket> against <bra, y^m ket> for a
+        # gauge-transformed bra, to 1e-13 of the norms of its two sides (and
+        # its unit is <bra|ket> bit for bit).  The frame state's reduced
+        # value vdot(y^r^dag chi, (<y^a^dag v| x 1) ket) against the chain
+        # taken in extended precision, to 1e-13 of the largest of those
+        # norms over the cuts of m's word: on su2 (J_x^2 J_y^2 J_z = 0 on
+        # spin 1) both sides of the (g, k) cut are rounding noise, 1.4e-17,
+        # while the reduced walk rounds at its own cut, 1.4e-17 away from 0
         model = md.build_model(spec)
         psi = md.random_physical_state(model, np.random.default_rng(19))
         labels = list(model.frames)
@@ -763,20 +835,20 @@ class TestPrefixWalk:
         fr_b = model.frames[labels[-1]]
         om_b = rg.gauge_transform_state(om, rg.theta_gauge(fr_b, fr_b.grid[2]),
                                         model.Pi)
-        for state in (om, om_b):
-            bras = {}
-            for m, v in state.value_table(6).items():
-                full = complex(np.vdot(state.bra, per_word(
-                    model.gens, state.assignment, m, state.ket)))
-                if not any(m):
-                    assert v == full
-                    continue
-                g, k, tail = split_lowest(m)
-                if (g, k) not in bras:
-                    bras[g, k] = adjoint_bra(state, g, k)
-                scale = np.linalg.norm(bras[g, k]) * np.linalg.norm(per_word(
-                    model.gens, state.assignment, tail, state.ket))
-                assert abs(v - full) <= 1e-13 * scale
+        assert om.reduction is not None and om_b.reduction is None
+        bra, ket = (x.astype(np.clongdouble) for x in (om.bra, om.ket))
+        bound = cut_scale(om)
+        for m, v in om.value_table(6).items():
+            full = complex(np.vdot(bra, per_word(model.gens, om.assignment,
+                                                 m, ket)))
+            assert abs(v - full) <= 1e-13 * bound(m)
+        bound = split_scale(om_b)
+        for m, v in om_b.value_table(6).items():
+            full = complex(np.vdot(om_b.bra, per_word(
+                model.gens, om_b.assignment, m, om_b.ket)))
+            if not any(m):
+                assert v == full
+            assert abs(v - full) <= 1e-13 * bound(m)
 
     def test_value_table_counts_at_the_benchmarked_shape(self):
         # nparticle L = 32 (D = 32768) at degree 6: the 251 non-unit words of
@@ -791,7 +863,7 @@ class TestPrefixWalk:
         table = counting_state(model, om, calls, adjoint_calls).value_table(6)
         assert len(table) == 924
         assert (len(calls), len(adjoint_calls)) == (251, 11)
-        assert table == om.value_table(6)
+        assert table == plain_state(model, om).value_table(6)
 
     def test_value_table_counts_on_su2_at_l32(self):
         # su2 L = 32 (D = 3072) at degree 6: the 461 non-unit words of
@@ -804,7 +876,7 @@ class TestPrefixWalk:
         table = counting_state(model, om, calls, adjoint_calls).value_table(6)
         assert len(table) == 1716
         assert (len(calls), len(adjoint_calls)) == (461, 12)
-        assert table == om.value_table(6)
+        assert table == plain_state(model, om).value_table(6)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="ru_minflt counts minor faults on Linux")
@@ -839,16 +911,171 @@ class TestPrefixWalk:
         assert size == 924
         assert faults < 10_000
 
-    def test_apply_element_on_column_block(self, npmodel):
-        g = npmodel.gens
-        qb, pb, qc, pc = (g.gen(n) for n in ("q_B", "p_B", "q_C", "p_C"))
-        el = (qb * pc * pc + qb * pc - sp.I * pb * qb * pc
-              + 0.37 * pb * qc + sp.Rational(3, 2) * g.one())
-        block = np.random.default_rng(23).normal(size=(npmodel.space.dim, 3))
-        block = block + 1j * np.random.default_rng(29).normal(size=block.shape)
-        ref = sum(ncalg.numeric(c, npmodel.hbar)
-                  * per_word(g, npmodel.assignment, m, block)
-                  for m, c in el.terms.items())
-        out = ncalg.apply_element(el, npmodel.space, npmodel.assignment, block)
-        assert out.shape == block.shape
-        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+def mixed_frames_case(sizes, dp, hbar, rng):
+    """(space, C, frames, assignment, gens, psi) for particles on frames of
+    the given sizes under C = sum_i p_i (the models give every frame one
+    size), psi a random state of the cyclic kernel."""
+    labels = md.PARTICLE_LABELS[:len(sizes)]
+    space = ks.tensor_space([ks.FactorSpec.frame(n, dp, lab)
+                             for n, lab in zip(sizes, labels)], hbar=hbar)
+    gens = ncalg.GeneratorSet.canonical([(f"q_{lab}", f"p_{lab}")
+                                         for lab in labels])
+    assignment = {}
+    for i, (n, lab) in enumerate(zip(sizes, labels)):
+        assignment[f"q_{lab}"] = ks.factor_operator(
+            space, i, md.position_matrix(n, dp, hbar))
+        assignment[f"p_{lab}"] = ks.momentum_operator(space, i)
+    C = ks.build_constraint(space, {i: 1.0 for i in range(len(sizes))})
+    psi = ks.project_physical(ks.group_average(space, C), rng.normal(
+        size=space.dim) + 1j * rng.normal(size=space.dim))
+    frames = [ro.OrientationFrame(space, i) for i in range(len(sizes))]
+    return space, C, frames, assignment, gens, psi
+
+
+def reduced_space_matrix(op, factor):
+    """B for an operator that is 1 (x) B across ``factor``, read from its
+    full matrix at index 0 of both ``factor`` axes."""
+    dims = op.space.dims
+    n = len(dims)
+    block = op.matrix.reshape(dims + dims).take(0, axis=factor).take(
+        0, axis=n - 1 + factor)
+    rest = op.space.dim // dims[factor]
+    return block.reshape(rest, rest)
+
+
+class TestReducedValues:
+    @settings(max_examples=30, deadline=None, database=None,
+              derandomize=True)
+    @given(kind=st.sampled_from(["nparticle", "su2", "degenerate",
+                                 "newtonian", "mixed"]),
+           frame=st.integers(0, 2), size=st.sampled_from([4, 6, 8]),
+           hbar=st.sampled_from([1.0, 0.7]), j=st.integers(1, 2),
+           levels=st.sampled_from([(1.0, 1.0), (0.0, 2.0), (1.0, 2.0, 3.0)]),
+           sizes=st.sampled_from([(4, 6), (8, 6, 4), (6, 8, 8)]),
+           rho_index=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+    @example(kind="nparticle", frame=1, size=6, hbar=0.7, j=1,
+             levels=(1.0, 1.0), sizes=(4, 6), rho_index=5, seed=3)
+    @example(kind="su2", frame=1, size=4, hbar=0.7, j=2, levels=(1.0, 1.0),
+             sizes=(4, 6), rho_index=2, seed=5)
+    @example(kind="degenerate", frame=0, size=8, hbar=1.0, j=1,
+             levels=(1.0, 1.0), sizes=(4, 6), rho_index=1, seed=7)
+    @example(kind="newtonian", frame=0, size=8, hbar=0.7, j=1,
+             levels=(1.0, 1.0), sizes=(4, 6), rho_index=6, seed=11)
+    @example(kind="mixed", frame=1, size=8, hbar=0.7, j=1, levels=(1.0, 1.0),
+             sizes=(8, 6, 4), rho_index=3, seed=13)
+    def test_reduced_values_are_the_full_walk_values(
+            self, kind, frame, size, hbar, j, levels, sizes, rho_index, seed):
+        # the frame state's reduced values against the full-space walk on
+        # its own bra and ket, to 1e-12 of the Cauchy-Schwarz bound
+        rng = np.random.default_rng(seed)
+        if kind == "mixed":
+            space, C, frames, assignment, gens, psi = mixed_frames_case(
+                sizes, 1.0, hbar, rng)
+        else:
+            model = md.build_model(md.ModelSpec(
+                kind, lattice_size=8 if kind == "degenerate" else size,
+                dp=2.0 if kind == "newtonian" else 1.0, j=j, levels=levels,
+                hbar=hbar))
+            space, C, assignment, gens = (model.space, model.constraint,
+                                          model.assignment, model.gens)
+            frames = list(model.frames.values())
+            psi = md.random_physical_state(model, rng)
+        fr = frames[frame % len(frames)]
+        om = ast.frame_state(space, C, fr, fr.grid[rho_index % fr.N], psi,
+                             assignment, gens, 5)
+        assert om.reduction is not None
+        plain = ast.from_hilbert(om.bra, om.ket, space, assignment, gens, 5,
+                                 normalize=False)
+        bound = cut_scale(om)
+        ref = plain.value_table(5)
+        for m, v in om.value_table(5).items():
+            assert abs(v - ref[m]) <= 1e-12 * bound(m)
+
+    @pytest.mark.parametrize("spec, label", [
+        (md.ModelSpec("nparticle"), "A"), (md.ModelSpec("nparticle"), "B"),
+        (md.ModelSpec("su2", j=2, hbar=0.7), "A"),
+        (md.ModelSpec("su2"), "B"), (md.ModelSpec("newtonian", dp=2.0), "C"),
+        (md.ModelSpec("degenerate", levels=(0.0, 2.0)), "R")],
+        ids=lambda x: getattr(x, "name", x))
+    def test_system_values_are_reduced_expectation_values(self, spec, label):
+        # omega(f) = <phi|f|phi> / ||phi||^2, phi = reduce_state(frame, rho,
+        # psi), for the monomials f free of the frame's generators, with f
+        # on the reduced space cut from full matrices
+        model = md.build_model(spec)
+        fr = model.frames[label]
+        rho = fr.grid[3]
+        psi = md.random_physical_state(model, np.random.default_rng(31))
+        om = frame_omega(model, label, rho, psi, degree=4)
+        phi = rg.reduce_state(fr, rho, psi)
+        mats = {g: reduced_space_matrix(model.assignment[name], fr.factor)
+                for g, name in enumerate(model.gens.names)
+                if name not in model.frame_pairs[label]}
+        bound = cut_scale(om)
+        checked = 0
+        for m, v in om.value_table(4).items():
+            word = ncalg.monomial_word(m)
+            if not set(word) <= mats.keys():
+                continue
+            f = np.eye(phi.size)
+            for g in word:
+                f = f @ mats[g]
+            ref = np.vdot(phi, f @ phi) / np.vdot(phi, phi)
+            assert abs(v - ref) <= 1e-12 * bound(m)
+            checked += 1
+        assert checked > 1
+
+    def test_a_generator_across_the_frame_takes_the_full_walk(self, npmodel,
+                                                              loc_state):
+        # p_B + p_A acts on the frame factor A and on B: no cut, so the
+        # frame state values by the full-space walk, bit for bit
+        assignment = dict(npmodel.assignment)
+        assignment["p_B"] = assignment["p_B"] + assignment["p_A"]
+        assert assignment["p_B"].support == {0, 1}
+        fr = npmodel.frames["A"]
+        om = ast.frame_state(npmodel.space, npmodel.constraint, fr,
+                             fr.grid[3], loc_state, assignment, npmodel.gens,
+                             4)
+        assert om.reduction is None
+        plain = ast.from_hilbert(om.bra, om.ket, npmodel.space, assignment,
+                                 npmodel.gens, 4, normalize=False)
+        assert om.value_table(4) == plain.value_table(4)
+
+    def test_reduced_counts_at_the_benchmarked_shape(self, monkeypatch):
+        # nparticle L = 32 (D = 32768, D/n = 1024) at degree 6: no generator
+        # acts on the full space; the walk applies the 209 non-unit words on
+        # q_B, p_B, q_C, p_C into at most 6 buffers of size D/n
+        model = md.build_model(md.ModelSpec("nparticle", n_particles=3,
+                                            lattice_size=32))
+        psi = md.random_physical_state(model, np.random.default_rng(5))
+        om = frame_omega(model, "A", model.frames["A"].grid[3], psi)
+        applies, adjoints = [], []
+        apply, apply_adjoint = ks.KinOperator.apply, ks.KinOperator.apply_adjoint
+
+        def spy_apply(op, vec, out=None):
+            applies.append((op.space.dim, out))
+            return apply(op, vec, out)
+
+        def spy_adjoint(op, vec):
+            adjoints.append(op.space.dim)
+            return apply_adjoint(op, vec)
+
+        monkeypatch.setattr(ks.KinOperator, "apply", spy_apply)
+        monkeypatch.setattr(ks.KinOperator, "apply_adjoint", spy_adjoint)
+        tracemalloc.start()
+        try:
+            table = om.value_table(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert len(table) == 924
+        assert not adjoints
+        assert len(applies) == 209
+        assert {dim for dim, _ in applies} == {model.space.dim // 32}
+        assert len({id(out) for _, out in applies}) <= 6
+        # the full-space walk peaked at 8.5 MiB
+        assert peak <= 2 * 2**20
+        assert all(v == reduced_per_word_value(om, m)
+                   for m, v in list(table.items())[::37])
+

@@ -812,3 +812,54 @@ class TestPhysicalCheck:
         block = np.stack([1e9 * good[:, 0], 1e-3 * bad, good[:, 1]], axis=1)
         with pytest.raises(NotPhysical):
             ks.check_physical(C, block)
+
+
+class TestSplitAdjoint:
+    SPACE = ks.tensor_space([ks.FactorSpec.frame(4), ks.FactorSpec.frame(6),
+                             ks.FactorSpec.system([0.0, 1.0, 2.0])])
+
+    def cases(self, rng):
+        """(name, operator, its support) on every factor: a non-hermitian
+        local matrix, a complex diagonal, a constant (empty support), and
+        three that do not cut: a diagonal across two factors, a dense form
+        and a composed one."""
+        sp = self.SPACE
+        for k, n in enumerate(sp.dims):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            d = rng.normal(size=n) + 1j * rng.normal(size=n)
+            yield f"local{k}", ks.factor_operator(sp, k, m), {k}
+            yield f"diag{k}", ks.factor_operator(sp, k, d), {k}
+        yield "constant", ks.factor_operator(sp, 1, (2 - 1j) * np.eye(6)), set()
+        two = ks.factor_operator(sp, 0, np.arange(4.0)) + \
+            ks.factor_operator(sp, 2, np.arange(3.0))
+        yield "across", two, {0, 2}
+        yield "dense", ks.KinOperator.from_matrix(
+            sp, ks.factor_operator(sp, 1, np.arange(6.0)).matrix), {1}
+        yield "composed", ks.factor_operator(sp, 0, np.ones((4, 4))) @ \
+            ks.factor_operator(sp, 0, np.ones((4, 4))), {0}
+
+    @pytest.mark.parametrize("factor", [0, 1, 2])
+    def test_the_cut_acts_as_the_adjoint(self, factor):
+        sp = self.SPACE
+        rest = ks.reduced_space(sp, factor)
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim)
+        for name, op, support in self.cases(rng):
+            part = ks.split_adjoint(op, factor, rest)
+            want = op.apply_adjoint(x)
+            if name in ("dense", "composed") or (factor in support
+                                                 and len(support) > 1):
+                assert part is None, name
+            elif factor in support:
+                assert isinstance(part, np.ndarray), name
+                assert part.shape == (sp.dims[factor],) * 2
+                got = sp.apply_factor(factor, part, x)
+                assert np.max(np.abs(got - want)) < 1e-12, name
+            else:
+                assert part.space is rest, name
+                # the rest operator on every slice of the frame axis
+                xs = np.moveaxis(x.reshape(sp.dims), factor, 0)
+                got = np.stack([part.apply(s.reshape(-1)).reshape(s.shape)
+                                for s in xs])
+                got = np.moveaxis(got, 0, factor).reshape(-1)
+                assert np.max(np.abs(got - want)) < 1e-12, name

@@ -73,7 +73,7 @@ class TestEffectOperator:
         for k in range(8):
             basis = np.zeros(self.sp.dim)
             basis[k * 3] = 1.0  # momentum k, first system level
-            val = eff.expectation(basis)
+            val = np.vdot(basis, eff.apply(basis))
             assert abs(val - len(X) / 8.0) < 1e-12
 
 
