@@ -22,8 +22,8 @@ import numpy as np
 
 from . import ncalg
 from .errors import ConfigError, DegreeExceeded, UnsupportedSupport
-from .kinspace import (KinOperator, LatticeSpace, check_physical,
-                       split_adjoint)
+from .kinspace import (_VANISH_RTOL, KinOperator, LatticeSpace,
+                       check_physical, split_adjoint)
 from .ncalg import AlgebraElement, Coef, GeneratorSet, commutator
 from .relobs import orientation_state_at
 
@@ -77,8 +77,8 @@ class AlgebraicState:
     __call__ = evaluate
 
     def evaluate_all(self, elements) -> list:
-        """omega of each element, the union of their uncached monomials
-        valued by one ``_fill_cache``."""
+        """omega of each element, sum_m numeric(c_m) omega(m) from 0j; the
+        union of their uncached monomials is valued by one ``_fill_cache``."""
         for a in elements:
             if a.gens is not self.gens:
                 raise ConfigError(
@@ -86,14 +86,9 @@ class AlgebraicState:
             if a.degree() > self.degree_bound:
                 raise DegreeExceeded(
                     f"degree {a.degree()} exceeds bound {self.degree_bound}")
-        return self._values([a.terms for a in elements])
-
-    def _values(self, term_maps) -> list:
-        """sum_m numeric(c_m) * omega(m) for each monomial -> Coef map, the
-        union of their monomials valued by one ``_fill_cache``."""
-        self._fill_cache(dict.fromkeys(m for t in term_maps for m in t))
+        self._fill_cache(dict.fromkeys(m for a in elements for m in a.terms))
         return [sum((ncalg.numeric(c, self.hbar) * self._cache[m]
-                     for m, c in t.items()), 0j) for t in term_maps]
+                     for m, c in a.terms.items()), 0j) for a in elements]
 
     def _fill_cache(self, monomials):
         """Cache the value of each uncached monomial.
@@ -205,9 +200,9 @@ class AlgebraicState:
 
 
 def _overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
-    """<bra|ket>; ConfigError when it vanishes (below 1e-14)."""
+    """<bra|ket>; ConfigError when |<bra|ket>| <= 1e-14 ||bra|| ||ket||."""
     n = complex(np.vdot(bra, ket))
-    if abs(n) < 1e-14:
+    if abs(n) <= _VANISH_RTOL * np.linalg.norm(bra) * np.linalg.norm(ket):
         raise ConfigError("bra/ket pair has vanishing overlap")
     return n
 
@@ -284,9 +279,8 @@ def _max_abs_value(omega: AlgebraicState, degree: int,
     The exact products left a right are the rows of ``gens.products``,
     built once per structure, elements and degree; their numeric rows at
     the state's hbar are cached with them, and each value is summed from 0j
-    in row order, as ``evaluate`` sums.  A ``shift`` (right = 1) joins the
-    coefficient of a in its row, or follows the row's terms, where the
-    product (left + shift) a puts it.
+    in row order, as ``evaluate`` sums.  A ``shift`` (right = 1) adds
+    numeric(shift) omega(a) to row a's sum, and only then values the basis.
     """
     degree = max(degree, 0)
     total = degree + left.degree() + right.degree()
@@ -294,14 +288,15 @@ def _max_abs_value(omega: AlgebraicState, degree: int,
         raise DegreeExceeded(
             f"degree {total} exceeds bound {omega.degree_bound}")
     table = omega.gens.products(left, right, degree)
-    if shift:
-        rows = [{**row, a: row.get(a, ncalg._ZERO) + shift} for a, row
-                in zip(omega.gens.monomial_basis(degree), table.rows)]
-        return max(map(abs, omega._values(rows)))
-    omega._fill_cache(table.columns)
+    basis = omega.gens.monomial_basis(degree) if shift else []
+    omega._fill_cache(table.columns + basis)
     value = omega._cache.__getitem__
-    return max(abs(sum(map(mul, coefs, map(value, row)), 0j))
-               for coefs, row in zip(table.numeric(omega.hbar), table.rows))
+    sums = (sum(map(mul, coefs, map(value, row)), 0j)
+            for coefs, row in zip(table.numeric(omega.hbar), table.rows))
+    if shift:
+        s = ncalg.numeric(shift, omega.hbar)
+        sums = (x + s * value(a) for x, a in zip(sums, basis))
+    return max(map(abs, sums))
 
 
 def check_constraint_surface(omega: AlgebraicState, C: AlgebraElement,
@@ -323,10 +318,12 @@ def check_frame_gauge(omega: AlgebraicState, z_name: str, rho: float,
     """max |omega((Z - rho) a)| over the monomial basis with deg a <= D - 1.
 
     The products Z a are the exact rows of ``gens.products`` for
-    (Z, 1, D - 1), built once per structure whatever rho is; -rho a enters
-    each row at call time, rho as given (a float rho makes a float-tainted
-    coefficient).  Only the valuation is floating point, as in
-    ``check_constraint_surface``.
+    (Z, 1, D - 1), built once per structure whatever rho is and valued from
+    their cached numeric rows; numeric(-rho) omega(a) is added to each at
+    call time, rho as given (a float rho makes a float-tainted
+    coefficient).  That is bitwise omega((Z - rho) a) unless a is a
+    monomial of Z a (never for a canonical or central Z), where the two
+    can round differently.
     """
     z = omega.gens.gen(z_name)
     d = (omega.degree_bound if degree is None else degree) - 1

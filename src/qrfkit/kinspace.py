@@ -15,7 +15,6 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from math import isfinite, prod
 
@@ -35,11 +34,13 @@ from .errors import (
     UnsupportedSupport,
 )
 
-HERM_TOL = 1e-12
-# Eigenvalues below KERNEL_RTOL * ||C|| count as zero.  Commensurate inputs
-# produce exact zeros, so a near-threshold hit indicates a modelling mistake.
-KERNEL_RTOL = 1e-9
-PHYS_RTOL = 1e-9  # psi is physical when ||C psi|| <= PHYS_RTOL * ||psi||
+# Tolerances, one decision each (commensurate inputs give exact zeros and
+# lattice points, so a near-threshold hit is a modelling mistake):
+HERM_TOL = 1e-12      # hermitian, and acting as 1 on a factor (``support``)
+KERNEL_RTOL = 1e-9    # v counts as zero (``_is_zero``)
+_LATTICE_TOL = 1e-9   # v lies on dp*Z (``_off_lattice``)
+PHYS_RTOL = 1e-9      # psi is physical: ||C psi|| <= PHYS_RTOL * ||psi||
+_VANISH_RTOL = 1e-14  # Pi psi or <bra|ket> vanishes: <= it times the norms
 # unit columns per block where a check reads an operator column by column
 _COLUMN_BLOCK = 256
 # entries a dense D x D form may hold (2^26 complex entries are 1 GiB)
@@ -229,13 +230,33 @@ def tensor_space(factors, hbar: float = 1.0) -> LatticeSpace:
         for f in factors:
             if f.is_frame:
                 continue
-            for v in f.generator_spectrum:
-                q = Fraction(v / dp).limit_denominator(1_000_000)
-                if q.denominator != 1 or abs(float(q) - v / dp) > 1e-9:
-                    raise IncommensurableSpectrum(
-                        f"system eigenvalue {v} of factor {f.name or '?'} "
-                        f"is off the frame momentum lattice (dp={dp})")
+            off = _off_lattice(f.generator_spectrum, dp)
+            if off.any():
+                raise IncommensurableSpectrum(
+                    f"system eigenvalue {f.generator_spectrum[off.argmax()]} "
+                    f"of factor {f.name or '?'} is off the frame momentum "
+                    f"lattice (dp={dp})")
     return LatticeSpace(factors, hbar)
+
+
+def _off_lattice(values, dp: float) -> np.ndarray:
+    """Which ``values`` lie off dp*Z: all but |v/dp - rint(v/dp)| <= 1e-9.
+    Within 1e-9 of an integer no other fraction of denominator <= 10**6 is
+    nearer, so this is the verdict of the nearest such fraction to v/dp."""
+    x = np.asarray(values) / dp
+    return ~(np.abs(x - np.rint(x)) <= _LATTICE_TOL)
+
+
+def _zero_tol(values, rtol: float = KERNEL_RTOL) -> float:
+    """rtol * max(1, max |v|): below it a v counts as zero."""
+    return rtol * max(float(np.max(np.abs(values))), 1.0)
+
+
+def _is_zero(values, rtol: float = KERNEL_RTOL) -> np.ndarray:
+    """Which entries of ``values`` count as zero, |v| < ``_zero_tol``: the
+    kernel of ``group_average``, the support of the model states and the
+    warning of ``build_constraint``; the G-twirl classes use the bound."""
+    return np.abs(values) < _zero_tol(values, rtol)
 
 
 def reduced_space(space: LatticeSpace, factor: int) -> LatticeSpace:
@@ -696,14 +717,13 @@ def build_constraint(space: LatticeSpace, terms) -> KinOperator:
 
     period = space.momentum_period()
     dp = space.frame_dp()
-    ints = total / dp
-    if np.max(np.abs(ints - np.rint(ints))) > 1e-9:
+    if _off_lattice(total, dp).any():
         raise IncommensurableSpectrum(
             "constraint spectrum is off the frame momentum lattice")
-    total = reduce_mod_period(dp * np.rint(ints), period)
+    total = reduce_mod_period(dp * np.rint(total / dp), period)
 
     warnings = ()
-    if not np.any(np.abs(total) < KERNEL_RTOL * max(np.max(np.abs(total)), 1.0)):
+    if not _is_zero(total).any():
         warnings = ("zero is not in the constraint spectrum",)
     return KinOperator.from_diag(space, total, warnings=warnings)
 
@@ -728,10 +748,9 @@ def group_average(space: LatticeSpace, C: KinOperator) -> KinOperator:
     """
     _check_space(space, C)
     vals = _diagonal_spectrum(C)
-    norm = max(float(np.max(np.abs(vals))), 1.0)
-    mask = np.abs(vals) < KERNEL_RTOL * norm
+    mask = _is_zero(vals)
     notes = ()
-    if np.any(~mask & (np.abs(vals) < 1e-6 * norm)):
+    if np.any(~mask & _is_zero(vals, 1e-6)):
         notes = ("near-zero eigenvalue above kernel threshold; "
                  "inputs may be incommensurate",)
     if not np.any(mask):
@@ -750,11 +769,12 @@ def project_physical(Pi: KinOperator, psi: np.ndarray) -> np.ndarray:
     """Apply the physical state map and normalize.
 
     On ker(C) the physical inner product coincides with the kinematical one,
-    so normalization is the plain vector norm of the projection.
+    so normalization is the plain vector norm of the projection.  EmptyKernel
+    when ||Pi psi|| <= 1e-14 ||psi||, whatever the scale of psi.
     """
     phi = Pi.apply(psi)
     n = np.linalg.norm(phi)
-    if n < 1e-14:
+    if n <= _VANISH_RTOL * np.linalg.norm(psi):
         raise EmptyKernel("state has no overlap with the constraint kernel")
     return phi / n
 

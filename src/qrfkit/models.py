@@ -8,6 +8,12 @@ nparticle  -- N translation-invariant particles under C = sum_i p_i (V = 0:
 su2        -- two frames + spin-j system under C = p_A + p_B - beta*J_z
 degenerate -- one frame with C = p_R^2 - G_S, G_S >= 0
 
+Every model is made by one recipe, ``_frame_model``: its frames are ideal,
+and frame X carries the canonical pair (q_X, p_X) with q_X the orientation
+operator, the first moment of the covariant POVM (``relobs``), and p_X the
+momentum.  A builder keeps only what is its own: the factors, the system
+generators and the constraint.
+
 Physical states are built directly in the momentum representation by
 solving the constraint for one frame momentum, which keeps them exactly on
 the polynomial constraint surface; position localization is controlled by
@@ -29,7 +35,7 @@ from . import ncalg
 from .errors import ConfigError
 from .kinspace import FactorSpec, KinOperator
 from .ncalg import GeneratorSet
-from .relobs import OrientationFrame
+from .relobs import OrientationFrame, orientation_operator
 
 PARTICLE_LABELS = "ABCDEFGH"
 _SOLVE_FACTOR = 0  # the frame whose momentum a Gaussian state solves for
@@ -123,6 +129,34 @@ def _plain_diag(space, terms) -> np.ndarray:
     return total
 
 
+def _frame_model(spec: ModelSpec, factors, gens: GeneratorSet, c_elem,
+                 system_ops: dict, constraint=None) -> Model:
+    """The model of ``spec`` on ``factors``, frames first: frame factor i,
+    keyed by its name, carries the i-th canonical pair (q, p) of ``gens``.
+    ``system_ops`` maps each other generator to (factor, matrix).  C is
+    ``constraint(space, assignment)``, else the sum of every factor's
+    generator (``build_constraint``); ``c_elem`` is C in the algebra."""
+    space = ks.tensor_space(factors, hbar=spec.hbar)
+    assignment, frames, pairs = {}, {}, {}
+    for i, f in enumerate(space.factors):
+        if f.is_frame:
+            q, p = pairs[f.name] = gens.names[2 * i:2 * i + 2]
+            frames[f.name] = OrientationFrame(space, i)
+            assignment[q] = orientation_operator(frames[f.name])
+            assignment[p] = ks.momentum_operator(space, i)
+    for name, (i, mat) in system_ops.items():
+        assignment[name] = ks.factor_operator(space, i, mat)
+    if constraint is None:
+        terms = dict.fromkeys(range(len(factors)), 1.0)
+        C = ks.build_constraint(space, terms)
+        plain = _plain_diag(space, terms)
+    else:
+        C = constraint(space, assignment)
+        plain = C.diag.real.copy()
+    return Model(spec, space, gens, assignment, frames, C, c_elem,
+                 ks.group_average(space, C), plain, pairs)
+
+
 def _build_nparticle(spec: ModelSpec) -> Model:
     n = spec.n_particles
     if not 2 <= n <= len(PARTICLE_LABELS):
@@ -130,24 +164,9 @@ def _build_nparticle(spec: ModelSpec) -> Model:
     labels = PARTICLE_LABELS[:n]
     factors = [FactorSpec.frame(spec.lattice_size, spec.dp, lab)
                for lab in labels]
-    space = ks.tensor_space(factors, hbar=spec.hbar)
     gens = GeneratorSet.canonical([(f"q_{lab}", f"p_{lab}") for lab in labels])
-    assignment = {}
-    frames = {}
-    for i, lab in enumerate(labels):
-        assignment[f"p_{lab}"] = ks.momentum_operator(space, i)
-        frames[lab] = OrientationFrame(space, i)
-        assignment[f"q_{lab}"] = ks.factor_operator(
-            space, i, position_matrix(spec.lattice_size, spec.dp, spec.hbar))
-    terms = {i: 1.0 for i in range(n)}
-    C = ks.build_constraint(space, terms)
-    c_elem = gens.zero()
-    for lab in labels:
-        c_elem = c_elem + gens.gen(f"p_{lab}")
-    Pi = ks.group_average(space, C)
-    return Model(spec, space, gens, assignment, frames, C, c_elem, Pi,
-                 _plain_diag(space, terms),
-                 {lab: (f"q_{lab}", f"p_{lab}") for lab in labels})
+    c_elem = sum((gens.gen(f"p_{lab}") for lab in labels), gens.zero())
+    return _frame_model(spec, factors, gens, c_elem, {})
 
 
 def _build_su2(spec: ModelSpec) -> Model:
@@ -160,31 +179,13 @@ def _build_su2(spec: ModelSpec) -> Model:
     jx, jy, jz = spin_matrices(int(spec.j), spec.hbar)
     gs_spec = -beta_val * np.diag(jz).real
     factors = frame_factors + [FactorSpec.system(gs_spec, name="S")]
-    space = ks.tensor_space(factors, hbar=spec.hbar)
-    gens = GeneratorSet.canonical_with_su2(
-        [("q_A", "p_A"), ("q_B", "p_B")])
-    assignment = {
-        "p_A": ks.momentum_operator(space, 0),
-        "p_B": ks.momentum_operator(space, 1),
-        "q_A": ks.factor_operator(space, 0, position_matrix(
-            spec.lattice_size, spec.dp, spec.hbar)),
-        "q_B": ks.factor_operator(space, 1, position_matrix(
-            spec.lattice_size, spec.dp, spec.hbar)),
-        "J_x": ks.factor_operator(space, 2, jx),
-        "J_y": ks.factor_operator(space, 2, jy),
-        "J_z": ks.factor_operator(space, 2, jz),
-    }
-    terms = {0: 1.0, 1: 1.0, 2: 1.0}
-    C = ks.build_constraint(space, terms)
+    gens = GeneratorSet.canonical_with_su2([("q_A", "p_A"), ("q_B", "p_B")])
     # beta*dp/hbar: exact when beta and dp are, float-tainted otherwise
     beta_coef = ncalg.Coef({-1: (_exact(spec.beta) * _exact(spec.dp), 0)})
     c_elem = (gens.gen("p_A") + gens.gen("p_B")
               - beta_coef * gens.gen("J_z"))
-    Pi = ks.group_average(space, C)
-    frames = {"A": OrientationFrame(space, 0), "B": OrientationFrame(space, 1)}
-    return Model(spec, space, gens, assignment, frames, C, c_elem, Pi,
-                 _plain_diag(space, terms),
-                 {"A": ("q_A", "p_A"), "B": ("q_B", "p_B")})
+    return _frame_model(spec, factors, gens, c_elem,
+                        {"J_x": (2, jx), "J_y": (2, jy), "J_z": (2, jz)})
 
 
 def _build_newtonian(spec: ModelSpec) -> Model:
@@ -192,26 +193,15 @@ def _build_newtonian(spec: ModelSpec) -> Model:
     clock = FactorSpec.frame(spec.clock_size, dp, "C")
     n_s = spec.system_size
     p_s = dp * np.arange(-n_s // 2, n_s // 2)
-    kinetic = p_s * p_s / 2.0
-    factors = [clock, FactorSpec.system(kinetic, name="S")]
-    space = ks.tensor_space(factors, hbar=spec.hbar)
+    factors = [clock, FactorSpec.system(p_s * p_s / 2.0, name="S")]
     gens = GeneratorSet.canonical([("t_C", "p_C"), ("q_S", "p_S")])
-    assignment = {
-        "p_C": ks.momentum_operator(space, 0),
-        "t_C": ks.factor_operator(space, 0, position_matrix(
-            spec.clock_size, dp, spec.hbar)),
-        "p_S": ks.factor_operator(space, 1, np.diag(p_s)),
-        "q_S": ks.factor_operator(space, 1, position_matrix(n_s, dp,
-                                                            spec.hbar)),
-    }
-    terms = {0: 1.0, 1: 1.0}
-    C = ks.build_constraint(space, terms)
     c_elem = gens.gen("p_C") + Fraction(1, 2) * (gens.gen("p_S")
                                                  * gens.gen("p_S"))
-    Pi = ks.group_average(space, C)
-    frames = {"C": OrientationFrame(space, 0)}
-    return Model(spec, space, gens, assignment, frames, C, c_elem, Pi,
-                 _plain_diag(space, terms), {"C": ("t_C", "p_C")})
+    # the system pair (q_S, p_S) is not a frame: q_S is the Fourier dual,
+    # which divides by hbar before tensor_space checks it
+    hbar = ks.positive_finite("hbar", spec.hbar)
+    return _frame_model(spec, factors, gens, c_elem, {
+        "p_S": (1, np.diag(p_s)), "q_S": (1, position_matrix(n_s, dp, hbar))})
 
 
 def _build_degenerate(spec: ModelSpec) -> Model:
@@ -223,23 +213,12 @@ def _build_degenerate(spec: ModelSpec) -> Model:
     if np.any(levels >= N * spec.dp / 2):
         raise ConfigError("levels must stay inside the momentum window")
     factors = [frame, FactorSpec.system(levels * levels, name="S")]
-    space = ks.tensor_space(factors, hbar=spec.hbar)
     gens = GeneratorSet.canonical([("q_R", "p_R")], centrals=("H",))
-    p = ks.momentum_operator(space, 0)
-    g_op = ks.generator_operator(space, 1)
-    C = p @ p - g_op
     c_elem = (gens.gen("p_R") * gens.gen("p_R")
               - gens.gen("H") * gens.gen("H"))
-    assignment = {
-        "p_R": p,
-        "q_R": ks.factor_operator(space, 0, position_matrix(N, spec.dp,
-                                                            spec.hbar)),
-        "H": ks.factor_operator(space, 1, np.diag(levels)),
-    }
-    Pi = ks.group_average(space, C)
-    frames = {"R": OrientationFrame(space, 0)}
-    return Model(spec, space, gens, assignment, frames, C, c_elem, Pi,
-                 C.diag.real.copy(), {"R": ("q_R", "p_R")})
+    return _frame_model(
+        spec, factors, gens, c_elem, {"H": (1, np.diag(levels))},
+        lambda space, a: a["p_R"] @ a["p_R"] - ks.generator_operator(space, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +237,7 @@ def random_physical_state(model: Model, rng, unwrapped: bool = True
     psi = np.zeros(model.space.dim, dtype=complex)
     if unwrapped:
         # where the un-reduced constraint diagonal vanishes
-        scale = max(float(np.max(np.abs(model.plain_diag))), 1.0)
-        idx = np.flatnonzero(np.abs(model.plain_diag) < 1e-9 * scale)
+        idx = np.flatnonzero(ks._is_zero(model.plain_diag))
         psi[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
     else:
         psi = rng.normal(size=model.space.dim) * (1 + 0j)
@@ -280,48 +258,54 @@ def gaussian_physical_state(model: Model, *, centers_x=None, centers_p=None,
     by the constraint and the configuration is dropped when it would leave
     the momentum window, so the state lies exactly on the polynomial
     constraint surface.  ``system_amp`` gives the amplitude vector on a
-    system factor (e.g. a spin state).
+    system factor (e.g. a spin state), one entry per basis state of that
+    factor (ConfigError otherwise).  Each profile is 1-d over one factor
+    (2-d for a shear) and broadcast along its axes: only the product and
+    the kernel mask are D-point arrays.
     """
     space = model.space
-    dims = space.dims
-    n = len(dims)
+    n = len(space.dims)
     centers_x = _mapping("centers_x", centers_x)
     centers_p = _mapping("centers_p", centers_p)
     sigmas = _mapping("sigmas", sigmas)
     shear = _mapping("shear", shear)
     system_amp = _mapping("system_amp", system_amp)
-    grids = [space.factors[i].generator_spectrum for i in range(n)]
-
-    mesh = np.meshgrid(*[np.arange(d) for d in dims], indexing="ij")
-    amp = np.ones(dims, dtype=complex)
-
+    grids = [f.generator_spectrum for f in space.factors]
     hbar = space.hbar
-    for i in range(n):
+
+    def along(i, profile):
+        shape = [1] * n
+        shape[i] = -1
+        return np.reshape(profile, shape)
+
+    amp = 1.0
+    for i, f in enumerate(space.factors):
         if i == _SOLVE_FACTOR:
             continue
-        f = space.factors[i]
         if not f.is_frame:
             if i in system_amp:
-                amp = amp * np.asarray(system_amp[i])[mesh[i]]
+                v = np.asarray(system_amp[i])
+                if v.shape != (f.N,):
+                    raise ConfigError(f"system_amp[{i}] must hold {f.N} "
+                                      f"amplitudes, got shape {v.shape}")
+                amp = amp * along(i, v)
             continue
         sig = sigmas.get(i, f.N / 8.0 * f.dp)
         p0 = centers_p.get(i, 0.0)
         x0 = centers_x.get(i, 0.0)
-        pv = grids[i][mesh[i]]
-        amp = amp * np.exp(-(pv - p0) ** 2 / (4 * sig ** 2)
-                           - 1j * x0 * pv / hbar)
+        pv = grids[i]
+        amp = amp * along(i, np.exp(-(pv - p0) ** 2 / (4 * sig ** 2)
+                                    - 1j * x0 * pv / hbar))
     for (i, k), gamma in shear.items():
-        pi = grids[i][mesh[i]] - centers_p.get(i, 0.0)
-        pk = grids[k][mesh[k]] - centers_p.get(k, 0.0)
+        pi = along(i, grids[i] - centers_p.get(i, 0.0))
+        pk = along(k, grids[k] - centers_p.get(k, 0.0))
         amp = amp * np.exp(gamma * pi * pk)
+    x0s = centers_x.get(_SOLVE_FACTOR, 0.0)
+    amp = amp * along(_SOLVE_FACTOR,
+                      np.exp(-1j * x0s * grids[_SOLVE_FACTOR] / hbar))
 
     # keep exact points of the polynomial constraint surface only
-    total = model.plain_diag.reshape(dims)
-    scale = max(float(np.max(np.abs(total))), 1.0)
-    mask = np.abs(total) < 1e-9 * scale
-    solved = grids[_SOLVE_FACTOR][mesh[_SOLVE_FACTOR]]
-    x0s = centers_x.get(_SOLVE_FACTOR, 0.0)
-    amp = amp * np.exp(-1j * x0s * solved / hbar)
+    mask = ks._is_zero(model.plain_diag).reshape(space.dims)
     psi = np.where(mask, amp, 0.0).reshape(-1)
     norm = np.linalg.norm(psi)
     if norm < 1e-14:

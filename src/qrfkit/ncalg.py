@@ -509,6 +509,15 @@ def _structure(names: tuple, table: dict) -> Structure:
     return _STRUCTURES.setdefault(key, s)
 
 
+def _canonical_pairs(pairs) -> tuple:
+    """(names, relations) of canonical pairs, q before p: [q, p] = i*hbar."""
+    names, rel = [], {}
+    for q, p in pairs:
+        rel[(len(names), len(names) + 1)] = {IDENTITY: 1}
+        names += [q, p]
+    return names, rel
+
+
 class GeneratorSet:
     """Ordered named generators with an exact commutation-relation table.
 
@@ -545,30 +554,17 @@ class GeneratorSet:
     @staticmethod
     def canonical(pairs, centrals=(), degree_cap: int = 12) -> "GeneratorSet":
         """Canonical pairs (q before p) plus commuting central generators."""
-        names = []
-        rel = {}
-        for q, p in pairs:
-            rel[(len(names), len(names) + 1)] = {IDENTITY: 1}
-            names.extend([q, p])
-        names.extend(centrals)
-        return GeneratorSet(names, rel, degree_cap)
+        names, rel = _canonical_pairs(pairs)
+        return GeneratorSet(names + list(centrals), rel, degree_cap)
 
     @staticmethod
     def canonical_with_su2(pairs, spin_names=("J_x", "J_y", "J_z"),
                            degree_cap: int = 12) -> "GeneratorSet":
         """Canonical pairs followed by an su(2) triple [J_x,J_y] = i*hbar*J_z."""
-        names = []
-        rel = {}
-        for q, p in pairs:
-            rel[(len(names), len(names) + 1)] = {IDENTITY: 1}
-            names.extend([q, p])
-        base = len(names)
-        x, y, z = base, base + 1, base + 2
-        rel[(x, y)] = {z: 1}
-        rel[(y, z)] = {x: 1}
-        rel[(x, z)] = {y: -1}
-        names.extend(spin_names)
-        return GeneratorSet(names, rel, degree_cap)
+        names, rel = _canonical_pairs(pairs)
+        x, y, z = range(len(names), len(names) + 3)
+        rel.update({(x, y): {z: 1}, (y, z): {x: 1}, (x, z): {y: -1}})
+        return GeneratorSet(names + list(spin_names), rel, degree_cap)
 
     @property
     def relations(self) -> dict:

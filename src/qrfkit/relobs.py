@@ -25,6 +25,7 @@ from .kinspace import (
     LatticeSpace,
     _check_space,
     _diagonal_spectrum,
+    _zero_tol,
     factor_operator,
     momentum_operator,
 )
@@ -125,7 +126,7 @@ def g_twirl(space: LatticeSpace, C: KinOperator, A: KinOperator) -> KinOperator:
 
     C must be diagonal and hermitian (UnsupportedForm), and C and A on
     ``space`` (ConfigError).  The average keeps exactly the matrix elements
-    between eigenvalues closer than 1e-9 * max(1, max |C|) (the group order
+    between eigenvalues nearer than ``kinspace._zero_tol`` (the group order
     is computed from the pairwise difference spectrum, so no distinct
     eigenvalues are aliased).  That is sum_c P_c A P_c over the eigenvalue
     classes c of C, P_c the diagonal projector onto class c's basis states.
@@ -140,7 +141,7 @@ def g_twirl(space: LatticeSpace, C: KinOperator, A: KinOperator) -> KinOperator:
     """
     _check_space(space, C, A)
     vals = _diagonal_spectrum(C)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
+    tol = _zero_tol(vals)
     return KinOperator.composed("twirl", (A,),
                                 classes=_eigenvalue_classes(vals, tol))
 

@@ -1,8 +1,9 @@
 """Independent test oracles: the explicit finite cyclic group of a constraint,
 the G-twirl as its finite sum of conjugations, the dense closed-form
 relational observable, the factor support of an operator read off its full
-matrix, the dense matrix of an algebra element, and the algebra layer
-without commuting blocks.
+matrix, the dense matrix of an algebra element, the algebra layer without
+commuting blocks, the lattice test as a nearest fraction, and the Gaussian
+model state gathered through a D-point index grid.
 
 The library computes the group average and the G-twirl spectrally; these
 sums check them from the group itself.  It computes support block by block
@@ -187,3 +188,47 @@ def max_abs_value_oracle(omega, degree: int, product) -> float:
     basis = monomial_basis_oracle(len(gens.names), max(degree, 0))
     return max(map(abs, omega.evaluate_all(
         [product(gens.element({m: 1})) for m in basis])))
+
+
+def on_lattice_oracle(v: float, dp: float) -> bool:
+    """v on dp * Z: the nearest fraction of denominator <= 10**6 to v/dp is
+    an integer within 1e-9 of it."""
+    q = Fraction(v / dp).limit_denominator(1_000_000)
+    return q.denominator == 1 and abs(float(q) - v / dp) <= 1e-9
+
+
+def gaussian_state_oracle(model, *, centers_x=None, centers_p=None,
+                          sigmas=None, shear=None, system_amp=None):
+    """``models.gaussian_physical_state`` with every profile gathered at a
+    D-point ``meshgrid`` of factor indices and multiplied in full."""
+    centers_x, centers_p = centers_x or {}, centers_p or {}
+    sigmas, shear, system_amp = sigmas or {}, shear or {}, system_amp or {}
+    space = model.space
+    dims = space.dims
+    grids = [f.generator_spectrum for f in space.factors]
+    mesh = np.meshgrid(*[np.arange(d) for d in dims], indexing="ij")
+    amp = np.ones(dims, dtype=complex)
+    hbar = space.hbar
+    for i in range(1, len(dims)):
+        f = space.factors[i]
+        if not f.is_frame:
+            if i in system_amp:
+                amp = amp * np.asarray(system_amp[i])[mesh[i]]
+            continue
+        sig = sigmas.get(i, f.N / 8.0 * f.dp)
+        p0 = centers_p.get(i, 0.0)
+        x0 = centers_x.get(i, 0.0)
+        pv = grids[i][mesh[i]]
+        amp = amp * np.exp(-(pv - p0) ** 2 / (4 * sig ** 2)
+                           - 1j * x0 * pv / hbar)
+    for (i, k), gamma in shear.items():
+        pi = grids[i][mesh[i]] - centers_p.get(i, 0.0)
+        pk = grids[k][mesh[k]] - centers_p.get(k, 0.0)
+        amp = amp * np.exp(gamma * pi * pk)
+    total = model.plain_diag.reshape(dims)
+    scale = max(float(np.max(np.abs(total))), 1.0)
+    mask = np.abs(total) < 1e-9 * scale
+    solved = grids[0][mesh[0]]
+    amp = amp * np.exp(-1j * centers_x.get(0, 0.0) * solved / hbar)
+    psi = np.where(mask, amp, 0.0).reshape(-1)
+    return psi / np.linalg.norm(psi)

@@ -17,7 +17,8 @@ from qrfkit import models as md
 from qrfkit import ncalg
 from qrfkit import reduction_gauge as rg
 from qrfkit import relobs as ro
-from qrfkit.errors import DegreeExceeded, NotPhysical, UnsupportedSupport
+from qrfkit.errors import (ConfigError, DegreeExceeded, NotPhysical,
+                           UnsupportedSupport)
 from qrfkit.ncalg import HBAR
 from test_ncalg import count_normal_forms
 
@@ -74,6 +75,25 @@ class TestEvaluation:
         psi = rng.normal(size=npmodel.space.dim) + 0j
         with pytest.raises(NotPhysical):
             frame_omega(npmodel, "A", 0.0, psi / np.linalg.norm(psi))
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-12])
+    def test_values_do_not_depend_on_the_scale_of_psi(self, npmodel,
+                                                      loc_state, scale):
+        want = frame_omega(npmodel, "A", 0.0, loc_state).value_table()
+        got = frame_omega(npmodel, "A", 0.0, scale * loc_state).value_table()
+        assert got.keys() == want.keys()
+        for m, v in want.items():
+            assert abs(got[m] - v) <= 1e-12 * abs(v), m
+
+    def test_vanishing_overlaps_raise(self, npmodel, loc_state):
+        with pytest.raises(ConfigError, match="vanishing overlap"):
+            frame_omega(npmodel, "A", 0.0, 0 * loc_state)
+        basis = np.eye(npmodel.space.dim, 2, dtype=complex).T
+        for bra, ket in ((basis[0], basis[1]), (basis[0], 0 * basis[0]),
+                         (1e-20 * basis[0], 1e-20 * basis[1])):
+            with pytest.raises(ConfigError, match="vanishing overlap"):
+                ast.from_hilbert(bra, ket, npmodel.space,
+                                 npmodel.assignment, npmodel.gens)
 
 
 class TestFrameConditions:

@@ -1,7 +1,8 @@
 """Design invariants read from the source: only ``kinspace`` knows how a
 KinOperator is stored or builds an exponential, no module takes a dense
-eigendecomposition or a numerical rank, and only the two dense reads check
-the dense budget."""
+eigendecomposition or a numerical rank or gathers through a meshgrid, only
+``kinspace`` writes the 1e-9 of the zero and lattice tests, and only the
+two dense reads check the dense budget."""
 
 import ast
 from pathlib import Path
@@ -61,6 +62,31 @@ def test_only_kinspace_builds_exponentials(path):
                           getattr(node, "name", None))
              if name in {"expm", "expm_multiply", "LinearOperator"}]
     assert not names, names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_calls_meshgrid(path):
+    # a model state multiplies 1-d profiles broadcast along their axes
+    calls = [f"{path.name}:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             == "meshgrid"]
+    assert not calls, calls
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "kinspace.py"),
+                         ids=lambda p: p.name)
+def test_only_kinspace_writes_the_1e9_tolerance(path):
+    # the zero test and the lattice test live in kinspace (_is_zero,
+    # _off_lattice); no other module spells their bound
+    found = [f"{path.name}:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and type(node.value) is float
+             and node.value == 1e-9]
+    assert not found, found
 
 
 def _callers(tree, name):

@@ -2,9 +2,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oracles import cyclic_group, support_oracle
+from oracles import cyclic_group, on_lattice_oracle, support_oracle
 from qrfkit import algstates as ast
 from qrfkit import kinspace as ks
 from qrfkit import ncalg
@@ -863,3 +865,59 @@ class TestSplitAdjoint:
                                 for s in xs])
                 got = np.moveaxis(got, 0, factor).reshape(-1)
                 assert np.max(np.abs(got - want)) < 1e-12, name
+
+
+# values k*dp moved by 0, 1e-10, 1e-8 or 0.3 steps off dp*Z, and a spacing
+# an exact Fraction reproduces or not
+LATTICE_DP = st.sampled_from([1.0, 0.5, 0.1, 0.7, np.pi / 4])
+LATTICE_VALUE = st.tuples(st.integers(-40, 40), st.sampled_from(
+    [0.0, 1e-10, -1e-10, 1e-8, -1e-8, 0.3, -0.3]))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(LATTICE_DP, st.lists(LATTICE_VALUE, min_size=1, max_size=4))
+def test_lattice_checks_match_the_fraction_criterion(dp, steps):
+    values = [(k + off) * dp for k, off in steps]
+    off_lattice = [v for v in values if not on_lattice_oracle(v, dp)]
+    frame = ks.FactorSpec.frame(4, dp)
+    system = ks.FactorSpec.system(values, name="S")
+    if off_lattice:
+        # tensor_space names the first value off the lattice
+        with pytest.raises(IncommensurableSpectrum) as err:
+            ks.tensor_space([frame, system])
+        assert str(err.value) == (
+            f"system eigenvalue {np.float64(off_lattice[0])} of factor S "
+            f"is off the frame momentum lattice (dp={dp})")
+    else:
+        ks.tensor_space([frame, system])
+    # build_constraint on an explicit frame diagonal holding each value
+    sp = ks.tensor_space([frame])
+    for v in values:
+        diag = np.array([v, 0.0, 0.0, 0.0])
+        if on_lattice_oracle(v, dp):
+            ks.build_constraint(sp, {0: diag})
+        else:
+            with pytest.raises(IncommensurableSpectrum) as err:
+                ks.build_constraint(sp, {0: diag})
+            assert str(err.value) == (
+                "constraint spectrum is off the frame momentum lattice")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-12, 1e-100])
+def test_project_physical_does_not_depend_on_the_scale_of_psi(scale):
+    sp = two_frame_space()
+    Pi = ks.group_average(sp, ks.build_constraint(sp, {0: 1.0, 1: 1.0}))
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim)
+    want = ks.project_physical(Pi, psi)
+    got = ks.project_physical(Pi, scale * psi)
+    assert np.max(np.abs(got - want)) < 1e-15
+
+
+def test_project_physical_rejects_a_state_off_the_kernel():
+    sp = two_frame_space()
+    Pi = ks.group_average(sp, ks.build_constraint(sp, {0: 1.0, 1: 1.0}))
+    off = np.where(Pi.diag.real == 0, 1.0, 0.0) + 0j
+    for psi in (np.zeros(sp.dim, complex), off, 1e-20 * off):
+        with pytest.raises(EmptyKernel):
+            ks.project_physical(Pi, psi)
