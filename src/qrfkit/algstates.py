@@ -23,7 +23,7 @@ import numpy as np
 from . import ncalg
 from .errors import ConfigError, DegreeExceeded, UnsupportedSupport
 from .kinspace import (_VANISH_RTOL, KinOperator, LatticeSpace,
-                       check_physical, split_adjoint)
+                       check_physical, reduced_space, split_adjoint)
 from .ncalg import AlgebraElement, Coef, GeneratorSet, commutator
 from .relobs import orientation_state_at
 
@@ -35,12 +35,9 @@ _MAX_TERMS = 24  # nested commutators dress_system_element tries
 class AlgebraicState:
     """Complex linear functional on AlgebraElements up to a degree bound.
 
-    On a Hilbert backing omega(m) = <bra| y^m |ket>, cached per monomial.
-    A non-unit monomial is valued by the *-structure: with m_0 > 0 the whole
-    power of the first generator moves to the bra,
-    omega(m) = <(y_0^dag)^(m_0) bra| y^(m - m_0 e_0) |ket>; otherwise, with
-    g the lowest generator index in m, omega(m) = <y_g^dag bra| y^(m - e_g)
-    |ket>.
+    On a Hilbert backing omega(m) = <bra| y^m |ket>, cached per monomial;
+    a state that is not a frame state is valued by just that, each word
+    applied to the ket, and its bra is never acted on.
 
     A frame state (``frame_state``) also carries ``reduction``: the frame
     factor F, v = |rho> on F and chi with bra = v (x) chi, and every
@@ -50,6 +47,9 @@ class AlgebraicState:
     (<y^a^dag v| x 1) ket lives on the space without F.  That equals
     <bra| y^m |ket> up to rounding, and exactly so only as far as the cut
     is: supports are decided to HERM_TOL.
+
+    A table-backed state (``from_table``) has no space: its table is the
+    cache.
     """
 
     gens: GeneratorSet
@@ -61,8 +61,7 @@ class AlgebraicState:
     assignment: dict = None
     # frame states: (F, v, chi, {g: F-side y_g^dag}, {name: rest y^dag})
     reduction: tuple = None
-    # table backing
-    table: dict = None
+    # table backing: the values are the cache
     table_hbar: float = 1.0
     _cache: dict = field(default_factory=dict)
 
@@ -94,54 +93,26 @@ class AlgebraicState:
         """Cache the value of each uncached monomial.
 
         Frame state (``reduction`` set): the Page-Wootters reduced value
-        vdot(y^r^dag chi, kappa_a) of ``_fill_reduced``.
+        vdot(y^r^dag chi, kappa_a) of ``_fill_reduced``.  Any other Hilbert
+        backing: vdot(bra, y^w ket) for w the word of m, from one prefix
+        walk over the distinct words (the unit is vdot(bra, ket)), with at
+        most degree walk buffers, freed on return.  A table state raises
+        DegreeExceeded for a monomial its table lacks.
 
-        Any other Hilbert backing: the unit is <bra|ket>.  A word with
-        m_0 > 0 is y_0^(m_0) t, valued as vdot((y_0^dag)^(m_0) bra,
-        y^t ket); any other word is (g,) + t, valued as
-        vdot(y_g^dag bra, y^t ket).  No tail t holds y_0, so one prefix walk
-        over the distinct tails never applies it.  Each head g takes
-        repeated ``apply_adjoint`` of the bra up to its largest power (m_0
-        for y_0, 1 for any other head), and only the needed powers are
-        kept.  At most degree - 1 walk buffers, the needed powers of
-        y_0^dag and one adjoint bra per other head are alive, all freed on
-        return.
-
-        Either way each value is bitwise the same whichever call computes
-        it.
+        Each value is bitwise the same whichever call computes it.
         """
         missing = [m for m in monomials if m not in self._cache]
-        if self.table is not None:
-            for m in missing:
-                if m not in self.table:
-                    raise DegreeExceeded(
-                        f"monomial {m} missing from value table")
-                self._cache[m] = complex(self.table[m])
+        if self.space is None:
+            if missing:
+                raise DegreeExceeded(
+                    f"monomial {missing[0]} missing from value table")
         elif self.reduction is not None:
             self._fill_reduced(missing)
         else:
-            heads = {}  # tail word -> [((head, power), monomial)]
-            powers = {}  # head -> the powers of its adjoint that are needed
-            for m in missing:
-                w = ncalg.monomial_word(m)
-                if w:
-                    k = m[0] or 1
-                    heads.setdefault(w[k:], []).append(((w[0], k), m))
-                    powers.setdefault(w[0], set()).add(k)
-                else:
-                    self._cache[m] = complex(np.vdot(self.bra, self.ket))
-            bras = {}
-            for g, ks in powers.items():
-                bra = self.bra
-                for k in range(1, max(ks) + 1):
-                    bra = self.assignment[self.gens.names[g]].apply_adjoint(
-                        bra)
-                    if k in ks:
-                        bras[g, k] = bra
-            for t, vec in ncalg._prefix_walk(self.gens, heads,
+            words = {ncalg.monomial_word(m): m for m in missing}
+            for w, vec in ncalg._prefix_walk(self.gens, words,
                                              self.assignment, self.ket):
-                for key, m in heads[t]:
-                    self._cache[m] = complex(np.vdot(bras[key], vec))
+                self._cache[words[w]] = complex(np.vdot(self.bra, vec))
 
     def _fill_reduced(self, missing):
         """Cache vdot(y^r^dag chi, kappa_a) for each monomial m = a r.
@@ -177,11 +148,9 @@ class AlgebraicState:
         vdot(y^r^dag chi, kappa_a) for m = a r split at the frame factor (a
         split exact to HERM_TOL, where supports are decided): one
         contraction per distinct a and a walk over the r at D/n.  Any other
-        Hilbert backing values <(y_0^dag)^(m_0) bra| y^(m - m_0 e_0) |ket>
-        when m_0 > 0, else <y_g^dag bra| y^(m - e_g) |ket>: the walk covers
-        the tails of degree <= d - 1 free of y_0, with <= d - 1 walk
-        buffers, the powers 1..d of y_0^dag on the bra and one adjoint bra
-        per other generator alive, freed on return."""
+        Hilbert backing values <bra| y^m |ket>: one walk over the words of
+        degree <= d, with at most d walk buffers of size D alive, freed on
+        return."""
         d = self.degree_bound if max_degree is None else max_degree
         if d > self.degree_bound:
             raise DegreeExceeded(
@@ -211,7 +180,11 @@ def from_hilbert(bra: np.ndarray, ket: np.ndarray, space: LatticeSpace,
                  assignment: dict, gens: GeneratorSet,
                  degree_bound: int = DEFAULT_DEGREE_BOUND,
                  normalize: bool = True) -> AlgebraicState:
-    """State omega(a) = <bra| a |ket>, normalized to omega(1) = 1."""
+    """State omega(a) = <bra| a |ket>, normalized to omega(1) = 1.
+
+    Each monomial is valued by its definition, vdot(bra, y^m ket): the
+    words are walked on the ket and the bra is never acted on.
+    """
     bra = np.asarray(bra, dtype=complex)
     ket = np.asarray(ket, dtype=complex)
     if normalize:
@@ -223,10 +196,11 @@ def from_hilbert(bra: np.ndarray, ket: np.ndarray, space: LatticeSpace,
 def from_table(gens: GeneratorSet, table: dict,
                degree_bound: int = DEFAULT_DEGREE_BOUND,
                hbar: float = 1.0) -> AlgebraicState:
+    """State with the given monomial -> value table as its cache."""
     if abs(table.get(gens.unit_monomial(), 0.0) - 1.0) > 1e-12:
         raise ConfigError("value table must be normalized: omega(1) = 1")
-    return AlgebraicState(gens, degree_bound, table=dict(table),
-                          table_hbar=hbar)
+    return AlgebraicState(gens, degree_bound, table_hbar=hbar, _cache={
+        m: complex(v) for m, v in table.items()})
 
 
 def frame_state(space: LatticeSpace, C: KinOperator, frame, rho: float,
@@ -254,9 +228,7 @@ def frame_state(space: LatticeSpace, C: KinOperator, frame, rho: float,
     chi = space.apply_factor(frame.factor, v.conj()[None, :], psi)
     chi = chi / np.conj(_overlap(chi, chi))
     bra = space.apply_factor(frame.factor, v[:, None], chi)
-    # dropping a factor keeps a space valid: no tensor_space check again
-    rest = LatticeSpace(space.factors[:frame.factor]
-                        + space.factors[frame.factor + 1:], space.hbar)
+    rest = reduced_space(space, frame.factor)
     parts = [split_adjoint(assignment[name], frame.factor, rest)
              for name in gens.names]
     reduction = None

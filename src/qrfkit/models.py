@@ -259,9 +259,12 @@ def gaussian_physical_state(model: Model, *, centers_x=None, centers_p=None,
     the momentum window, so the state lies exactly on the polynomial
     constraint surface.  ``system_amp`` gives the amplitude vector on a
     system factor (e.g. a spin state), one entry per basis state of that
-    factor (ConfigError otherwise).  Each profile is 1-d over one factor
-    (2-d for a shear) and broadcast along its axes: only the product and
-    the kernel mask are D-point arrays.
+    factor (ConfigError otherwise).  Every mapping is keyed by factor
+    index (``shear`` by index pairs), and a key outside the factors, or a
+    ``system_amp`` key on a frame, raises ConfigError, as does a recipe
+    that is zero at every point of the kernel.  Each profile is 1-d over
+    one factor (2-d for a shear) and broadcast along its axes: only the
+    product and the kernel mask are D-point arrays.
     """
     space = model.space
     n = len(space.dims)
@@ -270,6 +273,17 @@ def gaussian_physical_state(model: Model, *, centers_x=None, centers_p=None,
     sigmas = _mapping("sigmas", sigmas)
     shear = _mapping("shear", shear)
     system_amp = _mapping("system_amp", system_amp)
+    shear_factors = [i for pair in shear for i in pair]
+    for name, keys in (("centers_x", centers_x), ("centers_p", centers_p),
+                       ("sigmas", sigmas), ("shear", shear_factors),
+                       ("system_amp", system_amp)):
+        bad = [k for k in keys if k not in range(n)]
+        if bad:
+            raise ConfigError(f"{name} names factor {bad[0]!r}, outside "
+                              f"[0, {n})")
+    frames = [i for i in system_amp if space.factors[i].is_frame]
+    if frames:
+        raise ConfigError(f"system_amp names frame factor {frames[0]}")
     grids = [f.generator_spectrum for f in space.factors]
     hbar = space.hbar
 
@@ -308,7 +322,10 @@ def gaussian_physical_state(model: Model, *, centers_x=None, centers_p=None,
     mask = ks._is_zero(model.plain_diag).reshape(space.dims)
     psi = np.where(mask, amp, 0.0).reshape(-1)
     norm = np.linalg.norm(psi)
-    if norm < 1e-14:
+    # the mask selects exact values, with no cancellation to leave rounding
+    # noise: any kept point makes a state, whatever the scale or the weight
+    # off the kernel
+    if norm == 0:
         raise ConfigError("state recipe has no support on the kernel")
     return psi / norm
 

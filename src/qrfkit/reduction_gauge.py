@@ -24,7 +24,8 @@ from .errors import ConfigError, SameFrame, UnsupportedSupport
 from .kinspace import _COLUMN_BLOCK as _GAUGE_BLOCK
 from .kinspace import (KinOperator, _check_space, _diagonal_spectrum,
                        check_physical)
-from .relobs import OrientationFrame, orientation_state_at, theta_projector
+# theta_gauge, the reference gauge Theta(rho), is defined once in relobs
+from .relobs import OrientationFrame, orientation_state_at, theta_gauge
 
 
 def reduce_state(frame: OrientationFrame, rho: float, psi_phys: np.ndarray,
@@ -96,11 +97,6 @@ def conjugate_observable(V: QRFTransform, f: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # generalized gauges
-
-
-def theta_gauge(frame: OrientationFrame, rho: float) -> KinOperator:
-    """The reference gauge Theta(rho) = |rho><rho| x 1, factor-local."""
-    return theta_projector(frame, rho)
 
 
 def verify_gauge(phi: KinOperator, Pi: KinOperator) -> dict:

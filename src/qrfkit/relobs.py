@@ -169,8 +169,8 @@ def frame_system_generator(space: LatticeSpace, C: KinOperator,
     return C - momentum_operator(space, frame.factor)
 
 
-def theta_projector(frame: OrientationFrame, rho: float) -> KinOperator:
-    """|rho><rho| (x) 1 on the full space.
+def theta_gauge(frame: OrientationFrame, rho: float) -> KinOperator:
+    """The reference gauge Theta(rho) = |rho><rho| (x) 1, factor-local.
 
     Unnormalized (<rho|rho> = N): the 1/N measure lives in the group
     average, so that (1/N) sum_j Theta(rho_j) = 1 resolves the identity.
@@ -208,7 +208,7 @@ def relational_observable(space: LatticeSpace, C: KinOperator,
     if frame.factor in f_s.support:
         raise UnsupportedForm("f_S must be supported off the frame factor")
     if form == "kinematical":
-        theta = theta_projector(frame, rho)
+        theta = theta_gauge(frame, rho)
         return g_twirl(space, C, theta @ f_s)
     if form == "closed":
         k = frame.factor
@@ -225,5 +225,5 @@ def relational_observable(space: LatticeSpace, C: KinOperator,
     if form == "physical":
         if Pi is None:
             raise ConfigError("physical form requires the projector Pi")
-        return Pi @ (theta_projector(frame, rho) @ f_s)
+        return Pi @ (theta_gauge(frame, rho) @ f_s)
     raise UnsupportedForm(f"unknown form {form!r}")

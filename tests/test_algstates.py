@@ -569,38 +569,18 @@ def per_word(gens, assignment, m, vec):
     return vec
 
 
-def drop_lowest(m, k=1):
-    """(g, m - k e_g) with g the lowest generator index in m."""
+def drop_lowest(m):
+    """m - e_g with g the lowest generator index in m: the word of m without
+    its first letter."""
     g = next(g for g, e in enumerate(m) if e)
-    return g, m[:g] + (m[g] - k,) + m[g + 1:]
-
-
-def split_lowest(m):
-    """(g, k, m - k e_g) with g the lowest generator index in m: the bra
-    takes the whole power k = m_0 of y_0, or one letter (k = 1) when m_0 is
-    zero."""
-    k = m[0] or 1
-    g, tail = drop_lowest(m, k)
-    return g, k, tail
-
-
-def adjoint_bra(om, g, k=1):
-    """(y_g^dag)^k bra, one ``apply_adjoint`` at a time."""
-    bra = om.bra
-    for _ in range(k):
-        bra = om.assignment[om.gens.names[g]].apply_adjoint(bra)
-    return bra
+    return m[:g] + (m[g] - 1,) + m[g + 1:]
 
 
 def per_word_value(om, m):
-    """omega(m) by its definition: <bra|ket> for the unit monomial, else
-    <(y_g^dag)^k bra| y^(m - k e_g) ket> with (g, k) from ``split_lowest``,
-    each side computed on its own."""
-    if not any(m):
-        return complex(np.vdot(om.bra, om.ket))
-    g, k, tail = split_lowest(m)
-    vec = per_word(om.gens, om.assignment, tail, om.ket)
-    return complex(np.vdot(adjoint_bra(om, g, k), vec))
+    """omega(m) by its definition, vdot(bra, y^m ket), with y^m ket applied
+    letter by letter on its own (the unit is <bra|ket>)."""
+    return complex(np.vdot(om.bra, per_word(om.gens, om.assignment, m,
+                                            om.ket)))
 
 
 def reduced_per_word_value(om, m):
@@ -617,27 +597,10 @@ def reduced_per_word_value(om, m):
         factor, u.conj()[None, :], om.ket)))
 
 
-def split_scale(om):
-    """m -> ||(y_g^dag)^k bra|| ||y^(m - k e_g) ket|| with (g, k) from
-    ``split_lowest`` (||bra|| ||ket|| for the unit): the Cauchy-Schwarz
-    scale of the split value, both sides taken on the full space."""
-    bras = {}
-
-    def scale(m):
-        if not any(m):
-            return np.linalg.norm(om.bra) * np.linalg.norm(om.ket)
-        g, k, tail = split_lowest(m)
-        if (g, k) not in bras:
-            bras[g, k] = np.linalg.norm(adjoint_bra(om, g, k))
-        return bras[g, k] * np.linalg.norm(per_word(om.gens, om.assignment,
-                                                    tail, om.ket))
-    return scale
-
-
 def cut_scale(om):
     """m -> the largest ||(y^p)^dag bra|| ||y^s ket|| over the cuts p s of
     m's word, both sides taken on the full space: each is a Cauchy-Schwarz
-    scale of <bra| y^m |ket>, ``split_scale``'s cut among them.  A path
+    scale of <bra| y^m |ket>, ||bra|| ||y^m ket|| among them.  A path
     whose intermediate vectors sit at another cut (the reduced walk moves
     the frame letters to the ket) rounds at that cut's scale, which stays
     finite when a word cancels to zero on both full-space sides (J_x^2
@@ -670,8 +633,7 @@ def plain_state(model, om):
 
 class CountingOp:
     """An assignment entry that records the ``out`` of each ``apply`` call
-    in one list, and (op, input, result) of each ``apply_adjoint`` call in
-    another."""
+    in one list, and each ``apply_adjoint`` call in another."""
 
     def __init__(self, op, calls, adjoint_calls):
         self.op, self.calls, self.adjoint_calls = op, calls, adjoint_calls
@@ -681,27 +643,20 @@ class CountingOp:
         return self.op.apply(vec, out=out)
 
     def apply_adjoint(self, vec):
-        out = self.op.apply_adjoint(vec)
-        self.adjoint_calls.append((self.op, vec, out))
-        return out
+        self.adjoint_calls.append(vec)
+        return self.op.apply_adjoint(vec)
 
 
 def prefix_closure(monomials):
     """The monomials and every m - e_g obtained by repeatedly removing the
-    lowest generator index g, down to (but without) the unit monomial."""
+    lowest generator index g, down to (but without) the unit monomial: the
+    non-empty suffixes of their words, one walk apply each."""
     out = set()
     for m in monomials:
         while any(m):
             out.add(m)
-            m = drop_lowest(m)[1]
+            m = drop_lowest(m)
     return out
-
-
-def tails_and_bras(monomials):
-    """The tails m - k e_g and the distinct (head g, power k) bras of the
-    non-unit monomials, split by ``split_lowest``."""
-    splits = [split_lowest(m) for m in monomials if any(m)]
-    return {t for _, _, t in splits}, {(g, k) for g, k, _ in splits}
 
 
 def counting_state(model, om, calls, adjoint_calls):
@@ -740,15 +695,14 @@ class TestPrefixWalk:
         return counting_state(npmodel, om, calls, adjoint_calls)
 
     def test_value_table_applies_once_per_monomial(self, npmodel, loc_state):
-        # the walk covers the degree-4 tails free of y_0; one adjoint per
-        # other generator, and the powers 1..5 of y_0^dag on the bra
+        # every non-unit word of degree <= 5 is a node of the walk, and the
+        # bra is never acted on
         g = npmodel.gens
         calls, adjoint_calls = [], []
         om = self.counting_state(npmodel, loc_state, calls, adjoint_calls)
         table = om.value_table(5)
-        assert len(calls) == len([m for m in g.monomial_basis(4)
-                                  if not m[0]]) - 1 == 125
-        assert len(adjoint_calls) == len(g.names) - 1 + 5
+        assert len(calls) == len(g.monomial_basis(5)) - 1 == 461
+        assert not adjoint_calls
         assert table == plain_state(npmodel, om).value_table(5)
 
     def test_evaluate_applies_only_the_prefix_closure(self, npmodel,
@@ -759,10 +713,9 @@ class TestPrefixWalk:
         calls, adjoint_calls = [], []
         om = self.counting_state(npmodel, loc_state, calls, adjoint_calls)
         value = om.evaluate(el)
-        tails, bras = tails_and_bras(el.terms)
-        closure = prefix_closure(tails)
+        closure = prefix_closure(el.terms)
         assert len(calls) == len(closure)
-        assert len(adjoint_calls) == len(bras)
+        assert not adjoint_calls
         assert 0 < len(closure) < sum(sum(m) for m in el.terms)
         om_plain = frame_omega(npmodel, "A", 0.0, loc_state, degree=5)
         assert value == sum((ncalg.numeric(c, npmodel.hbar)
@@ -770,7 +723,7 @@ class TestPrefixWalk:
                              for m, c in el.terms.items()), 0j)
         om.evaluate(el)
         assert len(calls) == len(closure)
-        assert len(adjoint_calls) == len(bras)
+        assert not adjoint_calls
 
     @pytest.mark.parametrize("check", ["constraint", "frame_gauge",
                                        "positivity"])
@@ -796,9 +749,9 @@ class TestPrefixWalk:
         calls, adjoint_calls = [], []
         om = self.counting_state(npmodel, loc_state, calls, adjoint_calls)
         value = run(om)
-        tails, bras = tails_and_bras(m for p in products for m in p.terms)
-        assert len(calls) == len(prefix_closure(tails)) > 0
-        assert len(adjoint_calls) == len(bras)
+        closure = prefix_closure(m for p in products for m in p.terms)
+        assert len(calls) == len(closure) > 0
+        assert not adjoint_calls
         # the value the per-product evaluation gives, bit for bit
         om_plain = plain_state(npmodel, om)
         if check == "positivity":
@@ -815,21 +768,11 @@ class TestPrefixWalk:
         om = self.counting_state(npmodel, loc_state, calls, adjoint_calls)
         ket, bra = om.ket.copy(), om.bra.copy()
         table = om.value_table(5)
-        assert len(calls) == len([m for m in npmodel.gens.monomial_basis(4)
-                                  if not m[0]]) - 1
+        assert len(calls) == len(npmodel.gens.monomial_basis(5)) - 1
         assert all(isinstance(out, np.ndarray) for out in calls)
-        assert len({id(out) for out in calls}) <= 4
+        assert len({id(out) for out in calls}) <= 5
         assert not any(np.shares_memory(out, om.ket) for out in calls)
-        # each adjoint input is the bra, or the power of y_0^dag on the bra
-        # that the call before it on y_0 returned
-        y0 = npmodel.assignment[npmodel.gens.names[0]]
-        chain = [(vec, out) for op, vec, out in adjoint_calls if op is y0]
-        assert len(chain) == 5
-        assert [vec is om.bra for vec, _ in chain] == [True] + [False] * 4
-        assert all(vec is prev for (vec, _), (_, prev) in zip(chain[1:],
-                                                              chain))
-        assert all(vec is om.bra for op, vec, _ in adjoint_calls
-                   if op is not y0)
+        assert not adjoint_calls
         assert np.array_equal(om.ket, ket)
         assert np.array_equal(om.bra, bra)
         assert table == plain_state(npmodel, om).value_table(5)
@@ -839,13 +782,12 @@ class TestPrefixWalk:
         md.ModelSpec("degenerate"), md.ModelSpec("newtonian", dp=2.0)],
         ids=lambda spec: spec.name)
     def test_split_values_match_the_full_chain(self, spec):
-        # <(y_g^dag)^k bra, y^(m - k e_g) ket> against <bra, y^m ket> for a
-        # gauge-transformed bra, to 1e-13 of the norms of its two sides (and
-        # its unit is <bra|ket> bit for bit).  The frame state's reduced
-        # value vdot(y^r^dag chi, (<y^a^dag v| x 1) ket) against the chain
-        # taken in extended precision, to 1e-13 of the largest of those
-        # norms over the cuts of m's word: on su2 (J_x^2 J_y^2 J_z = 0 on
-        # spin 1) both sides of the (g, k) cut are rounding noise, 1.4e-17,
+        # a gauge-transformed bra is valued by the chain <bra, y^m ket> bit
+        # for bit.  The frame state's reduced value vdot(y^r^dag chi,
+        # (<y^a^dag v| x 1) ket) against the chain taken in extended
+        # precision, to 1e-13 of the largest ||(y^p)^dag bra|| ||y^s ket||
+        # over the cuts p s of m's word: on su2 (J_x^2 J_y^2 J_z = 0 on spin
+        # 1) the full-space sides of some cuts are rounding noise, 1.4e-17,
         # while the reduced walk rounds at its own cut, 1.4e-17 away from 0
         model = md.build_model(spec)
         psi = md.random_physical_state(model, np.random.default_rng(19))
@@ -862,40 +804,41 @@ class TestPrefixWalk:
             full = complex(np.vdot(bra, per_word(model.gens, om.assignment,
                                                  m, ket)))
             assert abs(v - full) <= 1e-13 * bound(m)
-        bound = split_scale(om_b)
         for m, v in om_b.value_table(6).items():
-            full = complex(np.vdot(om_b.bra, per_word(
+            assert v == complex(np.vdot(om_b.bra, per_word(
                 model.gens, om_b.assignment, m, om_b.ket)))
-            if not any(m):
-                assert v == full
-            assert abs(v - full) <= 1e-13 * bound(m)
 
     def test_value_table_counts_at_the_benchmarked_shape(self):
-        # nparticle L = 32 (D = 32768) at degree 6: the 251 non-unit words of
-        # degree <= 5 free of y_0 are walked (the one-letter split walked 461
-        # words, the full-word walk made 923 applies); each of the 5 other
-        # generators is applied once to the bra, and y_0^dag 6 times
+        # nparticle L = 32 (D = 32768) at degree 6: the walk applies each of
+        # the 923 non-unit words once, into at most 6 buffers of 512 KiB, and
+        # acts on no bra
         model = md.build_model(md.ModelSpec("nparticle", n_particles=3,
                                             lattice_size=32))
         psi = md.random_physical_state(model, np.random.default_rng(5))
         om = frame_omega(model, "A", model.frames["A"].grid[3], psi)
         calls, adjoint_calls = [], []
-        table = counting_state(model, om, calls, adjoint_calls).value_table(6)
+        counting = counting_state(model, om, calls, adjoint_calls)
+        tracemalloc.start()
+        try:
+            table = counting.value_table(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert len(table) == 924
-        assert (len(calls), len(adjoint_calls)) == (251, 11)
+        assert (len(calls), len(adjoint_calls)) == (923, 0)
+        assert peak <= 4 * 2**20
         assert table == plain_state(model, om).value_table(6)
 
     def test_value_table_counts_on_su2_at_l32(self):
-        # su2 L = 32 (D = 3072) at degree 6: the 461 non-unit words of
-        # degree <= 5 over the 6 generators other than y_0 are walked (the
-        # one-letter split walked 791)
+        # su2 L = 32 (D = 3072) at degree 6: each of the 1715 non-unit words
+        # over the 7 generators is applied once, and no bra is acted on
         model = md.build_model(md.ModelSpec("su2", lattice_size=32))
         psi = md.random_physical_state(model, np.random.default_rng(5))
         om = frame_omega(model, "A", model.frames["A"].grid[3], psi)
         calls, adjoint_calls = [], []
         table = counting_state(model, om, calls, adjoint_calls).value_table(6)
         assert len(table) == 1716
-        assert (len(calls), len(adjoint_calls)) == (461, 12)
+        assert (len(calls), len(adjoint_calls)) == (1715, 0)
         assert table == plain_state(model, om).value_table(6)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -953,6 +896,35 @@ def mixed_frames_case(sizes, dp, hbar, rng):
     return space, C, frames, assignment, gens, psi
 
 
+def random_case(kind, size, hbar, j, levels, sizes, rng):
+    """(space, C, frames, assignment, gens, Pi, psi) for a worked model of
+    ``kind`` (its frames of ``size``) or, for "mixed", particles on frames
+    of ``sizes``; psi a random physical state."""
+    if kind == "mixed":
+        space, C, frames, assignment, gens, psi = mixed_frames_case(
+            sizes, 1.0, hbar, rng)
+        return space, C, frames, assignment, gens, ks.group_average(
+            space, C), psi
+    model = md.build_model(md.ModelSpec(
+        kind, lattice_size=8 if kind == "degenerate" else size,
+        dp=2.0 if kind == "newtonian" else 1.0, j=j, levels=levels,
+        hbar=hbar))
+    return (model.space, model.constraint, list(model.frames.values()),
+            model.assignment, model.gens, model.Pi,
+            md.random_physical_state(model, rng))
+
+
+# the draws of ``random_case``, a frame and an orientation
+CASES = dict(kind=st.sampled_from(["nparticle", "su2", "degenerate",
+                                   "newtonian", "mixed"]),
+             frame=st.integers(0, 2), size=st.sampled_from([4, 6, 8]),
+             hbar=st.sampled_from([1.0, 0.7]), j=st.integers(1, 2),
+             levels=st.sampled_from([(1.0, 1.0), (0.0, 2.0),
+                                     (1.0, 2.0, 3.0)]),
+             sizes=st.sampled_from([(4, 6), (8, 6, 4), (6, 8, 8)]),
+             rho_index=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+
+
 def reduced_space_matrix(op, factor):
     """B for an operator that is 1 (x) B across ``factor``, read from its
     full matrix at index 0 of both ``factor`` axes."""
@@ -967,13 +939,7 @@ def reduced_space_matrix(op, factor):
 class TestReducedValues:
     @settings(max_examples=30, deadline=None, database=None,
               derandomize=True)
-    @given(kind=st.sampled_from(["nparticle", "su2", "degenerate",
-                                 "newtonian", "mixed"]),
-           frame=st.integers(0, 2), size=st.sampled_from([4, 6, 8]),
-           hbar=st.sampled_from([1.0, 0.7]), j=st.integers(1, 2),
-           levels=st.sampled_from([(1.0, 1.0), (0.0, 2.0), (1.0, 2.0, 3.0)]),
-           sizes=st.sampled_from([(4, 6), (8, 6, 4), (6, 8, 8)]),
-           rho_index=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+    @given(**CASES)
     @example(kind="nparticle", frame=1, size=6, hbar=0.7, j=1,
              levels=(1.0, 1.0), sizes=(4, 6), rho_index=5, seed=3)
     @example(kind="su2", frame=1, size=4, hbar=0.7, j=2, levels=(1.0, 1.0),
@@ -988,19 +954,8 @@ class TestReducedValues:
             self, kind, frame, size, hbar, j, levels, sizes, rho_index, seed):
         # the frame state's reduced values against the full-space walk on
         # its own bra and ket, to 1e-12 of the Cauchy-Schwarz bound
-        rng = np.random.default_rng(seed)
-        if kind == "mixed":
-            space, C, frames, assignment, gens, psi = mixed_frames_case(
-                sizes, 1.0, hbar, rng)
-        else:
-            model = md.build_model(md.ModelSpec(
-                kind, lattice_size=8 if kind == "degenerate" else size,
-                dp=2.0 if kind == "newtonian" else 1.0, j=j, levels=levels,
-                hbar=hbar))
-            space, C, assignment, gens = (model.space, model.constraint,
-                                          model.assignment, model.gens)
-            frames = list(model.frames.values())
-            psi = md.random_physical_state(model, rng)
+        space, C, frames, assignment, gens, _, psi = random_case(
+            kind, size, hbar, j, levels, sizes, np.random.default_rng(seed))
         fr = frames[frame % len(frames)]
         om = ast.frame_state(space, C, fr, fr.grid[rho_index % fr.N], psi,
                              assignment, gens, 5)
@@ -1094,8 +1049,50 @@ class TestReducedValues:
         assert len(applies) == 209
         assert {dim for dim, _ in applies} == {model.space.dim // 32}
         assert len({id(out) for _, out in applies}) <= 6
-        # the full-space walk peaked at 8.5 MiB
+        # the full-space walk peaks at 3.2 MiB
         assert peak <= 2 * 2**20
         assert all(v == reduced_per_word_value(om, m)
                    for m, v in list(table.items())[::37])
 
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(**CASES)
+@example(kind="su2", frame=0, size=4, hbar=1.0, j=1, levels=(1.0, 1.0),
+         sizes=(4, 6), rho_index=3, seed=19)
+@example(kind="mixed", frame=2, size=8, hbar=0.7, j=1, levels=(1.0, 1.0),
+         sizes=(8, 6, 4), rho_index=5, seed=23)
+def test_other_states_value_the_word_by_word_chain(
+        kind, frame, size, hbar, j, levels, sizes, rho_index, seed):
+    # a gauge-transformed state, and a frame state with a generator across
+    # the frame, take no reduced walk: each value is vdot(bra, y^m ket)
+    # with y^m ket applied letter by letter on its own, bit for bit, and
+    # that chain in extended precision to 1e-13 of the largest
+    # ||(y^p)^dag bra|| ||y^s ket|| over the cuts p s of m's word.  The cut
+    # p = 1 alone, ||bra|| ||y^m ket||, is no scale where a word cancels to
+    # zero: on spin 1, J_x^2 J_y^2 J_z ket is rounding noise, 1.5e-17
+    space, C, frames, assignment, gens, Pi, psi = random_case(
+        kind, size, hbar, j, levels, sizes, np.random.default_rng(seed))
+    fr = frames[frame % len(frames)]
+    fr_b = frames[(frame + 1) % len(frames)]
+    om = ast.frame_state(space, C, fr, fr.grid[rho_index % fr.N], psi,
+                         assignment, gens, 5)
+    gauged = rg.gauge_transform_state(
+        om, rg.theta_gauge(fr_b, fr_b.grid[(rho_index + 3) % fr_b.N]), Pi)
+    # a frame generator plus a diagonal on the next factor
+    name = next(n for n in gens.names if fr.factor in assignment[n].support)
+    other = (fr.factor + 1) % len(space.dims)
+    across = dict(assignment)
+    across[name] = across[name] + ks.factor_operator(
+        space, other, np.diag(np.arange(1.0, space.dims[other] + 1)))
+    crossing = ast.frame_state(space, C, fr, fr.grid[rho_index % fr.N], psi,
+                               across, gens, 5)
+    for state in (gauged, crossing):
+        assert state.reduction is None
+        bra, ket = (x.astype(np.clongdouble) for x in (state.bra, state.ket))
+        bound = cut_scale(state)
+        for m, v in state.value_table(5).items():
+            assert v == complex(np.vdot(state.bra, per_word(
+                gens, state.assignment, m, state.ket)))
+            exact = complex(np.vdot(bra, per_word(gens, state.assignment, m,
+                                                  ket)))
+            assert abs(v - exact) <= 1e-13 * bound(m)

@@ -1,8 +1,9 @@
 """Design invariants read from the source: only ``kinspace`` knows how a
 KinOperator is stored or builds an exponential, no module takes a dense
 eigendecomposition or a numerical rank or gathers through a meshgrid, only
-``kinspace`` writes the 1e-9 of the zero and lattice tests, and only the
-two dense reads check the dense budget."""
+``kinspace`` writes the 1e-9 of the zero and lattice tests, only the
+two dense reads check the dense budget, and a state's values come from
+the two walks of ``AlgebraicState`` without acting on a bra."""
 
 import ast
 from pathlib import Path
@@ -114,3 +115,16 @@ def test_only_the_dense_reads_check_the_dense_budget():
                                       "_check_dense")}
     assert callers == {"kinspace.KinOperator.matrix",
                        "kinspace.LatticeSpace.embed_matrix"}
+
+
+def test_only_the_state_walks_call_the_prefix_walk():
+    # a Hilbert-backed state values vdot(bra, y^w ket) on the full space or
+    # its reduced form on the space without the frame; algstates never
+    # moves a letter onto the bra
+    callers = {f"{path.stem}.{caller}" for path in SRC.glob("*.py")
+               for caller in _callers(ast.parse(path.read_text()),
+                                      "_prefix_walk")}
+    assert callers == {"algstates.AlgebraicState._fill_cache",
+                       "algstates.AlgebraicState._fill_reduced"}
+    assert not _callers(ast.parse((SRC / "algstates.py").read_text()),
+                        "apply_adjoint")

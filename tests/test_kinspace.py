@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from oracles import cyclic_group, on_lattice_oracle, support_oracle
 from qrfkit import algstates as ast
 from qrfkit import kinspace as ks
+from qrfkit import models as md
 from qrfkit import ncalg
 from qrfkit import reduction_gauge as rg
 from qrfkit import relobs as ro
@@ -759,6 +760,11 @@ CONFIG_ERRORS = {
     "verify_reference_frame.degree": lambda: (
         lambda g: ast.verify_reference_frame(g, "q", g.gen("p"), -1))(_pair()),
     "AlgebraElement.add": lambda: _pair().gen("q") + _pair().gen("q"),
+    # su2 has factors 0, 1 (frames) and 2 (spin)
+    "gaussian_physical_state.system_amp": lambda: md.gaussian_physical_state(
+        md.build_model(md.ModelSpec("su2")), system_amp={5: [1.0]}),
+    "gaussian_physical_state.shear": lambda: md.gaussian_physical_state(
+        md.build_model(md.ModelSpec("su2")), shear={(0, 9): 0.1}),
     "multiply": lambda: ncalg.multiply(_pair().gen("q"), _pair().gen("p")),
 }
 

@@ -87,3 +87,49 @@ def test_gaussian_state_rejects_a_system_amplitude_of_another_length(size):
     model = model_of(md.ModelSpec("su2"))
     with pytest.raises(ConfigError, match=r"system_amp\[2\] must hold 3"):
         md.gaussian_physical_state(model, system_amp={2: np.ones(size)})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"centers_x": {7: 0.3}}, "centers_x names factor 7"),
+    ({"centers_p": {-1: 0.3}}, "centers_p names factor -1"),
+    ({"sigmas": {9: 1.0}}, "sigmas names factor 9"),
+    ({"system_amp": {1: np.ones(8)}}, "system_amp names frame factor 1"),
+    ({"system_amp": {0: np.ones(8)}}, "system_amp names frame factor 0")],
+    ids=["centers_x", "centers_p", "sigmas", "system_amp-frame",
+         "system_amp-solved-frame"])
+def test_gaussian_state_rejects_a_key_that_is_not_its_factor(kwargs, message):
+    # su2: frames 0 and 1 (8 points each), the spin on factor 2; the
+    # system_amp and shear keys outside the factors are CONFIG_ERRORS cases
+    with pytest.raises(ConfigError, match=message):
+        md.gaussian_physical_state(model_of(md.ModelSpec("su2")), **kwargs)
+
+
+@pytest.mark.parametrize("spec, factor, amp", [
+    (md.ModelSpec("su2"), 2, md.spin_coherent(1, 0.4, 0.3)),
+    (md.ModelSpec("degenerate"), 1, np.array([0.6, 0.8j])),
+    (md.ModelSpec("newtonian", dp=2.0), 1, np.linspace(1.0, 2.0, 8))],
+    ids=["su2", "degenerate", "newtonian"])
+def test_gaussian_state_does_not_depend_on_the_scale_of_its_amplitude(
+        spec, factor, amp):
+    model = model_of(spec)
+    want = md.gaussian_physical_state(model, system_amp={factor: amp})
+    for scale in (1e-10, 1e-15):
+        got = md.gaussian_physical_state(model,
+                                         system_amp={factor: scale * amp})
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_gaussian_state_rejects_a_recipe_off_the_kernel():
+    # newtonian, dp = 2: p_S = -8 needs the clock momentum -32, outside its
+    # 16-point window, so that amplitude has no point on the kernel; p_S = 0
+    # has one.  Whatever the scale, the first is refused, and what lies off
+    # the kernel is dropped however much it outweighs the rest
+    model = model_of(md.ModelSpec("newtonian", dp=2.0))
+    off, on = np.eye(8)[0], np.eye(8)[4]
+    want = md.gaussian_physical_state(model, system_amp={1: on})
+    for scale in (1.0, 1e-15):
+        with pytest.raises(ConfigError, match="no support on the kernel"):
+            md.gaussian_physical_state(model, system_amp={1: scale * off})
+        got = md.gaussian_physical_state(
+            model, system_amp={1: scale * (off + 1e-17 * on)})
+        assert np.max(np.abs(got - want)) <= 1e-15

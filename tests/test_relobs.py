@@ -152,7 +152,7 @@ class TestGTwirl:
 
     def test_twirl_of_theta_is_identity(self):
         fr = ro.OrientationFrame(self.sp, 0)
-        theta = ro.theta_projector(fr, fr.grid[5])
+        theta = ro.theta_gauge(fr, fr.grid[5])
         tw = ro.g_twirl(self.sp, self.C, theta)
         assert np.max(np.abs(tw.matrix - np.eye(self.sp.dim))) < 1e-10
 
@@ -328,7 +328,7 @@ class TestComposedForms:
         fr = model.frames["A"]
         rho = fr.grid[3]
         f_s = model.assignment[f_name]
-        theta_f = ro.theta_projector(fr, rho).matrix @ f_s.matrix
+        theta_f = ro.theta_gauge(fr, rho).matrix @ f_s.matrix
         refs = {"kinematical": g_twirl_oracle(
                     sp, C, ks.KinOperator.from_matrix(sp, theta_f)),
                 "closed": closed_form_oracle(sp, C, fr, rho, f_s),
