@@ -27,7 +27,8 @@ class IndexOutOfRange(QRFError, IndexError):
 
 class UnsupportedForm(QRFError):
     """An operator's form is unsupported: a frame-supported f_S, an unknown
-    form name, or a constraint, G_S or Pi not stored diagonal and hermitian."""
+    form name, a constraint, G_S or Pi not stored diagonal and hermitian,
+    or ``hermitian`` asked of a composed form."""
 
 
 class SameFrame(QRFError):

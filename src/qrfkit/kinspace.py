@@ -297,10 +297,12 @@ class KinOperator:
     ``hermitian`` and ``support`` (the factors k on which the operator is
     not 1_k (x) B) are computed from the stored form on first use, never
     declared, to the absolute tolerance HERM_TOL.  A composed form's
-    ``hermitian`` reads ``matrix``.  Its ``support`` is the union of its
-    operands' supports (and, for a twirl, of ``classes``): an upper bound,
-    so a guard on it may refuse an operator whose parts cancel on a
-    factor, but never accepts one that acts there.
+    ``hermitian`` raises UnsupportedForm rather than build ``matrix``; a
+    caller who wants the answer reads ``matrix`` explicitly.  Its
+    ``support`` is the union of its operands' supports (and, for a twirl,
+    of ``classes``): an upper bound, so a guard on it may refuse an
+    operator whose parts cancel on a factor, but never accepts one that
+    acts there.
     """
 
     space: LatticeSpace
@@ -371,7 +373,11 @@ class KinOperator:
     def hermitian(self) -> bool:
         if self.is_diagonal:
             return bool(np.max(np.abs(self.diag.imag)) < HERM_TOL)
-        m = self.matrix if self.local is None else self.local
+        if self.operands is not None:
+            raise UnsupportedForm(
+                "hermitian is not decided for a composed form; compare its "
+                ".matrix with its conjugate transpose explicitly")
+        m = self._matrix if self.local is None else self.local
         return bool(np.max(np.abs(m - m.conj().T)) < HERM_TOL)
 
     @cached_property

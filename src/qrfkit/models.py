@@ -262,9 +262,11 @@ def gaussian_physical_state(model: Model, *, centers_x=None, centers_p=None,
     factor (ConfigError otherwise).  Every mapping is keyed by factor
     index (``shear`` by index pairs), and a key outside the factors, or a
     ``system_amp`` key on a frame, raises ConfigError, as does a recipe
-    that is zero at every point of the kernel.  Each profile is 1-d over
-    one factor (2-d for a shear) and broadcast along its axes: only the
-    product and the kernel mask are D-point arrays.
+    that is zero at every point of the kernel, or whose kept amplitudes
+    overflow (a shear may overflow off the kernel: those points are
+    dropped without a warning).  Each profile is 1-d over one factor (2-d
+    for a shear) and broadcast along its axes: only the product and the
+    kernel mask are D-point arrays.
     """
     space = model.space
     n = len(space.dims)
@@ -310,18 +312,22 @@ def gaussian_physical_state(model: Model, *, centers_x=None, centers_p=None,
         pv = grids[i]
         amp = amp * along(i, np.exp(-(pv - p0) ** 2 / (4 * sig ** 2)
                                     - 1j * x0 * pv / hbar))
-    for (i, k), gamma in shear.items():
-        pi = along(i, grids[i] - centers_p.get(i, 0.0))
-        pk = along(k, grids[k] - centers_p.get(k, 0.0))
-        amp = amp * np.exp(gamma * pi * pk)
-    x0s = centers_x.get(_SOLVE_FACTOR, 0.0)
-    amp = amp * along(_SOLVE_FACTOR,
-                      np.exp(-1j * x0s * grids[_SOLVE_FACTOR] / hbar))
-
     # keep exact points of the polynomial constraint surface only
     mask = ks._is_zero(model.plain_diag).reshape(space.dims)
-    psi = np.where(mask, amp, 0.0).reshape(-1)
-    norm = np.linalg.norm(psi)
+    # a shear may overflow off the kernel, where the mask drops the point;
+    # a kept point that overflows makes the norm non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (i, k), gamma in shear.items():
+            pi = along(i, grids[i] - centers_p.get(i, 0.0))
+            pk = along(k, grids[k] - centers_p.get(k, 0.0))
+            amp = amp * np.exp(gamma * pi * pk)
+        x0s = centers_x.get(_SOLVE_FACTOR, 0.0)
+        amp = amp * along(_SOLVE_FACTOR,
+                          np.exp(-1j * x0s * grids[_SOLVE_FACTOR] / hbar))
+        psi = np.where(mask, amp, 0.0).reshape(-1)
+        norm = np.linalg.norm(psi)
+    if not np.isfinite(norm):
+        raise ConfigError("state recipe overflows on the kernel")
     # the mask selects exact values, with no cancellation to leave rounding
     # noise: any kept point makes a state, whatever the scale or the weight
     # off the kernel

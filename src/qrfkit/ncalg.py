@@ -558,13 +558,12 @@ class GeneratorSet:
         return GeneratorSet(names + list(centrals), rel, degree_cap)
 
     @staticmethod
-    def canonical_with_su2(pairs, spin_names=("J_x", "J_y", "J_z"),
-                           degree_cap: int = 12) -> "GeneratorSet":
+    def canonical_with_su2(pairs, degree_cap: int = 12) -> "GeneratorSet":
         """Canonical pairs followed by an su(2) triple [J_x,J_y] = i*hbar*J_z."""
         names, rel = _canonical_pairs(pairs)
         x, y, z = range(len(names), len(names) + 3)
         rel.update({(x, y): {z: 1}, (y, z): {x: 1}, (x, z): {y: -1}})
-        return GeneratorSet(names + list(spin_names), rel, degree_cap)
+        return GeneratorSet(names + ["J_x", "J_y", "J_z"], rel, degree_cap)
 
     @property
     def relations(self) -> dict:

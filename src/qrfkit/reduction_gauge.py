@@ -3,7 +3,9 @@
 Conditioning is one ``LatticeSpace.apply_factor`` on the frame's slot: the
 reduction map applies the orientation bra <rho| (1 x N), its inverse the
 ket |rho> (N x 1) and then Pi, both to a vector or a block of columns.  The
-QRF change V = R_B(rho_B) Pi R_A^dag(rho_A) is kept as these maps.
+QRF change V = R_B(rho_B) Pi R_A^dag(rho_A) is kept as these maps, and so
+are its adjoint and the change V f V^dag of an observable: no n x n form of
+V is built.
 
 Generalized gauge maps Phi satisfy Pi Phi Pi = Pi on the constraint kernel.
 A gauge map is a ``KinOperator`` like any other operator on the
@@ -15,7 +17,6 @@ exp(i O1 C) Phi exp(i O2 C) composes two ``KinOperator.exp`` actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,10 +49,11 @@ def embed_state(frame: OrientationFrame, rho: float, phi: np.ndarray,
 class QRFTransform:
     """V = R_B(rho_B) Pi R_A^dag(rho_A), from reduced-A to reduced-B states.
 
-    Holds the frames, orientations and Pi; ``apply`` embeds from A and
-    reduces onto B, with one ``Pi.apply`` per vector or column block.
-    ``matrix`` (target x source reduced dims) is built on first read, from
-    identity column blocks whose D x k images are the size of the result.
+    Holds the frames, orientations and Pi, and acts only through the maps:
+    ``apply`` embeds from A and reduces onto B, and ``apply_adjoint``
+    (V^dag = R_A Pi R_B^dag, the reverse change) embeds from B and reduces
+    onto A, each with one ``Pi.apply`` per vector or column block.  No
+    n_B x n_A form of V is built.
     """
 
     frame_a: OrientationFrame
@@ -64,16 +66,9 @@ class QRFTransform:
         return reduce_state(self.frame_b, self.rho_b,
                             embed_state(self.frame_a, self.rho_a, phi, self.Pi))
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        dim = self.frame_a.space.dim
-        n_a, n_b = dim // self.frame_a.N, dim // self.frame_b.N
-        k = n_a // self.frame_b.N  # D x k holds as many entries as n_b x n_a
-        out = np.empty((n_b, n_a), dtype=complex)
-        for i in range(0, n_a, k):
-            out[:, i:i + k] = self.apply(np.eye(n_a, k, -i))
-        out.setflags(write=False)
-        return out
+    def apply_adjoint(self, chi: np.ndarray) -> np.ndarray:
+        return reduce_state(self.frame_a, self.rho_a,
+                            embed_state(self.frame_b, self.rho_b, chi, self.Pi))
 
 
 def qrf_transform(frame_a: OrientationFrame, rho_a: float,
@@ -85,14 +80,30 @@ def qrf_transform(frame_a: OrientationFrame, rho_a: float,
     return QRFTransform(frame_a, rho_a, frame_b, rho_b, Pi)
 
 
-def conjugate_observable(V: QRFTransform, f: np.ndarray) -> np.ndarray:
-    """V f V^dag: the observable re-expressed in the target perspective."""
+@dataclass(frozen=True, eq=False)
+class TransformedObservable:
+    """V f V^dag on the B-reduced space, kept as V and the n_A x n_A f:
+    ``apply`` takes a B-reduced vector or column block x to
+    V (f (V^dag x)), two passes through V's maps and one product with f."""
+
+    V: QRFTransform
+    f: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.V.apply(self.f @ self.V.apply_adjoint(x))
+
+
+def conjugate_observable(V: QRFTransform,
+                         f: np.ndarray) -> TransformedObservable:
+    """V f V^dag: the observable f on the source (A-reduced) space read in
+    the target perspective, acting through V's maps; no n x n form of V or
+    of the result is built.  UnsupportedSupport unless f is n_A x n_A."""
     f = np.asarray(f, dtype=complex)
     n = V.frame_a.space.dim // V.frame_a.N
     if f.shape != (n, n):
         raise UnsupportedSupport(
             f"observable must act on the source reduced space (dim {n})")
-    return V.matrix @ f @ V.matrix.conj().T
+    return TransformedObservable(V, f)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 KinOperator is stored or builds an exponential, no module takes a dense
 eigendecomposition or a numerical rank or gathers through a meshgrid, only
 ``kinspace`` writes the 1e-9 of the zero and lattice tests, only the
-two dense reads check the dense budget, and a state's values come from
-the two walks of ``AlgebraicState`` without acting on a bra."""
+two dense reads check the dense budget, no module reads a dense form, and
+a state's values come from the two walks of ``AlgebraicState`` without
+acting on a bra."""
 
 import ast
 from pathlib import Path
@@ -88,6 +89,16 @@ def test_only_kinspace_writes_the_1e9_tolerance(path):
              if isinstance(node, ast.Constant) and type(node.value) is float
              and node.value == 1e-9]
     assert not found, found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_reads_a_dense_form(path):
+    # ``matrix`` is built only when a caller outside the package asks
+    reads = [f"{path.name}:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "matrix"]
+    assert not reads, reads
 
 
 def _callers(tree, name):

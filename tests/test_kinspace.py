@@ -496,8 +496,14 @@ class TestComposedForm:
             out = np.full(v.shape, np.nan, dtype=complex)
             assert op.apply(v, out=out) is out
             assert np.array_equal(out, op.apply(v))
-        assert (l1 + ks.factor_operator(sp, 1, l1.local.conj().T)).hermitian
-        assert not (l1 + m).hermitian and not (l1 @ d).hermitian
+        # a composed form does not decide ``hermitian``: its matrix is read
+        herm = (l1 + ks.factor_operator(sp, 1, l1.local.conj().T)).matrix
+        assert np.max(np.abs(herm - herm.conj().T)) < ks.HERM_TOL
+        for op in (l1 + m, l1 @ d):
+            M = op.matrix
+            assert not np.max(np.abs(M - M.conj().T)) < ks.HERM_TOL
+            with pytest.raises(UnsupportedForm, match="matrix"):
+                op.hermitian
 
     def test_composition_rules(self):
         sp, (d, l1, l2, m) = self.operands(np.random.default_rng(191))

@@ -133,3 +133,22 @@ def test_gaussian_state_rejects_a_recipe_off_the_kernel():
         got = md.gaussian_physical_state(
             model, system_amp={1: scale * (off + 1e-17 * on)})
         assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_gaussian_state_drops_a_shear_that_overflows_off_the_kernel():
+    # newtonian, dp = 2: exp(3 p_C p_S) overflows at the far corners of the
+    # grid, which lie off the kernel; the state is finite, normalised and
+    # physical, with no RuntimeWarning (an error under the test config)
+    model = model_of(md.ModelSpec("newtonian", dp=2.0))
+    psi = md.gaussian_physical_state(model, shear={(0, 1): 3.0})
+    assert np.all(np.isfinite(psi))
+    assert abs(np.linalg.norm(psi) - 1) <= 1e-15
+    assert np.linalg.norm(model.constraint.apply(psi)) == 0
+
+
+def test_gaussian_state_rejects_a_shear_that_overflows_on_the_kernel():
+    # exp(-300 p_C p_S) overflows where p_C = -p_S, on the kernel: the
+    # recipe is refused instead of returning a NaN state
+    model = model_of(md.ModelSpec("newtonian", dp=2.0))
+    with pytest.raises(ConfigError, match="overflows on the kernel"):
+        md.gaussian_physical_state(model, shear={(0, 1): -300.0})

@@ -1,8 +1,12 @@
 import json
+import tracemalloc
 import warnings
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from oracles import represent
@@ -200,7 +204,7 @@ class TestQRFTransform:
         rho_a, rho_b = fr_a.grid[4], fr_b.grid[5]
         v_ab = rg.qrf_transform(fr_a, rho_a, fr_b, rho_b, model.Pi)
         v_ba = rg.qrf_transform(fr_b, rho_b, fr_a, rho_a, model.Pi)
-        comp = v_ba.matrix @ v_ab.matrix
+        comp = v_ba.apply(v_ab.apply(np.eye(model.space.dim // 8)))
         assert np.max(np.abs(comp - np.eye(comp.shape[0]))) < 1e-10
 
     def test_transforms_reduced_states(self, model, psi):
@@ -231,8 +235,9 @@ class TestQRFTransform:
         rho_a, rho_b = fr_a.grid[3], fr_b.grid[1]
         v = rg.qrf_transform(fr_a, rho_a, fr_b, rho_b, m.Pi)
         ref = unit_vector_reference(fr_a, rho_a, fr_b, rho_b, m.Pi)
-        assert v.matrix.shape == ref.shape
-        assert np.max(np.abs(v.matrix - ref)) < 1e-12
+        mat = v.apply(np.eye(m.space.dim // fr_a.N))
+        assert mat.shape == ref.shape
+        assert np.max(np.abs(mat - ref)) < 1e-12
 
     def test_matrix_of_frames_of_different_sizes(self):
         space = ks.tensor_space([ks.FactorSpec.frame(4, 1.0, "A"),
@@ -243,8 +248,9 @@ class TestQRFTransform:
         fr_a, fr_b = ro.OrientationFrame(space, 2), ro.OrientationFrame(space, 0)
         v = rg.qrf_transform(fr_a, fr_a.grid[5], fr_b, fr_b.grid[1], Pi)
         ref = unit_vector_reference(fr_a, fr_a.grid[5], fr_b, fr_b.grid[1], Pi)
-        assert v.matrix.shape == ref.shape == (24, 12)
-        assert np.max(np.abs(v.matrix - ref)) < 1e-12
+        mat = v.apply(np.eye(12))
+        assert mat.shape == ref.shape == (24, 12)
+        assert np.max(np.abs(mat - ref)) < 1e-12
 
     def test_same_frame_rejected(self, model):
         fr = model.frames["A"]
@@ -259,7 +265,7 @@ class TestQRFTransform:
         # on the A-reduced space (factors B, C) the position of B acts first
         qmat = md.position_matrix(8, 1.0, model.hbar)
         q_b = np.kron(qmat, np.eye(8))
-        conj = rg.conjugate_observable(v, q_b)
+        conj = rg.conjugate_observable(v, q_b).apply(np.eye(64))
         q_a = np.kron(qmat, np.eye(8))  # on the B-reduced space (A, C)
         target = -q_a + (rho_a + rho_b) * np.eye(64)
         diff = conj - target
@@ -281,7 +287,7 @@ class TestQRFTransform:
         v = rg.qrf_transform(fr_a, rho_a, fr_b, rho_b, model.Pi)
         pvals = model.space.factors[0].generator_spectrum
         p_b = np.kron(np.diag(pvals), np.eye(8))
-        conj = rg.conjugate_observable(v, p_b)
+        conj = rg.conjugate_observable(v, p_b).apply(np.eye(64))
         p_a = np.kron(np.diag(pvals), np.eye(8))
         p_c = np.kron(np.eye(8), np.diag(pvals))
         target = -p_a - p_c
@@ -294,7 +300,7 @@ class TestQRFTransform:
     def test_identity_observable_fixed(self, model):
         fr_a, fr_b = model.frames["A"], model.frames["B"]
         v = rg.qrf_transform(fr_a, 0.0, fr_b, 0.0, model.Pi)
-        conj = rg.conjugate_observable(v, np.eye(64))
+        conj = rg.conjugate_observable(v, np.eye(64)).apply(np.eye(64))
         assert np.max(np.abs(conj - np.eye(64))) < 1e-10
 
     def test_invariant_system_observable_unchanged(self, model):
@@ -303,8 +309,79 @@ class TestQRFTransform:
         v = rg.qrf_transform(fr_a, 0.0, fr_b, 0.0, model.Pi)
         pvals = model.space.factors[2].generator_spectrum
         f = np.kron(np.eye(8), np.diag(pvals))  # p_C on either reduced space
-        conj = rg.conjugate_observable(v, f)
+        conj = rg.conjugate_observable(v, f).apply(np.eye(64))
         assert np.max(np.abs(conj - f)) < 1e-10
+
+
+@cache
+def qrf_case(kind, size, j, hbar):
+    """(frames, Pi) of the nparticle or su2 model on frames of ``size``
+    (spin ``j``), or of particles on frames of 8, 6 and 8 points ("8-6-8"),
+    or of frames of 4 and 8 points around a 3-level system ("4-3-8"),
+    under C = sum_i p_i."""
+    if kind in ("nparticle", "su2"):
+        model = md.build_model(md.ModelSpec(kind, lattice_size=size, j=j,
+                                            hbar=hbar))
+        return list(model.frames.values()), model.Pi
+    if kind == "8-6-8":
+        factors = [ks.FactorSpec.frame(n, 1.0, lab)
+                   for n, lab in zip((8, 6, 8), "ABC")]
+    else:
+        factors = [ks.FactorSpec.frame(4, 1.0, "A"),
+                   ks.FactorSpec.system([0.0, 1.0, -1.0]),
+                   ks.FactorSpec.frame(8, 1.0, "B")]
+    space = ks.tensor_space(factors, hbar=hbar)
+    Pi = ks.group_average(space, ks.build_constraint(space, {0: 1.0, 1: 1.0,
+                                                             2: 1.0}))
+    return [ro.OrientationFrame(space, i) for i, fac in enumerate(factors)
+            if fac.is_frame], Pi
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(["nparticle", "su2", "8-6-8", "4-3-8"]),
+       size=st.sampled_from([4, 6, 8]), j=st.integers(1, 2),
+       hbar=st.sampled_from([1.0, 0.7]), pair=st.integers(0, 5),
+       ja=st.integers(0, 15), jb=st.integers(0, 15),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="nparticle", size=16, j=1, hbar=0.7, pair=1, ja=11, jb=3,
+         seed=7)
+@example(kind="su2", size=8, j=2, hbar=1.0, pair=0, ja=5, jb=2, seed=11)
+@example(kind="8-6-8", size=8, j=1, hbar=0.7, pair=2, ja=7, jb=4, seed=13)
+@example(kind="4-3-8", size=8, j=1, hbar=1.0, pair=1, ja=6, jb=1, seed=17)
+def test_conjugate_observable_is_the_dense_conjugation(kind, size, j, hbar,
+                                                       pair, ja, jb, seed):
+    # V f V^dag through V's maps against R f R^dag with R the unit-vector
+    # reference of V; V^dag is the reverse change bit for bit; and where
+    # V^dag V = 1 (the source frame at least as large as the target),
+    # V^dag (V f V^dag) V = f
+    frames, Pi = qrf_case(kind, size, j, hbar)
+    pairs = [(a, b) for a in frames for b in frames if a is not b]
+    fa, fb = pairs[pair % len(pairs)]
+    rho_a, rho_b = fa.grid[ja % fa.N], fb.grid[jb % fb.N]
+    n_a, n_b = fa.space.dim // fa.N, fa.space.dim // fb.N
+    rng = np.random.default_rng(seed)
+
+    def sample(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    f = sample(n_a, n_a)
+    f = f + f.conj().T
+    v = rg.qrf_transform(fa, rho_a, fb, rho_b, Pi)
+    back = rg.qrf_transform(fb, rho_b, fa, rho_a, Pi)
+    R = unit_vector_reference(fa, rho_a, fb, rho_b, Pi)
+    conj = rg.conjugate_observable(v, f)
+    for X in (sample(n_b, 3), sample(n_b)):
+        want = R @ (f @ (R.conj().T @ X))
+        assert np.max(np.abs(conj.apply(X) - want)) \
+            <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(v.apply_adjoint(X), back.apply(X))
+    if n_a <= n_b:
+        x = sample(n_a, 3)
+        assert np.max(np.abs(v.apply_adjoint(v.apply(x)) - x)) \
+            <= 1e-12 * np.max(np.abs(x))
+        want = f @ x
+        assert np.max(np.abs(back.apply(conj.apply(v.apply(x))) - want)) \
+            <= 1e-12 * np.max(np.abs(want))
 
 
 class TestThetaGauge:
@@ -689,6 +766,35 @@ class TestLargeLattice:
         x = rng.normal(size=(32 * 32, 3)) + 1j * rng.normal(size=(32 * 32, 3))
         assert np.max(np.abs(v_ba.apply(v_ab.apply(x)) - x)) < 1e-10
 
+    def test_conjugate_observable_reads_no_dense_form(self, big,
+                                                      monkeypatch):
+        # V f V^dag built and applied to one vector through V's maps: no
+        # KinOperator.matrix or embed_matrix read, and a tracemalloc peak
+        # of at most 4 MiB (an n_B x n_A form of V alone is 16 MiB)
+        model, psi = big
+        fr_a, fr_b = model.frames["A"], model.frames["B"]
+        rho_a, rho_b = fr_a.grid[16], fr_b.grid[15]
+        rng = np.random.default_rng(163)
+        m = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        f = np.kron(np.eye(32), m + m.conj().T)  # on C, of the A-reduced (B, C)
+        v = rg.qrf_transform(fr_a, rho_a, fr_b, rho_b, model.Pi)
+        red = rg.reduce_state(fr_a, rho_a, psi)
+        moved, want = v.apply(red), v.apply(f @ red)
+
+        def dense(*args):
+            raise AssertionError("a dense D x D form was read")
+
+        monkeypatch.setattr(ks.KinOperator, "matrix", property(dense))
+        monkeypatch.setattr(ks.LatticeSpace, "embed_matrix", dense)
+        tracemalloc.start()
+        try:
+            got = rg.conjugate_observable(v, f).apply(moved)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert np.max(np.abs(got - want)) < 1e-10
+
     def test_composite_gauge_in_a_fresh_interpreter(self):
         """Under a 3 GB address-space limit the composite gauge with
         unprojected diagonal O1, O2 is a gauge, and transforming a state by
@@ -765,8 +871,8 @@ def test_frame_paths_read_no_dense_form(model, psi, monkeypatch):
     v = rg.qrf_transform(fr_a, rho_a, fr_b, rho_b, model.Pi)
     moved = v.apply(red)
     obs = rg.conjugate_observable(v, np.kron(np.eye(8), m))
-    assert np.max(np.abs(obs @ moved - v.apply(np.kron(np.eye(8), m) @ red))) \
-        < 1e-10
+    assert np.max(np.abs(obs.apply(moved)
+                         - v.apply(np.kron(np.eye(8), m) @ red))) < 1e-10
     closed = ro.relational_observable(model.space, model.constraint, fr_a,
                                       rho_a, f_s, form="closed")
     f_red = ks.factor_operator(ks.reduced_space(model.space, fr_a.factor), 1,
