@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import isfinite, prod
+from itertools import count
+from math import ceil, isfinite, prod
 
 import numpy as np
 
@@ -317,10 +318,10 @@ class KinOperator:
     classes: np.ndarray = None
 
     @staticmethod
-    def from_matrix(space, matrix, *, warnings=()) -> "KinOperator":
+    def from_matrix(space, matrix) -> "KinOperator":
         matrix = np.asarray(matrix, dtype=complex).view()
         matrix.setflags(write=False)
-        return KinOperator(space, matrix, None, tuple(warnings))
+        return KinOperator(space, matrix)
 
     @staticmethod
     def from_diag(space, diag, *, warnings=()) -> "KinOperator":
@@ -354,16 +355,18 @@ class KinOperator:
 
     @staticmethod
     def exp(X: "KinOperator", s, max_exponent: float = 50.0) -> "KinOperator":
-        """exp(s X), the kind ``"exp"`` on s X: a phase for a diagonal X, else
-        ``expm_multiply`` (Al-Mohy & Higham 2011) with tr(s X) from the
-        diagonal.  IllConditionedFlow when |s| ||X||_2 > ``max_exponent``
+        """exp(s X): the kind ``"exp"`` on s X, a phase for a diagonal X, else
+        n = ceil(|s| ||X||_2) equal such factors on s X / n, Taylor steps of
+        norm about 1.  IllConditionedFlow when |s| ||X||_2 > ``max_exponent``
         (max |X_ii| for a diagonal X, else a power-iteration lower bound)."""
         norm = (float(np.max(np.abs(X.diag))) if X.is_diagonal
                 else _spectral_norm_estimate(X))
-        if abs(s) * norm > max_exponent:
+        if not abs(s) * norm <= max_exponent:  # a NaN fails too
             raise IllConditionedFlow(
                 f"|s|*||X||_2 = {abs(s) * norm:.1f} exceeds {max_exponent}")
-        return KinOperator.composed("exp", (complex(s) * X,))
+        n = 1 if X.is_diagonal else max(1, ceil(abs(s) * norm))
+        step = KinOperator.composed("exp", (complex(s) / n * X,))
+        return step if n == 1 else KinOperator.composed("@", (step,) * n)
 
     @property
     def is_diagonal(self) -> bool:
@@ -506,37 +509,33 @@ class KinOperator:
             out *= np.conj(self.scalar) if adjoint else self.scalar
         return out
 
-    def _exp(self, vec, out, adjoint: bool) -> np.ndarray:
-        """exp(X) (or exp(X^dag)) on ``vec``, X the one operand.
+    @cached_property
+    def _mu(self) -> complex:
+        """tr(X)/D, X the one operand of an exp: the shift of its series."""
+        return complex(np.sum(self.operands[0].diagonal())) / self.space.dim
 
-        scipy's 1-norm estimate inside ``expm_multiply`` draws from numpy's
-        global legacy random state, so it runs under a fixed seed of that
-        state, saved before and restored after: every apply gives the same
-        bits, and the caller's random stream does not move.  Not
-        thread-safe: another thread drawing from the global state meanwhile
-        sees the fixed seed and moves this apply's draws."""
+    def _exp(self, vec, out, adjoint: bool) -> np.ndarray:
+        """exp(X) (or exp(X^dag)) on ``vec``, X the one operand: a phase for
+        a diagonal X, else e^mu times the Taylor series of exp(X - mu) until
+        two terms in a row fall to 2^-53 of the partial sum in each column."""
         X = self.operands[0]
         if X.is_diagonal:
             d = np.exp(X.diag.conj() if adjoint else X.diag)
             return KinOperator.from_diag(X.space, d).apply(vec, out)
-        # imported here, so importing qrfkit skips it
-        from scipy.sparse.linalg import LinearOperator, expm_multiply
-
-        mv, rmv = ((X.apply_adjoint, X.apply) if adjoint
-                   else (X.apply, X.apply_adjoint))
-        trace = np.sum(X.diagonal())
-        A = LinearOperator((X.space.dim,) * 2, dtype=complex, matvec=mv,
-                           rmatvec=rmv, matmat=mv, rmatmat=rmv)
-        state = np.random.get_state()
-        np.random.seed(0)
-        try:
-            res = expm_multiply(A, vec,
-                                traceA=np.conj(trace) if adjoint else trace)
-        finally:
-            np.random.set_state(state)
+        mu = np.conj(self._mu) if adjoint else self._mu
+        act = X.apply_adjoint if adjoint else X.apply
         if out is None:
-            return res
-        out[...] = res
+            out = np.empty(vec.shape, dtype=complex)
+        out[...] = vec
+        term, below = vec, False
+        for k in count(1):
+            term = (act(term) - mu * term) / k
+            out += term
+            tol = 2.0 ** -53 * np.linalg.norm(out, axis=0)
+            prev, below = below, not np.any(np.linalg.norm(term, axis=0) > tol)
+            if prev and below:
+                break
+        out *= np.exp(mu)
         return out
 
     def _twirl(self, vec, out, act) -> np.ndarray:
@@ -604,8 +603,8 @@ def _check_space(space: LatticeSpace, *ops: KinOperator) -> None:
 
 def _spectral_norm_estimate(X: KinOperator) -> float:
     """||X||_2 from below, by power iteration on X^dag X from a fixed start,
-    until two iterates agree to 1e-6 relative (ample for a guard on the
-    exponent's size) or for 100 iterations."""
+    until two iterates agree to 1e-6 relative or for 100 iterations: it
+    guards and steps ``KinOperator.exp`` (a lower bound only adds terms)."""
     dim = X.space.dim
     rng = np.random.default_rng(0)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

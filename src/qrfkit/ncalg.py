@@ -751,19 +751,20 @@ class AlgebraElement:
     def serialize(self) -> str:
         """Canonical text: sorted monomials with exact coefficient literals
         (sympy's ``sstr`` of each expanded coefficient)."""
-        if not self.terms:
-            return "0"
         import sympy as sp
+        return self._text(lambda c: sp.sstr(c._sympy_()), "\n")
 
+    def __repr__(self):
+        return f"<AlgebraElement {self._text(repr, '; ')!r}>"
+
+    def _text(self, coef_text, sep: str) -> str:
+        """The sorted monomials, each with ``coef_text`` of its Coef."""
         lines = []
         for m in sorted(self.terms, key=lambda m: (sum(m), m)):
             mono = "*".join(f"{self.gens.names[g]}^{e}"
                             for g, e in enumerate(m) if e) or "1"
-            lines.append(f"{mono} : {sp.sstr(self.terms[m]._sympy_())}")
-        return "\n".join(lines)
-
-    def __repr__(self):
-        return f"<AlgebraElement {self.serialize()!r}>"
+            lines.append(f"{mono} : {coef_text(self.terms[m])}")
+        return sep.join(lines) or "0"
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -1,5 +1,6 @@
 """Design invariants read from the source: only ``kinspace`` knows how a
-KinOperator is stored or builds an exponential, no module takes a dense
+KinOperator is stored or builds an exponential, no module imports scipy or
+names a library's matrix exponential, no module takes a dense
 eigendecomposition or a numerical rank or gathers through a meshgrid, only
 ``kinspace`` writes the 1e-9 of the zero and lattice tests, only the
 two dense reads check the dense budget, no module reads a dense form, and
@@ -52,11 +53,11 @@ def test_no_module_takes_a_numerical_rank(path):
     assert not calls, calls
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
-                                        if p.name != "kinspace.py"),
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_only_kinspace_builds_exponentials(path):
-    # KinOperator.exp is the one exponential action
+    # KinOperator.exp is the one exponential action, and it sums its own
+    # Taylor series: no module names a library's matrix exponential
     names = [f"{path.name}:{node.lineno} {name}"
              for node in ast.walk(ast.parse(path.read_text()))
              for name in (getattr(node, "id", None),
@@ -64,6 +65,26 @@ def test_only_kinspace_builds_exponentials(path):
                           getattr(node, "name", None))
              if name in {"expm", "expm_multiply", "LinearOperator"}]
     assert not names, names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # scipy is a test oracle only, not a runtime dependency
+    imports = [f"{path.name}:{node.lineno} {name}"
+               for node in ast.walk(ast.parse(path.read_text()))
+               for name in _imported(node)
+               if name.partition(".")[0] == "scipy"]
+    assert not imports, imports
+
+
+def _imported(node):
+    """The modules an import statement names; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

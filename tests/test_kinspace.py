@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -536,8 +536,8 @@ class TestComposedForm:
                 < 1e-12 * np.max(np.abs(ref))
 
     def test_dense_exp_is_bit_reproducible(self):
-        # expm_multiply's norm estimate draws from numpy's global random
-        # state; the apply seeds it and puts the caller's state back
+        # the Taylor steps draw no random numbers: every apply gives the
+        # same bits, and numpy's global random state does not move
         sp = TestOperatorForms.mixed_space()
         rng = np.random.default_rng(223)
         M = rng.normal(size=(sp.dim, sp.dim)) + 1j * rng.normal(
@@ -565,6 +565,56 @@ class TestComposedForm:
         with pytest.raises(IllConditionedFlow):
             ks.KinOperator.exp(l1, 1j, max_exponent=0.99 * exact)
         ks.KinOperator.exp(l1, 1j, max_exponent=1.01 * exact)
+
+    def test_non_finite_exponent_rejected(self):
+        # a NaN |s| ||X||_2 would otherwise reach the step count ceil(NaN)
+        sp, (d, l1, _, _) = self.operands(np.random.default_rng(227))
+        inf = ks.KinOperator.from_diag(sp, np.full(sp.dim, np.inf))
+        for X, s in ((l1, np.nan), (d, np.nan), (inf, 0.0)):
+            with pytest.raises(IllConditionedFlow):
+                ks.KinOperator.exp(X, s)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(kind=st.sampled_from(["local", "dense", "twirl", "nilpotent"]),
+           lam=st.floats(-3.0, 3.0), hbar=st.sampled_from([0.7, 1.6]),
+           size=st.floats(0.1, 2.5), width=st.sampled_from([None, 3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(kind="local", lam=3.0, hbar=0.7, size=2.5, width=None, seed=1)
+    @example(kind="dense", lam=-3.0, hbar=0.7, size=2.5, width=3, seed=2)
+    @example(kind="twirl", lam=3.0, hbar=0.7, size=2.5, width=3, seed=3)
+    @example(kind="nilpotent", lam=-3.0, hbar=0.7, size=2.5, width=None,
+             seed=4)
+    def test_taylor_steps_match_expm(self, kind, lam, hbar, size, width,
+                                     seed):
+        # exp(i lam a C / hbar) for a hermitian a of norm ``size``, local,
+        # dense or twirled, against the dense oracle: |s| ||X|| reaches 43,
+        # where one series without steps loses five digits or more; the
+        # nilpotent local X (strictly upper triangular on one factor) has
+        # terms that hit an exact zero
+        model = md.build_model(md.ModelSpec("nparticle", n_particles=2,
+                                            lattice_size=8, hbar=hbar))
+        sp, C = model.space, model.constraint
+        rng = np.random.default_rng(seed)
+        n = sp.dims[1] if kind in ("local", "nilpotent") else sp.dim
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = np.triu(m, 1) if kind == "nilpotent" else m + m.conj().T
+        m *= size / np.linalg.norm(m, 2)
+        if kind in ("local", "nilpotent"):
+            a = ks.factor_operator(sp, 1, m)
+        else:
+            a = ks.KinOperator.from_matrix(sp, m)
+        if kind == "twirl":
+            a = ro.g_twirl(sp, C, a)
+        X = a if kind == "nilpotent" else a @ C
+        s = 1j * lam / hbar
+        e = ks.KinOperator.exp(X, s)
+        ref = expm(s * X.matrix)
+        shape = (sp.dim,) if width is None else (sp.dim, width)
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for got, want in ((e.apply(v), ref @ v),
+                          (e.apply_adjoint(v), ref.conj().T @ v)):
+            assert np.all(np.linalg.norm(got - want, axis=0)
+                          <= 1e-12 * np.linalg.norm(want, axis=0))
 
     def test_support_is_the_union_of_operand_supports(self):
         sp = TestOperatorForms.mixed_space()

@@ -463,8 +463,8 @@ class TestThetaGauge:
 
     def test_composite_gauge_with_nonzero_exponents(self, model):
         # O1 C != 0: O1 is a non-diagonal Dirac observable (the twirl of a
-        # hermitian on one factor), so its exponential takes
-        # expm_multiply, and O2 an unprojected diagonal, a phase
+        # hermitian on one factor), so its exponential takes the Taylor
+        # steps, and O2 an unprojected diagonal, a phase
         rng = np.random.default_rng(239)
         sp, C = model.space, model.constraint
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -626,7 +626,7 @@ class TestGaugeFlow:
                 model.space, (rng.normal(size=(d, d))
                               + 1j * rng.normal(size=(d, d))) / np.sqrt(d))
         assert a.is_diagonal == (kind in ("identity", "diagonal"))
-        # a dense a makes a @ C composed, so expm_multiply takes it
+        # a dense a makes a @ C composed, so the Taylor steps take it
         lam = -0.37
         with warnings.catch_warnings():
             warnings.simplefilter("error")
