@@ -595,10 +595,11 @@ class KinOperator:
         return KinOperator.composed("@", (self, other))
 
 
-def _check_space(space: LatticeSpace, *ops: KinOperator) -> None:
-    """Raise ConfigError unless every operator in ``ops`` is on ``space``."""
+def _check_space(space: LatticeSpace, *ops) -> None:
+    """Raise ConfigError unless every operator, frame or state in ``ops`` is
+    on ``space`` (the same object, not an equal one)."""
     if any(op.space is not space for op in ops):
-        raise ConfigError("operators live on different spaces")
+        raise ConfigError("inputs live on different spaces")
 
 
 def _spectral_norm_estimate(X: KinOperator) -> float:
@@ -787,6 +788,7 @@ def project_physical(Pi: KinOperator, psi: np.ndarray) -> np.ndarray:
 def physical_inner_product(space: LatticeSpace, Pi: KinOperator,
                            psi_kin: np.ndarray, phi_kin: np.ndarray) -> complex:
     """<psi|Pi|phi>: positive semi-definite, an honest inner product on ker(C)."""
+    _check_space(space, Pi)
     return complex(np.vdot(psi_kin, Pi.apply(phi_kin)))
 
 

@@ -14,10 +14,15 @@ A float enters only through ``_coef``; the parts it reaches are Python
 floats from then on (float-tainted), the rest stay exact.  ``numeric`` is
 the one place where a coefficient becomes a complex number.
 
-Sympy is imported only at the boundary, lazily: by ``_coef`` given sympy
-input, by ``AlgebraElement.serialize``, by ``Coef._sympy_`` and by the module
+The module imports only the standard library and ``.errors``, no numpy: the
+representation on a lattice lives in ``algstates``.  Sympy is imported only
+at the boundary, lazily: by ``_coef`` given sympy input, by
+``AlgebraElement.serialize``, by ``Coef._sympy_`` and by the module
 attribute ``HBAR`` (the sympy Symbol hbar).  Importing this module and the
 arithmetic, normal ordering and evaluation never load it.
+
+One kernel, ``_expand``, sums every exact product: ``multiply``,
+``adjoint``, ``ProductTable`` rows and the Weyl average within one block.
 
 Every commutator rewrite introduces exactly one factor i*hbar*alpha, so the
 hbar power of a coefficient counts the rewrites along any normal-ordering
@@ -51,14 +56,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from numbers import Integral
 from operator import add, mul, sub
 
-import numpy as np
-
-from .errors import ConfigError, DegreeExceeded, RelationViolation
-from .kinspace import _COLUMN_BLOCK
+from .errors import ConfigError, DegreeExceeded
 
 IDENTITY = -1  # index of the identity component in relation tables
 
@@ -91,9 +93,10 @@ def _normalized(raw: dict) -> dict:
     return out
 
 
-def _mul_into(acc: dict, x: dict, y: dict) -> None:
-    """acc[k] += the hbar**k pair of x*y; an exact-zero part contributes no
-    product (so it cannot float-taint a sum), as in a sparse expansion."""
+def _mul_into(acc: dict, x: dict, y: dict) -> dict:
+    """acc[k] += the hbar**k pair of x*y, unnormalized; returns acc.  An
+    exact-zero part contributes no product (so it cannot float-taint a
+    sum), as in a sparse expansion."""
     for k1, (a, b) in x.items():
         for k2, (c, d) in y.items():
             re = (a * c if a and c else 0) - (b * d if b and d else 0)
@@ -101,6 +104,7 @@ def _mul_into(acc: dict, x: dict, y: dict) -> None:
             k = k1 + k2
             p = acc.get(k)
             acc[k] = (re, im) if p is None else (p[0] + re, p[1] + im)
+    return acc
 
 
 def _add_into(acc: dict, y: dict) -> None:
@@ -154,9 +158,8 @@ class Coef:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return NotImplemented
-        acc = {}
-        _mul_into(acc, self.terms, _coef(other).terms)
-        return Coef._of(_normalized(acc))
+        return Coef._of(_normalized(_mul_into({}, self.terms,
+                                              _coef(other).terms)))
 
     __rmul__ = __mul__
 
@@ -343,21 +346,11 @@ class Structure:
         sorted by (degree, m); a fresh list each call."""
         if max_degree < 0:
             return []
-        n = self.n
-
-        def exactly(slot, remaining):
-            """Exponent vectors of degree ``remaining`` on the generators
-            from ``slot`` on, in increasing order."""
-            if slot == n:
-                if remaining == 0:
-                    yield ()
-                return
-            for e in range(remaining + 1):
-                for rest in exactly(slot + 1, remaining - e):
-                    yield (e,) + rest
-
+        gens = range(self.n)
         while len(self.basis_ends) <= max_degree:
-            self.basis.extend(exactly(0, len(self.basis_ends)))
+            self.basis.extend(sorted(tuple(map(w.count, gens)) for w in
+                                     combinations_with_replacement(
+                                         gens, len(self.basis_ends))))
             self.basis_ends.append(len(self.basis))
         return self.basis[:self.basis_ends[max_degree]]
 
@@ -407,13 +400,25 @@ class Structure:
         return found
 
 
+def _expand(s: Structure, pairs) -> dict:
+    """sum c normal_order(w) over the (word w, hbar-power dict c) pairs, in
+    their order, as monomial -> raw summed hbar-power pairs (``_terms`` or
+    ``AlgebraElement._of`` drop the zero sums).  Every exact product is
+    summed here, so two products over the same pairs agree bitwise."""
+    acc = {}
+    for w, c in pairs:
+        for m, cw in s.normal_order_word(w).items():
+            _mul_into(acc.setdefault(m, {}), c, cw.terms)
+    return acc
+
+
 class ProductTable:
     """The exact normal forms of left a right, one row (monomial ->
     ``Coef``) per monomial a of the basis up to a degree, in basis order.
 
-    Row a is summed from ``normal_order_word(word(l) + word(a) + word(r))``
-    over the terms l of left and r of right, with c_l c_r, in the order
-    ``multiply`` sums (so a row is bitwise the product ``multiply`` builds),
+    Row a is summed by ``_expand``, as ``multiply`` is, over the pairs
+    (word(l) + word(a) + word(r), c_l c_r) for the terms l of left and r of
+    right in order, so a row is bitwise the product ``multiply`` builds;
     zero sums dropped.  ``columns`` lists the monomials of all rows once;
     ``numeric`` reads the rows at an hbar, and ``exact_at_one`` exactly at
     hbar = 1.  Treat as read-only.
@@ -422,20 +427,14 @@ class ProductTable:
     __slots__ = ("rows", "columns", "_numeric", "_exact_at_one")
 
     def __init__(self, s: Structure, left: dict, right: dict, degree: int):
-        pairs = []  # (word(l), word(r), c_l * c_r)
-        for ml, cl in left.items():
-            for mr, cr in right.items():
-                cc = {}
-                _mul_into(cc, cl.terms, cr.terms)
-                pairs.append((monomial_word(ml), monomial_word(mr), cc))
+        pairs = [(monomial_word(ml), monomial_word(mr),
+                  _mul_into({}, cl.terms, cr.terms))
+                 for ml, cl in left.items() for mr, cr in right.items()]
         self.rows = []
         for m in s.monomial_basis(degree):
             wa = monomial_word(m)
-            acc = {}
-            for wl, wr, cc in pairs:
-                for mm, c in s.normal_order_word(wl + wa + wr).items():
-                    _mul_into(acc.setdefault(mm, {}), cc, c.terms)
-            self.rows.append(_terms(acc))
+            self.rows.append(_terms(_expand(
+                s, ((wl + wa + wr, cc) for wl, wr, cc in pairs))))
         self.columns = list(dict.fromkeys(m for row in self.rows
                                           for m in row))
         self._numeric = {}
@@ -635,10 +634,7 @@ class GeneratorSet:
 
 def _block_part(m: tuple, block: tuple) -> tuple:
     """``m`` restricted to the generators of ``block``, zero elsewhere."""
-    part = [0] * len(m)
-    for g in block:
-        part[g] = m[g]
-    return tuple(part)
+    return tuple(e if g in block else 0 for g, e in enumerate(m))
 
 
 def _terms(acc: dict) -> dict:
@@ -714,8 +710,7 @@ class AlgebraElement:
             _add_into(acc.setdefault(m, {}), c.terms)
         return AlgebraElement._of(self.gens, acc)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self + (-1) * self._coerce(other)
@@ -759,35 +754,31 @@ class AlgebraElement:
 
     def _text(self, coef_text, sep: str) -> str:
         """The sorted monomials, each with ``coef_text`` of its Coef."""
-        lines = []
-        for m in sorted(self.terms, key=lambda m: (sum(m), m)):
-            mono = "*".join(f"{self.gens.names[g]}^{e}"
-                            for g, e in enumerate(m) if e) or "1"
-            lines.append(f"{mono} : {coef_text(self.terms[m])}")
+        lines = [f"{_monomial_text(self.gens.names, m)} : "
+                 f"{coef_text(self.terms[m])}"
+                 for m in sorted(self.terms, key=lambda m: (sum(m), m))]
         return sep.join(lines) or "0"
 
 
+def _monomial_text(names: tuple, m: tuple) -> str:
+    """``m`` as "name^e*...", the unit as "1"."""
+    return "*".join(f"{names[g]}^{e}" for g, e in enumerate(m) if e) or "1"
+
+
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Associative product, rewritten to normal order."""
+    """Associative product, rewritten to normal order by ``_expand``;
+    DegreeExceeded when deg a + deg b passes the cap."""
     if a.gens is not b.gens:
         raise ConfigError("elements belong to different generator sets")
     gens = a.gens
-    cap = gens.degree_cap
-    normal_order_word = gens.structure.normal_order_word
-    right = [(monomial_word(mb), sum(mb), cb.terms)
-             for mb, cb in b.terms.items()]
-    acc = {}
-    for ma, ca in a.terms.items():
-        wa, da = monomial_word(ma), sum(ma)
-        for wb, db, cb in right:
-            if da + db > cap:
-                raise DegreeExceeded(
-                    f"product degree {da + db} exceeds cap {cap}")
-            cc = {}  # unnormalized: _mul_into skips its zero parts
-            _mul_into(cc, ca.terms, cb)
-            for m, c in normal_order_word(wa + wb).items():
-                _mul_into(acc.setdefault(m, {}), cc, c.terms)
-    return AlgebraElement._of(gens, acc)
+    total = a.degree() + b.degree()
+    if total > gens.degree_cap:
+        raise DegreeExceeded(f"product degree {total} exceeds cap "
+                             f"{gens.degree_cap}")
+    right = [(monomial_word(mb), cb.terms) for mb, cb in b.terms.items()]
+    return AlgebraElement._of(gens, _expand(gens.structure, (
+        (monomial_word(ma) + wb, _mul_into({}, ca.terms, cb))
+        for ma, ca in a.terms.items() for wb, cb in right)))
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -796,14 +787,9 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:
     """The *-involution: reverse each word, conjugate each coefficient."""
-    gens = a.gens
-    acc = {}
-    for m, c in a.terms.items():
-        rev = tuple(reversed(monomial_word(m)))
-        cc = c.conjugate().terms
-        for mm, c2 in gens.normal_order_word(rev).items():
-            _mul_into(acc.setdefault(mm, {}), cc, c2.terms)
-    return AlgebraElement._of(gens, acc)
+    return AlgebraElement._of(a.gens, _expand(a.gens.structure, (
+        (monomial_word(m)[::-1], c.conjugate().terms)
+        for m, c in a.terms.items())))
 
 
 def weyl_symmetrize(gens: GeneratorSet, m) -> AlgebraElement:
@@ -839,10 +825,7 @@ def _weyl_terms(s: Structure, m: tuple) -> dict:
         result = _terms(acc)
     else:
         perms = dict.fromkeys(permutations(monomial_word(m)))
-        acc = {}
-        for perm in perms:
-            for mm, c in s.normal_order_word(perm).items():
-                _add_into(acc.setdefault(mm, {}), c.terms)
+        acc = _expand(s, ((perm, _ONE.terms) for perm in perms))
         scale = _coef(Fraction(1, len(perms)))
         result = {mm: v for mm, v in ((mm, scale * c)
                                       for mm, c in _terms(acc).items()) if v}
@@ -885,76 +868,3 @@ def from_weyl_basis(gens: GeneratorSet, coeffs: dict) -> AlgebraElement:
             _mul_into(acc.setdefault(mm, {}), c, cc.terms)
     return AlgebraElement._of(gens, acc)
 
-
-def _prefix_walk(gens: GeneratorSet, words, assignment, vec):
-    """Yield (w, y_w1 ... y_wn vec) for the ``words``, depth first over
-    their suffixes.  Each node is applied from its parent's buffer into one
-    complex buffer per trie depth (<= degree of them, made on first use;
-    ``vec`` is never written), so a yielded vector is valid only until the
-    walk's next step: use it at once or copy it."""
-    children = {}  # suffix -> the suffixes one letter longer
-    for w in {w[k:] for w in words for k in range(len(w))}:
-        children.setdefault(w[1:], []).append(w)
-    bufs = [vec]
-    stack = [()]
-    while stack:
-        w = stack.pop()
-        d = len(w)
-        if d == len(bufs):
-            bufs.append(np.empty(vec.shape, dtype=complex))
-        if w:  # depth first: bufs[d - 1] still holds the parent w[1:]
-            assignment[gens.names[w[0]]].apply(bufs[d - 1], out=bufs[d])
-        if w in words:
-            yield w, bufs[d]
-        stack += children.get(w, ())
-
-
-def verify_assignment(gens: GeneratorSet, space, assignment,
-                      test_states=None) -> dict:
-    """Check the relation table under an assignment (generator name to
-    KinOperator), through ``apply`` only.
-
-    Each relation [a, b] = i*hbar*sum_k alpha_k y_k is read from one residual
-    on a column block V: R = a(bV) - b(aV) - sum_k i*hbar*alpha_k y_k V,
-    with y_k V = V for the identity component.  Lie-type relations (no
-    identity component) must hold as exact matrix identities: V runs over
-    the D unit columns in blocks of ``_COLUMN_BLOCK`` (256), and
-    max |R| <= 1e-10, else RelationViolation.  Relations with an identity
-    component (canonical pairs) cannot hold globally on a finite lattice;
-    V holds the caller's localized test states as columns
-    (D x len(test_states)) and the report gives max |v^dag R v| / v^dag v
-    over them, or None without test states.
-    """
-    states = list(() if test_states is None else test_states)
-    states = np.column_stack(states) if states else None
-    report = {}
-    for (i, j), comps in gens.relations.items():
-        key = (gens.names[i], gens.names[j])
-        a, b = assignment[key[0]], assignment[key[1]]
-        terms = [(numeric(I_HBAR * alpha, space.hbar),
-                  None if k == IDENTITY else assignment[gens.names[k]])
-                 for k, alpha in comps.items()]
-        if IDENTITY not in comps:
-            dim = space.dim
-            report[key] = max(float(np.max(np.abs(_relation_residual(
-                a, b, terms, np.eye(dim, min(_COLUMN_BLOCK, dim - c), -c)))))
-                for c in range(0, dim, _COLUMN_BLOCK))
-            if report[key] > 1e-10:
-                raise RelationViolation(f"relation [{key[0]}, {key[1]}] "
-                                        f"fails: residual {report[key]:.2e}")
-        elif states is None:
-            report[key] = None
-        else:
-            R = _relation_residual(a, b, terms, states)
-            report[key] = float(np.max(
-                np.abs(np.sum(states.conj() * R, axis=0))
-                / np.sum(np.abs(states) ** 2, axis=0)))
-    return report
-
-
-def _relation_residual(a, b, terms, V: np.ndarray) -> np.ndarray:
-    """R = a(bV) - b(aV) - sum c y V over ``terms`` (c, y); y None means 1."""
-    R = a.apply(b.apply(V)) - b.apply(a.apply(V))
-    for c, y in terms:
-        R -= c * (V if y is None else y.apply(V))
-    return R

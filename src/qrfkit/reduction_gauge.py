@@ -33,6 +33,7 @@ def reduce_state(frame: OrientationFrame, rho: float, psi_phys: np.ndarray,
                  C: KinOperator = None) -> np.ndarray:
     """Page-Wootters conditioning: (<rho| x 1) psi on the remaining factors."""
     if C is not None:
+        _check_space(frame.space, C)
         check_physical(C, psi_phys)
     bra = orientation_state_at(frame, rho).conj()[None, :]
     return frame.space.apply_factor(frame.factor, bra, psi_phys)
@@ -41,6 +42,7 @@ def reduce_state(frame: OrientationFrame, rho: float, psi_phys: np.ndarray,
 def embed_state(frame: OrientationFrame, rho: float, phi: np.ndarray,
                 Pi: KinOperator) -> np.ndarray:
     """Inverse conditioning: Pi (phi x |rho>), a state annihilated by C."""
+    _check_space(Pi.space, frame)
     ket = orientation_state_at(frame, rho)[:, None]
     return Pi.apply(frame.space.apply_factor(frame.factor, ket, phi))
 
@@ -77,6 +79,7 @@ def qrf_transform(frame_a: OrientationFrame, rho_a: float,
     """V = R_B(rho_B) o R_A^dag(rho_A), mapping reduced-A to reduced-B states."""
     if frame_a.factor == frame_b.factor:
         raise SameFrame("QRF transformation needs two distinct frames")
+    _check_space(Pi.space, frame_a, frame_b)
     return QRFTransform(frame_a, rho_a, frame_b, rho_b, Pi)
 
 
@@ -164,6 +167,7 @@ def gauge_transform_state(omega: AlgebraicState, phi_b: KinOperator,
     """
     if omega.bra is None:
         raise ConfigError("gauge transforms need a Hilbert-backed state")
+    _check_space(omega.space, Pi, phi_b)
     new_bra = phi_b.apply_adjoint(Pi.apply(omega.bra))
     return from_hilbert(new_bra, omega.ket, omega.space, omega.assignment,
                         omega.gens, omega.degree_bound, normalize=False)
@@ -179,6 +183,7 @@ def gauge_flow(omega: AlgebraicState, a: KinOperator, lam: float,
     """
     if omega.bra is None:
         raise ConfigError("gauge flows need a Hilbert-backed state")
+    _check_space(omega.space, a, C)
     _diagonal_spectrum(C)
     flow = KinOperator.exp(a @ C, 1j * lam / omega.space.hbar, max_exponent)
     return from_hilbert(flow.apply_adjoint(omega.bra), omega.ket, omega.space,
@@ -195,6 +200,7 @@ def system_projector(frame: OrientationFrame, Pi: KinOperator) -> KinOperator:
     is pi_hat: |<p_k|rho>| = 1, so the block's diagonal is the sum of Pi's
     diagonal along the frame axis.
     """
+    _check_space(Pi.space, frame)
     dims = frame.space.dims
     d = _diagonal_spectrum(Pi).reshape(dims).sum(axis=frame.factor,
                                                keepdims=True)

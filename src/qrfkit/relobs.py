@@ -185,12 +185,12 @@ def relational_observable(space: LatticeSpace, C: KinOperator,
                           Pi: KinOperator = None) -> KinOperator:
     """Relational Dirac observable: f_S conditioned on the frame reading rho.
 
-    C must be diagonal and hermitian (UnsupportedForm otherwise), for every
-    form.  Each form is a composed ``KinOperator`` that stores its parts,
-    never a D x D matrix, and applies them in turn.  Reading
-    its ``matrix`` builds the D x D form from 256-column identity blocks,
-    D/256 block applies, and raises DenseBudgetExceeded above
-    ``kinspace.DENSE_BUDGET``.
+    C must be diagonal and hermitian (UnsupportedForm otherwise), and C,
+    the frame and f_S on ``space`` (ConfigError), for every form.  Each
+    form is a composed ``KinOperator`` that stores its parts, never a D x D
+    matrix, and applies them in turn.  Reading its ``matrix`` builds the
+    D x D form from 256-column identity blocks, D/256 block applies, and
+    raises DenseBudgetExceeded above ``kinspace.DENSE_BUDGET``.
 
     form="kinematical": G-twirl of |rho><rho| (x) f_S over the constraint
     group (see ``g_twirl``).  Stores Theta, f_S and one eigenvalue class
@@ -204,6 +204,7 @@ def relational_observable(space: LatticeSpace, C: KinOperator,
     form="physical": Pi (|rho><rho| (x) f_S), the representation on the
     physical Hilbert space.  Stores Pi, Theta and f_S; an apply is three.
     """
+    _check_space(space, C, frame, f_s)
     _diagonal_spectrum(C)
     if frame.factor in f_s.support:
         raise UnsupportedForm("f_S must be supported off the frame factor")

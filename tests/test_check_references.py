@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from oracles import cyclic_group, g_twirl_oracle
+from qrfkit import algstates as ast
 from qrfkit import kinspace as ks
 from qrfkit import models as md
 from qrfkit import ncalg
@@ -151,8 +152,8 @@ def test_verify_assignment_matches_dense_reference(spec):
     states = [md.random_physical_state(model, rng),
               md.gaussian_physical_state(model)]
     for test_states in (None, [], states):
-        got = ncalg.verify_assignment(model.gens, model.space,
-                                      model.assignment, test_states)
+        got = ast.verify_assignment(model.gens, model.space,
+                                    model.assignment, test_states)
         ref = dense_assignment_reference(model.gens, model.space,
                                          model.assignment, test_states)
         assert got.keys() == ref.keys()
@@ -230,7 +231,7 @@ def test_verify_assignment_lie_peak_below_fifteen_mib():
     assert model.space.dim == 768
     tracemalloc.start()
     try:
-        ncalg.verify_assignment(model.gens, model.space, model.assignment)
+        ast.verify_assignment(model.gens, model.space, model.assignment)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,11 +3,14 @@ KinOperator is stored or builds an exponential, no module imports scipy or
 names a library's matrix exponential, no module takes a dense
 eigendecomposition or a numerical rank or gathers through a meshgrid, only
 ``kinspace`` writes the 1e-9 of the zero and lattice tests, only the
-two dense reads check the dense budget, no module reads a dense form, and
+two dense reads check the dense budget, no module reads a dense form,
 a state's values come from the two walks of ``AlgebraicState`` without
-acting on a bra."""
+acting on a bra, ``ncalg`` imports only the standard library and
+``.errors`` (sympy lazily, at its boundary), and every exact product is
+summed by ``ncalg._expand``, the one caller of ``normal_order_word``."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,11 +82,12 @@ def test_no_module_imports_scipy(path):
 
 
 def _imported(node):
-    """The modules an import statement names; none for any other node."""
+    """The modules an import statement names, a relative one with its
+    leading dots; none for any other node."""
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
     if isinstance(node, ast.ImportFrom):
-        return [node.module or ""]
+        return ["." * node.level + (node.module or "")]
     return []
 
 
@@ -160,3 +164,25 @@ def test_only_the_state_walks_call_the_prefix_walk():
                        "algstates.AlgebraicState._fill_reduced"}
     assert not _callers(ast.parse((SRC / "algstates.py").read_text()),
                         "apply_adjoint")
+
+
+def test_ncalg_imports_only_the_standard_library_and_errors():
+    # the exact algebra holds no vectors: importing it loads neither numpy
+    # nor kinspace, and sympy is imported only inside its boundary functions
+    tree = ast.parse((SRC / "ncalg.py").read_text())
+    top = {name for node in tree.body for name in _imported(node)}
+    inner = {name for node in ast.walk(tree)
+             for name in _imported(node)} - top
+    assert {name for name in top
+            if name.partition(".")[0] not in sys.stdlib_module_names
+            } == {".errors"}
+    assert inner == {"sympy"}
+
+
+def test_only_the_kernel_normal_orders_a_word():
+    # multiply, adjoint, the product tables and the one-block Weyl average
+    # all sum through ncalg._expand
+    callers = {f"{path.stem}.{caller}" for path in SRC.glob("*.py")
+               for caller in _callers(ast.parse(path.read_text()),
+                                      "normal_order_word")}
+    assert callers == {"ncalg._expand", "ncalg.GeneratorSet.normal_order_word"}

@@ -766,6 +766,26 @@ def _table_state():
     return ast.from_table(g, {g.unit_monomial(): 1.0})
 
 
+def _two_models():
+    """Two builds of one model: equal dimensions, distinct spaces, and a
+    physical state and a Hilbert-backed state of the first."""
+    spec = md.ModelSpec("nparticle", lattice_size=4)
+    m, o = md.build_model(spec), md.build_model(spec)
+    psi = md.random_physical_state(m, np.random.default_rng(0))
+    return m, o, psi, ast.from_hilbert(psi, psi, m.space, m.assignment, m.gens)
+
+
+def _foreign(call):
+    """A CONFIG_ERRORS case: ``call`` on ``_two_models()``."""
+    return lambda: call(*_two_models())
+
+
+def _physical_observable(space, C, m):
+    return ro.relational_observable(space, C, m.frames["A"], 0.0,
+                                    ks.identity_operator(m.space),
+                                    form="physical", Pi=m.Pi)
+
+
 CONFIG_ERRORS = {
     # two spaces of equal dimension, so only the space check can catch it
     "different_spaces": lambda: (ks.identity_operator(two_frame_space())
@@ -822,6 +842,36 @@ CONFIG_ERRORS = {
     "gaussian_physical_state.shear": lambda: md.gaussian_physical_state(
         md.build_model(md.ModelSpec("su2")), shear={(0, 9): 0.1}),
     "multiply": lambda: ncalg.multiply(_pair().gen("q"), _pair().gen("p")),
+    # an operator, frame or state of a second model of equal dimension
+    "frame_state.C": _foreign(lambda m, o, psi, om: ast.frame_state(
+        m.space, o.constraint, m.frames["A"], 0.0, psi, m.assignment,
+        m.gens)),
+    "frame_state.frame": _foreign(lambda m, o, psi, om: ast.frame_state(
+        m.space, m.constraint, o.frames["A"], 0.0, psi, m.assignment,
+        m.gens)),
+    "system_projector": _foreign(lambda m, o, psi, om: rg.system_projector(
+        o.frames["A"], m.Pi)),
+    "embed_state": _foreign(lambda m, o, psi, om: rg.embed_state(
+        o.frames["A"], 0.0, np.ones(m.space.dim // 4), m.Pi)),
+    "qrf_transform": _foreign(lambda m, o, psi, om: rg.qrf_transform(
+        o.frames["A"], 0.0, o.frames["B"], 0.0, m.Pi)),
+    "reduce_state.C": _foreign(lambda m, o, psi, om: rg.reduce_state(
+        m.frames["A"], 0.0, psi, o.constraint)),
+    "gauge_transform_state.Pi": _foreign(
+        lambda m, o, psi, om: rg.gauge_transform_state(
+            om, rg.theta_gauge(m.frames["A"], 0.0), o.Pi)),
+    "gauge_transform_state.phi_b": _foreign(
+        lambda m, o, psi, om: rg.gauge_transform_state(
+            om, rg.theta_gauge(o.frames["A"], 0.0), m.Pi)),
+    "gauge_flow.space": _foreign(lambda m, o, psi, om: rg.gauge_flow(
+        om, ks.identity_operator(o.space), 0.1, o.constraint)),
+    "physical_inner_product": _foreign(
+        lambda m, o, psi, om: ks.physical_inner_product(o.space, m.Pi, psi,
+                                                        psi)),
+    "relational_observable.physical.space": _foreign(
+        lambda m, o, psi, om: _physical_observable(o.space, m.constraint, m)),
+    "relational_observable.physical.C": _foreign(
+        lambda m, o, psi, om: _physical_observable(m.space, o.constraint, m)),
 }
 
 

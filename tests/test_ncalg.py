@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (monomial_basis_oracle, represent, to_weyl_basis_oracle,
                      weyl_symmetrize_oracle)
@@ -16,7 +19,8 @@ from qrfkit import models as md
 from qrfkit import ncalg
 from qrfkit.algstates import from_table
 from qrfkit.errors import ConfigError, DegreeExceeded, RelationViolation
-from qrfkit.ncalg import HBAR, GeneratorSet, adjoint, commutator, weyl_symmetrize
+from qrfkit.ncalg import (HBAR, GeneratorSet, adjoint, commutator, multiply,
+                          weyl_symmetrize)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +108,9 @@ class TestMultiply:
         high = q * q * q * q
         with pytest.raises(DegreeExceeded):
             high * q
+        # the top degrees of the factors decide, whatever their other terms
+        with pytest.raises(DegreeExceeded, match="degree 5 exceeds cap 4"):
+            (q + high) * (gens.one() + q)
 
     def test_hbar_power_counts_rewrites(self, pair):
         # p^2 q^2 needs commutator rewrites; every coefficient's hbar power
@@ -478,7 +485,7 @@ class TestRepresent:
         sp_lat = ks.tensor_space([ks.FactorSpec.system([1.0, 0.0, -1.0])])
         jx, jy, jz = self.spin_matrices(sp_lat.hbar)
         assign = {"J_x": jx, "J_y": jy, "J_z": jz}
-        report = ncalg.verify_assignment(gens, sp_lat, {
+        report = ast.verify_assignment(gens, sp_lat, {
             name: ks.KinOperator.from_matrix(sp_lat, m)
             for name, m in assign.items()})
         assert all(v < 1e-12 for v in report.values())
@@ -501,7 +508,7 @@ class TestRepresent:
         sp_lat = ks.tensor_space([ks.FactorSpec.system([1.0, 0.0, -1.0])])
         jx, jy, jz = self.spin_matrices(sp_lat.hbar)
         with pytest.raises(RelationViolation):
-            ncalg.verify_assignment(gens, sp_lat, {
+            ast.verify_assignment(gens, sp_lat, {
                 name: ks.KinOperator.from_matrix(sp_lat, m)
                 for name, m in (("J_x", jx), ("J_y", jy), ("J_z", 2 * jz))})
 
@@ -518,9 +525,9 @@ class TestRepresent:
         prof = np.exp(-j ** 2 / (4 * 4.0 ** 2))
         psi = F @ prof
         psi /= np.linalg.norm(psi)
-        report = ncalg.verify_assignment(pairset, sp_lat,
-                                         {"q": q_op, "p": p_op},
-                                         test_states=[psi])
+        report = ast.verify_assignment(pairset, sp_lat,
+                                       {"q": q_op, "p": p_op},
+                                       test_states=[psi])
         assert report[("q", "p")] < 1e-6
 
 
@@ -565,3 +572,98 @@ def test_represent_leaves_raw_assignment_writeable():
     represent(gens.gen("J_x") * gens.gen("J_y") + gens.gen("J_z"),
               sp_lat, assign)
     assert all(m.flags.writeable for m in assign.values())
+
+
+# ---------------------------------------------------------------------------
+# the product kernel: every exact product is summed by ncalg._expand
+
+KERNEL_SPECS = {
+    "nparticle": md.ModelSpec("nparticle"),
+    "su2": md.ModelSpec("su2"),
+    "su2.beta2": md.ModelSpec("su2", beta=2, dp=0.1),  # C exact: -J_z/5
+    "su2.float": md.ModelSpec("su2", dp=math.sqrt(2)),  # C float-tainted
+    "newtonian": md.ModelSpec("newtonian", dp=2.0),
+    "degenerate": md.ModelSpec("degenerate"),
+}
+
+
+def typed_terms(terms: dict) -> list:
+    """A term dict in order, each coefficient part with its type."""
+    return [(m, ncalg._coef_key(c)) for m, c in terms.items()]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_product_rows_are_bitwise_the_products_multiply_builds(name):
+    model = md.build_model(KERNEL_SPECS[name])
+    g, C = model.gens, model.constraint_elem
+    z = g.gen(next(iter(model.frame_pairs.values()))[0])
+    if name == "su2.float":
+        assert any(type(part) is float for c in C.terms.values()
+                   for pair in c.terms.values() for part in pair)
+    basis = g.monomial_basis(3)
+    rows_c = g.products(g.one(), C, 3).rows
+    rows_z = g.products(z, g.one(), 3).rows
+    for m, row_c, row_z in zip(basis, rows_c, rows_z, strict=True):
+        a = g.element({m: 1})
+        assert typed_terms(row_c) == typed_terms(multiply(a, C).terms)
+        assert typed_terms(row_z) == typed_terms(multiply(z, a).terms)
+
+
+# exact identities of the *-algebra, over random elements of degree <= 3
+# with Gaussian rational coefficients (hbar powers -1 to 1)
+ALGEBRAS = {
+    "canonical": GeneratorSet.canonical([("q_A", "p_A"), ("q_B", "p_B")],
+                                        centrals=("G",)),
+    "su2": GeneratorSet.canonical_with_su2([("q_A", "p_A")]),
+}
+PART = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+COEF = st.builds(lambda k, re, im: ncalg.Coef({k: (re, im)}),
+                 st.integers(-1, 1), PART, PART)
+ALGEBRA_SETTINGS = settings(max_examples=50, deadline=None, database=None,
+                            derandomize=True)
+
+
+@st.composite
+def elements(draw, n=3):
+    """``n`` random elements of one algebra, each of degree <= 3 with at
+    most three terms."""
+    gens = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    monomials = st.sampled_from(gens.monomial_basis(3))
+    return [gens.element(draw(st.dictionaries(monomials, COEF, max_size=3)))
+            for _ in range(n)]
+
+
+@ALGEBRA_SETTINGS
+@given(elements())
+def test_product_is_associative(abc):
+    a, b, c = abc
+    assert (a * b) * c == a * (b * c)
+
+
+@ALGEBRA_SETTINGS
+@given(elements(2))
+def test_adjoint_reverses_products(ab):
+    a, b = ab
+    assert adjoint(a * b) == adjoint(b) * adjoint(a)
+
+
+@ALGEBRA_SETTINGS
+@given(elements(1))
+def test_adjoint_is_an_involution(a):
+    assert adjoint(adjoint(a[0])) == a[0]
+
+
+@ALGEBRA_SETTINGS
+@given(elements())
+def test_commutator_satisfies_jacobi(abc):
+    a, b, c = abc
+    jacobi = (commutator(a, commutator(b, c)) + commutator(b, commutator(c, a))
+              + commutator(c, commutator(a, b)))
+    assert jacobi.is_zero()
+
+
+@ALGEBRA_SETTINGS
+@given(elements(1))
+def test_weyl_basis_round_trip(a):
+    gens = a[0].gens
+    assert ncalg.from_weyl_basis(gens, ncalg.to_weyl_basis(a[0])) == a[0]

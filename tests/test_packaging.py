@@ -111,3 +111,13 @@ def test_algebra_pipeline_does_not_load_sympy():
         print("sympy" in sys.modules)
     """
     assert run_fresh(code) == "False"
+
+
+def test_ncalg_import_loads_neither_numpy_nor_kinspace():
+    # the exact algebra imports only the standard library and its errors
+    code = """if True:
+        import sys
+        import qrfkit.ncalg
+        print(["numpy" in sys.modules, "qrfkit.kinspace" in sys.modules])
+    """
+    assert run_fresh(code) == "[False, False]"

@@ -14,7 +14,6 @@ from test_packaging import run_fresh
 from qrfkit import algstates as ast
 from qrfkit import kinspace as ks
 from qrfkit import models as md
-from qrfkit import ncalg
 from qrfkit import reduction_gauge as rg
 from qrfkit import relobs as ro
 from qrfkit.errors import (IllConditionedFlow, IncommensurableSpectrum,
@@ -131,10 +130,10 @@ class TestReduceEmbed:
 
 
 class CountingPi:
-    """A projector that counts its ``apply`` calls."""
+    """A projector on ``Pi.space`` that counts its ``apply`` calls."""
 
     def __init__(self, Pi):
-        self.Pi, self.calls = Pi, 0
+        self.Pi, self.space, self.calls = Pi, Pi.space, 0
 
     def apply(self, vec):
         self.calls += 1
@@ -844,8 +843,8 @@ class TestLargeLattice:
 
     def test_verify_assignment_on_a_gaussian_state(self, big):
         model, psi = big
-        report = ncalg.verify_assignment(model.gens, model.space,
-                                         model.assignment, test_states=[psi])
+        report = ast.verify_assignment(model.gens, model.space,
+                                       model.assignment, test_states=[psi])
         assert set(report) == {(f"q_{lab}", f"p_{lab}") for lab in "ABC"}
         assert all(np.isfinite(v) for v in report.values())
 
@@ -897,8 +896,8 @@ def test_gauge_and_assignment_checks_read_no_dense_form(model, psi,
     fr = model.frames["A"]
     rep = rg.verify_gauge(rg.theta_gauge(fr, fr.grid[3]), model.Pi)
     assert rep["valid"], rep
-    report = ncalg.verify_assignment(model.gens, model.space,
-                                     model.assignment, test_states=[psi])
+    report = ast.verify_assignment(model.gens, model.space,
+                                   model.assignment, test_states=[psi])
     assert len(report) == 3
     assert all(np.isfinite(v) for v in report.values())
 
