@@ -188,6 +188,7 @@ def from_hilbert(bra: np.ndarray, ket: np.ndarray, space: LatticeSpace,
     Each monomial is valued by its definition, vdot(bra, y^m ket): the
     words are walked on the ket and the bra is never acted on.
     """
+    _check_space(space, *assignment.values())
     bra = np.asarray(bra, dtype=complex)
     ket = np.asarray(ket, dtype=complex)
     if normalize:
@@ -225,7 +226,7 @@ def frame_state(space: LatticeSpace, C: KinOperator, frame, rho: float,
     that acts on F and another factor, or is stored dense or composed,
     leaves the state on the full-space walk of any Hilbert-backed state.
     """
-    _check_space(space, C, frame)
+    _check_space(space, C, frame, *assignment.values())
     check_physical(C, psi_phys)
     psi = np.asarray(psi_phys, dtype=complex)
     v = orientation_state_at(frame, rho)
@@ -289,6 +290,7 @@ def verify_assignment(gens: GeneratorSet, space, assignment,
     (D x len(test_states)) and the report gives max |v^dag R v| / v^dag v
     over them, or None without test states.
     """
+    _check_space(space, *assignment.values())
     states = list(() if test_states is None else test_states)
     states = np.column_stack(states) if states else None
     report = {}

@@ -35,7 +35,11 @@ different blocks commute exactly, so a normal-ordered monomial is the product
 of its parts in each block, in any order.  The Weyl average is a product of
 per-block averages, and a commutator with one generator vanishes on a
 monomial exactly when it vanishes on the monomial's part in that
-generator's block.  Normal ordering itself works on whole words.
+generator's block.  Normal ordering itself works on whole words.  A rewrite
+fires only where a letter passes an earlier one whose relation with it has
+a rule, so a word whose letters pass only letters they commute with is
+normal-ordered by sorting it, with coefficient one; only the other words
+run the rewrite engine.
 
 All of this depends on the relation table alone, never on the generator
 names or the degree cap, so it lives in one ``Structure`` per table: the
@@ -47,8 +51,9 @@ it by the number of generators and the exact table, each coefficient part
 with its type (an exact table and a float twin never share), and every
 ``GeneratorSet`` on that table reads it: two builds of one model, at any
 lattice size, share normal forms and product tables.  The registry holds
-its structures for the life of the process, about 5.0 MiB after one pass
-of the ``sparse-large`` benchmark workload (tracemalloc), 1.7 MiB of it
+its structures for the life of the process: after one pass of the
+``sparse-large`` benchmark workload, the live memory allocated in this
+module is about 5.0 MiB (tracemalloc, from before the pass), 1.7 MiB of it
 product tables.
 """
 
@@ -275,10 +280,14 @@ class Structure:
     Generators i and j share a block when relation (i, j) is non-zero, and
     each of its components shares the block of i and j; generators in
     different blocks commute exactly.
+
+    ``blocked[g]`` is the bit mask of the generators h > g whose rewrite
+    list ``rewrites[(h, g)]`` is non-empty (a rule with coefficient zero
+    counts): the letters that y_g cannot pass by a plain swap.
     """
 
-    __slots__ = ("n", "relations", "blocks", "rewrites", "words", "weyl",
-                 "tables", "basis", "basis_ends")
+    __slots__ = ("n", "relations", "blocks", "rewrites", "blocked", "words",
+                 "weyl", "tables", "basis", "basis_ends")
 
     def __init__(self, n: int, relations: dict):
         self.n = n
@@ -289,6 +298,10 @@ class Structure:
             (a, b): [(() if k == IDENTITY else (k,), I_HBAR * alpha)
                      for k, alpha in self.alpha(a, b).items()]
             for (b, a) in relations}
+        self.blocked = [0] * n
+        for (a, b), rules in self.rewrites.items():
+            if rules:
+                self.blocked[b] |= 1 << a
         self.words = {}
         self.weyl = {}
         self.tables = {}
@@ -357,13 +370,30 @@ class Structure:
     def normal_order_word(self, word: tuple) -> dict:
         """Normal-order a product word of generator indices.
 
-        Returns a map monomial -> coefficient, cached in ``words``.  Each
-        adjacent swap of an out-of-order pair (a, b) with a > b applies
-        ``y_a y_b = y_b y_a + i*hbar*sum_k alpha_abk y_k``.
+        Returns a map monomial -> coefficient, cached in ``words`` and
+        shared (every caller gets the same dict, and a word normal-ordered
+        by sorting shares one coefficient object): treat it as immutable.
+        A word in which no letter g follows a letter of ``blocked[g]`` is
+        its sorted monomial with coefficient one.  Any other word runs the
+        rewrite engine: each adjacent swap of an out-of-order pair (a, b)
+        with a > b applies ``y_a y_b = y_b y_a + i*hbar*sum_k alpha_abk
+        y_k``.
         """
         cached = self.words.get(word)
         if cached is not None:
             return cached
+        seen = 0
+        blocked = self.blocked
+        for g in word:
+            if seen & blocked[g]:
+                break
+            seen |= 1 << g
+        else:
+            m = [0] * self.n
+            for g in word:
+                m[g] += 1
+            out = self.words[word] = {tuple(m): _ONE}
+            return out
         acc = {}
         stack = [(word, _ONE)]
         while stack:

@@ -10,7 +10,9 @@ sums check them from the group itself.  It computes support block by block
 from the stored form; the oracle rebuilds each Kronecker product in full.
 It factors Weyl averages, commutants and check products by commuting
 generator blocks; the oracles average every ordering of the whole word,
-commute with every basis monomial and multiply out every product.
+commute with every basis monomial and multiply out every product.  It
+normal-orders a word whose letters pass only letters they commute with by
+sorting it; the oracle runs the rewrite engine on every word.
 """
 
 from fractions import Fraction
@@ -22,8 +24,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from qrfkit.kinspace import HERM_TOL, KinOperator, LatticeSpace
-from qrfkit.ncalg import (_ZERO, AlgebraElement, _add_into, commutator,
-                          monomial_word, numeric)
+from qrfkit.ncalg import (_ONE, _ZERO, AlgebraElement, _add_into, _terms,
+                          commutator, monomial_word, numeric)
 from qrfkit.relobs import frame_system_generator
 
 
@@ -138,6 +140,33 @@ def monomial_basis_oracle(n: int, max_degree: int) -> list:
     return sorted((m for m in product(range(max(max_degree, 0) + 1),
                                       repeat=n) if sum(m) <= max_degree),
                   key=lambda m: (sum(m), m))
+
+
+def normal_order_oracle(structure, word: tuple) -> dict:
+    """The normal form of ``word`` by the rewrite engine alone, uncached:
+    every word, however its letters commute, is swapped pair by pair, and
+    each out-of-order pair (a, b) adds its rewrites
+    ``i*hbar*sum_k alpha_abk y_k``."""
+    acc = {}
+    stack = [(word, _ONE)]
+    while stack:
+        w, c = stack.pop()
+        pos = -1
+        for t in range(len(w) - 1):
+            if w[t] > w[t + 1]:
+                pos = t
+                break
+        if pos < 0:
+            m = [0] * structure.n
+            for g in w:
+                m[g] += 1
+            _add_into(acc.setdefault(tuple(m), {}), c.terms)
+            continue
+        a, b = w[pos], w[pos + 1]
+        stack.append((w[:pos] + (b, a) + w[pos + 2:], c))
+        for repl, i_hbar_alpha in structure.rewrites.get((a, b), ()):
+            stack.append((w[:pos] + repl + w[pos + 2:], c * i_hbar_alpha))
+    return _terms(acc)
 
 
 def weyl_symmetrize_oracle(gens, m) -> AlgebraElement:

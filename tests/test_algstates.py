@@ -637,6 +637,7 @@ class CountingOp:
 
     def __init__(self, op, calls, adjoint_calls):
         self.op, self.calls, self.adjoint_calls = op, calls, adjoint_calls
+        self.space = op.space
 
     def apply(self, vec, out=None):
         self.calls.append(out)

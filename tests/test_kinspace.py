@@ -849,6 +849,13 @@ CONFIG_ERRORS = {
     "frame_state.frame": _foreign(lambda m, o, psi, om: ast.frame_state(
         m.space, m.constraint, o.frames["A"], 0.0, psi, m.assignment,
         m.gens)),
+    "frame_state.assignment": _foreign(lambda m, o, psi, om: ast.frame_state(
+        m.space, m.constraint, m.frames["A"], 0.0, psi, o.assignment,
+        m.gens)),
+    "from_hilbert.assignment": _foreign(lambda m, o, psi, om: ast.from_hilbert(
+        psi, psi, m.space, o.assignment, m.gens)),
+    "verify_assignment": _foreign(lambda m, o, psi, om: ast.verify_assignment(
+        m.gens, m.space, o.assignment)),
     "system_projector": _foreign(lambda m, o, psi, om: rg.system_projector(
         o.frames["A"], m.Pi)),
     "embed_state": _foreign(lambda m, o, psi, om: rg.embed_state(

@@ -11,8 +11,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (monomial_basis_oracle, represent, to_weyl_basis_oracle,
-                     weyl_symmetrize_oracle)
+from oracles import (monomial_basis_oracle, normal_order_oracle, represent,
+                     to_weyl_basis_oracle, weyl_symmetrize_oracle)
 from qrfkit import algstates as ast
 from qrfkit import kinspace as ks
 from qrfkit import models as md
@@ -253,6 +253,21 @@ class TestCommutingBlocks:
     ])
     def test_blocks_of_the_relation_tables(self, name, blocks):
         assert BLOCK_SETS[name]().structure.blocks == blocks
+
+    # (g, h): the letter g cannot pass an earlier h > g by a plain swap
+    @pytest.mark.parametrize("name, pairs", [
+        ("nparticle", ((0, 1), (2, 3), (4, 5))),
+        ("su2", ((0, 1), (2, 3), (4, 5), (4, 6), (5, 6))),
+        ("degenerate", ((0, 1),)),
+        ("newtonian", ((0, 1), (2, 3))),
+        ("interleaved", ((0, 2), (1, 3))),
+    ])
+    def test_blocked_masks_of_the_relation_tables(self, name, pairs):
+        s = BLOCK_SETS[name]().structure
+        expected = [0] * s.n
+        for g, h in pairs:
+            expected[g] |= 1 << h
+        assert s.blocked == expected
 
     def test_a_component_joins_its_relation_block(self):
         # Heisenberg [x, y] = i*hbar*z: z shares the block; w is alone, and
@@ -667,3 +682,38 @@ def test_commutator_satisfies_jacobi(abc):
 def test_weyl_basis_round_trip(a):
     gens = a[0].gens
     assert ncalg.from_weyl_basis(gens, ncalg.to_weyl_basis(a[0])) == a[0]
+
+
+# relation tables for the normal-form oracle; each example builds a new,
+# cold Structure on one of them
+ORACLE_TABLES = {
+    "canonical": ALGEBRAS["canonical"].structure,
+    "su2": ALGEBRAS["su2"].structure,
+    "interleaved": interleaved().structure,
+    "float": GeneratorSet(("q", "p"),
+                          {(0, 1): {ncalg.IDENTITY: 0.5}}).structure,
+    # a rule with coefficient zero blocks, so the rewrite engine adds a
+    # zero term and drops it; a relation with no rule (as GeneratorSet
+    # stores an all-zero one) blocks nothing
+    "zero": ncalg.Structure(3, {(0, 1): {ncalg.IDENTITY: ncalg._ZERO},
+                                (0, 2): {}, (1, 2): {0: 1}}),
+}
+
+
+@st.composite
+def table_words(draw):
+    """A relation table's name and a word of length 0-7 over it."""
+    name = draw(st.sampled_from(sorted(ORACLE_TABLES)))
+    n = ORACLE_TABLES[name].n
+    return name, tuple(draw(st.lists(st.integers(0, n - 1), max_size=7)))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(table_words())
+def test_normal_form_equals_the_rewrite_engine(name_word):
+    name, word = name_word
+    table = ORACLE_TABLES[name]
+    s = ncalg.Structure(table.n, table.relations)
+    expected = typed_terms(normal_order_oracle(s, word))
+    assert typed_terms(s.normal_order_word(word)) == expected
+    assert typed_terms(s.normal_order_word(word)) == expected  # cached
