@@ -26,8 +26,8 @@ import numpy as np
 from . import ncalg
 from .errors import (ConfigError, DegreeExceeded, RelationViolation,
                      UnsupportedSupport)
-from .kinspace import (_COLUMN_BLOCK, _VANISH_RTOL, KinOperator, LatticeSpace,
-                       _check_space, check_physical, reduced_space,
+from .kinspace import (_VANISH_RTOL, KinOperator, LatticeSpace, _check_space,
+                       _unit_blocks, check_physical, reduced_space,
                        split_adjoint)
 from .ncalg import AlgebraElement, Coef, GeneratorSet, commutator
 from .relobs import orientation_state_at
@@ -283,7 +283,7 @@ def verify_assignment(gens: GeneratorSet, space, assignment,
     on a column block V: R = a(bV) - b(aV) - sum_k i*hbar*alpha_k y_k V,
     with y_k V = V for the identity component.  Lie-type relations (no
     identity component) must hold as exact matrix identities: V runs over
-    the D unit columns in blocks of ``_COLUMN_BLOCK`` (256), and
+    the D unit columns in the blocks of ``kinspace._unit_blocks``, and
     max |R| <= 1e-10, else RelationViolation.  Relations with an identity
     component (canonical pairs) cannot hold globally on a finite lattice;
     V holds the caller's localized test states as columns
@@ -301,10 +301,8 @@ def verify_assignment(gens: GeneratorSet, space, assignment,
                   None if k == ncalg.IDENTITY else assignment[gens.names[k]])
                  for k, alpha in comps.items()]
         if ncalg.IDENTITY not in comps:
-            dim = space.dim
             report[key] = max(float(np.max(np.abs(_relation_residual(
-                a, b, terms, np.eye(dim, min(_COLUMN_BLOCK, dim - c), -c)))))
-                for c in range(0, dim, _COLUMN_BLOCK))
+                a, b, terms, eye)))) for _, eye in _unit_blocks(space.dim))
             if report[key] > 1e-10:
                 raise RelationViolation(f"relation [{key[0]}, {key[1]}] "
                                         f"fails: residual {report[key]:.2e}")

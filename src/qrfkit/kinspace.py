@@ -44,6 +44,7 @@ PHYS_RTOL = 1e-9      # psi is physical: ||C psi|| <= PHYS_RTOL * ||psi||
 _VANISH_RTOL = 1e-14  # Pi psi or <bra|ket> vanishes: <= it times the norms
 # unit columns per block where a check reads an operator column by column
 _COLUMN_BLOCK = 256
+MAX_EXPONENT = 50.0   # the largest exponent ``KinOperator.exp`` accepts
 # entries a dense D x D form may hold (2^26 complex entries are 1 GiB)
 DENSE_BUDGET = 2 ** 26
 
@@ -109,38 +110,12 @@ class LatticeSpace:
     def dim(self) -> int:
         return prod(self.dims)
 
-    def frame_dp(self) -> float:
-        """Common momentum spacing of the frame factors."""
-        dps = {f.dp for f in self.factors if f.is_frame}
-        if not dps:
-            raise NotAFrameFactor("space has no frame factor")
-        return dps.pop()
-
-    def momentum_period(self) -> float:
-        """Lattice momentum period P = N*dp (largest frame window)."""
-        frames = [f for f in self.factors if f.is_frame]
-        if not frames:
-            raise NotAFrameFactor("space has no frame factor")
-        return max(f.N * f.dp for f in frames)
-
     def _factor(self, factor: int) -> FactorSpec:
         """Factor ``factor``'s spec; IndexOutOfRange outside [0, len(dims))."""
         if not 0 <= factor < len(self.factors):
             raise IndexOutOfRange(
                 f"factor {factor} outside [0, {len(self.factors)})")
         return self.factors[factor]
-
-    def orientation_spacing(self, factor: int) -> float:
-        f = self._factor(factor)
-        if not f.is_frame:
-            raise NotAFrameFactor(f"factor {factor} is not a frame")
-        return 2.0 * np.pi * self.hbar / (f.N * f.dp)
-
-    def orientation_grid(self, factor: int) -> np.ndarray:
-        """Orientations ``rho_j = j*dr`` for ``j in [-N/2, N/2)``."""
-        f = self._factor(factor)
-        dr = self.orientation_spacing(factor)
-        return dr * np.arange(-f.N // 2, f.N // 2, dtype=float)
 
     def embed_matrix(self, factor: int, mat: np.ndarray) -> np.ndarray:
         """Lift a factor matrix to the full space (identity elsewhere)."""
@@ -163,10 +138,10 @@ class LatticeSpace:
 
         The rows are viewed as (a, n, b*k), a and b the products of the dims
         before and after the factor and k the block width, and contracted
-        by one matmul: a single GEMM when a == 1 or b*k == 1, else a batched
-        GEMM over the a slices.  ``out``, if given, receives the result and
-        is returned: a C-contiguous complex array of the result's shape that
-        does not overlap ``vec``.  The values are the same bits either way.
+        by one matmul: a row GEMM when b*k == 1, else a GEMM batched over the
+        a slices.  ``out``, if given, receives the result and is returned:
+        a C-contiguous complex array of the result's shape that does not
+        overlap ``vec``.  The values are the same bits either way.
         """
         self._factor(factor)
         m, n = mat.shape
@@ -179,9 +154,7 @@ class LatticeSpace:
         else:
             _check_out(out, shape)
         o = out.reshape(a, m, bk)
-        if a == 1:
-            np.matmul(mat, v[0], out=o[0])
-        elif bk == 1:
+        if bk == 1:
             np.matmul(v[:, :, 0], mat.T, out=o[:, :, 0])
         else:
             np.matmul(mat, v, out=o)
@@ -281,7 +254,8 @@ class KinOperator:
       ``"@"`` is their product (the rightmost acts first), ``"+"`` their
       sum, ``"twirl"`` is sum_c P_c A P_c for the one operand A, with
       P_c the diagonal projector onto the basis states whose entry in
-      ``classes`` is c, and ``"exp"`` is exp(X) for the one operand X.
+      ``classes`` is c, and ``"exp"`` is exp(X) for the one operand X, a
+      non-diagonal one (``exp`` of a diagonal X is diagonal).
 
     ``apply`` and ``apply_adjoint`` take a D-vector or a D x k block of
     columns; a composed form chains its operands' own applies.
@@ -293,7 +267,7 @@ class KinOperator:
     and composed otherwise; no product or sum is densified.
 
     ``matrix`` builds the dense D x D form only when a caller reads it, a
-    composed form from identity blocks of ``_COLUMN_BLOCK`` columns, and
+    composed form by its ``apply`` on the blocks of ``_unit_blocks``, and
     raises DenseBudgetExceeded above DENSE_BUDGET (2^26) entries.
     ``hermitian`` and ``support`` (the factors k on which the operator is
     not 1_k (x) B) are computed from the stored form on first use, never
@@ -320,6 +294,8 @@ class KinOperator:
     @staticmethod
     def from_matrix(space, matrix) -> "KinOperator":
         matrix = np.asarray(matrix, dtype=complex).view()
+        if matrix.shape != (space.dim, space.dim):
+            raise ConfigError(f"matrix {matrix.shape} on a space of {space.dim}")
         matrix.setflags(write=False)
         return KinOperator(space, matrix)
 
@@ -338,6 +314,8 @@ class KinOperator:
         into a product, and a sum operand with no scalar into a sum."""
         if kind not in ("@", "+", "twirl", "exp"):
             raise ConfigError(f"unknown composition {kind!r}")
+        if not operands:
+            raise ConfigError(f"composition {kind!r} of no operands")
         _check_space(operands[0].space, *operands)
         flat = []
         for op in operands:
@@ -354,17 +332,21 @@ class KinOperator:
                            kind=kind, scalar=scalar, classes=classes)
 
     @staticmethod
-    def exp(X: "KinOperator", s, max_exponent: float = 50.0) -> "KinOperator":
-        """exp(s X): the kind ``"exp"`` on s X, a phase for a diagonal X, else
-        n = ceil(|s| ||X||_2) equal such factors on s X / n, Taylor steps of
-        norm about 1.  IllConditionedFlow when |s| ||X||_2 > ``max_exponent``
-        (max |X_ii| for a diagonal X, else a power-iteration lower bound)."""
-        norm = (float(np.max(np.abs(X.diag))) if X.is_diagonal
-                else _spectral_norm_estimate(X))
-        if not abs(s) * norm <= max_exponent:  # a NaN fails too
-            raise IllConditionedFlow(
-                f"|s|*||X||_2 = {abs(s) * norm:.1f} exceeds {max_exponent}")
-        n = 1 if X.is_diagonal else max(1, ceil(abs(s) * norm))
+    def exp(X: "KinOperator", s) -> "KinOperator":
+        """exp(s X): for a diagonal X the diagonal exp(s X_ii), else the kind
+        ``"exp"`` on s X / n, n = ceil(|s| ||X||_2) equal factors, Taylor
+        steps of norm about 1.  IllConditionedFlow when the exponent is NaN
+        or above MAX_EXPONENT: max |Re(s X_ii)| for a diagonal X (a phase
+        passes at any s), else |s| ||X||_2 by a power-iteration lower bound."""
+        with np.errstate(all="ignore"):  # a non-finite exponent is refused
+            z = complex(s) * X.diag if X.is_diagonal else None
+        x = (np.max(np.abs(z.real)) if X.is_diagonal
+             else abs(s) * _spectral_norm_estimate(X))
+        if not x <= MAX_EXPONENT:  # a NaN fails too
+            raise IllConditionedFlow(f"exponent {x:.1f} exceeds {MAX_EXPONENT}")
+        if X.is_diagonal:
+            return KinOperator.from_diag(X.space, np.exp(z))
+        n = max(1, ceil(x))
         step = KinOperator.composed("exp", (complex(s) / n * X,))
         return step if n == 1 else KinOperator.composed("@", (step,) * n)
 
@@ -418,24 +400,9 @@ class KinOperator:
         if self.local is not None:
             return self.space.embed_matrix(self.factor, self.local)
         out = np.empty((dim, dim), dtype=complex)
-        for c, cols in self._unit_columns():
-            out[:, c:c + cols.shape[1]] = cols
+        for c, eye in _unit_blocks(dim):
+            out[:, c:c + eye.shape[1]] = self.apply(eye)
         return out
-
-    def _unit_columns(self):
-        """(c, columns c .. c + k - 1) of a composed form, each block from one
-        D x k identity block, k <= _COLUMN_BLOCK.  Column j of a twirl is
-        P_c A e_j with c the class of j: A's column with the rows of other
-        classes cleared."""
-        dim = self.space.dim
-        for c in range(0, dim, _COLUMN_BLOCK):
-            eye = np.eye(dim, min(_COLUMN_BLOCK, dim - c), -c)
-            if self.kind != "twirl":
-                yield c, self.apply(eye)
-                continue
-            cols = self.operands[0].apply(eye)
-            cols[self.classes[:, None] != self.classes[c:c + eye.shape[1]]] = 0
-            yield c, self.scalar * cols
 
     def diagonal(self) -> np.ndarray:
         """The full-space diagonal, without forming a dense matrix."""
@@ -452,8 +419,8 @@ class KinOperator:
                                     for op in self.operands) <= 1:
             # diag(D_1 A D_2) = d_1 diag(A) d_2 for diagonal D_1, D_2
             return self.scalar * prod(op.diagonal() for op in self.operands)
-        return np.concatenate([np.diagonal(cols, -c)
-                               for c, cols in self._unit_columns()])
+        return np.concatenate([np.diagonal(self.apply(eye), -c)
+                               for c, eye in _unit_blocks(self.space.dim)])
 
     def apply(self, vec: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         if self.local is not None:
@@ -509,33 +476,23 @@ class KinOperator:
             out *= np.conj(self.scalar) if adjoint else self.scalar
         return out
 
-    @cached_property
-    def _mu(self) -> complex:
-        """tr(X)/D, X the one operand of an exp: the shift of its series."""
-        return complex(np.sum(self.operands[0].diagonal())) / self.space.dim
-
     def _exp(self, vec, out, adjoint: bool) -> np.ndarray:
-        """exp(X) (or exp(X^dag)) on ``vec``, X the one operand: a phase for
-        a diagonal X, else e^mu times the Taylor series of exp(X - mu) until
-        two terms in a row fall to 2^-53 of the partial sum in each column."""
+        """exp(X) (or exp(X^dag)) on ``vec``, X the one operand, a step of
+        norm about 1: X's own Taylor series, unshifted, until two terms in a
+        row fall to 2^-53 of the partial sum in each column."""
         X = self.operands[0]
-        if X.is_diagonal:
-            d = np.exp(X.diag.conj() if adjoint else X.diag)
-            return KinOperator.from_diag(X.space, d).apply(vec, out)
-        mu = np.conj(self._mu) if adjoint else self._mu
         act = X.apply_adjoint if adjoint else X.apply
         if out is None:
             out = np.empty(vec.shape, dtype=complex)
         out[...] = vec
         term, below = vec, False
         for k in count(1):
-            term = (act(term) - mu * term) / k
+            term = act(term) / k
             out += term
             tol = 2.0 ** -53 * np.linalg.norm(out, axis=0)
             prev, below = below, not np.any(np.linalg.norm(term, axis=0) > tol)
             if prev and below:
                 break
-        out *= np.exp(mu)
         return out
 
     def _twirl(self, vec, out, act) -> np.ndarray:
@@ -602,6 +559,13 @@ def _check_space(space: LatticeSpace, *ops) -> None:
         raise ConfigError("inputs live on different spaces")
 
 
+def _unit_blocks(dim: int):
+    """(c, the D x k identity columns c .. c + k - 1), k <= _COLUMN_BLOCK:
+    the unit columns ``matrix``, ``diagonal()`` and verify_assignment read."""
+    for c in range(0, dim, _COLUMN_BLOCK):
+        yield c, np.eye(dim, min(_COLUMN_BLOCK, dim - c), -c)
+
+
 def _spectral_norm_estimate(X: KinOperator) -> float:
     """||X||_2 from below, by power iteration on X^dag X from a fixed start,
     until two iterates agree to 1e-6 relative or for 100 iterations: it
@@ -631,12 +595,14 @@ def factor_operator(space: LatticeSpace, factor: int,
     """A single-factor matrix as a KinOperator, identity on the other factors.
 
     A diagonal ``mat`` (or a 1d array of its diagonal) gives the diagonal
-    form; any other matrix is kept in the factor-local form.
+    form; any other n x n matrix, n the factor's dimension, is kept in the
+    factor-local form.  Any other shape raises ConfigError.
     """
-    space._factor(factor)
+    n = space._factor(factor).N
     mat = np.array(mat, dtype=complex)
-    if mat.ndim == 1 or (mat.ndim == 2 and mat.shape[0] == mat.shape[1]
-                         and np.count_nonzero(mat - np.diag(np.diag(mat))) == 0):
+    if mat.shape not in ((n,), (n, n)):
+        raise ConfigError(f"factor matrix {mat.shape} on a factor of {n}")
+    if mat.ndim == 1 or np.count_nonzero(mat - np.diag(np.diag(mat))) == 0:
         d = mat if mat.ndim == 1 else np.diag(mat)
         return KinOperator.from_diag(space, space.embed_diag(factor, d))
     mat.setflags(write=False)
@@ -705,8 +671,28 @@ def build_constraint(space: LatticeSpace, terms) -> KinOperator:
     modulo ``N*dp``, and the reduced operator is the unique self-adjoint
     generator with that group action whose kernel matches the invariant
     subspace.  If zero is not in the reduced spectrum the result carries a
-    warning flag.
+    warning flag.  NotAFrameFactor when the space has no frame.
     """
+    total = _generator_sum(space, terms)
+    frames = [f for f in space.factors if f.is_frame]
+    if not frames:
+        raise NotAFrameFactor("space has no frame factor")
+    dp = frames[0].dp  # one dp for every frame (tensor_space)
+    if _off_lattice(total, dp).any():
+        raise IncommensurableSpectrum(
+            "constraint spectrum is off the frame momentum lattice")
+    total = reduce_mod_period(dp * np.rint(total / dp),
+                              max(f.N * f.dp for f in frames))
+
+    warnings = ()
+    if not _is_zero(total).any():
+        warnings = ("zero is not in the constraint spectrum",)
+    return KinOperator.from_diag(space, total, warnings=warnings)
+
+
+def _generator_sum(space: LatticeSpace, terms) -> np.ndarray:
+    """``build_constraint``'s diagonal sum of ``terms`` before reduction;
+    ConfigError for a diagonal of the wrong length or a non-finite sum."""
     total = np.zeros(space.dim, dtype=float)
     for factor, term in dict(terms).items():
         f = space._factor(factor)
@@ -720,18 +706,7 @@ def build_constraint(space: LatticeSpace, terms) -> KinOperator:
         total = total + space.embed_diag(factor, diag).real
     if not np.all(np.isfinite(total)):
         raise ConfigError("constraint terms must be finite")
-
-    period = space.momentum_period()
-    dp = space.frame_dp()
-    if _off_lattice(total, dp).any():
-        raise IncommensurableSpectrum(
-            "constraint spectrum is off the frame momentum lattice")
-    total = reduce_mod_period(dp * np.rint(total / dp), period)
-
-    warnings = ()
-    if not _is_zero(total).any():
-        warnings = ("zero is not in the constraint spectrum",)
-    return KinOperator.from_diag(space, total, warnings=warnings)
+    return total
 
 
 def _diagonal_spectrum(op: KinOperator) -> np.ndarray:

@@ -120,15 +120,6 @@ def _exact(x):
     return f if float(f) == x else float(x)
 
 
-def _plain_diag(space, terms) -> np.ndarray:
-    total = np.zeros(space.dim)
-    for factor, coef in terms.items():
-        f = space.factors[factor]
-        total = total + space.embed_diag(
-            factor, coef * f.generator_spectrum).real
-    return total
-
-
 def _frame_model(spec: ModelSpec, factors, gens: GeneratorSet, c_elem,
                  system_ops: dict, constraint=None) -> Model:
     """The model of ``spec`` on ``factors``, frames first: frame factor i,
@@ -149,7 +140,7 @@ def _frame_model(spec: ModelSpec, factors, gens: GeneratorSet, c_elem,
     if constraint is None:
         terms = dict.fromkeys(range(len(factors)), 1.0)
         C = ks.build_constraint(space, terms)
-        plain = _plain_diag(space, terms)
+        plain = ks._generator_sum(space, terms)
     else:
         C = constraint(space, assignment)
         plain = C.diag.real.copy()

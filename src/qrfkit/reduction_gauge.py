@@ -174,10 +174,11 @@ def gauge_transform_state(omega: AlgebraicState, phi_b: KinOperator,
 
 
 def gauge_flow(omega: AlgebraicState, a: KinOperator, lam: float,
-               C: KinOperator, max_exponent: float = 50.0) -> AlgebraicState:
+               C: KinOperator) -> AlgebraicState:
     """omega'(.) = omega(exp(i lam a C / hbar) (.)): the bra moves by the
-    adjoint of ``KinOperator.exp(a @ C, i lam / hbar, max_exponent)``
-    (IllConditionedFlow), for C diagonal and hermitian (UnsupportedForm).
+    adjoint of ``KinOperator.exp(a @ C, i lam / hbar)`` (IllConditionedFlow;
+    a phase flow such as a = 1 passes at any lam), for C diagonal and
+    hermitian (UnsupportedForm).
     Physically equivalent to omega on right-solution states, with
     d/dlam omega'(b)|_0 = omega([b, aC])/(i hbar) the derivation flow.
     """
@@ -185,7 +186,7 @@ def gauge_flow(omega: AlgebraicState, a: KinOperator, lam: float,
         raise ConfigError("gauge flows need a Hilbert-backed state")
     _check_space(omega.space, a, C)
     _diagonal_spectrum(C)
-    flow = KinOperator.exp(a @ C, 1j * lam / omega.space.hbar, max_exponent)
+    flow = KinOperator.exp(a @ C, 1j * lam / omega.space.hbar)
     return from_hilbert(flow.apply_adjoint(omega.bra), omega.ket, omega.space,
                         omega.assignment, omega.gens, omega.degree_bound,
                         normalize=False)

@@ -48,11 +48,12 @@ class OrientationFrame:
 
     @property
     def grid(self) -> np.ndarray:
-        return self.space.orientation_grid(self.factor)
+        return self.spacing * np.arange(-self.N // 2, self.N // 2, dtype=float)
 
     @property
     def spacing(self) -> float:
-        return self.space.orientation_spacing(self.factor)
+        f = self.space.factors[self.factor]
+        return 2.0 * np.pi * self.space.hbar / (f.N * f.dp)
 
     @property
     def period(self) -> float:
@@ -137,7 +138,7 @@ def g_twirl(space: LatticeSpace, C: KinOperator, A: KinOperator) -> KinOperator:
     The result is the composed form.  It stores A and one class index per
     basis state; an apply is one apply of A per group of at most 256
     classes, to a D x n_g block (n_g the classes in the group), and
-    reading ``matrix`` costs D/256 applies of A to 256 identity columns.
+    reading ``matrix`` costs D/256 twirl applies to 256 identity columns.
     """
     _check_space(space, C, A)
     vals = _diagonal_spectrum(C)
@@ -189,8 +190,8 @@ def relational_observable(space: LatticeSpace, C: KinOperator,
     the frame and f_S on ``space`` (ConfigError), for every form.  Each
     form is a composed ``KinOperator`` that stores its parts, never a D x D
     matrix, and applies them in turn.  Reading its ``matrix`` builds the
-    D x D form from 256-column identity blocks, D/256 block applies, and
-    raises DenseBudgetExceeded above ``kinspace.DENSE_BUDGET``.
+    D x D form by its own apply (a twirl's ``_twirl``) to D/256 identity
+    blocks, and raises DenseBudgetExceeded above ``kinspace.DENSE_BUDGET``.
 
     form="kinematical": G-twirl of |rho><rho| (x) f_S over the constraint
     group (see ``g_twirl``).  Stores Theta, f_S and one eigenvalue class

@@ -355,6 +355,14 @@ class TestBlockFactoredChecks:
         assert ast.check_frame_gauge(om, "q_B", 0.25) == max_abs_value_oracle(
             om, 3, lambda a: z * a)
 
+    def test_table_state_lacks_a_monomial(self, npmodel):
+        # within the degree bound, but not in the table
+        g = npmodel.gens
+        om = ast.from_table(g, {g.unit_monomial(): 1.0}, degree_bound=4)
+        assert om.evaluate(g.one()) == 1
+        with pytest.raises(DegreeExceeded, match="missing from value table"):
+            om.evaluate(g.gen("q_A"))
+
     def test_checks_raise_above_the_bound(self, npmodel, loc_state):
         om = frame_omega(npmodel, "A", 0.0, loc_state, degree=4)
         with pytest.raises(DegreeExceeded, match="exceeds bound 4"):

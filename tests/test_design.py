@@ -6,8 +6,10 @@ eigendecomposition or a numerical rank or gathers through a meshgrid, only
 two dense reads check the dense budget, no module reads a dense form,
 a state's values come from the two walks of ``AlgebraicState`` without
 acting on a bra, ``ncalg`` imports only the standard library and
-``.errors`` (sympy lazily, at its boundary), and every exact product is
-summed by ``ncalg._expand``, the one caller of ``normal_order_word``."""
+``.errors`` (sympy lazily, at its boundary), every exact product is
+summed by ``ncalg._expand``, the one caller of ``normal_order_word``, and
+every read of an operator's unit columns takes its identity blocks from
+``kinspace._unit_blocks``, the one offset ``np.eye``."""
 
 import ast
 import sys
@@ -126,8 +128,9 @@ def test_no_module_reads_a_dense_form(path):
     assert not reads, reads
 
 
-def _callers(tree, name):
-    """Qualified names of the functions and methods that call ``name``."""
+def _callers(tree, name, accept=lambda call: True):
+    """Qualified names of the functions and methods that call ``name`` in a
+    call that ``accept`` takes."""
     found = set()
 
     def visit(node, scope):
@@ -135,7 +138,7 @@ def _callers(tree, name):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and getattr(
+            if isinstance(child, ast.Call) and accept(child) and getattr(
                     child.func, "id", getattr(child.func, "attr", None)) == name:
                 found.add(".".join(scope))
             visit(child, scope)
@@ -186,3 +189,17 @@ def test_only_the_kernel_normal_orders_a_word():
                for caller in _callers(ast.parse(path.read_text()),
                                       "normal_order_word")}
     assert callers == {"ncalg._expand", "ncalg.GeneratorSet.normal_order_word"}
+
+
+def test_only_unit_blocks_builds_offset_identity_columns():
+    # matrix, a composed diagonal() and verify_assignment's Lie check read
+    # the unit columns from kinspace._unit_blocks; np.eye(n, m, k) with an
+    # offset k (third argument or keyword) appears nowhere else
+    def offset(call):
+        return len(call.args) >= 3 or any(kw.arg == "k"
+                                          for kw in call.keywords)
+
+    callers = {f"{path.stem}.{caller}" for path in SRC.glob("*.py")
+               for caller in _callers(ast.parse(path.read_text()), "eye",
+                                      offset)}
+    assert callers == {"kinspace._unit_blocks"}

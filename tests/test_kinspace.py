@@ -68,6 +68,12 @@ def test_momentum_rejects_system_factor():
         ks.momentum_operator(sp, 1)
 
 
+def test_constraint_needs_a_frame():
+    sp = ks.tensor_space([ks.FactorSpec.system([0.0, 1.0])])
+    with pytest.raises(NotAFrameFactor):
+        ks.build_constraint(sp, {0: 1.0})
+
+
 def test_disjoint_support_commutes():
     rng = np.random.default_rng(7)
     sp = ks.tensor_space([ks.FactorSpec.frame(4, 1.0),
@@ -164,6 +170,17 @@ class TestGroupAverage:
         psi = ks.project_physical(Pi, rng.normal(size=sp.dim)
                                   + 1j * rng.normal(size=sp.dim))
         assert np.allclose(Pi.apply(psi), psi, atol=1e-12)
+
+    def test_near_kernel_eigenvalue_is_noted(self):
+        # 1e-7 is above the kernel threshold (1e-9) but within 1e-6
+        sp = two_frame_space()
+        c = np.ones(sp.dim)
+        c[:2] = 0.0, 1e-7
+        Pi = ks.group_average(sp, ks.KinOperator.from_diag(sp, c))
+        assert np.array_equal(np.flatnonzero(Pi.diag), [0])
+        assert len(Pi.warnings) == 1 and "near-zero" in Pi.warnings[0]
+        C = ks.build_constraint(sp, {0: 1.0, 1: 1.0})
+        assert ks.group_average(sp, C).warnings == ()
 
     def test_empty_kernel(self):
         sp = ks.tensor_space([ks.FactorSpec.frame(4, 1.0)])
@@ -474,19 +491,23 @@ class TestComposedForm:
         sp, (d, l1, l2, m) = self.operands(rng)
         D, L1, L2, M = (x.matrix for x in (d, l1, l2, m))
         s = 0.4 - 0.9j
+        exp_d = ks.KinOperator.exp(d, s)
         cases = [(l1 @ l2, L1 @ L2), (d @ l1 @ m, D @ L1 @ M),
                  (l1 + m, L1 + M), (m + m, M + M),
                  (s * (l1 @ d + m @ l2), s * (L1 @ D + M @ L2)),
                  ((l1 + d) @ (l2 - m), (L1 + D) @ (L2 - M)), (m @ m, M @ M),
-                 # exp(s X) for a diagonal X, a product with one non-diagonal
-                 # operand, and a scaled dense X: the scalar stays outside
-                 (ks.KinOperator.exp(d, s), expm(s * D)),
+                 # exp(s X) for a diagonal X (itself diagonal), a product
+                 # with one non-diagonal operand, and a scaled dense X: the
+                 # scalar stays outside
+                 (exp_d, expm(s * D)),
                  (ks.KinOperator.exp(l1 @ d, 0.3j), expm(0.3j * L1 @ D)),
                  (s * ks.KinOperator.exp(m, 0.1j), s * expm(0.1j * M))]
         v = rng.normal(size=(sp.dim, 3)) + 1j * rng.normal(size=(sp.dim, 3))
+        assert exp_d.is_diagonal
         for op, ref in cases:
             tol = 1e-12 * np.max(np.abs(ref))
-            assert op.kind in ("@", "+", "exp") and op._matrix is None
+            assert op is exp_d or (op.kind in ("@", "+", "exp")
+                                   and op._matrix is None)
             assert np.max(np.abs(op.matrix - ref)) < tol
             assert np.max(np.abs(op.diagonal() - np.diagonal(ref))) < tol
             for x in (v, v[:, 0], np.asfortranarray(v)):
@@ -526,10 +547,10 @@ class TestComposedForm:
         cases = [(2.0 * (d @ l1 @ d), 2.0 * d.diag * l1.diagonal() * d.diag),
                  (m @ d, np.diagonal(m.matrix) * d.diag)]
 
-        def columns(self):
+        def columns(dim):
             raise AssertionError("unit columns were read")
 
-        monkeypatch.setattr(ks.KinOperator, "_unit_columns", columns)
+        monkeypatch.setattr(ks, "_unit_blocks", columns)
         for op, ref in cases:
             assert op.kind == "@"
             assert np.max(np.abs(op.diagonal() - ref)) \
@@ -555,16 +576,20 @@ class TestComposedForm:
 
     def test_ill_conditioned_exponential_rejected(self):
         sp, (d, l1, _, _) = self.operands(np.random.default_rng(199))
-        # diagonal X: ||X||_2 = max |X_ii| exactly
-        big = 10.0 / np.max(np.abs(d.diag)) * d
+        # real diagonal X: the bound is max |Re(s X_ii)| = |s| max |X_ii|
+        x = d.diag.real
+        big = ks.KinOperator.from_diag(sp, 10.0 / np.max(np.abs(x)) * x)
         with pytest.raises(IllConditionedFlow):
             ks.KinOperator.exp(big, 6.0)
         ks.KinOperator.exp(big, 4.9)
-        # any other X: a power-iteration estimate of ||X||_2
+        # an imaginary s makes a phase, which passes whatever |s| max |X_ii|
+        assert np.allclose(np.abs(ks.KinOperator.exp(big, 60.0j).diag), 1)
+        # any other X: a power-iteration estimate of ||X||_2, guarded at
+        # MAX_EXPONENT; s = i t with t |X|_2 just past or below the bound
         exact = np.linalg.norm(l1.matrix, 2)
         with pytest.raises(IllConditionedFlow):
-            ks.KinOperator.exp(l1, 1j, max_exponent=0.99 * exact)
-        ks.KinOperator.exp(l1, 1j, max_exponent=1.01 * exact)
+            ks.KinOperator.exp(l1, 1j * ks.MAX_EXPONENT / (0.99 * exact))
+        ks.KinOperator.exp(l1, 1j * ks.MAX_EXPONENT / (1.01 * exact))
 
     def test_non_finite_exponent_rejected(self):
         # a NaN |s| ||X||_2 would otherwise reach the step count ceil(NaN)
@@ -627,6 +652,18 @@ class TestComposedForm:
         assert (a @ b).support == frozenset({1})
         assert support_oracle(a @ b) == frozenset()
         assert (a + c).support == frozenset({1, 2}) == support_oracle(a + c)
+
+    def test_twirl_support_adds_the_classes(self):
+        # a factor-2 local twirled over C = p_A + p_B commutes with C, so
+        # the twirl is A itself; the bound also holds the factors of C
+        sp = _nparticle4()
+        C = ks.build_constraint(sp, {0: 1.0, 1: 1.0})
+        rng = np.random.default_rng(229)
+        A = ks.factor_operator(sp, 2, rng.normal(size=(4, 4)))
+        tw = ro.g_twirl(sp, C, A)
+        assert tw.kind == "twirl"
+        assert tw.support == frozenset({0, 1, 2})
+        assert support_oracle(tw) == frozenset({2})
 
     def test_matrix_above_the_budget_raises(self):
         sp = ks.tensor_space([ks.FactorSpec.frame(32, 1.0, name)
@@ -775,6 +812,11 @@ def _two_models():
     return m, o, psi, ast.from_hilbert(psi, psi, m.space, m.assignment, m.gens)
 
 
+def _nparticle4():
+    """The space of nparticle L = 4: three frames of 4, D = 64."""
+    return md.build_model(md.ModelSpec("nparticle", lattice_size=4)).space
+
+
 def _foreign(call):
     """A CONFIG_ERRORS case: ``call`` on ``_two_models()``."""
     return lambda: call(*_two_models())
@@ -804,6 +846,16 @@ CONFIG_ERRORS = {
         np.ones(64, complex), out=np.empty(3, complex)),
     "KinOperator.composed": lambda: ks.KinOperator.composed(
         "?", [ks.identity_operator(two_frame_space())]),
+    # wrong shapes, caught at construction rather than at the first apply
+    "KinOperator.composed.empty": lambda: ks.KinOperator.composed("@", ()),
+    "KinOperator.from_matrix.shape": lambda: ks.KinOperator.from_matrix(
+        _nparticle4(), np.eye(3)),
+    "factor_operator.5x5": lambda: ks.factor_operator(
+        _nparticle4(), 0, np.ones((5, 5))),
+    "factor_operator.4x3": lambda: ks.factor_operator(
+        _nparticle4(), 0, np.ones((4, 3))),
+    "factor_operator.3d": lambda: ks.factor_operator(
+        _nparticle4(), 0, np.ones((4, 4, 4))),
     "gauge_transform_state": lambda: rg.gauge_transform_state(
         _table_state(), ks.identity_operator(two_frame_space()),
         ks.identity_operator(two_frame_space())),
@@ -896,8 +948,6 @@ FACTOR_ENTRY_POINTS = {
     "momentum_operator": ks.momentum_operator,
     "generator_operator": ks.generator_operator,
     "sector_projectors": ks.sector_projectors,
-    "orientation_grid": lambda sp, k: sp.orientation_grid(k),
-    "orientation_spacing": lambda sp, k: sp.orientation_spacing(k),
     "embed_diag": lambda sp, k: sp.embed_diag(k, np.ones(4)),
     "embed_matrix": lambda sp, k: sp.embed_matrix(k, np.eye(4)),
     "factor_operator_dense": lambda sp, k: ks.factor_operator(

@@ -12,6 +12,21 @@ from qrfkit import models as md
 from qrfkit.errors import ConfigError, IncommensurableSpectrum
 
 
+@pytest.mark.parametrize("spec", [
+    md.ModelSpec("nbody"),
+    md.ModelSpec("nparticle", n_particles=1),
+    md.ModelSpec("nparticle", n_particles=9),
+    md.ModelSpec("su2", j=0),
+    md.ModelSpec("degenerate", levels=(1.0, -1.0)),
+    # the momentum window of N = 8, dp = 1 is [-4, 4)
+    md.ModelSpec("degenerate", lattice_size=8, levels=(1.0, 4.0)),
+], ids=["unknown", "1-particle", "9-particles", "su2-j0",
+        "negative-level", "window-edge-level"])
+def test_build_model_rejects_a_bad_spec(spec):
+    with pytest.raises(ConfigError):
+        md.build_model(spec)
+
+
 @pytest.fixture(scope="module")
 def su2():
     return md.build_model(md.ModelSpec("su2", lattice_size=8))

@@ -112,6 +112,14 @@ class TestMultiply:
         with pytest.raises(DegreeExceeded, match="degree 5 exceeds cap 4"):
             (q + high) * (gens.one() + q)
 
+    def test_product_table_degree_cap(self):
+        # a table of q a p over deg a <= d reaches degree d + 2
+        gens = GeneratorSet.canonical([("q", "p")], degree_cap=4)
+        q, p = gens.gen("q"), gens.gen("p")
+        assert gens.products(q, p, 2).rows
+        with pytest.raises(DegreeExceeded, match="degree 5 exceeds cap 4"):
+            gens.products(q, p, 3)
+
     def test_hbar_power_counts_rewrites(self, pair):
         # p^2 q^2 needs commutator rewrites; every coefficient's hbar power
         # equals the number of rewrites on any path to normal order

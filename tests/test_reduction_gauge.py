@@ -18,7 +18,7 @@ from qrfkit import reduction_gauge as rg
 from qrfkit import relobs as ro
 from qrfkit.errors import (IllConditionedFlow, IncommensurableSpectrum,
                            IndexOutOfRange, NotPhysical, SameFrame,
-                           UnsupportedForm)
+                           UnsupportedForm, UnsupportedSupport)
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +302,14 @@ class TestQRFTransform:
         conj = rg.conjugate_observable(v, np.eye(64)).apply(np.eye(64))
         assert np.max(np.abs(conj - np.eye(64))) < 1e-10
 
+    @pytest.mark.parametrize("shape", [(512, 512), (64, 8), (64,)])
+    def test_observable_off_the_source_space_rejected(self, model, shape):
+        # the A-reduced space has dimension 64
+        fr_a, fr_b = model.frames["A"], model.frames["B"]
+        v = rg.qrf_transform(fr_a, 0.0, fr_b, 0.0, model.Pi)
+        with pytest.raises(UnsupportedSupport):
+            rg.conjugate_observable(v, np.ones(shape))
+
     def test_invariant_system_observable_unchanged(self, model):
         # f_S commuting with G_S stays put under the frame change
         fr_a, fr_b = model.frames["A"], model.frames["B"]
@@ -577,11 +585,28 @@ class TestGaugeFlow:
         assert abs(after - before - lam) < 1e-8
 
     def test_ill_conditioned_flow_rejected(self, model, psi):
+        # a diagonal a C is bounded on the real part of i lam a C / hbar:
+        # an imaginary a makes it -1000 C, far past MAX_EXPONENT
         om = self.frame_omega(model, "A", 0.0, psi)
         big = ks.factor_operator(model.space, 2,
-                                 100.0 * np.eye(8))
+                                 100.0j * np.eye(8))
         with pytest.raises(IllConditionedFlow):
             rg.gauge_flow(om, big, 10.0, model.constraint)
+
+    def test_phase_flow_is_not_refused(self):
+        # C = p_R^2 - G_S reaches 64: |s| ||C||_2 = 3 dr 64 = 75 > 50, yet
+        # exp(i lam C / hbar) is a phase that cannot overflow
+        model = md.build_model(md.ModelSpec("degenerate", lattice_size=16,
+                                            levels=(0, 1, 2)))
+        fr = model.frames["R"]
+        psi = md.random_physical_state(model, np.random.default_rng(233))
+        om = self.frame_omega(model, "R", fr.grid[6], psi, degree=4)
+        lam = 3 * fr.spacing
+        C = model.constraint
+        assert lam * np.max(np.abs(C.diag)) / model.hbar > ks.MAX_EXPONENT
+        flowed = rg.gauge_flow(om, ks.identity_operator(model.space), lam, C)
+        ref = expm(1j * lam * C.matrix / model.hbar).conj().T @ om.bra
+        assert np.max(np.abs(flowed.bra - ref)) < 1e-12 * np.max(np.abs(ref))
 
     def test_ill_conditioned_general_flow_rejected(self, model, psi):
         # non-diagonal a: the guard runs on the estimated ||aC||_2
@@ -589,14 +614,12 @@ class TestGaugeFlow:
         m = np.random.default_rng(79).normal(size=(8, 8))
         a = ks.factor_operator(model.space, 2, (m + m.T) / 2)
         assert not a.is_diagonal
-        lam = 0.5
         X = a.matrix @ model.constraint.matrix
-        exact = lam * np.linalg.norm(X, 2) / model.hbar
+        # lam with lam ||X||_2 / hbar at MAX_EXPONENT / 0.99 and / 1.01
+        lam = ks.MAX_EXPONENT * model.hbar / np.linalg.norm(X, 2)
         with pytest.raises(IllConditionedFlow):
-            rg.gauge_flow(om, a, lam, model.constraint,
-                          max_exponent=0.99 * exact)
-        rg.gauge_flow(om, a, lam, model.constraint,
-                      max_exponent=1.01 * exact)
+            rg.gauge_flow(om, a, lam / 0.99, model.constraint)
+        rg.gauge_flow(om, a, lam / 1.01, model.constraint)
         with pytest.raises(IllConditionedFlow):
             rg.gauge_flow(om, 100.0 * a, 10.0, model.constraint)
 

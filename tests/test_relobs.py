@@ -10,7 +10,7 @@ from qrfkit import kinspace as ks
 from qrfkit import models as md
 from qrfkit import relobs as ro
 from qrfkit.errors import (ConfigError, IncommensurableSpectrum,
-                           IndexOutOfRange, UnsupportedForm)
+                           IndexOutOfRange, NotAFrameFactor, UnsupportedForm)
 
 
 def ideal_space(N=8, sys_dim=3):
@@ -55,6 +55,10 @@ class TestOrientationStates:
         with pytest.raises(IndexOutOfRange):
             ro.orientation_state(self.fr, 4)
 
+    def test_system_factor_is_not_a_frame(self):
+        with pytest.raises(NotAFrameFactor):
+            ro.OrientationFrame(self.sp, 1)
+
 
 class TestEffectOperator:
     def setup_method(self):
@@ -66,6 +70,11 @@ class TestEffectOperator:
         assert np.max(np.abs(zero.matrix)) < 1e-12
         full = ro.effect_operator(self.fr, range(-4, 4))
         assert np.max(np.abs(full.matrix - np.eye(self.sp.dim))) < 1e-12
+
+    @pytest.mark.parametrize("j", [-5, 4])
+    def test_out_of_range(self, j):
+        with pytest.raises(IndexOutOfRange):
+            ro.effect_operator(self.fr, [0, j])
 
     def test_momentum_eigenstate_probability(self):
         X = [-1, 0, 2]
@@ -176,6 +185,12 @@ class TestRelationalObservable:
         self.C = ks.build_constraint(self.sp, {0: 1.0, 1: 1.0})
         self.Pi = ks.group_average(self.sp, self.C)
         self.rng = np.random.default_rng(31)
+
+    def test_unknown_form_rejected(self):
+        f_s = rand_system_op(self.sp, self.rng)
+        with pytest.raises(UnsupportedForm, match="unknown form"):
+            ro.relational_observable(self.sp, self.C, self.fr, 0.0, f_s,
+                                     form="dirac")
 
     def test_kinematical_and_closed_forms_agree(self):
         for _ in range(5):
