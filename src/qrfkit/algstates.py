@@ -191,6 +191,9 @@ def from_hilbert(bra: np.ndarray, ket: np.ndarray, space: LatticeSpace,
     _check_space(space, *assignment.values())
     bra = np.asarray(bra, dtype=complex)
     ket = np.asarray(ket, dtype=complex)
+    if bra.shape[:1] != (space.dim,) or ket.shape[:1] != (space.dim,):
+        raise ConfigError(
+            f"bra {bra.shape} and ket {ket.shape} on a space of {space.dim}")
     if normalize:
         bra = bra / np.conj(_overlap(bra, ket))
     return AlgebraicState(gens, degree_bound, space=space, bra=bra, ket=ket,

@@ -117,6 +117,12 @@ class LatticeSpace:
                 f"factor {factor} outside [0, {len(self.factors)})")
         return self.factors[factor]
 
+    def _frame(self, factor: int) -> FactorSpec:
+        """Factor ``factor``'s spec; NotAFrameFactor unless it is a frame."""
+        if not self._factor(factor).is_frame:
+            raise NotAFrameFactor(f"factor {factor} is not a frame")
+        return self.factors[factor]
+
     def embed_matrix(self, factor: int, mat: np.ndarray) -> np.ndarray:
         """Lift a factor matrix to the full space (identity elsewhere)."""
         self._factor(factor)
@@ -134,7 +140,8 @@ class LatticeSpace:
     def apply_factor(self, factor: int, mat: np.ndarray, vec: np.ndarray,
                      out: np.ndarray = None) -> np.ndarray:
         """Apply an m x n matrix on one factor to a vector or a column block
-        whose rows carry n in that factor's slot; m comes out there.
+        whose rows carry n in that factor's slot (else ConfigError); m comes
+        out there.
 
         The rows are viewed as (a, n, b*k), a and b the products of the dims
         before and after the factor and k the block width, and contracted
@@ -146,8 +153,10 @@ class LatticeSpace:
         self._factor(factor)
         m, n = mat.shape
         a, b = prod(self.dims[:factor]), prod(self.dims[factor + 1:])
+        if vec.shape[:1] != (a * n * b,):
+            raise ConfigError(f"{vec.shape} input where {a * n * b} rows fit")
         bk = b * prod(vec.shape[1:])
-        v = vec.reshape((a, n, b) + vec.shape[1:]).reshape(a, n, bk)
+        v = vec.reshape(a, n, bk)
         shape = (a * m * b,) + vec.shape[1:]
         if out is None:
             out = np.empty(shape, np.result_type(mat, vec))
@@ -257,14 +266,16 @@ class KinOperator:
       ``classes`` is c, and ``"exp"`` is exp(X) for the one operand X, a
       non-diagonal one (``exp`` of a diagonal X is diagonal).
 
-    ``apply`` and ``apply_adjoint`` take a D-vector or a D x k block of
-    columns; a composed form chains its operands' own applies.
+    ``apply`` takes a D-vector or a D x k block of columns (ConfigError
+    for other rows); a composed form chains its operands' own applies.
     ``apply(vec, out=o)`` writes the result into ``o``, a C-contiguous
     complex array of ``vec``'s shape that does not overlap ``vec``, and
-    returns it, the same bits as ``apply(vec)``.
+    returns it, the same bits as ``apply(vec)``.  ``apply_adjoint`` is the
+    ``apply`` of ``adjoint``, the adjoint in the same stored form.
 
     ``A @ B`` and ``A + B`` are diagonal when both operands are diagonal
-    and composed otherwise; no product or sum is densified.
+    and composed otherwise; no product or sum is densified.  Only they,
+    ``exp`` and ``relobs.g_twirl`` build a composed form.
 
     ``matrix`` builds the dense D x D form only when a caller reads it, a
     composed form by its ``apply`` on the blocks of ``_unit_blocks``, and
@@ -308,16 +319,10 @@ class KinOperator:
         return KinOperator(space, None, diag, tuple(warnings))
 
     @staticmethod
-    def composed(kind: str, operands, scalar=1.0,
-                 classes=None) -> "KinOperator":
+    def _composed(kind: str, operands, classes=None) -> "KinOperator":
         """The composed form of ``operands``; a product operand is spliced
         into a product, and a sum operand with no scalar into a sum."""
-        if kind not in ("@", "+", "twirl", "exp"):
-            raise ConfigError(f"unknown composition {kind!r}")
-        if not operands:
-            raise ConfigError(f"composition {kind!r} of no operands")
-        _check_space(operands[0].space, *operands)
-        flat = []
+        flat, scalar = [], 1.0
         for op in operands:
             if kind in ("@", "+") and op.kind == kind and (
                     kind == "@" or op.scalar == 1):
@@ -325,9 +330,6 @@ class KinOperator:
                 scalar = scalar * op.scalar
             else:
                 flat.append(op)
-        if classes is not None:
-            classes = np.asarray(classes, dtype=np.intp).view()
-            classes.setflags(write=False)
         return KinOperator(operands[0].space, operands=tuple(flat),
                            kind=kind, scalar=scalar, classes=classes)
 
@@ -347,8 +349,8 @@ class KinOperator:
         if X.is_diagonal:
             return KinOperator.from_diag(X.space, np.exp(z))
         n = max(1, ceil(x))
-        step = KinOperator.composed("exp", (complex(s) / n * X,))
-        return step if n == 1 else KinOperator.composed("@", (step,) * n)
+        step = KinOperator._composed("exp", (complex(s) / n * X,))
+        return step if n == 1 else KinOperator._composed("@", (step,) * n)
 
     @property
     def is_diagonal(self) -> bool:
@@ -422,9 +424,25 @@ class KinOperator:
         return np.concatenate([np.diagonal(self.apply(eye), -c)
                                for c, eye in _unit_blocks(self.space.dim)])
 
-    def apply(self, vec: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    @cached_property
+    def adjoint(self) -> "KinOperator":
+        """The adjoint, stored alike: a composed form's holds its operands'
+        adjoints (reversed in a product) and the conjugate scalar."""
+        if self.is_diagonal:
+            return KinOperator.from_diag(self.space, self.diag.conj())
         if self.local is not None:
+            return factor_operator(self.space, self.factor, self.local.conj().T)
+        if self._matrix is not None:
+            return KinOperator.from_matrix(self.space, self._matrix.conj().T)
+        ops = tuple(op.adjoint for op in self.operands)
+        return replace(self, operands=ops[::-1] if self.kind == "@" else ops,
+                       scalar=np.conj(self.scalar))
+
+    def apply(self, vec: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        if self.local is not None:  # apply_factor checks the rows
             return self.space.apply_factor(self.factor, self.local, vec, out)
+        if vec.shape[:1] != (self.space.dim,):
+            raise ConfigError(f"{vec.shape} input on a space of {self.space.dim}")
         if out is not None:
             _check_out(out, vec.shape)
         if self.is_diagonal:
@@ -432,39 +450,24 @@ class KinOperator:
                                vec, out=out)
         if self._matrix is not None:
             return np.matmul(self._matrix, vec, out=out)
-        return self._apply_composed(vec, out, adjoint=False)
+        return self._apply_composed(vec, out)
 
     def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
-        """The adjoint applied to ``vec``, without forming the adjoint."""
-        if self.is_diagonal:
-            return self.diag.conj().reshape((-1,) + (1,) * (vec.ndim - 1)) * vec
-        if self.local is not None:
-            return self.space.apply_factor(self.factor, self.local.conj().T,
-                                           vec)
-        if self._matrix is not None:
-            return (vec.conj().T @ self._matrix).conj().T
-        return self._apply_composed(vec, None, adjoint=True)
+        """``adjoint.apply(vec)``: the adjoint, built once and cached."""
+        return self.adjoint.apply(vec)
 
-    def _apply_composed(self, vec, out, adjoint: bool) -> np.ndarray:
-        """A composed form (or its adjoint) on ``vec``, operand by operand."""
-        def act(op, v, o=None):
-            return op.apply_adjoint(v) if adjoint else op.apply(v, o)
-
+    def _apply_composed(self, vec, out) -> np.ndarray:
+        """A composed form on ``vec``, operand by operand."""
         ops = self.operands
         if self.kind == "twirl":
-            out = self._twirl(vec, out, act)
+            out = self._twirl(vec, out)
         elif self.kind == "exp":
-            out = self._exp(vec, out, adjoint)
+            out = self._exp(vec, out)
         elif self.kind == "+":
-            out = act(ops[0], vec, out)
-            tmp = None if adjoint else np.empty(vec.shape, dtype=complex)
+            out = ops[0].apply(vec, out)
+            tmp = np.empty(vec.shape, dtype=complex)
             for op in ops[1:]:
-                out += act(op, vec, tmp)
-        elif adjoint:
-            # (A_1 ... A_n)^dag = A_n^dag ... A_1^dag: A_1^dag acts first
-            for op in ops:
-                vec = op.apply_adjoint(vec)
-            out = vec
+                out += op.apply(vec, tmp)
         else:
             # the rightmost operand acts first; intermediates alternate
             # between two buffers
@@ -473,21 +476,20 @@ class KinOperator:
                 vec = op.apply(vec, bufs[i % 2])
             out = ops[0].apply(vec, out)
         if self.scalar != 1:
-            out *= np.conj(self.scalar) if adjoint else self.scalar
+            out *= self.scalar
         return out
 
-    def _exp(self, vec, out, adjoint: bool) -> np.ndarray:
-        """exp(X) (or exp(X^dag)) on ``vec``, X the one operand, a step of
-        norm about 1: X's own Taylor series, unshifted, until two terms in a
-        row fall to 2^-53 of the partial sum in each column."""
+    def _exp(self, vec, out) -> np.ndarray:
+        """exp(X) on ``vec``, X the one operand, a step of norm about 1: X's
+        own Taylor series, unshifted, until two terms in a row fall to
+        2^-53 of the partial sum in each column."""
         X = self.operands[0]
-        act = X.apply_adjoint if adjoint else X.apply
         if out is None:
             out = np.empty(vec.shape, dtype=complex)
         out[...] = vec
         term, below = vec, False
         for k in count(1):
-            term = act(term) / k
+            term = X.apply(term) / k
             out += term
             tol = 2.0 ** -53 * np.linalg.norm(out, axis=0)
             prev, below = below, not np.any(np.linalg.norm(term, axis=0) > tol)
@@ -495,8 +497,8 @@ class KinOperator:
                 break
         return out
 
-    def _twirl(self, vec, out, act) -> np.ndarray:
-        """sum_c P_c A P_c on ``vec``, A applied (or adjoint-applied) by ``act``.
+    def _twirl(self, vec, out) -> np.ndarray:
+        """sum_c P_c A P_c on ``vec``, A the one operand.
 
         The classes go in groups of at most ``_COLUMN_BLOCK`` (256).  Each
         column's entries in a group's classes are scattered into a D x n_g
@@ -521,7 +523,7 @@ class KinOperator:
                 part = cols[rows, i:i + width]
                 block = np.zeros((dim, n_g, part.shape[1]), dtype=complex)
                 block[rows, sub] = part
-                y = act(self.operands[0], block.reshape(dim, -1))
+                y = self.operands[0].apply(block.reshape(dim, -1))
                 res[rows, i:i + width] = y.reshape(dim, n_g, -1)[rows, sub]
                 del block, y  # free before the next block is made
         return out
@@ -530,7 +532,7 @@ class KinOperator:
         _check_space(self.space, other)
         if self.is_diagonal and other.is_diagonal:
             return KinOperator.from_diag(self.space, self.diag + other.diag)
-        return KinOperator.composed("+", (self, other))
+        return KinOperator._composed("+", (self, other))
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -549,7 +551,7 @@ class KinOperator:
         _check_space(self.space, other)
         if self.is_diagonal and other.is_diagonal:
             return KinOperator.from_diag(self.space, self.diag * other.diag)
-        return KinOperator.composed("@", (self, other))
+        return KinOperator._composed("@", (self, other))
 
 
 def _check_space(space: LatticeSpace, *ops) -> None:
@@ -640,19 +642,14 @@ def split_adjoint(op: KinOperator, factor: int, rest: LatticeSpace):
 
 def momentum_operator(space: LatticeSpace, factor: int) -> KinOperator:
     """Frame momentum, diagonal with eigenvalues ``k*dp``."""
-    f = space._factor(factor)
-    if not f.is_frame:
-        raise NotAFrameFactor(f"factor {factor} is not a frame")
-    return KinOperator.from_diag(
-        space, space.embed_diag(factor, f.generator_spectrum))
+    space._frame(factor)
+    return generator_operator(space, factor)
 
 
-def generator_operator(space: LatticeSpace, factor: int,
-                       coefficient: float = 1.0) -> KinOperator:
-    """The factor's declared transformation generator, embedded and scaled."""
-    f = space._factor(factor)
-    return KinOperator.from_diag(
-        space, space.embed_diag(factor, coefficient * f.generator_spectrum))
+def generator_operator(space: LatticeSpace, factor: int) -> KinOperator:
+    """The factor's declared transformation generator, embedded."""
+    return KinOperator.from_diag(space, space.embed_diag(
+        factor, space._factor(factor).generator_spectrum))
 
 
 def reduce_mod_period(values: np.ndarray, period: float) -> np.ndarray:
@@ -764,6 +761,8 @@ def physical_inner_product(space: LatticeSpace, Pi: KinOperator,
                            psi_kin: np.ndarray, phi_kin: np.ndarray) -> complex:
     """<psi|Pi|phi>: positive semi-definite, an honest inner product on ker(C)."""
     _check_space(space, Pi)
+    if psi_kin.shape[:1] != (space.dim,):
+        raise ConfigError(f"psi {psi_kin.shape} on a space of {space.dim}")
     return complex(np.vdot(psi_kin, Pi.apply(phi_kin)))
 
 
@@ -773,9 +772,7 @@ def sector_projectors(space: LatticeSpace, frame: int):
     Both commute with any constraint diagonal in the computational basis,
     in particular with the doubly degenerate ``p^2 - G_S`` family.
     """
-    f = space._factor(frame)
-    if not f.is_frame:
-        raise NotAFrameFactor(f"factor {frame} is not a frame")
+    f = space._frame(frame)
     pos = (f.generator_spectrum >= 0).astype(float)
     plus = KinOperator.from_diag(space, space.embed_diag(frame, pos))
     minus = KinOperator.from_diag(space, space.embed_diag(frame, 1.0 - pos))

@@ -22,9 +22,8 @@ import numpy as np
 
 from .algstates import AlgebraicState, from_hilbert
 from .errors import ConfigError, SameFrame, UnsupportedSupport
-from .kinspace import _COLUMN_BLOCK as _GAUGE_BLOCK
-from .kinspace import (KinOperator, _check_space, _diagonal_spectrum,
-                       check_physical)
+from .kinspace import (_COLUMN_BLOCK, KinOperator, _check_space,
+                       _diagonal_spectrum, check_physical)
 # theta_gauge, the reference gauge Theta(rho), is defined once in relobs
 from .relobs import OrientationFrame, orientation_state_at, theta_gauge
 
@@ -122,18 +121,18 @@ def verify_gauge(phi: KinOperator, Pi: KinOperator) -> dict:
     states).  Both operators act only through ``apply``.  For a projector
     Pi_jj = ||Pi e_j||^2, so only the columns j with Pi_jj != 0 can be
     non-zero; they are taken as unit columns E in blocks of
-    ``_GAUGE_BLOCK`` (256), and with B = Pi E, Y = Phi B the residuals are
+    ``_COLUMN_BLOCK`` (256), and with B = Pi E, Y = Phi B the residuals are
     max |Pi Y - B| and max |Phi Pi Y - Y|.  B, Y and Pi Y are written into
     three block arrays made once; E is written into the one that later
     holds Pi Y, and both differences are taken in place.
     """
     _check_space(Pi.space, phi)
     cols = np.flatnonzero(Pi.diagonal())
-    dim, width = Pi.space.dim, min(_GAUGE_BLOCK, cols.size)
+    dim, width = Pi.space.dim, min(_COLUMN_BLOCK, cols.size)
     store = np.empty((3, dim * width), dtype=complex)
     r1 = r2 = 0.0
-    for i in range(0, cols.size, _GAUGE_BLOCK):
-        block = cols[i:i + _GAUGE_BLOCK]
+    for i in range(0, cols.size, _COLUMN_BLOCK):
+        block = cols[i:i + _COLUMN_BLOCK]
         k = block.size
         B, Y, PY = (s[:dim * k].reshape(dim, k) for s in store)
         PY.fill(0.0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, IncommensurableSpectrum, IndexOutOfRange,
-                     NotAFrameFactor, UnsupportedForm)
+                     UnsupportedForm)
 from .kinspace import (
     KinOperator,
     LatticeSpace,
@@ -39,8 +39,7 @@ class OrientationFrame:
     factor: int
 
     def __post_init__(self):
-        if not self.space._factor(self.factor).is_frame:
-            raise NotAFrameFactor(f"factor {self.factor} is not a frame")
+        self.space._frame(self.factor)
 
     @property
     def N(self) -> int:
@@ -108,8 +107,10 @@ def wraparound_weight(frame: OrientationFrame, vec: np.ndarray,
     Diagnostic for the modular-arithmetic caveat: golden tests keep this
     weight negligible by localizing states away from the edge.  ``margin``
     must lie in [0, N/2] (ConfigError); 0 weighs nothing and N/2 the whole
-    orientation range.
+    orientation range.  ``vec`` is one D-vector (ConfigError otherwise).
     """
+    if np.shape(vec) != (frame.space.dim,):
+        raise ConfigError(f"vec must be one {frame.space.dim}-vector")
     if not 0 <= 2 * margin <= frame.N:
         raise ConfigError(
             f"margin must lie in [0, N/2] = [0, {frame.N / 2:g}], got {margin}")
@@ -143,8 +144,8 @@ def g_twirl(space: LatticeSpace, C: KinOperator, A: KinOperator) -> KinOperator:
     _check_space(space, C, A)
     vals = _diagonal_spectrum(C)
     tol = _zero_tol(vals)
-    return KinOperator.composed("twirl", (A,),
-                                classes=_eigenvalue_classes(vals, tol))
+    return KinOperator._composed("twirl", (A,),
+                                 classes=_eigenvalue_classes(vals, tol))
 
 
 def _eigenvalue_classes(vals: np.ndarray, tol: float) -> np.ndarray:
@@ -161,6 +162,7 @@ def _eigenvalue_classes(vals: np.ndarray, tol: float) -> np.ndarray:
             f"constraint eigenvalues chain across the twirl tolerance {tol:.1e}")
     classes = np.empty(vals.size, dtype=np.intp)
     classes[order] = np.cumsum(np.r_[False, gap])
+    classes.setflags(write=False)
     return classes
 
 
@@ -197,8 +199,8 @@ def relational_observable(space: LatticeSpace, C: KinOperator,
     group (see ``g_twirl``).  Stores Theta, f_S and one eigenvalue class
     per basis state; an apply is one apply of Theta f_S to a D x n_c block.
     form="closed": conjugation of f_S by exp(-i(R-rho)G_S/hbar), taken in
-    the orientation basis as F E f_S E^dag F^dag / N, with F the
-    factor-local matrix of orientation kets and E the diagonal
+    the orientation basis as the product (1/N) F E f_S E^dag F^dag, with F
+    the factor-local matrix of orientation kets and E the diagonal
     exp(-i(rho_j-rho)G_S/hbar) over (frame slot j, rest).  Stores F, F^dag,
     f_S and two D-vectors; an apply is five.  Requires an ideal frame
     (every commensurate lattice frame with a linear constraint is ideal).
@@ -219,11 +221,9 @@ def relational_observable(space: LatticeSpace, C: KinOperator,
                          .reshape(space.dims), k, 0)[0]
         e = np.exp(-1j * np.multiply.outer(frame.grid - rho, gs) / space.hbar)
         e = np.moveaxis(e, 0, k).reshape(-1)
-        F = frame.fourier_matrix()
-        return KinOperator.composed("@", (
-            factor_operator(space, k, F), KinOperator.from_diag(space, e), f_s,
-            KinOperator.from_diag(space, e.conj()),
-            factor_operator(space, k, F.conj().T)), scalar=1.0 / frame.N)
+        F = factor_operator(space, k, frame.fourier_matrix())
+        E = KinOperator.from_diag(space, e)
+        return (1.0 / frame.N) * (F @ E @ f_s @ E.adjoint @ F.adjoint)
     if form == "physical":
         if Pi is None:
             raise ConfigError("physical form requires the projector Pi")

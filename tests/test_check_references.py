@@ -110,7 +110,7 @@ def test_verify_gauge_across_a_block_boundary():
                              ks.FactorSpec.system(np.zeros(300))])
     Pi = ks.group_average(space, ks.build_constraint(space, {0: 1.0}))
     assert space.dim == 1200
-    assert np.count_nonzero(Pi.diagonal()) == 300 > rg._GAUGE_BLOCK
+    assert np.count_nonzero(Pi.diagonal()) == 300 > ks._COLUMN_BLOCK
     fr = ro.OrientationFrame(space, 0)
     theta = rg.theta_gauge(fr, fr.grid[1])
     assert rg.verify_gauge(theta, Pi)["valid"]
@@ -169,8 +169,8 @@ def blockwise_gauge_residuals(phi, Pi):
     """verify_gauge's residuals with fresh arrays for every block product."""
     cols = np.flatnonzero(Pi.diagonal())
     r1 = r2 = 0.0
-    for i in range(0, cols.size, rg._GAUGE_BLOCK):
-        block = cols[i:i + rg._GAUGE_BLOCK]
+    for i in range(0, cols.size, ks._COLUMN_BLOCK):
+        block = cols[i:i + ks._COLUMN_BLOCK]
         E = np.zeros((Pi.space.dim, block.size))
         E[block, np.arange(block.size)] = 1.0
         B = Pi.apply(E)
@@ -219,7 +219,7 @@ def test_verify_gauge_peak_below_four_blocks():
     # B, Y and Pi Y (the unit columns are written into Pi Y's block) and
     # one real |difference|: 3.5 blocks, where a separate real unit block
     # made 4.0
-    assert peak < 3.75 * D * rg._GAUGE_BLOCK * 16
+    assert peak < 3.75 * D * ks._COLUMN_BLOCK * 16
     assert (rep["pi_phi_pi"], rep["phi_pi_phi"]) == \
         blockwise_gauge_residuals(theta, model.Pi)
 

@@ -7,9 +7,11 @@ two dense reads check the dense budget, no module reads a dense form,
 a state's values come from the two walks of ``AlgebraicState`` without
 acting on a bra, ``ncalg`` imports only the standard library and
 ``.errors`` (sympy lazily, at its boundary), every exact product is
-summed by ``ncalg._expand``, the one caller of ``normal_order_word``, and
+summed by ``ncalg._expand``, the one caller of ``normal_order_word``,
 every read of an operator's unit columns takes its identity blocks from
-``kinspace._unit_blocks``, the one offset ``np.eye``."""
+``kinspace._unit_blocks``, the one offset ``np.eye``, only the operator
+algebra (``@``, ``+``, ``exp`` and the G-twirl) builds a composed form, and
+the adjoint is an operator, never a flag of a ``kinspace`` function."""
 
 import ast
 import sys
@@ -203,3 +205,26 @@ def test_only_unit_blocks_builds_offset_identity_columns():
                for caller in _callers(ast.parse(path.read_text()), "eye",
                                       offset)}
     assert callers == {"kinspace._unit_blocks"}
+
+
+def test_only_the_operator_algebra_builds_a_composed_form():
+    # each caller passes a valid kind and operands on one space; the
+    # closed relational observable is a product of five operands
+    callers = {f"{path.stem}.{caller}" for path in SRC.glob("*.py")
+               for caller in _callers(ast.parse(path.read_text()),
+                                      "_composed")}
+    assert callers == {"kinspace.KinOperator.exp",
+                       "kinspace.KinOperator.__add__",
+                       "kinspace.KinOperator.__matmul__", "relobs.g_twirl"}
+
+
+def test_no_kinspace_function_takes_an_adjoint_flag():
+    # ``apply_adjoint`` is ``adjoint.apply``: every form and composed kind
+    # has one apply path, with its buffers, in both directions
+    tree = ast.parse((SRC / "kinspace.py").read_text())
+    params = [f"{node.name}:{node.lineno} {arg.arg}"
+              for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              for arg in node.args.posonlyargs + node.args.args
+              + node.args.kwonlyargs
+              if arg.arg in {"adjoint", "act"}]
+    assert not params, params

@@ -537,7 +537,7 @@ class TestComposedForm:
         assert (l1 + l2 + m).operands == (l1, l2, m)
         # an exp is never spliced, and a scalar multiplies it
         e = ks.KinOperator.exp(l1, 0.1)
-        assert ks.KinOperator.composed("exp", (e,)).operands == (e,)
+        assert ks.KinOperator._composed("exp", (e,)).operands == (e,)
         assert (2.0 * e).operands == e.operands and (2.0 * e).scalar == 2.0
         assert (e @ e).operands == (e, e)
 
@@ -641,6 +641,48 @@ class TestComposedForm:
             assert np.all(np.linalg.norm(got - want, axis=0)
                           <= 1e-12 * np.linalg.norm(want, axis=0))
 
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(form=st.sampled_from(["diag", "local", "dense", "@", "+", "twirl",
+                                 "exp", "scaled"]),
+           factor=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_adjoint_is_the_conjugate_transpose(self, form, factor, seed):
+        # every stored form and composed kind: adjoint.apply is M^dag on a
+        # vector and a block, a product's adjoint holds the reversed
+        # adjoints and the conjugate scalar, and adjoint.adjoint acts as op
+        sp = TestOperatorForms.mixed_space()
+        rng = np.random.default_rng(seed)
+        make = TestOperatorForms.operator
+        loc = make(sp, "local", factor, rng)
+        if form in ("diag", "local", "dense"):
+            op = make(sp, form, factor, rng)
+        elif form == "twirl":
+            C = ks.build_constraint(sp, {0: 1.0, 1: 1.0, 2: 1.0})
+            op = ro.g_twirl(sp, C, loc @ make(sp, "diag", 0, rng))
+        elif form == "exp":
+            # one Taylor step (kind "exp") or a product of two or three
+            X = loc @ make(sp, "diag", 0, rng)
+            op = ks.KinOperator.exp(X, 0.9j * (1 + seed % 3)
+                                    / np.linalg.norm(X.matrix, 2))
+            assert op.kind == ("exp" if seed % 3 == 0 else "@")
+        else:
+            other = make(sp, "dense", 0, rng)
+            op = loc + other if form == "+" else loc @ other
+            if form == "scaled":
+                op = complex(*rng.normal(size=2)) * op
+        adj = op.adjoint
+        X = rng.normal(size=(sp.dim, 3)) + 1j * rng.normal(size=(sp.dim, 3))
+        for x in (X, X[:, 0]):
+            want = op.matrix.conj().T @ x
+            assert np.max(np.abs(adj.apply(x) - want)) \
+                <= 1e-12 * np.max(np.abs(want))
+            assert np.array_equal(op.apply_adjoint(x), adj.apply(x))
+            assert np.array_equal(adj.adjoint.apply(x), op.apply(x))
+        if op.operands is not None:
+            ops = op.operands[::-1] if op.kind == "@" else op.operands
+            assert adj.kind == op.kind and adj.classes is op.classes
+            assert all(a is o.adjoint for a, o in zip(adj.operands, ops))
+            assert adj.scalar == np.conj(op.scalar)
+
     def test_support_is_the_union_of_operand_supports(self):
         sp = TestOperatorForms.mixed_space()
         rng = np.random.default_rng(193)
@@ -737,12 +779,12 @@ class TestRectangularApplyFactor:
         N = sp.dims[1]
         mat = np.eye(N, dtype=complex)
         # twice the rows would reshape to a two-column block without the
-        # per-factor reshape
+        # row check
         for vec in (np.ones(sp.dim + 1), np.ones(2 * sp.dim),
                     np.ones((sp.dim - 1, 2))):
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigError):
                 sp.apply_factor(1, mat, vec)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             sp.apply_factor(1, np.ones((N, N - 1)), np.ones(sp.dim))
 
     @pytest.mark.parametrize("factor", [3, 7, -1])
@@ -822,6 +864,15 @@ def _foreign(call):
     return lambda: call(*_two_models())
 
 
+def _on_nparticle4(call):
+    """A CONFIG_ERRORS case: ``call`` on nparticle L = 4 (D = 64) and its
+    frame A."""
+    def run():
+        m = md.build_model(md.ModelSpec("nparticle", lattice_size=4))
+        return call(m, m.frames["A"])
+    return run
+
+
 def _physical_observable(space, C, m):
     return ro.relational_observable(space, C, m.frames["A"], 0.0,
                                     ks.identity_operator(m.space),
@@ -844,10 +895,7 @@ CONFIG_ERRORS = {
         [ks.FactorSpec.frame(4), ks.FactorSpec.system([np.inf])]),
     "apply.out": lambda: ks.identity_operator(two_frame_space()).apply(
         np.ones(64, complex), out=np.empty(3, complex)),
-    "KinOperator.composed": lambda: ks.KinOperator.composed(
-        "?", [ks.identity_operator(two_frame_space())]),
     # wrong shapes, caught at construction rather than at the first apply
-    "KinOperator.composed.empty": lambda: ks.KinOperator.composed("@", ()),
     "KinOperator.from_matrix.shape": lambda: ks.KinOperator.from_matrix(
         _nparticle4(), np.eye(3)),
     "factor_operator.5x5": lambda: ks.factor_operator(
@@ -931,6 +979,32 @@ CONFIG_ERRORS = {
         lambda m, o, psi, om: _physical_observable(o.space, m.constraint, m)),
     "relational_observable.physical.C": _foreign(
         lambda m, o, psi, om: _physical_observable(m.space, o.constraint, m)),
+    # a vector with the wrong number of rows, not numpy's reshape error
+    "apply.rows": _on_nparticle4(lambda m, fr: m.constraint.apply(
+        np.ones(63))),
+    "apply.local.rows": _on_nparticle4(lambda m, fr: m.assignment[
+        "q_A"].apply(np.ones(63))),
+    "reduce_state.rows": _on_nparticle4(lambda m, fr: rg.reduce_state(
+        fr, 0.0, np.ones(68))),
+    "embed_state.rows": _on_nparticle4(lambda m, fr: rg.embed_state(
+        fr, 0.0, np.ones(5), m.Pi)),
+    "project_physical.rows": _on_nparticle4(lambda m, fr: ks.project_physical(
+        m.Pi, np.ones(63))),
+    "check_physical.rows": _on_nparticle4(lambda m, fr: ks.check_physical(
+        m.constraint, np.ones(63))),
+    "frame_state.rows": _on_nparticle4(lambda m, fr: ast.frame_state(
+        m.space, m.constraint, fr, 0.0, np.ones(63), m.assignment, m.gens)),
+    "physical_inner_product.rows": _on_nparticle4(
+        lambda m, fr: ks.physical_inner_product(m.space, m.Pi, np.ones(63),
+                                                np.ones(64))),
+    "from_hilbert.bra.rows": _on_nparticle4(lambda m, fr: ast.from_hilbert(
+        np.ones(63), np.ones(64), m.space, m.assignment, m.gens)),
+    "from_hilbert.ket.rows": _on_nparticle4(lambda m, fr: ast.from_hilbert(
+        np.ones(64), np.ones(63), m.space, m.assignment, m.gens)),
+    "qrf_transform.apply.rows": _on_nparticle4(lambda m, fr: rg.qrf_transform(
+        fr, 0.0, m.frames["B"], 0.0, m.Pi).apply(np.ones(3))),
+    "wraparound_weight.block": _on_nparticle4(
+        lambda m, fr: ro.wraparound_weight(fr, np.ones((64, 2)))),
 }
 
 

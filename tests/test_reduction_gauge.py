@@ -358,9 +358,10 @@ def qrf_case(kind, size, j, hbar):
 def test_conjugate_observable_is_the_dense_conjugation(kind, size, j, hbar,
                                                        pair, ja, jb, seed):
     # V f V^dag through V's maps against R f R^dag with R the unit-vector
-    # reference of V; V^dag is the reverse change bit for bit; and where
-    # V^dag V = 1 (the source frame at least as large as the target),
-    # V^dag (V f V^dag) V = f
+    # reference of V; V^dag is the reverse change bit for bit; the reverse
+    # change undoes V on the A-reduction of a physical state, in every
+    # direction (also where V^dag V != 1); and where V^dag V = 1 (the
+    # source frame at least as large as the target), V^dag (V f V^dag) V = f
     frames, Pi = qrf_case(kind, size, j, hbar)
     pairs = [(a, b) for a in frames for b in frames if a is not b]
     fa, fb = pairs[pair % len(pairs)]
@@ -382,6 +383,9 @@ def test_conjugate_observable_is_the_dense_conjugation(kind, size, j, hbar,
         assert np.max(np.abs(conj.apply(X) - want)) \
             <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(v.apply_adjoint(X), back.apply(X))
+    chi = rg.reduce_state(fa, rho_a, Pi.apply(sample(fa.space.dim)))
+    assert np.max(np.abs(back.apply(v.apply(chi)) - chi)) \
+        <= 1e-12 * np.max(np.abs(chi))
     if n_a <= n_b:
         x = sample(n_a, 3)
         assert np.max(np.abs(v.apply_adjoint(v.apply(x)) - x)) \
