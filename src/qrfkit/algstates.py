@@ -339,7 +339,6 @@ def _max_abs_value(omega: AlgebraicState, degree: int,
     in row order, as ``evaluate`` sums.  A ``shift`` (right = 1) adds
     numeric(shift) omega(a) to row a's sum, and only then values the basis.
     """
-    degree = max(degree, 0)
     total = degree + left.degree() + right.degree()
     if total > omega.degree_bound:
         raise DegreeExceeded(
@@ -364,10 +363,13 @@ def check_constraint_surface(omega: AlgebraicState, C: AlgebraElement,
     (1, C, D - deg C), built once per structure and shared with
     ``verify_reference_frame``; only their valuation is floating point
     (numeric coefficients at the state's hbar, cached with the rows, times
-    the monomial values of ``omega``).
+    the monomial values of ``omega``).  D is ``degree``, by default the
+    state's degree bound; ConfigError when it is below deg C.
     """
-    d = (omega.degree_bound if degree is None else degree) - C.degree()
-    return _max_abs_value(omega, d, omega.gens.one(), C)
+    D = omega.degree_bound if degree is None else degree
+    if D < C.degree():
+        raise ConfigError(f"degree {D} is below deg C = {C.degree()}")
+    return _max_abs_value(omega, D - C.degree(), omega.gens.one(), C)
 
 
 def check_frame_gauge(omega: AlgebraicState, z_name: str, rho: float,
@@ -380,11 +382,15 @@ def check_frame_gauge(omega: AlgebraicState, z_name: str, rho: float,
     call time, rho as given (a float rho makes a float-tainted
     coefficient).  That is bitwise omega((Z - rho) a) unless a is a
     monomial of Z a (never for a canonical or central Z), where the two
-    can round differently.
+    can round differently.  D is ``degree``, by default the state's degree
+    bound; ConfigError when it is below 1, the degree of Z.
     """
     z = omega.gens.gen(z_name)
-    d = (omega.degree_bound if degree is None else degree) - 1
-    return _max_abs_value(omega, d, z, omega.gens.one(), -ncalg._coef(rho))
+    D = omega.degree_bound if degree is None else degree
+    if D < 1:
+        raise ConfigError(f"degree {D} is below deg Z = 1")
+    return _max_abs_value(omega, D - 1, z, omega.gens.one(),
+                          -ncalg._coef(rho))
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,35 @@ class KinOperator:
     scalar: complex = 1.0
     classes: np.ndarray = None
 
+    def __post_init__(self):
+        """ConfigError unless exactly one form is stored and a composed one
+        is well formed: a known kind, operands on this space (one for
+        ``"exp"`` and ``"twirl"``), and ``classes`` of length D exactly
+        for a twirl.  Shapes are checked by the ``from_*`` constructors and
+        ``factor_operator``."""
+        forms = ((self._matrix is not None) + (self.diag is not None)
+                 + (self.local is not None) + (self.operands is not None))
+        if forms != 1:
+            raise ConfigError(f"{forms} stored forms; a KinOperator stores "
+                              "exactly one")
+        if self.operands is None:
+            if self.kind is not None or self.classes is not None:
+                raise ConfigError("kind and classes belong to a composed form")
+            return
+        ops = self.operands
+        if self.kind not in ("@", "+", "twirl", "exp"):
+            raise ConfigError(f"unknown composed kind {self.kind!r}")
+        if not ops or (self.kind in ("twirl", "exp") and len(ops) != 1):
+            raise ConfigError(f"{len(ops)} operands for kind {self.kind!r}")
+        if not all(isinstance(op, KinOperator) for op in ops):
+            raise ConfigError("operands must be KinOperators")
+        _check_space(self.space, *ops)
+        twirl = self.kind == "twirl"
+        if twirl != (self.classes is not None) or (
+                twirl and np.shape(self.classes) != (self.space.dim,)):
+            raise ConfigError("a twirl, and only a twirl, takes classes of "
+                              f"length {self.space.dim}")
+
     @staticmethod
     def from_matrix(space, matrix) -> "KinOperator":
         matrix = np.asarray(matrix, dtype=complex).view()

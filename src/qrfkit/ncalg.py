@@ -37,24 +37,26 @@ per-block averages, and a commutator with one generator vanishes on a
 monomial exactly when it vanishes on the monomial's part in that
 generator's block.  Normal ordering itself works on whole words.  A rewrite
 fires only where a letter passes an earlier one whose relation with it has
-a rule, so a word whose letters pass only letters they commute with is
-normal-ordered by sorting it, with coefficient one; only the other words
-run the rewrite engine.
+a rule, so a product of normal-ordered monomials in which no letter passes
+such a letter is free: its monomial is the sum of theirs, with coefficient
+one, read from two bit masks per monomial without forming the word.  Only
+the other products form their word and run the rewrite engine.
 
 All of this depends on the relation table alone, never on the generator
 names or the degree cap, so it lives in one ``Structure`` per table: the
-table, its blocks and rewrite rules, and the caches of normal forms, Weyl
-averages, product tables (the exact rows of left a right over a monomial
-basis, with their numeric values per hbar and their exact values at
-hbar = 1) and the monomial basis.  The module registry ``_STRUCTURES`` keys
-it by the number of generators and the exact table, each coefficient part
-with its type (an exact table and a float twin never share), and every
+table, its blocks and rewrite rules, and the caches of factor masks, of
+the normal forms of words that need a rewrite, of Weyl averages, of
+product tables (the exact rows of left a right over a monomial basis, with
+their numeric values per hbar and their exact values at hbar = 1) and of
+the monomial basis.  The module registry ``_STRUCTURES`` keys it by the
+number of generators and the exact table, each coefficient part with its
+type (an exact table and a float twin never share), and every
 ``GeneratorSet`` on that table reads it: two builds of one model, at any
 lattice size, share normal forms and product tables.  The registry holds
 its structures for the life of the process: after one pass of the
 ``sparse-large`` benchmark workload, the live memory allocated in this
-module is about 5.0 MiB (tracemalloc, from before the pass), 1.7 MiB of it
-product tables.
+module is about 2.3 MiB (tracemalloc, from before the pass), 0.8 MiB of it
+held by product tables.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from numbers import Integral
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 from .errors import ConfigError, DegreeExceeded
 
@@ -91,10 +93,12 @@ def _part(x):
 
 def _normalized(raw: dict) -> dict:
     out = {}
-    for k, (re, im) in raw.items():
-        re, im = _part(re), _part(im)
+    for k, pair in raw.items():
+        re, im = pair
+        if type(re) is not int or type(im) is not int:
+            pair = re, im = _part(re), _part(im)
         if re or im:
-            out[k] = (re, im)
+            out[k] = pair
     return out
 
 
@@ -116,6 +120,23 @@ def _add_into(acc: dict, y: dict) -> None:
     for k, (c, d) in y.items():
         p = acc.get(k)
         acc[k] = (c, d) if p is None else (p[0] + c, p[1] + d)
+
+
+def _mul_free_into(acc: dict, x: dict, y: dict) -> dict:
+    """acc[k] += the hbar**k pair of x*y with each zero part the int 0: the
+    bits of ``_mul_into(acc, _mul_into({}, x, y), _ONE.terms)``, summed
+    straight into acc when x or y has one term (no two of their products
+    then share a power).  Returns acc."""
+    if len(x) > 1 and len(y) > 1:
+        x, y = _mul_into({}, x, y), _ONE.terms
+    for k1, (a, b) in x.items():
+        for k2, (c, d) in y.items():
+            re = (a * c if a and c else 0) - (b * d if b and d else 0) or 0
+            im = (a * d if a and d else 0) + (b * c if b and c else 0) or 0
+            k = k1 + k2
+            p = acc.get(k)
+            acc[k] = (re, im) if p is None else (p[0] + re, p[1] + im)
+    return acc
 
 
 class Coef:
@@ -267,12 +288,12 @@ def numeric(c, hbar) -> complex:
 class Structure:
     """Everything a relation table determines, whatever its generators are
     called: the table itself, its commuting blocks and rewrite rules, and
-    the caches of normal forms (``words``), Weyl averages (``weyl``, term
-    dicts monomial -> ``Coef``), product tables (``tables``, one
-    ``ProductTable`` per left and right term dict and degree, see
-    ``products``) and the monomial basis.  One instance per table, shared
-    through ``_STRUCTURES`` by every ``GeneratorSet`` built on it.  Treat as
-    read-only outside this module.
+    the caches of factor masks (``factors``), normal forms (``words``),
+    Weyl averages (``weyl``, term dicts monomial -> ``Coef``), product
+    tables (``tables``, one ``ProductTable`` per left and right term dict
+    and degree, see ``products``) and the monomial basis.  One instance per
+    table, shared through ``_STRUCTURES`` by every ``GeneratorSet`` built on
+    it.  Treat as read-only outside this module.
 
     ``relations[(i, j)]`` for i < j maps the component index k (or
     ``IDENTITY``) to the exact structure constant alpha in
@@ -283,11 +304,14 @@ class Structure:
 
     ``blocked[g]`` is the bit mask of the generators h > g whose rewrite
     list ``rewrites[(h, g)]`` is non-empty (a rule with coefficient zero
-    counts): the letters that y_g cannot pass by a plain swap.
+    counts): the letters that y_g cannot pass by a plain swap.  ``factors``
+    caches the monomials that ``_expand`` has multiplied, each with its
+    support bits and the OR of ``blocked`` over its generators
+    (``factor``).
     """
 
-    __slots__ = ("n", "relations", "blocks", "rewrites", "blocked", "words",
-                 "weyl", "tables", "basis", "basis_ends")
+    __slots__ = ("n", "relations", "blocks", "rewrites", "blocked",
+                 "factors", "words", "weyl", "tables", "basis", "basis_ends")
 
     def __init__(self, n: int, relations: dict):
         self.n = n
@@ -302,6 +326,7 @@ class Structure:
         for (a, b), rules in self.rewrites.items():
             if rules:
                 self.blocked[b] |= 1 << a
+        self.factors = {}
         self.words = {}
         self.weyl = {}
         self.tables = {}
@@ -367,33 +392,32 @@ class Structure:
             self.basis_ends.append(len(self.basis))
         return self.basis[:self.basis_ends[max_degree]]
 
+    def factor(self, m: tuple) -> tuple:
+        """The monomial ``m`` as a factor of ``_expand``: (m, support,
+        blocked), the bits of the generators it holds and the OR of
+        ``blocked[g]`` over them; cached in ``factors``."""
+        found = self.factors.get(m)
+        if found is None:
+            support = blocked = 0
+            for g, e in enumerate(m):
+                if e:
+                    support |= 1 << g
+                    blocked |= self.blocked[g]
+            found = self.factors[m] = (m, support, blocked)
+        return found
+
     def normal_order_word(self, word: tuple) -> dict:
-        """Normal-order a product word of generator indices.
+        """Normal-order a product word of generator indices by the rewrite
+        engine: each adjacent swap of an out-of-order pair (a, b) with
+        a > b applies ``y_a y_b = y_b y_a + i*hbar*sum_k alpha_abk y_k``.
 
         Returns a map monomial -> coefficient, cached in ``words`` and
-        shared (every caller gets the same dict, and a word normal-ordered
-        by sorting shares one coefficient object): treat it as immutable.
-        A word in which no letter g follows a letter of ``blocked[g]`` is
-        its sorted monomial with coefficient one.  Any other word runs the
-        rewrite engine: each adjacent swap of an out-of-order pair (a, b)
-        with a > b applies ``y_a y_b = y_b y_a + i*hbar*sum_k alpha_abk
-        y_k``.
+        shared (every caller gets the same dict): treat it as immutable.
+        ``_expand`` calls it only for a product that needs a rewrite.
         """
         cached = self.words.get(word)
         if cached is not None:
             return cached
-        seen = 0
-        blocked = self.blocked
-        for g in word:
-            if seen & blocked[g]:
-                break
-            seen |= 1 << g
-        else:
-            m = [0] * self.n
-            for g in word:
-                m[g] += 1
-            out = self.words[word] = {tuple(m): _ONE}
-            return out
         acc = {}
         stack = [(word, _ONE)]
         while stack:
@@ -431,40 +455,87 @@ class Structure:
 
 
 def _expand(s: Structure, pairs) -> dict:
-    """sum c normal_order(w) over the (word w, hbar-power dict c) pairs, in
-    their order, as monomial -> raw summed hbar-power pairs (``_terms`` or
-    ``AlgebraElement._of`` drop the zero sums).  Every exact product is
-    summed here, so two products over the same pairs agree bitwise."""
-    acc = {}
-    for w, c in pairs:
-        for m, cw in s.normal_order_word(w).items():
-            _mul_into(acc.setdefault(m, {}), c, cw.terms)
-    return acc
+    """sum x y f_1 f_2 ... over the (factors, x, y, c) tuples in their
+    order, as monomial -> ``Coef`` with the zero sums dropped.  The factors
+    are normal-ordered monomials as ``Structure.factor`` gives them (none
+    for the unit); x and y are hbar-power dicts and c is their product as a
+    ``Coef``, or None to have it normalized here.  Every exact product is
+    summed here, so two products over the same tuples agree bitwise.
+
+    A product is free when no factor holds a letter g whose ``blocked[g]``
+    meets the letters of the factors before it.  No rewrite can fire in
+    it: it is the monomial f_1 + f_2 + ... with coefficient one, found
+    without its word, and x y is summed into it by ``_mul_free_into``.
+    Only a product that is not free forms its word and calls
+    ``normal_order_word``.  A monomial that one free product alone reaches
+    holds that tuple's c itself when c is given, so the rows of a
+    ``ProductTable`` share their pairs' coefficients; every other monomial
+    is normalized once.
+    """
+    acc = {}  # monomial -> the tuple of its one free product, or raw sums
+    unit = (0,) * s.n
+    for factors, x, y, c in pairs:
+        seen, m = 0, unit
+        for f, support, blocked in factors:
+            if seen & blocked:
+                break
+            if support:
+                m = map(add, m, f) if seen else f
+                seen |= support
+        else:
+            m = tuple(m)
+            p = acc.get(m)
+            if p is None:
+                if c is not None:
+                    acc[m] = (x, y, c)
+                    continue
+                p = acc[m] = {}
+            elif type(p) is tuple:
+                p = acc[m] = _mul_free_into({}, p[0], p[1])
+            _mul_free_into(p, x, y)
+            continue
+        word = ()
+        for f in factors:
+            word += monomial_word(f[0])
+        raw = _mul_into({}, x, y)
+        for m, cw in s.normal_order_word(word).items():
+            p = acc.get(m)
+            if p is None:
+                p = acc[m] = {}
+            elif type(p) is tuple:
+                p = acc[m] = _mul_free_into({}, p[0], p[1])
+            _mul_into(p, raw, cw.terms)
+    out = {}
+    for m, p in acc.items():
+        c = p[2] if type(p) is tuple else Coef._of(_normalized(p))
+        if c:
+            out[m] = c
+    return out
 
 
 class ProductTable:
     """The exact normal forms of left a right, one row (monomial ->
     ``Coef``) per monomial a of the basis up to a degree, in basis order.
 
-    Row a is summed by ``_expand``, as ``multiply`` is, over the pairs
-    (word(l) + word(a) + word(r), c_l c_r) for the terms l of left and r of
-    right in order, so a row is bitwise the product ``multiply`` builds;
-    zero sums dropped.  ``columns`` lists the monomials of all rows once;
-    ``numeric`` reads the rows at an hbar, and ``exact_at_one`` exactly at
-    hbar = 1.  Treat as read-only.
+    Row a is summed by ``_expand``, as ``multiply`` is, over the products
+    l a r with coefficient c_l c_r for the terms l of left and r of right
+    in order, so a row is bitwise the product ``multiply`` builds; zero
+    sums dropped.  Each c_l c_r is normalized once, for all rows: a row
+    whose products are free and reach distinct monomials holds those
+    ``Coef`` objects themselves.  ``columns`` lists the monomials of all
+    rows once; ``numeric`` reads the rows at an hbar, and ``exact_at_one``
+    exactly at hbar = 1, each once per distinct ``Coef`` object.  Treat as
+    read-only.
     """
 
     __slots__ = ("rows", "columns", "_numeric", "_exact_at_one")
 
     def __init__(self, s: Structure, left: dict, right: dict, degree: int):
-        pairs = [(monomial_word(ml), monomial_word(mr),
-                  _mul_into({}, cl.terms, cr.terms))
+        pairs = [(s.factor(ml), s.factor(mr), cl.terms, cr.terms, cl * cr)
                  for ml, cl in left.items() for mr, cr in right.items()]
-        self.rows = []
-        for m in s.monomial_basis(degree):
-            wa = monomial_word(m)
-            self.rows.append(_terms(_expand(
-                s, ((wl + wa + wr, cc) for wl, wr, cc in pairs))))
+        self.rows = [_expand(s, (((fl, fa, fr), xl, xr, c)
+                                 for fl, fr, xl, xr, c in pairs))
+                     for fa in map(s.factor, s.monomial_basis(degree))]
         self.columns = list(dict.fromkeys(m for row in self.rows
                                           for m in row))
         self._numeric = {}
@@ -475,7 +546,10 @@ class ProductTable:
         hbar = 1, a float part at its exact value, zero sums dropped; built
         on first use and cached."""
         if self._exact_at_one is None:
-            self._exact_at_one = [_at_hbar_one(row) for row in self.rows]
+            value = _once_per_object(_at_hbar_one)
+            self._exact_at_one = [
+                {m: v for m, v in zip(row, map(value, row.values())) if any(v)}
+                for row in self.rows]
         return self._exact_at_one
 
     def numeric(self, hbar) -> list:
@@ -485,22 +559,31 @@ class ProductTable:
         key = (type(hbar), hbar)
         found = self._numeric.get(key)
         if found is None:
-            found = self._numeric[key] = [
-                tuple(numeric(c, hbar) for c in row.values())
-                for row in self.rows]
+            value = _once_per_object(lambda c: numeric(c, hbar))
+            found = self._numeric[key] = [tuple(map(value, row.values()))
+                                          for row in self.rows]
         return found
 
 
-def _at_hbar_one(terms: dict) -> dict:
-    """monomial -> the exact (re, im) of its coefficient at hbar = 1, a
-    float part at its exact value; zero sums dropped."""
-    row = {}
-    for m, c in terms.items():
-        v = tuple(sum(Fraction(x) if type(x) is float else x for x in parts)
-                  for parts in zip(*c.terms.values()))
-        if any(v):
-            row[m] = v
-    return row
+def _once_per_object(f):
+    """``f`` called once per argument object, found by identity: the rows of
+    a ``ProductTable`` share their pairs' ``Coef`` objects (which do not
+    hash), and keep them alive while the result is in use."""
+    values = {}
+
+    def value(c):
+        v = values.get(id(c))
+        if v is None:
+            v = values[id(c)] = f(c)
+        return v
+    return value
+
+
+def _at_hbar_one(c: Coef) -> tuple:
+    """The exact (re, im) of ``c`` at hbar = 1, a float part at its exact
+    value."""
+    return tuple(sum(Fraction(x) if type(x) is float else x for x in parts)
+                 for parts in zip(*c.terms.values()))
 
 
 def _coef_key(c: Coef) -> tuple:
@@ -570,12 +653,25 @@ class GeneratorSet:
         if len(self.index) != len(self.names):
             raise ConfigError("generator names must be unique")
         self.degree_cap = degree_cap
+        n = len(self.names)
+
+        def in_range(x, low=0):
+            return isinstance(x, Integral) and low <= x < n
+
         table = {}
-        for (i, j), comps in relations.items():
-            if not (0 <= i < j < len(self.names)):
-                raise ConfigError(f"relation key {(i, j)} must have i < j")
-            table[(i, j)] = {k: _coef(a) for k, a in comps.items()
-                             if _coef(a)}
+        for key, comps in relations.items():
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(map(in_range, key)) and key[0] < key[1]):
+                raise ConfigError(f"relation key {key!r} is not a pair "
+                                  f"(i, j) with 0 <= i < j < {n}")
+            for k in comps:
+                if not in_range(k, IDENTITY):  # IDENTITY is -1
+                    raise ConfigError(f"relation {key} component {k!r} is "
+                                      "neither IDENTITY nor a generator "
+                                      "index")
+            table[tuple(map(int, key))] = {int(k): _coef(a)
+                                           for k, a in comps.items()
+                                           if _coef(a)}
         self.structure = _structure(self.names, table)
 
     # -- constructors ------------------------------------------------------
@@ -621,19 +717,25 @@ class GeneratorSet:
         m[self.index_of(name)] = 1
         return AlgebraElement(self, {tuple(m): _ONE})
 
+    def _monomial(self, m) -> tuple:
+        """``m`` as a monomial key: a tuple of one non-negative ``int`` per
+        generator; ConfigError for anything else."""
+        try:
+            key = tuple(map(index, m))
+        except TypeError:
+            key = None
+        if (key is None or len(key) != len(self.names)
+                or min(key, default=0) < 0):
+            raise ConfigError(f"{m!r} is not an exponent vector of "
+                              f"{len(self.names)} non-negative integers")
+        return key
+
     def element(self, terms) -> "AlgebraElement":
         """The element sum_m c_m y^m; each c_m is anything ``_coef`` takes,
-        each m an exponent vector of one non-negative integer per generator
-        (ConfigError otherwise)."""
+        each m an exponent vector (``_monomial``)."""
         acc = {}
         for m, c in terms.items():
-            m = tuple(m)
-            if (len(m) != len(self.names)
-                    or not all(isinstance(e, Integral) and e >= 0
-                               for e in m)):
-                raise ConfigError(f"{m} is not an exponent vector of "
-                                  f"{len(self.names)} non-negative integers")
-            _add_into(acc.setdefault(m, {}), _coef(c).terms)
+            _add_into(acc.setdefault(self._monomial(m), {}), _coef(c).terms)
         return AlgebraElement._of(self, acc)
 
     def monomial_basis(self, max_degree: int):
@@ -684,6 +786,25 @@ def monomial_word(m: tuple) -> tuple:
 
 
 @lru_cache(maxsize=1 << 14)
+def _power(n: int, g: int, e: int) -> tuple:
+    """The exponent vector of y_g**e on n generators."""
+    return (0,) * g + (e,) + (0,) * (n - g - 1)
+
+
+@lru_cache(maxsize=1 << 14)
+def _reversed_factors(s: Structure, m: tuple) -> tuple:
+    """The reversed word of ``m`` as factors of ``_expand``: ``m`` itself
+    when no two of its generators have a rewrite rule (the reversed word is
+    then ``m`` letter for letter), else y_g**e for each generator g of
+    ``m``, in descending g."""
+    f = s.factor(m)
+    if not f[1] & f[2]:
+        return (f,)
+    return tuple(s.factor(_power(s.n, g, e))
+                 for g, e in reversed(tuple(enumerate(m))) if e)
+
+
+@lru_cache(maxsize=1 << 14)
 def _split_monomial(m: tuple, mask: tuple) -> tuple:
     """(a, the reversed word of r) for m = a r: a keeps the exponents where
     ``mask`` is 1, r the others."""
@@ -718,8 +839,9 @@ class AlgebraElement:
         return not self.terms
 
     def coefficient(self, m) -> Coef:
-        """The ``Coef`` of the monomial ``m`` (exponent vector); zero if absent."""
-        return self.terms.get(tuple(m), _ZERO)
+        """The ``Coef`` of the monomial ``m`` (an exponent vector, checked by
+        ``GeneratorSet._monomial``); zero if absent."""
+        return self.terms.get(self.gens._monomial(m), _ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -805,10 +927,12 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if total > gens.degree_cap:
         raise DegreeExceeded(f"product degree {total} exceeds cap "
                              f"{gens.degree_cap}")
-    right = [(monomial_word(mb), cb.terms) for mb, cb in b.terms.items()]
-    return AlgebraElement._of(gens, _expand(gens.structure, (
-        (monomial_word(ma) + wb, _mul_into({}, ca.terms, cb))
-        for ma, ca in a.terms.items() for wb, cb in right)))
+    s = gens.structure
+    right = [(s.factor(mb), cb.terms) for mb, cb in b.terms.items()]
+    return AlgebraElement(gens, _expand(s, (
+        ((fa, fb), ca.terms, cb, None)
+        for fa, ca in ((s.factor(ma), ca) for ma, ca in a.terms.items())
+        for fb, cb in right)))
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -817,9 +941,10 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:
     """The *-involution: reverse each word, conjugate each coefficient."""
-    return AlgebraElement._of(a.gens, _expand(a.gens.structure, (
-        (monomial_word(m)[::-1], c.conjugate().terms)
-        for m, c in a.terms.items())))
+    s = a.gens.structure
+    return AlgebraElement(a.gens, _expand(s, (
+        (_reversed_factors(s, m), c.terms, _ONE.terms, c)
+        for m, c in ((m, c.conjugate()) for m, c in a.terms.items()))))
 
 
 def weyl_symmetrize(gens: GeneratorSet, m) -> AlgebraElement:
@@ -830,9 +955,11 @@ def weyl_symmetrize(gens: GeneratorSet, m) -> AlgebraElement:
     commuting blocks commute, so the average is the product of the
     per-block averages (their monomials add, their coefficients multiply);
     only a part within one block is averaged over its orderings.  Every
-    average is cached on the shared ``gens.structure``.
+    average is cached on the shared ``gens.structure``.  ConfigError unless
+    ``m`` is an exponent vector (``GeneratorSet._monomial``).
     """
-    return AlgebraElement(gens, _weyl_terms(gens.structure, tuple(m)))
+    return AlgebraElement(gens, _weyl_terms(gens.structure,
+                                            gens._monomial(m)))
 
 
 def _weyl_terms(s: Structure, m: tuple) -> dict:
@@ -855,10 +982,12 @@ def _weyl_terms(s: Structure, m: tuple) -> dict:
         result = _terms(acc)
     else:
         perms = dict.fromkeys(permutations(monomial_word(m)))
-        acc = _expand(s, ((perm, _ONE.terms) for perm in perms))
+        letters = [s.factor(_power(s.n, g, 1)) for g in range(s.n)]
+        terms = _expand(s, ((tuple(letters[g] for g in perm), _ONE.terms,
+                             _ONE.terms, _ONE) for perm in perms))
         scale = _coef(Fraction(1, len(perms)))
         result = {mm: v for mm, v in ((mm, scale * c)
-                                      for mm, c in _terms(acc).items()) if v}
+                                      for mm, c in terms.items()) if v}
     s.weyl[m] = result
     return result
 
@@ -890,11 +1019,12 @@ def to_weyl_basis(a: AlgebraElement) -> dict:
 
 
 def from_weyl_basis(gens: GeneratorSet, coeffs: dict) -> AlgebraElement:
-    """sum_m c_m * Weyl(m); each c_m is anything ``_coef`` takes."""
+    """sum_m c_m * Weyl(m); each c_m is anything ``_coef`` takes, each m an
+    exponent vector (``GeneratorSet._monomial``)."""
     acc = {}
     for m, c in coeffs.items():
         c = _coef(c).terms
-        for mm, cc in _weyl_terms(gens.structure, tuple(m)).items():
+        for mm, cc in _weyl_terms(gens.structure, gens._monomial(m)).items():
             _mul_into(acc.setdefault(mm, {}), c, cc.terms)
     return AlgebraElement._of(gens, acc)
 

@@ -729,6 +729,38 @@ class TestComposedForm:
         ref = a.apply(b.apply(v))
         assert np.array_equal(prod.apply(v), ref)
 
+    def test_constructor_refuses_a_malformed_form(self):
+        # the forms the operator algebra builds pass; every other
+        # combination of stored fields is refused before any apply
+        sp, other = two_frame_space(), two_frame_space()
+        eye = ks.identity_operator(sp)
+        local = ks.factor_operator(sp, 0, np.ones((8, 8)))
+        classes = np.zeros(sp.dim, dtype=int)
+        for op in (local + eye, local @ local, ks.KinOperator.exp(local, 0.1),
+                   ks.KinOperator(sp, operands=(local,), kind="twirl",
+                                  classes=classes)):
+            assert op.apply(np.ones(sp.dim)).shape == (sp.dim,)
+        bad = [
+            {},
+            {"diag": eye.diag, "_matrix": np.eye(sp.dim)},
+            {"diag": eye.diag, "operands": (eye,), "kind": "@"},
+            {"diag": eye.diag, "kind": "@"},
+            {"diag": eye.diag, "classes": classes},
+            {"operands": (eye,)},
+            {"operands": (eye,), "kind": "?"},
+            {"operands": (), "kind": "@"},
+            {"operands": (eye, eye), "kind": "exp"},
+            {"operands": (eye, eye), "kind": "twirl", "classes": classes},
+            {"operands": (eye,), "kind": "twirl"},
+            {"operands": (eye,), "kind": "twirl", "classes": classes[1:]},
+            {"operands": (eye,), "kind": "@", "classes": classes},
+            {"operands": (eye, 2.0), "kind": "+"},
+            {"operands": (eye, ks.identity_operator(other)), "kind": "+"},
+        ]
+        for fields in bad:
+            with pytest.raises(ConfigError):
+                ks.KinOperator(sp, **fields)
+
 
 class TestRectangularApplyFactor:
     """An m x n matrix on one factor: n in that slot goes in, m comes out."""
@@ -873,6 +905,13 @@ def _on_nparticle4(call):
     return run
 
 
+def _frame_state(m, fr):
+    """A frame state of model ``m`` on frame ``fr`` at orientation 0."""
+    psi = md.random_physical_state(m, np.random.default_rng(0))
+    return ast.frame_state(m.space, m.constraint, fr, 0.0, psi, m.assignment,
+                           m.gens)
+
+
 def _physical_observable(space, C, m):
     return ro.relational_observable(space, C, m.frames["A"], 0.0,
                                     ks.identity_operator(m.space),
@@ -895,6 +934,14 @@ CONFIG_ERRORS = {
         [ks.FactorSpec.frame(4), ks.FactorSpec.system([np.inf])]),
     "apply.out": lambda: ks.identity_operator(two_frame_space()).apply(
         np.ones(64, complex), out=np.empty(3, complex)),
+    # malformed stored forms, refused by the constructor itself
+    "KinOperator.no_form": lambda: ks.KinOperator(two_frame_space()),
+    "KinOperator.kind": lambda: (lambda sp: ks.KinOperator(
+        sp, operands=(ks.identity_operator(sp),), kind="?"))(
+            two_frame_space()),
+    "KinOperator.twirl_classes": lambda: (lambda sp: ks.KinOperator(
+        sp, operands=(ks.identity_operator(sp),), kind="twirl"))(
+            two_frame_space()),
     # wrong shapes, caught at construction rather than at the first apply
     "KinOperator.from_matrix.shape": lambda: ks.KinOperator.from_matrix(
         _nparticle4(), np.eye(3)),
@@ -926,6 +973,16 @@ CONFIG_ERRORS = {
     "GeneratorSet.names": lambda: ncalg.GeneratorSet(("x", "x"), {}),
     "GeneratorSet.relation_key": lambda: ncalg.GeneratorSet(
         ("x", "y"), {(1, 0): {0: 1}}),
+    # a component outside range(n), a negative one (not read as a Python
+    # index), one that is not an int, and a key that is not a pair
+    "GeneratorSet.relation_component.range": lambda: ncalg.GeneratorSet(
+        ("x", "y", "z"), {(0, 1): {3: 1}}),
+    "GeneratorSet.relation_component.negative": lambda: ncalg.GeneratorSet(
+        ("x", "y", "z"), {(0, 1): {-2: 1}}),
+    "GeneratorSet.relation_component.type": lambda: ncalg.GeneratorSet(
+        ("x", "y", "z"), {(0, 1): {"z": 1}}),
+    "GeneratorSet.relation_key.pair": lambda: ncalg.GeneratorSet(
+        ("x", "y", "z"), {(0, 1, 2): {2: 1}}),
     # [x,y]=z, [x,z]=x, [y,z]=y violates the Jacobi identity
     "GeneratorSet.jacobi": lambda: ncalg.GeneratorSet(
         ("x", "y", "z"), {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}}),
@@ -933,6 +990,19 @@ CONFIG_ERRORS = {
     "GeneratorSet.element.length": lambda: _pair().element({(1,): 1}),
     "GeneratorSet.element.negative": lambda: _pair().element({(1, -1): 1}),
     "GeneratorSet.element.fraction": lambda: _pair().element({(0.5, 0): 1}),
+    # exponent vectors of the wrong length
+    "weyl_symmetrize.length": lambda: ncalg.weyl_symmetrize(_pair(), (1,)),
+    "from_weyl_basis.length": lambda: ncalg.from_weyl_basis(
+        _pair(), {(1, 2, 0): 1}),
+    "AlgebraElement.coefficient.length": lambda: _pair().gen(
+        "q").coefficient((1,)),
+    # checks below their minimum degree, deg C and 1
+    "check_constraint_surface.degree": _on_nparticle4(
+        lambda m, fr: ast.check_constraint_surface(
+            _frame_state(m, fr), m.constraint_elem, 0)),
+    "check_frame_gauge.degree": _on_nparticle4(
+        lambda m, fr: ast.check_frame_gauge(_frame_state(m, fr), "q_A", 0.0,
+                                            0)),
     "verify_reference_frame.degree": lambda: (
         lambda g: ast.verify_reference_frame(g, "q", g.gen("p"), -1))(_pair()),
     "AlgebraElement.add": lambda: _pair().gen("q") + _pair().gen("q"),
