@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import factorial
 from operator import mul
 
@@ -27,13 +28,12 @@ from . import ncalg
 from .errors import (ConfigError, DegreeExceeded, RelationViolation,
                      UnsupportedSupport)
 from .kinspace import (_VANISH_RTOL, KinOperator, LatticeSpace, _check_space,
-                       _unit_blocks, check_physical, reduced_space,
-                       split_adjoint)
+                       _unit_blocks, check_physical, positive_finite,
+                       reduced_space, split_adjoint)
 from .ncalg import AlgebraElement, Coef, GeneratorSet, commutator
 from .relobs import orientation_state_at
 
 DEFAULT_DEGREE_BOUND = 8
-_MAX_TERMS = 24  # nested commutators dress_system_element tries
 
 
 @dataclass(eq=False)
@@ -54,7 +54,7 @@ class AlgebraicState:
     is: supports are decided to HERM_TOL.
 
     A table-backed state (``from_table``) has no space: its table is the
-    cache.
+    cache.  Any state values elements up to its ``degree_bound``.
     """
 
     gens: GeneratorSet
@@ -70,6 +70,9 @@ class AlgebraicState:
     table_hbar: float = 1.0
     _cache: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.degree_bound = ncalg._degree(self.degree_bound)
+
     @property
     def hbar(self) -> float:
         return self.space.hbar if self.space is not None else self.table_hbar
@@ -80,6 +83,14 @@ class AlgebraicState:
 
     __call__ = evaluate
 
+    def _bounded(self, degree=None) -> int:
+        """``ncalg._degree`` of ``degree`` (default: the bound), <= bound."""
+        d = ncalg._degree(self.degree_bound if degree is None else degree)
+        if d > self.degree_bound:
+            raise DegreeExceeded(
+                f"degree {d} exceeds bound {self.degree_bound}")
+        return d
+
     def evaluate_all(self, elements) -> list:
         """omega of each element, sum_m numeric(c_m) omega(m) from 0j; the
         union of their uncached monomials is valued by one ``_fill_cache``."""
@@ -87,9 +98,7 @@ class AlgebraicState:
             if a.gens is not self.gens:
                 raise ConfigError(
                     "element belongs to a different generator set")
-            if a.degree() > self.degree_bound:
-                raise DegreeExceeded(
-                    f"degree {a.degree()} exceeds bound {self.degree_bound}")
+            self._bounded(a.degree())
         self._fill_cache(dict.fromkeys(m for a in elements for m in a.terms))
         return [sum((ncalg.numeric(c, self.hbar) * self._cache[m]
                      for m, c in a.terms.items()), 0j) for a in elements]
@@ -156,10 +165,7 @@ class AlgebraicState:
         Hilbert backing values <bra| y^m |ket>: one walk over the words of
         degree <= d, with at most d walk buffers of size D alive, freed on
         return."""
-        d = self.degree_bound if max_degree is None else max_degree
-        if d > self.degree_bound:
-            raise DegreeExceeded(
-                f"degree {d} exceeds bound {self.degree_bound}")
+        d = self._bounded(max_degree)
         basis = self.gens.monomial_basis(d)
         self._fill_cache(basis)
         return {m: self._cache[m] for m in basis}
@@ -204,6 +210,7 @@ def from_table(gens: GeneratorSet, table: dict,
                degree_bound: int = DEFAULT_DEGREE_BOUND,
                hbar: float = 1.0) -> AlgebraicState:
     """State with the given monomial -> value table as its cache."""
+    hbar = positive_finite("hbar", hbar)
     if abs(table.get(gens.unit_monomial(), 0.0) - 1.0) > 1e-12:
         raise ConfigError("value table must be normalized: omega(1) = 1")
     return AlgebraicState(gens, degree_bound, table_hbar=hbar, _cache={
@@ -328,10 +335,10 @@ def _relation_residual(a, b, terms, V: np.ndarray) -> np.ndarray:
 
 
 def _max_abs_value(omega: AlgebraicState, degree: int,
-                   left: AlgebraElement, right: AlgebraElement,
+                   left: AlgebraElement, right: AlgebraElement, name: str,
                    shift: Coef = None) -> float:
-    """max |omega(left a right + shift a)| over the monomials a with
-    deg a <= degree.
+    """max |omega(left a right + shift a)| over deg a <= D - deg(left right),
+    D = ``_bounded(degree)``; ConfigError, naming ``name``, when D is lower.
 
     The exact products left a right are the rows of ``gens.products``,
     built once per structure, elements and degree; their numeric rows at
@@ -339,10 +346,10 @@ def _max_abs_value(omega: AlgebraicState, degree: int,
     in row order, as ``evaluate`` sums.  A ``shift`` (right = 1) adds
     numeric(shift) omega(a) to row a's sum, and only then values the basis.
     """
-    total = degree + left.degree() + right.degree()
-    if total > omega.degree_bound:
-        raise DegreeExceeded(
-            f"degree {total} exceeds bound {omega.degree_bound}")
+    D, k = omega._bounded(degree), left.degree() + right.degree()
+    if D < k:
+        raise ConfigError(f"degree {D} is below deg {name} = {k}")
+    degree = D - k
     table = omega.gens.products(left, right, degree)
     basis = omega.gens.monomial_basis(degree) if shift else []
     omega._fill_cache(table.columns + basis)
@@ -366,10 +373,7 @@ def check_constraint_surface(omega: AlgebraicState, C: AlgebraElement,
     the monomial values of ``omega``).  D is ``degree``, by default the
     state's degree bound; ConfigError when it is below deg C.
     """
-    D = omega.degree_bound if degree is None else degree
-    if D < C.degree():
-        raise ConfigError(f"degree {D} is below deg C = {C.degree()}")
-    return _max_abs_value(omega, D - C.degree(), omega.gens.one(), C)
+    return _max_abs_value(omega, degree, omega.gens.one(), C, "C")
 
 
 def check_frame_gauge(omega: AlgebraicState, z_name: str, rho: float,
@@ -385,12 +389,8 @@ def check_frame_gauge(omega: AlgebraicState, z_name: str, rho: float,
     can round differently.  D is ``degree``, by default the state's degree
     bound; ConfigError when it is below 1, the degree of Z.
     """
-    z = omega.gens.gen(z_name)
-    D = omega.degree_bound if degree is None else degree
-    if D < 1:
-        raise ConfigError(f"degree {D} is below deg Z = 1")
-    return _max_abs_value(omega, D - 1, z, omega.gens.one(),
-                          -ncalg._coef(rho))
+    return _max_abs_value(omega, degree, omega.gens.gen(z_name),
+                          omega.gens.one(), "Z", -ncalg._coef(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +521,8 @@ def dress_system_element(gens: GeneratorSet, f_s: AlgebraElement,
 
     Nested-commutator series
     ``sum_n (i (q - rho))^n / (hbar^n n!) [f_S, G_S]_n``; terminates when
-    the adjoint action is nilpotent (canonical systems), otherwise raises
-    after ``_MAX_TERMS`` (24) nested commutators.
+    the adjoint action is nilpotent (canonical systems), else raises once a
+    product passes ``ncalg.DEGREE_CAP``, as (q - rho)^n has degree n.
     Each nesting carries one power of hbar, so the division is exact; rho
     is used exactly as given.
     """
@@ -531,7 +531,7 @@ def dress_system_element(gens: GeneratorSet, f_s: AlgebraElement,
     nested = f_s
     prefactor = gens.one()
     try:
-        for n in range(1, _MAX_TERMS + 1):
+        for n in count(1):
             nested = commutator(nested, g_s)
             if nested.is_zero():
                 return out
@@ -542,10 +542,9 @@ def dress_system_element(gens: GeneratorSet, f_s: AlgebraElement,
                                Fraction(im, factorial(n)))})
             out = out + prefactor * (scale * nested)
     except DegreeExceeded:
-        pass
-    raise UnsupportedSupport(
-        "nested-commutator series does not terminate; "
-        "supply a closed form for this system algebra")
+        raise UnsupportedSupport(
+            "nested-commutator series does not terminate; "
+            "supply a closed form for this system algebra") from None
 
 
 def transform_frame(omega_b: AlgebraicState, *, frame_a, rho_a: float,

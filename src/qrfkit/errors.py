@@ -48,7 +48,7 @@ class IllConditionedFlow(QRFError):
 
 
 class DegreeExceeded(QRFError):
-    """Polynomial degree exceeds the configured bound."""
+    """A product passes ``ncalg.DEGREE_CAP``, or a value its state's bound."""
 
 
 class RelationViolation(QRFError):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count
 from math import ceil, isfinite, prod
+from operator import index
 
 import numpy as np
 
@@ -69,6 +70,7 @@ class FactorSpec:
 
     @staticmethod
     def frame(N: int, dp: float = 1.0, name: str = "") -> "FactorSpec":
+        N = integer("frame dimension", N)
         if N < 4 or N % 2 != 0:
             raise ConfigError(
                 f"frame dimension must be even and >= 4, got {N}")
@@ -193,6 +195,14 @@ def positive_finite(name: str, value) -> float:
     if not (isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an ``int`` (``operator.index``), or ConfigError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ConfigError(f"{name} is not an integer: {value!r}") from None
 
 
 def tensor_space(factors, hbar: float = 1.0) -> LatticeSpace:

@@ -149,7 +149,7 @@ def _frame_model(spec: ModelSpec, factors, gens: GeneratorSet, c_elem,
 
 
 def _build_nparticle(spec: ModelSpec) -> Model:
-    n = spec.n_particles
+    n = ks.integer("n_particles", spec.n_particles)
     if not 2 <= n <= len(PARTICLE_LABELS):
         raise ConfigError("nparticle supports 2..8 particles")
     labels = PARTICLE_LABELS[:n]

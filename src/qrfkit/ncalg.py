@@ -22,7 +22,7 @@ attribute ``HBAR`` (the sympy Symbol hbar).  Importing this module and the
 arithmetic, normal ordering and evaluation never load it.
 
 One kernel, ``_expand``, sums every exact product: ``multiply``,
-``adjoint``, ``ProductTable`` rows and the Weyl average within one block.
+``adjoint``, ``ProductTable`` rows and every Weyl average.
 
 Every commutator rewrite introduces exactly one factor i*hbar*alpha, so the
 hbar power of a coefficient counts the rewrites along any normal-ordering
@@ -43,20 +43,19 @@ one, read from two bit masks per monomial without forming the word.  Only
 the other products form their word and run the rewrite engine.
 
 All of this depends on the relation table alone, never on the generator
-names or the degree cap, so it lives in one ``Structure`` per table: the
-table, its blocks and rewrite rules, and the caches of factor masks, of
-the normal forms of words that need a rewrite, of Weyl averages, of
-product tables (the exact rows of left a right over a monomial basis, with
-their numeric values per hbar and their exact values at hbar = 1) and of
-the monomial basis.  The module registry ``_STRUCTURES`` keys it by the
-number of generators and the exact table, each coefficient part with its
-type (an exact table and a float twin never share), and every
-``GeneratorSet`` on that table reads it: two builds of one model, at any
-lattice size, share normal forms and product tables.  The registry holds
-its structures for the life of the process: after one pass of the
-``sparse-large`` benchmark workload, the live memory allocated in this
-module is about 2.3 MiB (tracemalloc, from before the pass), 0.8 MiB of it
-held by product tables.
+names, so it lives in one ``Structure`` per table: the table, its blocks
+and rewrite rules, and the caches of factor masks, of the normal forms of
+words that need a rewrite, of Weyl averages, of product tables (the exact
+rows of left a right over a monomial basis, with their numeric values per
+hbar and their exact values at hbar = 1) and of the monomial basis.  The
+module registry ``_STRUCTURES`` keys it by the number of generators and
+the exact table, each coefficient part with its type (an exact table and
+a float twin never share), and every ``GeneratorSet`` on that table reads
+it: two builds of one model, at any lattice size, share normal forms and
+product tables.  The registry holds its structures for the life of the
+process: after one pass of the ``sparse-large`` benchmark workload, the
+live memory allocated in this module is about 2.3 MiB (tracemalloc, from
+before the pass), 0.8 MiB of it held by product tables.
 """
 
 from __future__ import annotations
@@ -70,6 +69,7 @@ from operator import add, index, mul, sub
 from .errors import ConfigError, DegreeExceeded
 
 IDENTITY = -1  # index of the identity component in relation tables
+DEGREE_CAP = 12  # the highest degree of a product or a product table row
 
 
 def __getattr__(name):
@@ -291,9 +291,9 @@ class Structure:
     the caches of factor masks (``factors``), normal forms (``words``),
     Weyl averages (``weyl``, term dicts monomial -> ``Coef``), product
     tables (``tables``, one ``ProductTable`` per left and right term dict
-    and degree, see ``products``) and the monomial basis.  One instance per
-    table, shared through ``_STRUCTURES`` by every ``GeneratorSet`` built on
-    it.  Treat as read-only outside this module.
+    and degree, see ``GeneratorSet.products``) and the monomial basis.  One
+    instance per table, shared through ``_STRUCTURES`` by every
+    ``GeneratorSet`` built on it.  Treat as read-only outside this module.
 
     ``relations[(i, j)]`` for i < j maps the component index k (or
     ``IDENTITY``) to the exact structure constant alpha in
@@ -379,19 +379,6 @@ class Structure:
                         return i, j, k
         return None
 
-    def monomial_basis(self, max_degree: int):
-        """All normal-ordered exponent vectors with degree <= max_degree,
-        sorted by (degree, m); a fresh list each call."""
-        if max_degree < 0:
-            return []
-        gens = range(self.n)
-        while len(self.basis_ends) <= max_degree:
-            self.basis.extend(sorted(tuple(map(w.count, gens)) for w in
-                                     combinations_with_replacement(
-                                         gens, len(self.basis_ends))))
-            self.basis_ends.append(len(self.basis))
-        return self.basis[:self.basis_ends[max_degree]]
-
     def factor(self, m: tuple) -> tuple:
         """The monomial ``m`` as a factor of ``_expand``: (m, support,
         blocked), the bits of the generators it holds and the OR of
@@ -440,18 +427,6 @@ class Structure:
                               c * i_hbar_alpha))
         out = self.words[word] = _terms(acc)
         return out
-
-    def products(self, left: dict, right: dict,
-                 degree: int) -> "ProductTable":
-        """The ``ProductTable`` of left a right over the monomials a with
-        deg a <= ``degree``, ``left`` and ``right`` term dicts monomial ->
-        ``Coef``; cached in ``tables`` under their terms in order, each
-        coefficient part with its type, and the degree."""
-        key = (_terms_key(left), _terms_key(right), degree)
-        found = self.tables.get(key)
-        if found is None:
-            found = self.tables[key] = ProductTable(self, left, right, degree)
-        return found
 
 
 def _expand(s: Structure, pairs) -> dict:
@@ -530,12 +505,12 @@ class ProductTable:
 
     __slots__ = ("rows", "columns", "_numeric", "_exact_at_one")
 
-    def __init__(self, s: Structure, left: dict, right: dict, degree: int):
+    def __init__(self, s: Structure, left: dict, right: dict, basis: list):
         pairs = [(s.factor(ml), s.factor(mr), cl.terms, cr.terms, cl * cr)
                  for ml, cl in left.items() for mr, cr in right.items()]
         self.rows = [_expand(s, (((fl, fa, fr), xl, xr, c)
                                  for fl, fr, xl, xr, c in pairs))
-                     for fa in map(s.factor, s.monomial_basis(degree))]
+                     for fa in map(s.factor, basis)]
         self.columns = list(dict.fromkeys(m for row in self.rows
                                           for m in row))
         self._numeric = {}
@@ -635,24 +610,23 @@ class GeneratorSet:
 
     ``relations`` is the table of ``structure`` (see ``Structure``); the
     Jacobi identity is verified when a table is first registered.  A
-    generator set holds only its names, their index, ``degree_cap`` (read
-    by ``multiply`` and ``products`` only) and ``structure``: the
+    generator set holds only its names, their index and ``structure``: the
     registered ``Structure`` of its table, shared by every generator set
     with the same number of generators and the same exact table, whatever
-    the names or the cap, and kept for the life of the process.  The key
-    holds each coefficient part with its type, so an exact table and a
-    float-tainted twin never share.  Two sets on one structure are still
-    distinct: their elements do not mix.
+    the names, and kept for the life of the process.  The key holds each
+    coefficient part with its type, so an exact table and a float-tainted
+    twin never share.  Two sets on one structure are still distinct: their
+    elements do not mix.  A product of elements is capped at degree
+    ``DEGREE_CAP``, and a value at the degree bound of its state.
     """
 
-    __slots__ = ("names", "index", "degree_cap", "structure")
+    __slots__ = ("names", "index", "structure")
 
-    def __init__(self, names, relations, degree_cap: int = 12):
+    def __init__(self, names, relations):
         self.names = tuple(names)
         self.index = {n: i for i, n in enumerate(self.names)}
         if len(self.index) != len(self.names):
             raise ConfigError("generator names must be unique")
-        self.degree_cap = degree_cap
         n = len(self.names)
 
         def in_range(x, low=0):
@@ -677,18 +651,18 @@ class GeneratorSet:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def canonical(pairs, centrals=(), degree_cap: int = 12) -> "GeneratorSet":
+    def canonical(pairs, centrals=()) -> "GeneratorSet":
         """Canonical pairs (q before p) plus commuting central generators."""
         names, rel = _canonical_pairs(pairs)
-        return GeneratorSet(names + list(centrals), rel, degree_cap)
+        return GeneratorSet(names + list(centrals), rel)
 
     @staticmethod
-    def canonical_with_su2(pairs, degree_cap: int = 12) -> "GeneratorSet":
+    def canonical_with_su2(pairs) -> "GeneratorSet":
         """Canonical pairs followed by an su(2) triple [J_x,J_y] = i*hbar*J_z."""
         names, rel = _canonical_pairs(pairs)
         x, y, z = range(len(names), len(names) + 3)
         rel.update({(x, y): {z: 1}, (y, z): {x: 1}, (x, z): {y: -1}})
-        return GeneratorSet(names + ["J_x", "J_y", "J_z"], rel, degree_cap)
+        return GeneratorSet(names + ["J_x", "J_y", "J_z"], rel)
 
     @property
     def relations(self) -> dict:
@@ -739,29 +713,49 @@ class GeneratorSet:
         return AlgebraElement._of(self, acc)
 
     def monomial_basis(self, max_degree: int):
-        """``Structure.monomial_basis``: all normal-ordered exponent vectors
-        with degree <= max_degree, sorted by (degree, m); a fresh list."""
-        return self.structure.monomial_basis(max_degree)
-
-    def normal_order_word(self, word: tuple) -> dict:
-        """``Structure.normal_order_word``: the normal form of a product word
-        of generator indices, monomial -> coefficient (shared; do not
-        mutate)."""
-        return self.structure.normal_order_word(word)
+        """The normal-ordered exponent vectors of degree <= ``max_degree``
+        (``_degree``) by (degree, m): a fresh slice of ``structure.basis``."""
+        s, max_degree = self.structure, _degree(max_degree)
+        gens = range(s.n)
+        while len(s.basis_ends) <= max_degree:
+            s.basis.extend(sorted(tuple(map(w.count, gens)) for w in
+                                  combinations_with_replacement(
+                                      gens, len(s.basis_ends))))
+            s.basis_ends.append(len(s.basis))
+        return s.basis[:s.basis_ends[max_degree]]
 
     def products(self, left: "AlgebraElement", right: "AlgebraElement",
                  degree: int) -> "ProductTable":
-        """``Structure.products``: the shared table of left a right over
-        the monomials a with deg a <= degree.  ConfigError when an element
-        is on another set, DegreeExceeded when the product degree passes
-        the cap."""
-        if left.gens is not self or right.gens is not self:
-            raise ConfigError("elements belong to different generator sets")
-        total = degree + left.degree() + right.degree()
-        if total > self.degree_cap:
-            raise DegreeExceeded(f"product degree {total} exceeds cap "
-                                 f"{self.degree_cap}")
-        return self.structure.products(left.terms, right.terms, degree)
+        """The ``ProductTable`` of left a right over deg a <= ``degree``
+        (``_check_product``), cached in ``structure.tables`` under their
+        typed terms in order (``_terms_key``) and the degree."""
+        degree = _check_product(self, left, right, degree)
+        key = (_terms_key(left.terms), _terms_key(right.terms), degree)
+        found = self.structure.tables.get(key)
+        if found is None:
+            found = self.structure.tables[key] = ProductTable(
+                self.structure, left.terms, right.terms,
+                self.monomial_basis(degree))
+        return found
+
+
+def _degree(d) -> int:
+    """``d`` as a non-negative ``int``, else ConfigError."""
+    if not ((type(d) is int or isinstance(d, Integral)) and d >= 0):
+        raise ConfigError(f"degree {d!r} is not a non-negative integer")
+    return int(d)
+
+
+def _check_product(gens: GeneratorSet, left, right, degree=0) -> int:
+    """``_degree(degree)``; ConfigError unless left and right are on
+    ``gens``, DegreeExceeded when left a right passes ``DEGREE_CAP``."""
+    if left.gens is not gens or right.gens is not gens:
+        raise ConfigError("elements belong to different generator sets")
+    total = _degree(degree) + left.degree() + right.degree()
+    if total > DEGREE_CAP:
+        raise DegreeExceeded(f"product degree {total} exceeds cap "
+                             f"{DEGREE_CAP}")
+    return int(degree)
 
 
 def _block_part(m: tuple, block: tuple) -> tuple:
@@ -918,21 +912,18 @@ def _monomial_text(names: tuple, m: tuple) -> str:
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Associative product, rewritten to normal order by ``_expand``;
-    DegreeExceeded when deg a + deg b passes the cap."""
-    if a.gens is not b.gens:
-        raise ConfigError("elements belong to different generator sets")
-    gens = a.gens
-    total = a.degree() + b.degree()
-    if total > gens.degree_cap:
-        raise DegreeExceeded(f"product degree {total} exceeds cap "
-                             f"{gens.degree_cap}")
-    s = gens.structure
-    right = [(s.factor(mb), cb.terms) for mb, cb in b.terms.items()]
-    return AlgebraElement(gens, _expand(s, (
-        ((fa, fb), ca.terms, cb, None)
-        for fa, ca in ((s.factor(ma), ca) for ma, ca in a.terms.items())
-        for fb, cb in right)))
+    """Associative product in normal order (``_check_product``)."""
+    _check_product(a.gens, a, b)
+    return AlgebraElement(a.gens, _product(a.gens.structure, a.terms, b.terms))
+
+
+def _product(s: Structure, left: dict, right: dict) -> dict:
+    """The terms of left right, two term dicts, by ``_expand``."""
+    right = [(s.factor(mr), cr.terms) for mr, cr in right.items()]
+    return _expand(s, (((fl, fr), cl.terms, cr, None)
+                       for fl, cl in ((s.factor(ml), cl)
+                                      for ml, cl in left.items())
+                       for fr, cr in right))
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -970,16 +961,9 @@ def _weyl_terms(s: Structure, m: tuple) -> dict:
         return cached
     parts = [p for p in (_block_part(m, b) for b in s.blocks) if any(p)]
     if len(parts) > 1:
-        acc = {(0,) * s.n: _ONE.terms}
+        result = {(0,) * s.n: _ONE}
         for part in parts:
-            block_avg = _weyl_terms(s, part).items()
-            nxt = {}
-            for m1, c1 in acc.items():
-                for m2, c2 in block_avg:
-                    _mul_into(nxt.setdefault(tuple(map(add, m1, m2)), {}),
-                              c1, c2.terms)
-            acc = nxt
-        result = _terms(acc)
+            result = _product(s, result, _weyl_terms(s, part))
     else:
         perms = dict.fromkeys(permutations(monomial_word(m)))
         letters = [s.factor(_power(s.n, g, 1)) for g in range(s.n)]

@@ -27,6 +27,7 @@ from .kinspace import (
     _diagonal_spectrum,
     _zero_tol,
     factor_operator,
+    integer,
     momentum_operator,
 )
 
@@ -64,11 +65,17 @@ class OrientationFrame:
         return np.exp(-1j * np.outer(p, self.grid) / self.space.hbar)
 
 
-def orientation_state(frame: OrientationFrame, j: int) -> np.ndarray:
-    """|rho_j> on the frame factor, for j indexing the grid [-N/2, N/2)."""
+def _grid_position(frame: OrientationFrame, j) -> int:
+    """The position on ``frame.grid`` of grid index j in [-N/2, N/2)."""
+    j = integer("grid index", j)
     if not (-frame.N // 2 <= j < frame.N // 2):
         raise IndexOutOfRange(f"grid index {j} outside [-N/2, N/2)")
-    return orientation_state_at(frame, frame.grid[j + frame.N // 2])
+    return j + frame.N // 2
+
+
+def orientation_state(frame: OrientationFrame, j: int) -> np.ndarray:
+    """|rho_j> on the frame factor, for j indexing the grid [-N/2, N/2)."""
+    return orientation_state_at(frame, frame.grid[_grid_position(frame, j)])
 
 
 def orientation_state_at(frame: OrientationFrame, rho: float) -> np.ndarray:
@@ -82,9 +89,7 @@ def effect_operator(frame: OrientationFrame, X) -> KinOperator:
     F = frame.fourier_matrix()
     sel = np.zeros(frame.N)
     for j in X:
-        if not (-frame.N // 2 <= j < frame.N // 2):
-            raise IndexOutOfRange(f"grid index {j} outside [-N/2, N/2)")
-        sel[j + frame.N // 2] = 1.0
+        sel[_grid_position(frame, j)] = 1.0
     return factor_operator(frame.space, frame.factor,
                            (F * sel) @ F.conj().T / frame.N)
 
@@ -111,6 +116,7 @@ def wraparound_weight(frame: OrientationFrame, vec: np.ndarray,
     """
     if np.shape(vec) != (frame.space.dim,):
         raise ConfigError(f"vec must be one {frame.space.dim}-vector")
+    margin = integer("margin", margin)
     if not 0 <= 2 * margin <= frame.N:
         raise ConfigError(
             f"margin must lie in [0, N/2] = [0, {frame.N / 2:g}], got {margin}")

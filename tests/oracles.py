@@ -175,7 +175,7 @@ def weyl_symmetrize_oracle(gens, m) -> AlgebraElement:
     perms = dict.fromkeys(permutations(monomial_word(tuple(m))))
     acc = {}
     for perm in perms:
-        for mm, c in gens.normal_order_word(perm).items():
+        for mm, c in gens.structure.normal_order_word(perm).items():
             _add_into(acc.setdefault(mm, {}), c.terms)
     return Fraction(1, len(perms)) * AlgebraElement._of(gens, acc)
 

@@ -6,12 +6,14 @@ eigendecomposition or a numerical rank or gathers through a meshgrid, only
 two dense reads check the dense budget, no module reads a dense form,
 a state's values come from the two walks of ``AlgebraicState`` without
 acting on a bra, ``ncalg`` imports only the standard library and
-``.errors`` (sympy lazily, at its boundary), every exact product is
-summed by ``ncalg._expand``, the one caller of ``normal_order_word``,
-every read of an operator's unit columns takes its identity blocks from
-``kinspace._unit_blocks``, the one offset ``np.eye``, only the operator
-algebra (``@``, ``+``, ``exp`` and the G-twirl) builds a composed form, and
-the adjoint is an operator, never a flag of a ``kinspace`` function."""
+``.errors`` (sympy lazily, at its boundary), every exact product, a
+product of Weyl averages included, is summed by ``ncalg._expand``, the one
+caller of ``normal_order_word``, no option sets a product degree limit
+other than ``ncalg.DEGREE_CAP``, every read of an operator's unit columns
+takes its identity blocks from ``kinspace._unit_blocks``, the one offset
+``np.eye``, only the operator algebra (``@``, ``+``, ``exp`` and the
+G-twirl) builds a composed form, and the adjoint is an operator, never a
+flag of a ``kinspace`` function."""
 
 import ast
 import sys
@@ -185,12 +187,36 @@ def test_ncalg_imports_only_the_standard_library_and_errors():
 
 
 def test_only_the_kernel_normal_orders_a_word():
-    # multiply, adjoint, the product tables and the one-block Weyl average
-    # all sum through ncalg._expand
+    # multiply, adjoint, the product tables and every Weyl average all sum
+    # through ncalg._expand
     callers = {f"{path.stem}.{caller}" for path in SRC.glob("*.py")
                for caller in _callers(ast.parse(path.read_text()),
                                       "normal_order_word")}
-    assert callers == {"ncalg._expand", "ncalg.GeneratorSet.normal_order_word"}
+    assert callers == {"ncalg._expand"}
+
+
+def test_only_coefficient_arithmetic_multiplies_hbar_pairs():
+    # _mul_into multiplies two coefficients; a product of two elements, the
+    # product of per-block Weyl averages included, goes through _expand
+    callers = {f"{path.stem}.{caller}" for path in SRC.glob("*.py")
+               for caller in _callers(ast.parse(path.read_text()),
+                                      "_mul_into")}
+    assert callers == {"ncalg.Coef.__mul__", "ncalg.Structure.jacobi_failure",
+                       "ncalg._expand", "ncalg._mul_free_into",
+                       "ncalg.from_weyl_basis"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_degree_cap_option(path):
+    # ncalg.DEGREE_CAP is the one product degree limit: no argument,
+    # keyword or attribute sets another
+    found = [f"{path.name}:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in (getattr(node, "arg", None),
+                          getattr(node, "attr", None))
+             if name == "degree_cap"]
+    assert not found, found
 
 
 def test_only_unit_blocks_builds_offset_identity_columns():

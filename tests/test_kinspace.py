@@ -1075,6 +1075,42 @@ CONFIG_ERRORS = {
         fr, 0.0, m.frames["B"], 0.0, m.Pi).apply(np.ones(3))),
     "wraparound_weight.block": _on_nparticle4(
         lambda m, fr: ro.wraparound_weight(fr, np.ones((64, 2)))),
+    # a table state's hbar, checked as tensor_space checks it
+    "from_table.hbar.nan": lambda: ast.from_table(
+        _pair(), {(0, 0): 1.0}, hbar=np.nan),
+    "from_table.hbar.negative": lambda: ast.from_table(
+        _pair(), {(0, 0): 1.0}, hbar=-1),
+    "from_table.hbar.zero": lambda: ast.from_table(
+        _pair(), {(0, 0): 1.0}, hbar=0),
+    # integer sizes and indices that are not integers
+    "FactorSpec.frame.N": lambda: ks.FactorSpec.frame(8.0),
+    "ModelSpec.n_particles": lambda: md.build_model(
+        md.ModelSpec("nparticle", n_particles=2.5)),
+    "orientation_state.index": _on_nparticle4(
+        lambda m, fr: ro.orientation_state(fr, 1.5)),
+    "effect_operator.index": _on_nparticle4(
+        lambda m, fr: ro.effect_operator(fr, [0.5])),
+    "wraparound_weight.margin": _on_nparticle4(
+        lambda m, fr: ro.wraparound_weight(fr, np.ones(64), margin=1.5)),
+    # degrees that are not non-negative integers
+    "monomial_basis.fraction": lambda: _pair().monomial_basis(1.5),
+    "value_table.fraction": lambda: _table_state().value_table(1.5),
+    "check_constraint_surface.fraction": _on_nparticle4(
+        lambda m, fr: ast.check_constraint_surface(
+            _frame_state(m, fr), m.constraint_elem, 3.5)),
+    "verify_reference_frame.fraction": lambda: (
+        lambda g: ast.verify_reference_frame(g, "q", g.gen("p"), 2.5))(
+            _pair()),
+    "from_hilbert.degree_bound": _on_nparticle4(
+        lambda m, fr: ast.from_hilbert(np.ones(64), np.ones(64), m.space,
+                                       m.assignment, m.gens, -1)),
+    "from_table.degree_bound": lambda: ast.from_table(
+        _pair(), {(0, 0): 1.0}, degree_bound=-1),
+    "frame_state.degree_bound": _on_nparticle4(
+        lambda m, fr: ast.frame_state(
+            m.space, m.constraint, fr, 0.0,
+            md.random_physical_state(m, np.random.default_rng(0)),
+            m.assignment, m.gens, -1)),
 }
 
 
