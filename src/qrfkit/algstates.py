@@ -16,6 +16,7 @@ all-degree statements; every report records the bound it was run at.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from itertools import count
@@ -185,6 +186,16 @@ def _overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
     return n
 
 
+def _check_assignment(space: LatticeSpace, gens: GeneratorSet, assignment,
+                      *ops) -> None:
+    """ConfigError unless ``assignment`` maps every generator of ``gens``
+    (naming the first one missing) and it and ``ops`` are on ``space``."""
+    for name in gens.names:
+        if name not in assignment:
+            raise ConfigError(f"assignment has no generator {name!r}")
+    _check_space(space, *ops, *assignment.values())
+
+
 def from_hilbert(bra: np.ndarray, ket: np.ndarray, space: LatticeSpace,
                  assignment: dict, gens: GeneratorSet,
                  degree_bound: int = DEFAULT_DEGREE_BOUND,
@@ -194,7 +205,7 @@ def from_hilbert(bra: np.ndarray, ket: np.ndarray, space: LatticeSpace,
     Each monomial is valued by its definition, vdot(bra, y^m ket): the
     words are walked on the ket and the bra is never acted on.
     """
-    _check_space(space, *assignment.values())
+    _check_assignment(space, gens, assignment)
     bra = np.asarray(bra, dtype=complex)
     ket = np.asarray(ket, dtype=complex)
     if bra.shape[:1] != (space.dim,) or ket.shape[:1] != (space.dim,):
@@ -209,12 +220,22 @@ def from_hilbert(bra: np.ndarray, ket: np.ndarray, space: LatticeSpace,
 def from_table(gens: GeneratorSet, table: dict,
                degree_bound: int = DEFAULT_DEGREE_BOUND,
                hbar: float = 1.0) -> AlgebraicState:
-    """State with the given monomial -> value table as its cache."""
+    """State with the given monomial -> value table as its cache.
+
+    ConfigError unless ``table`` is a mapping whose keys are exponent
+    vectors (``GeneratorSet._monomial``) and whose values are finite, with
+    omega(1) = 1.
+    """
     hbar = positive_finite("hbar", hbar)
-    if abs(table.get(gens.unit_monomial(), 0.0) - 1.0) > 1e-12:
+    if not isinstance(table, Mapping):
+        raise ConfigError(f"value table must be a mapping, not "
+                          f"{type(table).__name__}")
+    cache = {gens._monomial(m): complex(v) for m, v in table.items()}
+    if not all(map(np.isfinite, cache.values())):
+        raise ConfigError("value table holds a value that is not finite")
+    if abs(cache.get(gens.unit_monomial(), 0.0) - 1.0) > 1e-12:
         raise ConfigError("value table must be normalized: omega(1) = 1")
-    return AlgebraicState(gens, degree_bound, table_hbar=hbar, _cache={
-        m: complex(v) for m, v in table.items()})
+    return AlgebraicState(gens, degree_bound, table_hbar=hbar, _cache=cache)
 
 
 def frame_state(space: LatticeSpace, C: KinOperator, frame, rho: float,
@@ -236,7 +257,7 @@ def frame_state(space: LatticeSpace, C: KinOperator, frame, rho: float,
     that acts on F and another factor, or is stored dense or composed,
     leaves the state on the full-space walk of any Hilbert-backed state.
     """
-    _check_space(space, C, frame, *assignment.values())
+    _check_assignment(space, gens, assignment, C, frame)
     check_physical(C, psi_phys)
     psi = np.asarray(psi_phys, dtype=complex)
     v = orientation_state_at(frame, rho)
@@ -300,7 +321,7 @@ def verify_assignment(gens: GeneratorSet, space, assignment,
     (D x len(test_states)) and the report gives max |v^dag R v| / v^dag v
     over them, or None without test states.
     """
-    _check_space(space, *assignment.values())
+    _check_assignment(space, gens, assignment)
     states = list(() if test_states is None else test_states)
     states = np.column_stack(states) if states else None
     report = {}

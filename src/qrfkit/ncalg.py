@@ -32,10 +32,13 @@ A generator set splits into commuting blocks: the classes of generators
 linked by a non-zero relation, directly or through one of its components.
 Each block spans a subalgebra closed under the relations, and generators in
 different blocks commute exactly, so a normal-ordered monomial is the product
-of its parts in each block, in any order.  The Weyl average is a product of
-per-block averages, and a commutator with one generator vanishes on a
-monomial exactly when it vanishes on the monomial's part in that
-generator's block.  Normal ordering itself works on whole words.  A rewrite
+of its parts in each block, in any order.  A commutator with one generator
+vanishes on a monomial exactly when it vanishes on the monomial's part in
+that generator's block.  The Weyl average of m, the mean of its distinct
+orderings, is W(m) = sum_{g in B} (m_g / n) y_g W(m - e_g), W(1) = 1, over
+the first block B that m meets, n the degree of m in B: exact, as m_g / n
+of the orderings of m's part in B begin with y_g and the rest of m
+commutes with B.  Normal ordering itself works on whole words.  A rewrite
 fires only where a letter passes an earlier one whose relation with it has
 a rule, so a product of normal-ordered monomials in which no letter passes
 such a letter is free: its monomial is the sum of theirs, with coefficient
@@ -62,7 +65,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
+from math import isfinite
 from numbers import Integral
 from operator import add, index, mul, sub
 
@@ -195,7 +199,7 @@ class Coef:
     def __eq__(self, other):
         try:
             other = _coef(other)
-        except TypeError:
+        except (TypeError, ConfigError):
             return NotImplemented
         return not (self - other).terms
 
@@ -229,8 +233,10 @@ def _coef(x) -> Coef:
     Accepts a ``Coef``; an ``int`` (or other integral), ``Fraction`` or
     ``float`` (kept as a float part); a ``complex`` with integral parts; or
     a sympy expression that expands to a Laurent polynomial in ``HBAR``
-    with rational or float coefficients over Q(i).  Anything else raises
-    TypeError.
+    with finite rational or float coefficients over Q(i).  A float or
+    complex with an infinite or NaN part raises ConfigError; an inexact
+    complex, any other sympy expression (``oo``, ``zoo`` and ``nan``
+    included) and anything else raise TypeError.
     """
     if type(x) is Coef:
         return x
@@ -238,6 +244,9 @@ def _coef(x) -> Coef:
         return Coef._of({0: (int(x), 0)}) if x else _ZERO
     if isinstance(x, Fraction):
         return Coef._of({0: (_part(x), 0)}) if x else _ZERO
+    if isinstance(x, (float, complex)) and not (
+            isfinite(x.real) and isfinite(x.imag)):
+        raise ConfigError(f"coefficient {x!r} is not finite")
     if isinstance(x, float):
         return Coef._of({0: (float(x), 0)}) if x else _ZERO
     if isinstance(x, complex):
@@ -257,7 +266,8 @@ def _from_sympy(x) -> Coef:
     for term in sp.Add.make_args(sp.expand(x)):
         c, k = term.as_coeff_exponent(hbar)
         re, im = c.as_real_imag()
-        if not (k.is_Integer and re.is_Number and im.is_Number):
+        if not (k.is_Integer and re.is_Number and im.is_Number
+                and re.is_finite and im.is_finite):
             raise TypeError(f"{x} is not a Laurent polynomial in hbar "
                             "over Q(i)")
         _add_into(acc, {int(k): tuple(
@@ -729,7 +739,7 @@ class GeneratorSet:
         """The ``ProductTable`` of left a right over deg a <= ``degree``
         (``_check_product``), cached in ``structure.tables`` under their
         typed terms in order (``_terms_key``) and the degree."""
-        degree = _check_product(self, left, right, degree)
+        degree = _check_product(self, left, right, degree=degree)
         key = (_terms_key(left.terms), _terms_key(right.terms), degree)
         found = self.structure.tables.get(key)
         if found is None:
@@ -746,12 +756,13 @@ def _degree(d) -> int:
     return int(d)
 
 
-def _check_product(gens: GeneratorSet, left, right, degree=0) -> int:
-    """``_degree(degree)``; ConfigError unless left and right are on
-    ``gens``, DegreeExceeded when left a right passes ``DEGREE_CAP``."""
-    if left.gens is not gens or right.gens is not gens:
+def _check_product(gens: GeneratorSet, *factors, degree=0) -> int:
+    """``_degree(degree)``; ConfigError unless the ``factors`` are on
+    ``gens``, DegreeExceeded when their product with a monomial of degree
+    ``degree`` passes ``DEGREE_CAP``."""
+    if any(f.gens is not gens for f in factors):
         raise ConfigError("elements belong to different generator sets")
-    total = _degree(degree) + left.degree() + right.degree()
+    total = _degree(degree) + sum(f.degree() for f in factors)
     if total > DEGREE_CAP:
         raise DegreeExceeded(f"product degree {total} exceeds cap "
                              f"{DEGREE_CAP}")
@@ -914,16 +925,12 @@ def _monomial_text(names: tuple, m: tuple) -> str:
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Associative product in normal order (``_check_product``)."""
     _check_product(a.gens, a, b)
-    return AlgebraElement(a.gens, _product(a.gens.structure, a.terms, b.terms))
-
-
-def _product(s: Structure, left: dict, right: dict) -> dict:
-    """The terms of left right, two term dicts, by ``_expand``."""
-    right = [(s.factor(mr), cr.terms) for mr, cr in right.items()]
-    return _expand(s, (((fl, fr), cl.terms, cr, None)
-                       for fl, cl in ((s.factor(ml), cl)
-                                      for ml, cl in left.items())
-                       for fr, cr in right))
+    s = a.gens.structure
+    right = [(s.factor(mr), cr.terms) for mr, cr in b.terms.items()]
+    return AlgebraElement(a.gens, _expand(s, (
+        ((fl, fr), cl.terms, cr, None)
+        for fl, cl in ((s.factor(ml), cl) for ml, cl in a.terms.items())
+        for fr, cr in right)))
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -942,36 +949,37 @@ def weyl_symmetrize(gens: GeneratorSet, m) -> AlgebraElement:
     """Average over all distinct orderings of the monomial's multiset.
 
     The result is expressed in normal order; its leading (same-degree)
-    monomial is ``m`` with coefficient one.  Parts of ``m`` in different
-    commuting blocks commute, so the average is the product of the
-    per-block averages (their monomials add, their coefficients multiply);
-    only a part within one block is averaged over its orderings.  Every
-    average is cached on the shared ``gens.structure``.  ConfigError unless
-    ``m`` is an exponent vector (``GeneratorSet._monomial``).
+    monomial is ``m`` with coefficient one.  It is the recurrence
+    W(m) = sum_{g in B} (m_g / n) y_g W(m - e_g) over the first commuting
+    block B that ``m`` meets, n the degree of m in B.  That is exact: a
+    share m_g / n of the orderings of m's part in B begin with y_g, and the
+    other blocks commute with B.  Every average is cached on the shared
+    ``gens.structure``.  ConfigError unless ``m`` is an exponent vector
+    (``GeneratorSet._monomial``); DegreeExceeded when ``m`` passes
+    ``DEGREE_CAP``, as a product would.
     """
-    return AlgebraElement(gens, _weyl_terms(gens.structure,
-                                            gens._monomial(m)))
+    m = gens._monomial(m)
+    _check_product(gens, degree=sum(m))
+    return AlgebraElement(gens, _weyl_terms(gens.structure, m))
 
 
 def _weyl_terms(s: Structure, m: tuple) -> dict:
-    """The terms of ``weyl_symmetrize`` for ``m``, cached in ``s.weyl``
-    (shared; do not mutate)."""
+    """The terms of ``weyl_symmetrize`` for ``m``, by its recurrence in one
+    ``_expand`` call, cached in ``s.weyl`` (shared; do not mutate)."""
     cached = s.weyl.get(m)
     if cached is not None:
         return cached
-    parts = [p for p in (_block_part(m, b) for b in s.blocks) if any(p)]
-    if len(parts) > 1:
-        result = {(0,) * s.n: _ONE}
-        for part in parts:
-            result = _product(s, result, _weyl_terms(s, part))
+    block = next((b for b in s.blocks if any(m[g] for g in b)), None)
+    if block is None:
+        result = {m: _ONE}
     else:
-        perms = dict.fromkeys(permutations(monomial_word(m)))
-        letters = [s.factor(_power(s.n, g, 1)) for g in range(s.n)]
-        terms = _expand(s, ((tuple(letters[g] for g in perm), _ONE.terms,
-                             _ONE.terms, _ONE) for perm in perms))
-        scale = _coef(Fraction(1, len(perms)))
-        result = {mm: v for mm, v in ((mm, scale * c)
-                                      for mm, c in terms.items()) if v}
+        n = sum(m[g] for g in block)
+        result = _expand(s, (
+            ((s.factor(e), s.factor(mm)), share, c.terms, None)
+            for e, share in ((_power(s.n, g, 1),
+                              _coef(Fraction(m[g], n)).terms)
+                             for g in block if m[g])
+            for mm, c in _weyl_terms(s, tuple(map(sub, m, e))).items()))
     s.weyl[m] = result
     return result
 
@@ -981,8 +989,10 @@ def to_weyl_basis(a: AlgebraElement) -> dict:
 
     The residual is cleared one degree at a time from the top, in
     descending m within a degree: Weyl(m) - m has only lower-degree terms,
-    so clearing degree d never touches degree d or above.
+    so clearing degree d never touches degree d or above.  DegreeExceeded
+    when ``a`` passes ``DEGREE_CAP``.
     """
+    _check_product(a.gens, a)
     s = a.gens.structure
     residual = dict(a.terms)
     coeffs = {}
@@ -1004,11 +1014,13 @@ def to_weyl_basis(a: AlgebraElement) -> dict:
 
 def from_weyl_basis(gens: GeneratorSet, coeffs: dict) -> AlgebraElement:
     """sum_m c_m * Weyl(m); each c_m is anything ``_coef`` takes, each m an
-    exponent vector (``GeneratorSet._monomial``)."""
+    exponent vector (``GeneratorSet._monomial``) of degree at most
+    ``DEGREE_CAP`` (DegreeExceeded)."""
     acc = {}
     for m, c in coeffs.items():
-        c = _coef(c).terms
-        for mm, cc in _weyl_terms(gens.structure, gens._monomial(m)).items():
+        m, c = gens._monomial(m), _coef(c).terms
+        _check_product(gens, degree=sum(m))
+        for mm, cc in _weyl_terms(gens.structure, m).items():
             _mul_into(acc.setdefault(mm, {}), c, cc.terms)
     return AlgebraElement._of(gens, acc)
 

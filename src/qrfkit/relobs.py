@@ -78,10 +78,19 @@ def orientation_state(frame: OrientationFrame, j: int) -> np.ndarray:
     return orientation_state_at(frame, frame.grid[_grid_position(frame, j)])
 
 
+def _finite_rho(rho) -> float:
+    """``rho`` as a float, or ConfigError unless it is finite."""
+    rho = float(rho)
+    if not np.isfinite(rho):
+        raise ConfigError(f"orientation rho must be finite, got {rho}")
+    return rho
+
+
 def orientation_state_at(frame: OrientationFrame, rho: float) -> np.ndarray:
-    """|rho> for an arbitrary on-grid orientation value."""
+    """|rho> for an arbitrary on-grid orientation value (finite, else
+    ConfigError)."""
     p = frame.space.factors[frame.factor].generator_spectrum
-    return np.exp(-1j * rho * p / frame.space.hbar)
+    return np.exp(-1j * _finite_rho(rho) * p / frame.space.hbar)
 
 
 def effect_operator(frame: OrientationFrame, X) -> KinOperator:
@@ -221,7 +230,7 @@ def relational_observable(space: LatticeSpace, C: KinOperator,
         theta = theta_gauge(frame, rho)
         return g_twirl(space, C, theta @ f_s)
     if form == "closed":
-        k = frame.factor
+        rho, k = _finite_rho(rho), frame.factor
         # G_S is constant along the frame axis: keep it on the other factors
         gs = np.moveaxis(frame_system_generator(space, C, frame).diag
                          .reshape(space.dims), k, 0)[0]

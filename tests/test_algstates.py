@@ -250,7 +250,7 @@ def planted_rows(draw):
     return cols, draw(st.permutations(rows)), len(drawn)
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@settings(max_examples=200)
 @given(planted_rows())
 def test_exact_rank_is_the_numerical_rank(case):
     cols, rows, planted = case
@@ -946,8 +946,7 @@ def reduced_space_matrix(op, factor):
 
 
 class TestReducedValues:
-    @settings(max_examples=30, deadline=None, database=None,
-              derandomize=True)
+    @settings(max_examples=30)
     @given(**CASES)
     @example(kind="nparticle", frame=1, size=6, hbar=0.7, j=1,
              levels=(1.0, 1.0), sizes=(4, 6), rho_index=5, seed=3)
@@ -1064,7 +1063,7 @@ class TestReducedValues:
                    for m, v in list(table.items())[::37])
 
 
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@settings(max_examples=30)
 @given(**CASES)
 @example(kind="su2", frame=0, size=4, hbar=1.0, j=1, levels=(1.0, 1.0),
          sizes=(4, 6), rho_index=3, seed=19)

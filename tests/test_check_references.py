@@ -38,7 +38,7 @@ def random_unitary(rng, d):
     return np.linalg.qr(m)[0]
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@settings(max_examples=40)
 @given(frames=st.lists(st.sampled_from([4, 6, 8]), min_size=1, max_size=2),
        spectrum=st.lists(st.integers(-3, 3), min_size=1, max_size=4),
        hbar=st.sampled_from([1.0, 0.7]),
@@ -75,7 +75,7 @@ def test_verify_gauge_matches_dense_formula(frames, spectrum, hbar, dense_pi,
     assert_matches_dense(phi, Pi)
 
 
-@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@settings(max_examples=25)
 @given(n_frames=st.integers(1, 2), N=st.sampled_from([4, 6, 8]),
        dp=st.sampled_from([1.0, 0.7]), hbar=st.sampled_from([1.0, 0.7]),
        levels=st.lists(st.integers(-3, 3), min_size=1, max_size=3),

@@ -24,8 +24,7 @@ EXACT = st.one_of(st.integers(-20, 20),
                                max_denominator=12))
 FLOAT = st.floats(min_value=-50, max_value=50, allow_nan=False,
                   allow_infinity=False).filter(lambda x: abs(x) > 1e-6)
-SETTINGS = settings(max_examples=60, deadline=None, database=None,
-                    derandomize=True)
+SETTINGS = settings(max_examples=60)
 
 
 def raw_terms(part):
@@ -130,7 +129,18 @@ def test_sympy_input_round_trips(x):
 
 
 @pytest.mark.parametrize("expr", [sp.sqrt(2), sp.sqrt(HBAR),
-                                  sp.Symbol("x") * HBAR, sp.pi])
+                                  sp.Symbol("x") * HBAR, sp.pi, sp.oo,
+                                  -sp.oo * HBAR, sp.I * sp.oo, sp.nan,
+                                  sp.zoo])
 def test_non_laurent_sympy_input_raises(expr):
     with pytest.raises(TypeError):
         ncalg._coef(expr)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"),
+                               complex(0, float("nan"))])
+def test_equality_with_a_non_finite_number_is_not_implemented(x):
+    # _coef refuses x (ConfigError), and == falls back to False
+    c = Coef({0: (1, 0)})
+    assert c.__eq__(x) is NotImplemented
+    assert c != x

@@ -6,9 +6,10 @@ eigendecomposition or a numerical rank or gathers through a meshgrid, only
 two dense reads check the dense budget, no module reads a dense form,
 a state's values come from the two walks of ``AlgebraicState`` without
 acting on a bra, ``ncalg`` imports only the standard library and
-``.errors`` (sympy lazily, at its boundary), every exact product, a
-product of Weyl averages included, is summed by ``ncalg._expand``, the one
-caller of ``normal_order_word``, no option sets a product degree limit
+``.errors`` (sympy lazily, at its boundary), every exact product, each
+step of the Weyl recurrence included, is summed by ``ncalg._expand``, the
+one caller of ``normal_order_word``, no module enumerates orderings (no
+``permutations``), no option sets a product degree limit
 other than ``ncalg.DEGREE_CAP``, every read of an operator's unit columns
 takes its identity blocks from ``kinspace._unit_blocks``, the one offset
 ``np.eye``, only the operator algebra (``@``, ``+``, ``exp`` and the
@@ -196,14 +197,29 @@ def test_only_the_kernel_normal_orders_a_word():
 
 
 def test_only_coefficient_arithmetic_multiplies_hbar_pairs():
-    # _mul_into multiplies two coefficients; a product of two elements, the
-    # product of per-block Weyl averages included, goes through _expand
+    # _mul_into multiplies two coefficients; a product of two elements, each
+    # step of the Weyl recurrence included, goes through _expand
     callers = {f"{path.stem}.{caller}" for path in SRC.glob("*.py")
                for caller in _callers(ast.parse(path.read_text()),
                                       "_mul_into")}
     assert callers == {"ncalg.Coef.__mul__", "ncalg.Structure.jacobi_failure",
                        "ncalg._expand", "ncalg._mul_free_into",
                        "ncalg.from_weyl_basis"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_enumerates_orderings(path):
+    # a Weyl average is summed by its first-letter recurrence, never over
+    # the distinct orderings of a word, which grow factorially
+    found = [f"{path.name}:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in (getattr(node, "id", None),
+                          getattr(node, "attr", None),
+                          *(alias.name for alias in getattr(node, "names",
+                                                            ())))
+             if name == "permutations"]
+    assert not found, found
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

@@ -599,7 +599,7 @@ class TestComposedForm:
             with pytest.raises(IllConditionedFlow):
                 ks.KinOperator.exp(X, s)
 
-    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=40)
     @given(kind=st.sampled_from(["local", "dense", "twirl", "nilpotent"]),
            lam=st.floats(-3.0, 3.0), hbar=st.sampled_from([0.7, 1.6]),
            size=st.floats(0.1, 2.5), width=st.sampled_from([None, 3]),
@@ -641,7 +641,7 @@ class TestComposedForm:
             assert np.all(np.linalg.norm(got - want, axis=0)
                           <= 1e-12 * np.linalg.norm(want, axis=0))
 
-    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=40)
     @given(form=st.sampled_from(["diag", "local", "dense", "@", "+", "twirl",
                                  "exp", "scaled"]),
            factor=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
@@ -959,8 +959,8 @@ CONFIG_ERRORS = {
         ks.build_constraint(two_frame_space(), {0: 1.0, 1: 1.0})),
     "evaluate_all": lambda: _table_state().evaluate(_pair().gen("q")),
     # orthogonal bra and ket
-    "from_hilbert": lambda: ast.from_hilbert(
-        np.eye(64)[0], np.eye(64)[1], two_frame_space(), {}, _pair()),
+    "from_hilbert": _on_nparticle4(lambda m, fr: ast.from_hilbert(
+        np.eye(64)[0], np.eye(64)[1], m.space, m.assignment, m.gens)),
     "from_table": lambda: ast.from_table(
         _pair(), {_pair().unit_monomial(): 2.0}),
     "check_constraint_surface": lambda: ast.check_constraint_surface(
@@ -1111,7 +1111,59 @@ CONFIG_ERRORS = {
             m.space, m.constraint, fr, 0.0,
             md.random_physical_state(m, np.random.default_rng(0)),
             m.assignment, m.gens, -1)),
+    # non-finite coefficients, never stored
+    "Coef.nan": lambda: ncalg._coef(float("nan")),
+    "Coef.inf": lambda: ncalg._coef(-np.inf),
+    "Coef.complex.nan": lambda: ncalg._coef(complex(np.nan, 0)),
+    "GeneratorSet.element.nan": lambda: _pair().element({(1, 0): np.nan}),
+    "AlgebraElement.rmul.inf": lambda: np.inf * _pair().gen("q"),
+    "check_frame_gauge.rho.nan": _on_nparticle4(
+        lambda m, fr: ast.check_frame_gauge(_frame_state(m, fr), "q_A",
+                                            np.nan)),
+    "transform_frame.rho.nan": lambda: (lambda om: ast.transform_frame(
+        om, frame_a=("q", "p"), rho_a=np.nan, frame_b=("q", "p"), rho_b=0.0,
+        f=om.gens.one(), g_s=om.gens.zero()))(_table_state()),
+    # a non-finite orientation value on the lattice
+    "orientation_state_at.nan": _on_nparticle4(
+        lambda m, fr: ro.orientation_state_at(fr, np.nan)),
+    "reduce_state.rho.inf": _on_nparticle4(lambda m, fr: rg.reduce_state(
+        fr, np.inf, np.ones(64))),
+    "frame_state.rho.nan": _on_nparticle4(lambda m, fr: ast.frame_state(
+        m.space, m.constraint, fr, np.nan,
+        md.random_physical_state(m, np.random.default_rng(0)), m.assignment,
+        m.gens)),
+    "relational_observable.closed.nan": _on_nparticle4(
+        lambda m, fr: ro.relational_observable(
+            m.space, m.constraint, fr, np.nan, m.assignment["q_B"],
+            form="closed")),
+    # an assignment without p_B
+    "from_hilbert.missing": _on_nparticle4(lambda m, fr: ast.from_hilbert(
+        np.ones(64), np.ones(64), m.space, _without_p_b(m), m.gens)),
+    "frame_state.missing": _on_nparticle4(lambda m, fr: ast.frame_state(
+        m.space, m.constraint, fr, 0.0,
+        md.random_physical_state(m, np.random.default_rng(0)),
+        _without_p_b(m), m.gens)),
+    "verify_assignment.missing": _on_nparticle4(
+        lambda m, fr: ast.verify_assignment(m.gens, m.space,
+                                            _without_p_b(m))),
+    # value tables: not a mapping, a key that is no exponent vector, NaN
+    "from_table.list": lambda: ast.from_table(_pair(), [((0, 0), 1.0)]),
+    "from_table.key": lambda: ast.from_table(
+        _pair(), {(0, 0): 1.0, (1,): 0.5}),
+    "from_table.nan": lambda: ast.from_table(
+        _pair(), {(0, 0): 1.0, (1, 0): np.nan}),
 }
+
+
+def _without_p_b(m):
+    """The assignment of model ``m`` without its entry for p_B."""
+    return {k: v for k, v in m.assignment.items() if k != "p_B"}
+
+
+def test_a_missing_generator_is_named():
+    for site in ("from_hilbert", "frame_state", "verify_assignment"):
+        with pytest.raises(ConfigError, match="generator 'p_B'"):
+            CONFIG_ERRORS[f"{site}.missing"]()
 
 
 @pytest.mark.parametrize("site", sorted(CONFIG_ERRORS))
@@ -1223,7 +1275,7 @@ LATTICE_VALUE = st.tuples(st.integers(-40, 40), st.sampled_from(
     [0.0, 1e-10, -1e-10, 1e-8, -1e-8, 0.3, -0.3]))
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(LATTICE_DP, st.lists(LATTICE_VALUE, min_size=1, max_size=4))
 def test_lattice_checks_match_the_fraction_criterion(dp, steps):
     values = [(k + off) * dp for k, off in steps]

@@ -72,7 +72,7 @@ def state_kwargs(draw):
     return spec, kwargs
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@settings(max_examples=150)
 @given(state_kwargs())
 def test_broadcast_gaussian_state_matches_the_meshgrid_oracle(case):
     spec, kwargs = case

@@ -120,6 +120,23 @@ class TestMultiply:
         with pytest.raises(DegreeExceeded, match="degree 13 exceeds cap 12"):
             gens.products(q, p, 11)
 
+    @pytest.mark.parametrize("site", ["weyl_symmetrize", "to_weyl_basis",
+                                      "from_weyl_basis"])
+    def test_weyl_degree_cap(self, site):
+        # a Weyl average is a sum of products: capped as a product is.  One
+        # block per generator, so an uncapped average would still be quick
+        gens = GeneratorSet(("a", "b", "c"), {})
+        m = (5, 4, 4)
+        call = {"weyl_symmetrize": lambda: weyl_symmetrize(gens, m),
+                "to_weyl_basis": lambda: ncalg.to_weyl_basis(
+                    gens.element({m: 1, (0, 0, 1): 2})),
+                "from_weyl_basis": lambda: ncalg.from_weyl_basis(
+                    gens, {(0, 0, 1): 2, m: 1})}[site]
+        with pytest.raises(DegreeExceeded,
+                           match="product degree 13 exceeds cap 12"):
+            call()
+        assert weyl_symmetrize(gens, (4, 4, 4)).terms == {(4, 4, 4): 1}
+
     def test_hbar_power_counts_rewrites(self, pair):
         # p^2 q^2 needs commutator rewrites; every coefficient's hbar power
         # equals the number of rewrites on any path to normal order
@@ -318,14 +335,16 @@ class TestCommutingBlocks:
             assert all(coeffs[m].terms == ref[m].terms for m in ref)
             assert ncalg.from_weyl_basis(gens, coeffs) == a
 
-    def test_weyl_normal_orders_one_word_per_block_ordering(self,
-                                                          monkeypatch):
-        # q_A p_A q_B p_B q_C p_C: 2 + 2 + 2 block orderings, where the
-        # whole word has 720 distinct orderings; the sorted ordering of each
-        # block is a free product, so only the other one is normal-ordered.
-        # Three canonical pairs scaled by 2, 3 and 5, a table no other test
-        # builds, so the shared structure is cold (checked) and every
-        # ordering is counted.
+    def test_weyl_normal_orders_one_letter_times_a_sorted_word(self,
+                                                             monkeypatch):
+        # The recurrence W(m) = sum_g (m_g / n) y_g W(m - e_g) normal-orders
+        # only y_g times a normal-ordered monomial: one letter followed by a
+        # sorted word.  q_A p_A q_B p_B q_C p_C takes 7 such words, where
+        # the whole word has 720 distinct orderings: p_X q_X times each of
+        # the 4, 2 and 1 terms of the averages of the pairs after X.  Three
+        # canonical pairs scaled by 2, 3 and 5, a table no other test
+        # builds, so the shared structure is cold (checked) and every word
+        # is counted.
         gens = GeneratorSet(("q_A", "p_A", "q_B", "p_B", "q_C", "p_C"),
                             {(0, 1): {ncalg.IDENTITY: 2},
                              (2, 3): {ncalg.IDENTITY: 3},
@@ -333,9 +352,28 @@ class TestCommutingBlocks:
         assert not gens.structure.words and not gens.structure.weyl
         calls = count_normal_forms(monkeypatch)
         w = weyl_symmetrize(gens, (1, 1, 1, 1, 1, 1))
-        assert sorted(calls) == [(1, 0), (3, 2), (5, 4)]
+        assert all(list(word[1:]) == sorted(word[1:]) for word in calls)
+        assert sorted(calls) == [(1, 0), (1, 0, 2, 3), (1, 0, 2, 3, 4, 5),
+                                 (1, 0, 4, 5), (3, 2), (3, 2, 4, 5), (5, 4)]
         monkeypatch.undo()
         assert w == weyl_symmetrize_oracle(gens, (1, 1, 1, 1, 1, 1))
+
+    def test_weyl_of_degree_nine_on_a_cold_su2(self, monkeypatch):
+        # x^3 y^3 z^3 has 1680 distinct orderings; the recurrence
+        # normal-orders 129 distinct words.  A bare su(2) triple scaled by
+        # 7, a table no other test builds, so the structure is cold.
+        gens = GeneratorSet(("x", "y", "z"), {(0, 1): {2: 7}, (1, 2): {0: 7},
+                                              (0, 2): {1: -7}})
+        assert not gens.structure.words and not gens.structure.weyl
+        calls = count_normal_forms(monkeypatch)
+        w = weyl_symmetrize(gens, (3, 3, 3))
+        monkeypatch.undo()
+        assert len(set(calls)) == len(gens.structure.words) == 129
+        assert all(list(word[1:]) == sorted(word[1:]) for word in calls)
+        assert max(w.terms, key=lambda m: (sum(m), m)) == (3, 3, 3)
+        assert w.coefficient((3, 3, 3)) == 1
+        assert all(sum(m) < 9 for m in w.terms if m != (3, 3, 3))
+        assert adjoint(w) == w
 
     def test_monomial_basis_is_sorted_and_fresh(self):
         for n in range(1, 8):
@@ -655,8 +693,7 @@ ALGEBRAS = {
 PART = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 COEF = st.builds(lambda k, re, im: ncalg.Coef({k: (re, im)}),
                  st.integers(-1, 1), PART, PART)
-ALGEBRA_SETTINGS = settings(max_examples=50, deadline=None, database=None,
-                            derandomize=True)
+ALGEBRA_SETTINGS = settings(max_examples=50)
 
 
 @st.composite
@@ -729,7 +766,7 @@ def table_words(draw):
     return name, tuple(draw(st.lists(st.integers(0, n - 1), max_size=7)))
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(table_words())
 def test_normal_form_equals_the_rewrite_engine(name_word):
     name, word = name_word
@@ -753,7 +790,7 @@ def table_products(draw):
             draw(st.booleans()))
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(table_products())
 def test_kernel_product_equals_the_rewrite_engine(case):
     # free or not, the kernel's product of normal-ordered monomials is the

@@ -344,7 +344,7 @@ def qrf_case(kind, size, j, hbar):
             if fac.is_frame], Pi
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@settings(max_examples=40)
 @given(kind=st.sampled_from(["nparticle", "su2", "8-6-8", "4-3-8"]),
        size=st.sampled_from([4, 6, 8]), j=st.integers(1, 2),
        hbar=st.sampled_from([1.0, 0.7]), pair=st.integers(0, 5),
