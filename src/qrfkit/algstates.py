@@ -112,14 +112,14 @@ class AlgebraicState:
         backing: vdot(bra, y^w ket) for w the word of m, from one prefix
         walk over the distinct words (the unit is vdot(bra, ket)), with at
         most degree walk buffers, freed on return.  A table state raises
-        DegreeExceeded for a monomial its table lacks.
+        ConfigError for a monomial its table lacks.
 
         Each value is bitwise the same whichever call computes it.
         """
         missing = [m for m in monomials if m not in self._cache]
         if self.space is None:
             if missing:
-                raise DegreeExceeded(
+                raise ConfigError(
                     f"monomial {missing[0]} missing from value table")
         elif self.reduction is not None:
             self._fill_reduced(missing)

@@ -197,6 +197,13 @@ def positive_finite(name: str, value) -> float:
     return value
 
 
+def finite(name: str, value):
+    """``value`` unchanged, or ConfigError unless every entry is finite."""
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{name} is not finite")
+    return value
+
+
 def integer(name: str, value) -> int:
     """``value`` as an ``int`` (``operator.index``), or ConfigError."""
     try:
@@ -776,9 +783,11 @@ def group_average(space: LatticeSpace, C: KinOperator) -> KinOperator:
 
 
 def check_physical(C: KinOperator, psi: np.ndarray) -> None:
-    """Raise NotPhysical unless every column of ``psi`` solves the constraint."""
+    """Raise NotPhysical unless every column of ``psi`` solves the
+    constraint; ConfigError for a column whose norm is not finite."""
     resid = np.linalg.norm(C.apply(psi), axis=0)
-    if np.any(resid > PHYS_RTOL * np.linalg.norm(psi, axis=0)):
+    norms = finite("||psi||", np.linalg.norm(psi, axis=0))
+    if np.any(resid > PHYS_RTOL * norms):
         raise NotPhysical(f"||C psi|| = {np.max(resid):.2e} exceeds tolerance")
 
 
@@ -787,22 +796,24 @@ def project_physical(Pi: KinOperator, psi: np.ndarray) -> np.ndarray:
 
     On ker(C) the physical inner product coincides with the kinematical one,
     so normalization is the plain vector norm of the projection.  EmptyKernel
-    when ||Pi psi|| <= 1e-14 ||psi||, whatever the scale of psi.
+    when ||Pi psi|| <= 1e-14 ||psi||, whatever the scale of psi; ConfigError
+    when ||psi|| is not finite.
     """
     phi = Pi.apply(psi)
     n = np.linalg.norm(phi)
-    if n <= _VANISH_RTOL * np.linalg.norm(psi):
+    if n <= _VANISH_RTOL * finite("||psi||", np.linalg.norm(psi)):
         raise EmptyKernel("state has no overlap with the constraint kernel")
     return phi / n
 
 
 def physical_inner_product(space: LatticeSpace, Pi: KinOperator,
                            psi_kin: np.ndarray, phi_kin: np.ndarray) -> complex:
-    """<psi|Pi|phi>: positive semi-definite, an honest inner product on ker(C)."""
+    """<psi|Pi|phi>: positive semi-definite, an honest inner product on
+    ker(C); ConfigError when it is not finite."""
     _check_space(space, Pi)
     if psi_kin.shape[:1] != (space.dim,):
         raise ConfigError(f"psi {psi_kin.shape} on a space of {space.dim}")
-    return complex(np.vdot(psi_kin, Pi.apply(phi_kin)))
+    return complex(finite("<psi|Pi|phi>", np.vdot(psi_kin, Pi.apply(phi_kin))))
 
 
 def sector_projectors(space: LatticeSpace, frame: int):

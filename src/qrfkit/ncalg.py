@@ -22,7 +22,7 @@ attribute ``HBAR`` (the sympy Symbol hbar).  Importing this module and the
 arithmetic, normal ordering and evaluation never load it.
 
 One kernel, ``_expand``, sums every exact product: ``multiply``,
-``adjoint``, ``ProductTable`` rows and every Weyl average.
+``commutator``, ``adjoint``, ``ProductTable`` rows and every Weyl average.
 
 Every commutator rewrite introduces exactly one factor i*hbar*alpha, so the
 hbar power of a coefficient counts the rewrites along any normal-ordering
@@ -197,11 +197,12 @@ class Coef:
         return Coef._of({k: (re, -im) for k, (re, im) in self.terms.items()})
 
     def __eq__(self, other):
+        """Equal stored terms (canonical) at once, else a zero difference."""
         try:
             other = _coef(other)
         except (TypeError, ConfigError):
             return NotImplemented
-        return not (self - other).terms
+        return self.terms == other.terms or not (self - other).terms
 
     def __repr__(self):
         return f"Coef({self.terms!r})"
@@ -849,11 +850,12 @@ class AlgebraElement:
         return self.terms.get(self.gens._monomial(m), _ZERO)
 
     def __eq__(self, other):
+        """Equal term maps at once, else each monomial, an absent one 0."""
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        return all(self.terms.get(k, _ZERO) == other.terms.get(k, _ZERO)
-                   for k in keys)
+        return self.terms == other.terms or all(
+            self.terms.get(k, _ZERO) == other.terms.get(k, _ZERO)
+            for k in set(self.terms) | set(other.terms))
 
     def __hash__(self):
         raise TypeError("AlgebraElement is not hashable")
@@ -934,7 +936,18 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return multiply(a, b) - multiply(b, a)
+    """ab - ba by one ``_expand`` over the term pairs (x, y) in which a letter
+    of one is blocked by the other's (``Structure.factor``): each adds xy
+    with c_x c_y and yx with -c_y c_x.  Any other pair is free both ways,
+    xy = yx = x + y with coefficient one, so it cancels exactly: skipped.
+    ``_check_product`` first: DegreeExceeded even when every pair commutes."""
+    _check_product(a.gens, a, b)
+    s = a.gens.structure
+    right = [(s.factor(m), c.terms, (-c).terms) for m, c in b.terms.items()]
+    return AlgebraElement(a.gens, _expand(s, (
+        t for fx, x in ((s.factor(m), c.terms) for m, c in a.terms.items())
+        for fy, y, minus_y in right if fx[1] & fy[2] or fy[1] & fx[2]
+        for t in (((fx, fy), x, y, None), ((fy, fx), minus_y, x, None)))))
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:

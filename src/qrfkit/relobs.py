@@ -27,6 +27,7 @@ from .kinspace import (
     _diagonal_spectrum,
     _zero_tol,
     factor_operator,
+    finite,
     integer,
     momentum_operator,
 )
@@ -121,7 +122,7 @@ def wraparound_weight(frame: OrientationFrame, vec: np.ndarray,
     Diagnostic for the modular-arithmetic caveat: golden tests keep this
     weight negligible by localizing states away from the edge.  ``margin``
     must lie in [0, N/2] (ConfigError); 0 weighs nothing and N/2 the whole
-    orientation range.  ``vec`` is one D-vector (ConfigError otherwise).
+    orientation range.  ``vec`` is one finite D-vector (ConfigError otherwise).
     """
     if np.shape(vec) != (frame.space.dim,):
         raise ConfigError(f"vec must be one {frame.space.dim}-vector")
@@ -133,7 +134,7 @@ def wraparound_weight(frame: OrientationFrame, vec: np.ndarray,
     prob = np.abs(frame.space.apply_factor(frame.factor, F, vec)) ** 2
     marg = np.moveaxis(prob.reshape(frame.space.dims), frame.factor, 0)
     marg = marg.reshape(frame.N, -1).sum(axis=1)
-    total = float(marg.sum())
+    total = float(finite("total probability", marg.sum()))
     edge = float(marg[:margin].sum() + marg[frame.N - margin:].sum())
     return edge / total if total > 0 else 0.0
 

@@ -12,7 +12,9 @@ It factors Weyl averages, commutants and check products by commuting
 generator blocks; the oracles average every ordering of the whole word,
 commute with every basis monomial and multiply out every product.  It
 normal-orders a word whose letters pass only letters they commute with by
-sorting it; the oracle runs the rewrite engine on every word.
+sorting it; the oracle runs the rewrite engine on every word.  It sums a
+commutator over the term pairs that do not commute; the oracle subtracts
+the two full products.
 """
 
 from fractions import Fraction
@@ -25,7 +27,7 @@ from scipy.linalg import expm
 
 from qrfkit.kinspace import HERM_TOL, KinOperator, LatticeSpace
 from qrfkit.ncalg import (_ONE, _ZERO, AlgebraElement, _add_into, _terms,
-                          commutator, monomial_word, numeric)
+                          commutator, monomial_word, multiply, numeric)
 from qrfkit.relobs import frame_system_generator
 
 
@@ -200,6 +202,12 @@ def to_weyl_basis_oracle(a: AlgebraElement) -> dict:
             else:
                 residual.pop(mm, None)
     return coeffs
+
+
+def commutator_oracle(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """ab - ba as the difference of the two full products, every pair of
+    terms expanded in both orders."""
+    return multiply(a, b) - multiply(b, a)
 
 
 def commutant_oracle(gens, z_name: str, basis) -> list:

@@ -8,7 +8,8 @@ a state's values come from the two walks of ``AlgebraicState`` without
 acting on a bra, ``ncalg`` imports only the standard library and
 ``.errors`` (sympy lazily, at its boundary), every exact product, each
 step of the Weyl recurrence included, is summed by ``ncalg._expand``, the
-one caller of ``normal_order_word``, no module enumerates orderings (no
+one caller of ``normal_order_word``, a commutator is never the difference
+of two products, no module enumerates orderings (no
 ``permutations``), no option sets a product degree limit
 other than ``ncalg.DEGREE_CAP``, every read of an operator's unit columns
 takes its identity blocks from ``kinspace._unit_blocks``, the one offset
@@ -194,6 +195,18 @@ def test_only_the_kernel_normal_orders_a_word():
                for caller in _callers(ast.parse(path.read_text()),
                                       "normal_order_word")}
     assert callers == {"ncalg._expand"}
+
+
+def test_a_commutator_is_not_the_difference_of_two_products():
+    # ncalg.commutator sums only the term pairs that do not commute, in one
+    # _expand call; a commuting pair cancels exactly and is never formed
+    tree = ast.parse((SRC / "ncalg.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "commutator")
+    names = {getattr(node, "id", getattr(node, "attr", None))
+             for node in ast.walk(body)}
+    assert "multiply" not in names and "_expand" in names
 
 
 def test_only_coefficient_arithmetic_multiplies_hbar_pairs():

@@ -1075,6 +1075,18 @@ CONFIG_ERRORS = {
         fr, 0.0, m.frames["B"], 0.0, m.Pi).apply(np.ones(3))),
     "wraparound_weight.block": _on_nparticle4(
         lambda m, fr: ro.wraparound_weight(fr, np.ones((64, 2)))),
+    # a state vector that is not finite, refused by the norm or total the
+    # call computes anyway rather than passed on as NaN
+    "wraparound_weight.nan": _on_nparticle4(
+        lambda m, fr: ro.wraparound_weight(fr, np.full(64, np.nan))),
+    "project_physical.nan": _on_nparticle4(lambda m, fr: ks.project_physical(
+        m.Pi, np.full(64, np.nan))),
+    "physical_inner_product.nan": _on_nparticle4(
+        lambda m, fr: ks.physical_inner_product(m.space, m.Pi,
+                                                np.full(64, np.nan),
+                                                np.ones(64))),
+    "check_physical.nan": _on_nparticle4(lambda m, fr: ks.check_physical(
+        m.constraint, np.full(64, np.nan))),
     # a table state's hbar, checked as tensor_space checks it
     "from_table.hbar.nan": lambda: ast.from_table(
         _pair(), {(0, 0): 1.0}, hbar=np.nan),

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -11,16 +12,17 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (monomial_basis_oracle, normal_order_oracle, represent,
-                     to_weyl_basis_oracle, weyl_symmetrize_oracle)
+from oracles import (commutator_oracle, monomial_basis_oracle,
+                     normal_order_oracle, represent, to_weyl_basis_oracle,
+                     weyl_symmetrize_oracle)
 from qrfkit import algstates as ast
 from qrfkit import kinspace as ks
 from qrfkit import models as md
 from qrfkit import ncalg
 from qrfkit.algstates import from_table
 from qrfkit.errors import ConfigError, DegreeExceeded, RelationViolation
-from qrfkit.ncalg import (HBAR, GeneratorSet, adjoint, commutator, multiply,
-                          weyl_symmetrize)
+from qrfkit.ncalg import (HBAR, AlgebraElement, GeneratorSet, adjoint,
+                          commutator, multiply, weyl_symmetrize)
 
 
 @pytest.fixture(scope="module")
@@ -803,3 +805,139 @@ def test_kernel_product_equals_the_rewrite_engine(case):
     got = ncalg._expand(s, [(tuple(map(s.factor, monomials)), one.terms,
                              one.terms, one if shared else None)])
     assert typed_terms(got) == typed_terms(normal_order_oracle(s, word))
+
+
+# ---------------------------------------------------------------------------
+# commutators: one kernel call over the term pairs that do not commute
+
+
+@functools.cache
+def block_set(name: str) -> GeneratorSet:
+    """The generator set ``BLOCK_SETS[name]``, built once."""
+    return BLOCK_SETS[name]()
+
+
+def typed_map(terms: dict) -> dict:
+    """A term dict as monomial -> hbar power -> its parts with their types,
+    in no order: ``_coef_key`` read as maps."""
+    return {m: {key[0]: key[1:] for key in ncalg._coef_key(c)}
+            for m, c in terms.items()}
+
+
+def count_expand(monkeypatch) -> list:
+    """The list that every ``ncalg._expand`` call appends its number of
+    product tuples to, until ``monkeypatch`` is undone."""
+    sizes = []
+    plain = ncalg._expand
+
+    def counting(structure, pairs):
+        pairs = list(pairs)
+        sizes.append(len(pairs))
+        return plain(structure, pairs)
+
+    monkeypatch.setattr(ncalg, "_expand", counting)
+    return sizes
+
+
+EXACT_COEFS = {
+    "int": st.integers(-5, 5),
+    "fraction": PART,
+    "complex": st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)),
+    "laurent": COEF,
+}
+# floats with inexact binary expansions, mixed with the exact kinds; no
+# product underflows, so the rounding stays relative to the summands
+FLOAT_COEFS = st.one_of(st.integers(-14, 14).map(lambda k: k / 7),
+                        *EXACT_COEFS.values())
+
+
+@st.composite
+def commutator_cases(draw):
+    """A generator set of ``BLOCK_SETS``, whether its coefficients are exact,
+    and two elements of degree <= 3 with at most four terms each."""
+    gens = block_set(draw(st.sampled_from(sorted(BLOCK_SETS))))
+    exact = draw(st.booleans())
+    coefs = (draw(st.sampled_from(list(EXACT_COEFS.values()))) if exact
+             else FLOAT_COEFS)
+    monomials = st.sampled_from(gens.monomial_basis(3))
+    a, b = (gens.element(draw(st.dictionaries(monomials, coefs, min_size=1,
+                                              max_size=4)))
+            for _ in range(2))
+    return exact, a, b
+
+
+def _size(c) -> float:
+    """sum_k |re_k| + |im_k|: a bound on every part of c's products."""
+    return sum(abs(re) + abs(im) for re, im in c.terms.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(commutator_cases())
+def test_commutator_equals_the_difference_of_the_products(case):
+    # exact coefficients keep their typed terms; a float-tainted monomial
+    # may sum its products in another order, within 1e-14 of sum |c_x||c_y|
+    exact, a, b = case
+    got, expected = commutator(a, b), commutator_oracle(a, b)
+    if exact:
+        assert typed_map(got.terms) == typed_map(expected.terms)
+        return
+    tol = 1e-14 * sum(_size(x) * _size(y) for x in a.terms.values()
+                      for y in b.terms.values())
+    for m in set(got.terms) | set(expected.terms):
+        g = got.terms.get(m, ncalg._ZERO).terms
+        e = expected.terms.get(m, ncalg._ZERO).terms
+        for k in set(g) | set(e):
+            for x, y in zip(g.get(k, (0, 0)), e.get(k, (0, 0))):
+                assert abs(x - y) <= tol
+
+
+def test_commutator_expands_only_the_pairs_that_do_not_commute(monkeypatch):
+    # s = sum (k+1) y_k and t = sum (6-k) y_k on nparticle: s^2 and t^2
+    # have 22 terms each, and 201 of their 484 pairs do not commute, so the
+    # kernel gets 402 products where the two full products have 968
+    g = block_set("nparticle")
+    y = [g.gen(name) for name in g.names]
+    s = sum(((k + 1) * y[k] for k in range(6)), g.zero())
+    t = sum(((6 - k) * y[k] for k in range(6)), g.zero())
+    s2, t2 = s * s, t * t
+    expected = commutator_oracle(s2, t2)
+    sizes = count_expand(monkeypatch)
+    got = commutator(s2, t2)
+    assert (len(s2.terms), len(t2.terms), sizes) == (22, 22, [402])
+    assert typed_map(got.terms) == typed_map(expected.terms)
+
+
+def test_commutator_of_different_blocks_forms_no_product(monkeypatch):
+    # A's pair against B's and C's: every pair commutes both ways
+    g = block_set("nparticle")
+    a = g.element({(2, 1, 0, 0, 0, 0): 3, (0, 1, 0, 0, 0, 0): Fraction(1, 2)})
+    b = g.element({(0, 0, 1, 2, 0, 0): 1.5, (0, 0, 0, 0, 1, 1): 2j})
+    words, sizes = count_normal_forms(monkeypatch), count_expand(monkeypatch)
+    assert commutator(a, b).is_zero() and commutator(b, a).is_zero()
+    assert (words, sizes) == ([], [0, 0])
+
+
+def test_commutator_checks_its_factors_when_every_pair_commutes():
+    # q_B^7 and q_C^6 commute, but their product passes DEGREE_CAP, and
+    # dress_system_element's UnsupportedSupport rests on that error
+    g = block_set("nparticle")
+    qb7 = g.element({(0, 0, 7, 0, 0, 0): 1})
+    qc6 = g.element({(0, 0, 0, 0, 6, 0): 1})
+    with pytest.raises(DegreeExceeded,
+                       match="product degree 13 exceeds cap 12"):
+        commutator(qb7, qc6)
+    with pytest.raises(ConfigError, match="different generator sets"):
+        commutator(qb7, block_set("interleaved").gen("q1"))
+
+
+def test_equality_reads_the_stored_form_then_the_difference():
+    # equal stored terms are equal at once; otherwise the difference
+    # decides, as before: a Fraction 1/3 against the float 1/3 subtracts
+    # to 0.0, and a stored zero term is the absent one
+    third = ncalg.Coef({0: (Fraction(1, 3), 0)})
+    assert third == 1 / 3 and third != 0.3333
+    g = ALGEBRAS["canonical"]
+    q, p = g.gen("q_A"), g.gen("p_A")
+    assert g.element({(1, 0, 0, 0, 0): Fraction(1, 3)}) == (1 / 3) * q
+    assert AlgebraElement(g, {**q.terms, (0, 1, 0, 0, 0): ncalg._ZERO}) == q
+    assert q != p and q != q + p and q + p != q
