@@ -29,7 +29,7 @@ from . import ncalg
 from .errors import (ConfigError, DegreeExceeded, RelationViolation,
                      UnsupportedSupport)
 from .kinspace import (_VANISH_RTOL, KinOperator, LatticeSpace, _check_space,
-                       _unit_blocks, check_physical, positive_finite,
+                       _unit_blocks, check_physical, finite, positive_finite,
                        reduced_space, split_adjoint)
 from .ncalg import AlgebraElement, Coef, GeneratorSet, commutator
 from .relobs import orientation_state_at
@@ -52,7 +52,10 @@ class AlgebraicState:
     and r the rest, omega(m) = <y^r^dag chi| kappa_a>, where kappa_a =
     (<y^a^dag v| x 1) ket lives on the space without F.  That equals
     <bra| y^m |ket> up to rounding, and exactly so only as far as the cut
-    is: supports are decided to HERM_TOL.
+    is: supports are decided to HERM_TOL.  Its D-vector bra is built only
+    when ``bra`` is first read.  Either walk follows a plan that depends on
+    no state (``ncalg._walk_plan``), owned by ``gens.structure.plans``: an
+    LRU of ``ncalg.PLAN_CACHE`` plans keyed by the frame mask and monomials.
 
     A table-backed state (``from_table``) has no space: its table is the
     cache.  Any state values elements up to its ``degree_bound``.
@@ -60,9 +63,9 @@ class AlgebraicState:
 
     gens: GeneratorSet
     degree_bound: int = DEFAULT_DEGREE_BOUND
-    # Hilbert backing
+    # Hilbert backing; a frame state's bra is built on first read (``bra``)
     space: LatticeSpace = None
-    bra: np.ndarray = None
+    _bra: np.ndarray = None
     ket: np.ndarray = None
     assignment: dict = None
     # frame states: (F, v, chi, {g: F-side y_g^dag}, {name: rest y^dag})
@@ -70,13 +73,32 @@ class AlgebraicState:
     # table backing: the values are the cache
     table_hbar: float = 1.0
     _cache: dict = field(default_factory=dict)
+    # the walk's letters: (frame mask or None, the operator each generator
+    # is on the walk's side), resolved once per state
+    _walk: tuple = None
 
     def __post_init__(self):
         self.degree_bound = ncalg._degree(self.degree_bound)
+        names = self.gens.names
+        if self.reduction is not None:
+            on_f, rest = self.reduction[3:]
+            self._walk = (tuple(int(g in on_f) for g in range(len(names))),
+                          [rest.get(n) for n in names])
+        elif self.assignment is not None:
+            self._walk = None, [self.assignment[n] for n in names]
 
     @property
     def hbar(self) -> float:
         return self.space.hbar if self.space is not None else self.table_hbar
+
+    @property
+    def bra(self) -> np.ndarray:
+        """The D-vector bra (None for a table state); a frame state with a
+        ``reduction`` builds v (x) chi on first read and keeps it."""
+        if self._bra is None and self.reduction is not None:
+            factor, v, chi = self.reduction[:3]
+            self._bra = self.space.apply_factor(factor, v[:, None], chi)
+        return self._bra
 
     def evaluate(self, a: AlgebraElement) -> complex:
         """omega(a), through ``evaluate_all``."""
@@ -105,7 +127,12 @@ class AlgebraicState:
                      for m, c in a.terms.items()), 0j) for a in elements]
 
     def _fill_cache(self, monomials):
-        """Cache the value of each uncached monomial.
+        """Cache the value of each uncached monomial; with none missing,
+        return before any other work.  The walk's plan is
+        ``gens.structure.plans(mask, missing)``, mask None for the plain
+        walk: built once, kept in that structure's LRU of
+        ``ncalg.PLAN_CACHE`` plans.  Each letter is its operator's
+        ``apply``, the operators found once per state (``_walk``).
 
         Frame state (``reduction`` set): the Page-Wootters reduced value
         vdot(y^r^dag chi, kappa_a) of ``_fill_reduced``.  Any other Hilbert
@@ -117,44 +144,45 @@ class AlgebraicState:
         Each value is bitwise the same whichever call computes it.
         """
         missing = [m for m in monomials if m not in self._cache]
+        if not missing:
+            return
         if self.space is None:
-            if missing:
-                raise ConfigError(
-                    f"monomial {missing[0]} missing from value table")
-        elif self.reduction is not None:
-            self._fill_reduced(missing)
-        else:
-            words = {ncalg.monomial_word(m): m for m in missing}
-            for w, vec in _prefix_walk(self.gens, words, self.assignment,
-                                       self.ket):
-                self._cache[words[w]] = complex(np.vdot(self.bra, vec))
+            raise ConfigError(
+                f"monomial {missing[0]} missing from value table")
+        if self.reduction is not None:
+            return self._fill_reduced(missing)
+        _, ops = self._walk
+        _, nodes = self.gens.structure.plans(None, tuple(missing))
+        bra = self.bra
+        for pairs, vec in _prefix_walk(nodes, ops, self.ket):
+            for _, m in pairs:
+                self._cache[m] = complex(np.vdot(bra, vec))
 
     def _fill_reduced(self, missing):
         """Cache vdot(y^r^dag chi, kappa_a) for each monomial m = a r.
 
-        kappa_a = (<u_a| x 1) ket is one length-D contraction per distinct
-        a, with u_a = y^a^dag v made from v by the n x n adjoints in word
-        order.  y^r^dag chi comes from one prefix walk over the reversed
-        words of the distinct r, on vectors of size D/n with at most
-        degree walk buffers; no y_g acts on the full space.
+        The plan ``gens.structure.plans(mask, missing)``, mask 1 on the
+        frame's generators (one of ``ncalg.PLAN_CACHE`` kept), lists the
+        distinct a and the reversed words of the r.  kappa_a = (<u_a| x 1)
+        ket is one length-D contraction per distinct a, with u_a =
+        y^a^dag v made from v by the n x n adjoints in word order.
+        y^r^dag chi comes from one prefix walk over the reversed words, on
+        vectors of size D/n with at most degree walk buffers; no y_g acts
+        on the full space.
         """
-        factor, v, chi, on_f, rest = self.reduction
-        mask = tuple(int(g in on_f) for g in range(len(self.gens.names)))
-        kappas = {}  # a -> kappa_a
-        words = {}  # reversed word of r -> [(a, monomial)]
-        for m in missing:
-            a, w = ncalg._split_monomial(m, mask)
-            kappas[a] = None
-            words.setdefault(w, []).append((a, m))
-        for a in kappas:
+        factor, v, chi, on_f, _ = self.reduction
+        mask, ops = self._walk
+        parts, nodes = self.gens.structure.plans(mask, tuple(missing))
+        kappas = []
+        for a in parts:
             u = v
             for g in ncalg.monomial_word(a):
                 u = on_f[g] @ u
-            kappas[a] = self.space.apply_factor(factor, u.conj()[None, :],
-                                                self.ket)
-        for w, xi in _prefix_walk(self.gens, words, rest, chi):
-            for a, m in words[w]:
-                self._cache[m] = complex(np.vdot(xi, kappas[a]))
+            kappas.append(self.space.apply_factor(factor, u.conj()[None, :],
+                                                  self.ket))
+        for pairs, xi in _prefix_walk(nodes, ops, chi):
+            for i, m in pairs:
+                self._cache[m] = complex(np.vdot(xi, kappas[i]))
 
     def value_table(self, max_degree: int = None) -> dict:
         """Monomial -> value map (golden files), by ``_fill_cache``.
@@ -165,7 +193,9 @@ class AlgebraicState:
         contraction per distinct a and a walk over the r at D/n.  Any other
         Hilbert backing values <bra| y^m |ket>: one walk over the words of
         degree <= d, with at most d walk buffers of size D alive, freed on
-        return."""
+        return.  Either walk's plan is cached under the frame mask and the
+        missing monomials (``_fill_cache``), so a second table of a model,
+        frame and degree builds none."""
         d = self._bounded(max_degree)
         basis = self.gens.monomial_basis(d)
         self._fill_cache(basis)
@@ -179,9 +209,12 @@ class AlgebraicState:
 
 
 def _overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
-    """<bra|ket>; ConfigError when |<bra|ket>| <= 1e-14 ||bra|| ||ket||."""
+    """<bra|ket>; ConfigError when ||bra|| ||ket|| is not finite, checked
+    first, or when |<bra|ket>| <= 1e-14 ||bra|| ||ket||."""
+    scale = finite("||bra|| ||ket||",
+                   float(np.linalg.norm(bra)) * float(np.linalg.norm(ket)))
     n = complex(np.vdot(bra, ket))
-    if abs(n) <= _VANISH_RTOL * np.linalg.norm(bra) * np.linalg.norm(ket):
+    if abs(n) <= _VANISH_RTOL * scale:
         raise ConfigError("bra/ket pair has vanishing overlap")
     return n
 
@@ -203,7 +236,8 @@ def from_hilbert(bra: np.ndarray, ket: np.ndarray, space: LatticeSpace,
     """State omega(a) = <bra| a |ket>, normalized to omega(1) = 1.
 
     Each monomial is valued by its definition, vdot(bra, y^m ket): the
-    words are walked on the ket and the bra is never acted on.
+    words are walked on the ket and the bra is never acted on.  ConfigError
+    when bra or ket is not finite.
     """
     _check_assignment(space, gens, assignment)
     bra = np.asarray(bra, dtype=complex)
@@ -213,7 +247,10 @@ def from_hilbert(bra: np.ndarray, ket: np.ndarray, space: LatticeSpace,
             f"bra {bra.shape} and ket {ket.shape} on a space of {space.dim}")
     if normalize:
         bra = bra / np.conj(_overlap(bra, ket))
-    return AlgebraicState(gens, degree_bound, space=space, bra=bra, ket=ket,
+    else:
+        finite("bra", bra)
+        finite("ket", ket)
+    return AlgebraicState(gens, degree_bound, space=space, _bra=bra, ket=ket,
                           assignment=assignment)
 
 
@@ -248,7 +285,9 @@ def frame_state(space: LatticeSpace, C: KinOperator, frame, rho: float,
     gauge conditions exactly.  It is v (x) chi, v = |rho> on the frame
     factor F and chi = (<v| x 1) psi (the Page-Wootters reduced state),
     divided by conj(<chi|chi>) = conj(<v (x) chi|psi>) as ``from_hilbert``
-    normalizes; building it costs D.
+    normalizes.  A state with a ``reduction`` builds that D-vector only on
+    the first read of ``bra`` (``gauge_transform_state`` and ``gauge_flow``
+    read it; its values never do).
 
     When every generator's support lies on one side of F (to HERM_TOL),
     the state records F, v, chi and the cut adjoints, and its values are
@@ -263,18 +302,19 @@ def frame_state(space: LatticeSpace, C: KinOperator, frame, rho: float,
     v = orientation_state_at(frame, rho)
     chi = space.apply_factor(frame.factor, v.conj()[None, :], psi)
     chi = chi / np.conj(_overlap(chi, chi))
-    bra = space.apply_factor(frame.factor, v[:, None], chi)
     rest = reduced_space(space, frame.factor)
     parts = [split_adjoint(assignment[name], frame.factor, rest)
              for name in gens.names]
-    reduction = None
+    reduction = bra = None
     if all(p is not None for p in parts):
         on_f = {g: p for g, p in enumerate(parts)
                 if not isinstance(p, KinOperator)}
         off_f = {name: p for name, p in zip(gens.names, parts)
                  if isinstance(p, KinOperator)}
         reduction = (frame.factor, v, chi, on_f, off_f)
-    return AlgebraicState(gens, degree_bound, space=space, bra=bra, ket=psi,
+    else:
+        bra = space.apply_factor(frame.factor, v[:, None], chi)
+    return AlgebraicState(gens, degree_bound, space=space, _bra=bra, ket=psi,
                           assignment=assignment, reduction=reduction)
 
 
@@ -282,27 +322,22 @@ def frame_state(space: LatticeSpace, C: KinOperator, frame, rho: float,
 # the representation: words applied to vectors, relations checked
 
 
-def _prefix_walk(gens: GeneratorSet, words, assignment, vec):
-    """Yield (w, y_w1 ... y_wn vec) for the ``words``, depth first over
-    their suffixes.  Each node is applied from its parent's buffer into one
-    complex buffer per trie depth (<= degree of them, made on first use;
-    ``vec`` is never written), so a yielded vector is valid only until the
-    walk's next step: use it at once or copy it."""
-    children = {}  # suffix -> the suffixes one letter longer
-    for w in {w[k:] for w in words for k in range(len(w))}:
-        children.setdefault(w[1:], []).append(w)
+def _prefix_walk(nodes, ops, vec):
+    """Yield (pairs, vector) at each node of a walk plan's ``nodes`` that
+    ends a requested word (``ncalg._walk_plan``): the vector is y_w1 ...
+    y_wn vec for the node's word w, its letter g applied by
+    ``ops[g].apply(src, out=dst)`` to its parent's buffer.  The buffers are one complex array
+    per depth (<= degree of them, made on first use; ``vec`` is never
+    written), so a yielded vector is valid only until the walk's next step:
+    use it at once or copy it."""
     bufs = [vec]
-    stack = [()]
-    while stack:
-        w = stack.pop()
-        d = len(w)
-        if d == len(bufs):
-            bufs.append(np.empty(vec.shape, dtype=complex))
-        if w:  # depth first: bufs[d - 1] still holds the parent w[1:]
-            assignment[gens.names[w[0]]].apply(bufs[d - 1], out=bufs[d])
-        if w in words:
-            yield w, bufs[d]
-        stack += children.get(w, ())
+    for d, g, pairs in nodes:
+        if d:  # depth first: bufs[d - 1] still holds the parent
+            if d == len(bufs):
+                bufs.append(np.empty(vec.shape, dtype=complex))
+            ops[g].apply(bufs[d - 1], out=bufs[d])
+        if pairs:
+            yield pairs, bufs[d]
 
 
 def verify_assignment(gens: GeneratorSet, space, assignment,

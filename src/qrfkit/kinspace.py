@@ -139,37 +139,47 @@ class LatticeSpace:
         return self.apply_factor(factor, np.asarray(diag)[:, None],
                                  np.ones(self.dim // self._factor(factor).N))
 
+    @cached_property
+    def _around(self) -> tuple:
+        """Per factor, (a, b): the products of the dims before and after."""
+        return tuple((prod(self.dims[:k]), prod(self.dims[k + 1:]))
+                     for k in range(len(self.dims)))
+
     def apply_factor(self, factor: int, mat: np.ndarray, vec: np.ndarray,
                      out: np.ndarray = None) -> np.ndarray:
         """Apply an m x n matrix on one factor to a vector or a column block
         whose rows carry n in that factor's slot (else ConfigError); m comes
-        out there.
-
-        The rows are viewed as (a, n, b*k), a and b the products of the dims
-        before and after the factor and k the block width, and contracted
-        by one matmul: a row GEMM when b*k == 1, else a GEMM batched over the
-        a slices.  ``out``, if given, receives the result and is returned:
-        a C-contiguous complex array of the result's shape that does not
-        overlap ``vec``.  The values are the same bits either way.
+        out there, by ``_contract``.  ``out``, if given, receives the
+        result and is returned: a C-contiguous complex array of the
+        result's shape that does not overlap ``vec``.  The values are the
+        same bits either way.
         """
         self._factor(factor)
         m, n = mat.shape
-        a, b = prod(self.dims[:factor]), prod(self.dims[factor + 1:])
+        a, b = self._around[factor]
         if vec.shape[:1] != (a * n * b,):
             raise ConfigError(f"{vec.shape} input where {a * n * b} rows fit")
-        bk = b * prod(vec.shape[1:])
-        v = vec.reshape(a, n, bk)
         shape = (a * m * b,) + vec.shape[1:]
         if out is None:
             out = np.empty(shape, np.result_type(mat, vec))
         else:
             _check_out(out, shape)
-        o = out.reshape(a, m, bk)
-        if bk == 1:
-            np.matmul(v[:, :, 0], mat.T, out=o[:, :, 0])
-        else:
-            np.matmul(mat, v, out=o)
-        return out
+        return _contract(mat, a, b, vec, out)
+
+
+def _contract(mat: np.ndarray, a: int, b: int, vec: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """out = an m x n ``mat`` on the middle axis of the rows of ``vec``,
+    unchecked.  The rows are viewed as (a, n, b*k), k the block width, and
+    contracted by one matmul: a row GEMM when b*k == 1, else a GEMM
+    batched over the a slices."""
+    m, n = mat.shape
+    bk = b * prod(vec.shape[1:])
+    if bk == 1:
+        np.matmul(vec.reshape(a, n), mat.T, out=out.reshape(a, m))
+    else:
+        np.matmul(mat, vec.reshape(a, n, bk), out=out.reshape(a, m, bk))
+    return out
 
 
 def _check_dense(dim: int) -> None:
@@ -485,12 +495,15 @@ class KinOperator:
                        scalar=np.conj(self.scalar))
 
     def apply(self, vec: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        if self.local is not None:  # apply_factor checks the rows
-            return self.space.apply_factor(self.factor, self.local, vec, out)
         if vec.shape[:1] != (self.space.dim,):
             raise ConfigError(f"{vec.shape} input on a space of {self.space.dim}")
         if out is not None:
             _check_out(out, vec.shape)
+        if self.local is not None:  # apply_factor's contraction
+            if out is None:
+                out = np.empty(vec.shape, np.result_type(self.local, vec))
+            a, b = self.space._around[self.factor]
+            return _contract(self.local, a, b, vec, out)
         if self.is_diagonal:
             return np.multiply(self.diag.reshape((-1,) + (1,) * (vec.ndim - 1)),
                                vec, out=out)
@@ -666,8 +679,9 @@ def split_adjoint(op: KinOperator, factor: int, rest: LatticeSpace):
     composed.
 
     The support is decided to HERM_TOL, and a diagonal is read at index 0
-    of the axis it drops, so the cut is exact only up to the variation
-    below HERM_TOL that ``support`` ignores.
+    of the axes it drops (a frame-factor diagonal is indexed, n entries,
+    not copied), so the cut is exact only up to the variation below
+    HERM_TOL that ``support`` ignores.
     """
     dims = op.space.dims
     if factor not in op.support:
@@ -679,8 +693,9 @@ def split_adjoint(op: KinOperator, factor: int, rest: LatticeSpace):
                                    op.local.conj().T)
     elif op.support == {factor}:
         if op.is_diagonal:
-            d = np.moveaxis(op.diag.reshape(dims), factor, 0)
-            return np.diag(d.reshape(dims[factor], -1)[:, 0].conj())
+            at = tuple(slice(None) if k == factor else 0
+                       for k in range(len(dims)))
+            return np.diag(op.diag.reshape(dims)[at].conj())
         if op.local is not None:
             return op.local.conj().T
     return None
@@ -716,7 +731,11 @@ def build_constraint(space: LatticeSpace, terms) -> KinOperator:
     subspace.  If zero is not in the reduced spectrum the result carries a
     warning flag.  NotAFrameFactor when the space has no frame.
     """
-    total = _generator_sum(space, terms)
+    return _reduced_constraint(space, _generator_sum(space, terms))
+
+
+def _reduced_constraint(space: LatticeSpace, total: np.ndarray) -> KinOperator:
+    """``build_constraint`` from the generator sum ``total`` (not written)."""
     frames = [f for f in space.factors if f.is_frame]
     if not frames:
         raise NotAFrameFactor("space has no frame factor")
@@ -784,11 +803,22 @@ def group_average(space: LatticeSpace, C: KinOperator) -> KinOperator:
 
 def check_physical(C: KinOperator, psi: np.ndarray) -> None:
     """Raise NotPhysical unless every column of ``psi`` solves the
-    constraint; ConfigError for a column whose norm is not finite."""
-    resid = np.linalg.norm(C.apply(psi), axis=0)
-    norms = finite("||psi||", np.linalg.norm(psi, axis=0))
+    constraint, ||C psi|| <= PHYS_RTOL ||psi||.  ||psi|| is checked first:
+    a column whose norm is not finite raises ConfigError before C acts.
+    A vector's norm is ``np.linalg.norm``'s, without its per-column
+    temporaries; a block's are those of |x| per column (|inf|^2 is inf,
+    where inf * 0 in conj(x) x warns)."""
+    norms = finite("||psi||", _norms(psi))
+    resid = _norms(C.apply(psi))
     if np.any(resid > PHYS_RTOL * norms):
         raise NotPhysical(f"||C psi|| = {np.max(resid):.2e} exceeds tolerance")
+
+
+def _norms(x: np.ndarray):
+    """The norm of a vector, or the norms of a block's columns."""
+    if np.ndim(x) == 1:
+        return np.linalg.norm(x)
+    return np.linalg.norm(np.abs(x), axis=0)
 
 
 def project_physical(Pi: KinOperator, psi: np.ndarray) -> np.ndarray:
@@ -797,11 +827,12 @@ def project_physical(Pi: KinOperator, psi: np.ndarray) -> np.ndarray:
     On ker(C) the physical inner product coincides with the kinematical one,
     so normalization is the plain vector norm of the projection.  EmptyKernel
     when ||Pi psi|| <= 1e-14 ||psi||, whatever the scale of psi; ConfigError
-    when ||psi|| is not finite.
+    when ||psi||, taken first, is not finite.
     """
+    scale = finite("||psi||", np.linalg.norm(psi))
     phi = Pi.apply(psi)
     n = np.linalg.norm(phi)
-    if n <= _VANISH_RTOL * finite("||psi||", np.linalg.norm(psi)):
+    if n <= _VANISH_RTOL * scale:
         raise EmptyKernel("state has no overlap with the constraint kernel")
     return phi / n
 
@@ -809,10 +840,13 @@ def project_physical(Pi: KinOperator, psi: np.ndarray) -> np.ndarray:
 def physical_inner_product(space: LatticeSpace, Pi: KinOperator,
                            psi_kin: np.ndarray, phi_kin: np.ndarray) -> complex:
     """<psi|Pi|phi>: positive semi-definite, an honest inner product on
-    ker(C); ConfigError when it is not finite."""
+    ker(C); ConfigError when psi or phi, checked first, or the value is
+    not finite."""
     _check_space(space, Pi)
     if psi_kin.shape[:1] != (space.dim,):
         raise ConfigError(f"psi {psi_kin.shape} on a space of {space.dim}")
+    finite("psi", psi_kin)
+    finite("phi", phi_kin)
     return complex(finite("<psi|Pi|phi>", np.vdot(psi_kin, Pi.apply(phi_kin))))
 
 

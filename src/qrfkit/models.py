@@ -139,8 +139,8 @@ def _frame_model(spec: ModelSpec, factors, gens: GeneratorSet, c_elem,
         assignment[name] = ks.factor_operator(space, i, mat)
     if constraint is None:
         terms = dict.fromkeys(range(len(factors)), 1.0)
-        C = ks.build_constraint(space, terms)
         plain = ks._generator_sum(space, terms)
+        C = ks._reduced_constraint(space, plain)
     else:
         C = constraint(space, assignment)
         plain = C.diag.real.copy()

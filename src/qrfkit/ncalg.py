@@ -50,15 +50,18 @@ names, so it lives in one ``Structure`` per table: the table, its blocks
 and rewrite rules, and the caches of factor masks, of the normal forms of
 words that need a rewrite, of Weyl averages, of product tables (the exact
 rows of left a right over a monomial basis, with their numeric values per
-hbar and their exact values at hbar = 1) and of the monomial basis.  The
+hbar and their exact values at hbar = 1) and of the monomial basis.  It
+also owns a bounded LRU of the plans by which states on its generators
+walk their words (``_walk_plan``, which reads no relation).  The
 module registry ``_STRUCTURES`` keys it by the number of generators and
 the exact table, each coefficient part with its type (an exact table and
 a float twin never share), and every ``GeneratorSet`` on that table reads
 it: two builds of one model, at any lattice size, share normal forms and
 product tables.  The registry holds its structures for the life of the
 process: after one pass of the ``sparse-large`` benchmark workload, the
-live memory allocated in this module is about 2.3 MiB (tracemalloc, from
-before the pass), 0.8 MiB of it held by product tables.
+live memory allocated in this module is about 2.4 MiB (tracemalloc, from
+before the pass), 0.8 MiB of it held by product tables and 0.6 MiB by
+walk plans.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ from .errors import ConfigError, DegreeExceeded
 
 IDENTITY = -1  # index of the identity component in relation tables
 DEGREE_CAP = 12  # the highest degree of a product or a product table row
+PLAN_CACHE = 32  # walk plans kept per structure (``Structure.plans``)
 
 
 def __getattr__(name):
@@ -306,6 +310,9 @@ class Structure:
     instance per table, shared through ``_STRUCTURES`` by every
     ``GeneratorSet`` built on it.  Treat as read-only outside this module.
 
+    ``plans(mask, monomials)`` is ``_walk_plan`` behind an LRU of at most
+    ``PLAN_CACHE`` entries: the states on this structure share their plans.
+
     ``relations[(i, j)]`` for i < j maps the component index k (or
     ``IDENTITY``) to the exact structure constant alpha in
     ``[y_i, y_j] = i*hbar*sum_k alpha_k y_k``; antisymmetry is implicit.
@@ -322,7 +329,8 @@ class Structure:
     """
 
     __slots__ = ("n", "relations", "blocks", "rewrites", "blocked",
-                 "factors", "words", "weyl", "tables", "basis", "basis_ends")
+                 "factors", "words", "weyl", "tables", "basis", "basis_ends",
+                 "plans")
 
     def __init__(self, n: int, relations: dict):
         self.n = n
@@ -343,6 +351,7 @@ class Structure:
         self.tables = {}
         self.basis = []       # monomials sorted by (degree, m)
         self.basis_ends = []  # basis_ends[d]: end of degree d in basis
+        self.plans = lru_cache(maxsize=PLAN_CACHE)(_walk_plan)
 
     def alpha(self, i: int, j: int) -> dict:
         """Components of [y_i, y_j] without the i*hbar prefactor."""
@@ -810,12 +819,40 @@ def _reversed_factors(s: Structure, m: tuple) -> tuple:
                  for g, e in reversed(tuple(enumerate(m))) if e)
 
 
-@lru_cache(maxsize=1 << 14)
 def _split_monomial(m: tuple, mask: tuple) -> tuple:
     """(a, the reversed word of r) for m = a r: a keeps the exponents where
-    ``mask`` is 1, r the others."""
+    ``mask`` is 1, r the others; not cached, as the plans that call it
+    are."""
     a = tuple(map(mul, m, mask))
     return a, monomial_word(tuple(map(sub, m, a)))[::-1]
+
+
+def _walk_plan(mask, monomials) -> tuple:
+    """(parts, nodes): the prefix walk valuing ``monomials``, a function of
+    its arguments alone (``Structure.plans`` caches it).  With a frame
+    ``mask`` each m = a r is cut by ``_split_monomial``: ``parts`` lists the
+    distinct a and the walk runs over the reversed words of the r; with
+    mask None, ``parts`` is empty and it runs over the words of the m.
+    ``nodes`` are its steps depth first from the root (): (depth, letter
+    applied or None, the (index in parts, m) pairs whose word ends there);
+    a node's parent is the last earlier node one level up."""
+    parts, words = {}, {}
+    for m in monomials:
+        if mask is None:
+            i, w = 0, monomial_word(m)
+        else:
+            a, w = _split_monomial(m, mask)
+            i = parts.setdefault(a, len(parts))
+        words.setdefault(w, []).append((i, m))
+    children = {}  # suffix -> the suffixes one letter longer
+    for w in {w[k:] for w in words for k in range(len(w))}:
+        children.setdefault(w[1:], []).append(w)
+    nodes, stack = [], [()]
+    while stack:
+        w = stack.pop()
+        nodes.append((len(w), w[0] if w else None, tuple(words.get(w, ()))))
+        stack += children.get(w, ())
+    return tuple(parts), tuple(nodes)
 
 
 class AlgebraElement:

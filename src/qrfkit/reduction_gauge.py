@@ -23,7 +23,7 @@ import numpy as np
 from .algstates import AlgebraicState, from_hilbert
 from .errors import ConfigError, SameFrame, UnsupportedSupport
 from .kinspace import (_COLUMN_BLOCK, KinOperator, _check_space,
-                       _diagonal_spectrum, check_physical)
+                       _diagonal_spectrum, check_physical, finite)
 # theta_gauge, the reference gauge Theta(rho), is defined once in relobs
 from .relobs import OrientationFrame, orientation_state_at, theta_gauge
 
@@ -40,8 +40,10 @@ def reduce_state(frame: OrientationFrame, rho: float, psi_phys: np.ndarray,
 
 def embed_state(frame: OrientationFrame, rho: float, phi: np.ndarray,
                 Pi: KinOperator) -> np.ndarray:
-    """Inverse conditioning: Pi (phi x |rho>), a state annihilated by C."""
+    """Inverse conditioning: Pi (phi x |rho>), a state annihilated by C;
+    ConfigError when phi is not finite."""
     _check_space(Pi.space, frame)
+    finite("phi", phi)
     ket = orientation_state_at(frame, rho)[:, None]
     return Pi.apply(frame.space.apply_factor(frame.factor, ket, phi))
 

@@ -130,6 +130,7 @@ def wraparound_weight(frame: OrientationFrame, vec: np.ndarray,
     if not 0 <= 2 * margin <= frame.N:
         raise ConfigError(
             f"margin must lie in [0, N/2] = [0, {frame.N / 2:g}], got {margin}")
+    finite("vec", vec)
     F = frame.fourier_matrix().conj().T / np.sqrt(frame.N)
     prob = np.abs(frame.space.apply_factor(frame.factor, F, vec)) ** 2
     marg = np.moveaxis(prob.reshape(frame.space.dims), frame.factor, 0)

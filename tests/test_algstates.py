@@ -1104,3 +1104,151 @@ def test_other_states_value_the_word_by_word_chain(
             exact = complex(np.vdot(bra, per_word(gens, state.assignment, m,
                                                   ket)))
             assert abs(v - exact) <= 1e-13 * bound(m)
+
+
+def table_bits(table):
+    """A value table as (monomial, hex of the real and imaginary parts)."""
+    return [(m, v.real.hex(), v.imag.hex()) for m, v in table.items()]
+
+
+def evict_plans(gens, state):
+    """Fill ``ncalg.PLAN_CACHE`` plans on ``gens``' structure, one per
+    single monomial of degree 1 to 4 that ``state`` has not valued: the
+    cache then holds those plans only."""
+    fresh = [m for m in gens.monomial_basis(4)
+             if any(m) and m not in state._cache]
+    assert len(fresh) >= ncalg.PLAN_CACHE
+    for m in fresh[:ncalg.PLAN_CACHE]:
+        state.evaluate(gens.element({m: 1}))
+
+
+@settings(max_examples=25)
+@given(**CASES, degree=st.integers(0, 6),
+       subsets=st.lists(st.lists(st.integers(0, 10**4), min_size=1,
+                                 max_size=6), max_size=4),
+       reset=st.sampled_from(["keep", "clear", "evict"]))
+@example(kind="su2", frame=0, size=4, hbar=0.7, j=2, levels=(1.0, 1.0),
+         sizes=(4, 6), rho_index=3, seed=29, degree=6,
+         subsets=[[5, 70, 400], [0]], reset="evict")
+@example(kind="mixed", frame=1, size=8, hbar=1.0, j=1, levels=(1.0, 1.0),
+         sizes=(8, 6, 4), rho_index=2, seed=31, degree=5,
+         subsets=[[3, 9], [300, 4]], reset="clear")
+def test_values_do_not_depend_on_call_history(
+        kind, frame, size, hbar, j, levels, sizes, rho_index, seed, degree,
+        subsets, reset):
+    # a frame state's table is reduced_per_word_value bit for bit, whether
+    # one value_table call fills it or evaluate calls fill parts of it
+    # first, and whether its walk plan was kept, cleared or evicted between
+    space, C, frames, assignment, gens, _, psi = random_case(
+        kind, size, hbar, j, levels, sizes, np.random.default_rng(seed))
+    fr = frames[frame % len(frames)]
+    rho = fr.grid[rho_index % fr.N]
+    plans = gens.structure.plans
+
+    def fresh():
+        return ast.frame_state(space, C, fr, rho, psi, assignment, gens, 6)
+
+    def between(state):
+        if reset == "clear":
+            plans.cache_clear()
+        elif reset == "evict":
+            evict_plans(gens, state)
+        assert plans.cache_info().currsize <= ncalg.PLAN_CACHE
+
+    om = fresh()
+    assert om.reduction is not None
+    table = om.value_table(degree)
+    assert all(v == reduced_per_word_value(om, m) for m, v in table.items())
+    basis = gens.monomial_basis(degree)
+    om_parts = fresh()
+    for subset in subsets:
+        om_parts.evaluate(gens.element({basis[i % len(basis)]: 1
+                                        for i in subset}))
+        between(fresh())
+    assert table_bits(om_parts.value_table(degree)) == table_bits(table)
+    between(fresh())
+    misses = plans.cache_info().misses
+    assert table_bits(fresh().value_table(degree)) == table_bits(table)
+    assert plans.cache_info().misses == misses + (reset != "keep")
+
+
+class TestWalkPlans:
+    def test_a_second_table_reuses_the_plan(self, npmodel, loc_state,
+                                           monkeypatch):
+        # the plan of a frame, degree and monomial list is built once: a
+        # second table on a fresh state splits no monomial
+        frame_omega(npmodel, "B", 0.0, loc_state, 5).value_table(5)
+        plans = npmodel.gens.structure.plans
+        misses = plans.cache_info().misses
+        splits = []
+        split = ncalg._split_monomial
+
+        def spy(m, mask):
+            splits.append(m)
+            return split(m, mask)
+
+        monkeypatch.setattr(ncalg, "_split_monomial", spy)
+        table = frame_omega(npmodel, "B", 0.0, loc_state, 5).value_table(5)
+        assert plans.cache_info().misses == misses
+        assert not splits
+        plans.cache_clear()
+        rebuilt = frame_omega(npmodel, "B", 0.0, loc_state, 5).value_table(5)
+        assert plans.cache_info().misses == 1
+        assert len(splits) == len(npmodel.gens.monomial_basis(5))
+        assert table_bits(rebuilt) == table_bits(table)
+
+    def test_the_bra_is_built_on_first_read(self, npmodel, loc_state,
+                                            monkeypatch):
+        # frame_state contracts the full space to chi and makes no D-vector
+        # until .bra is read; that bra is bitwise the one a state without
+        # a reduction builds at once
+        dim = npmodel.space.dim
+        made = []
+        apply_factor = ks.LatticeSpace.apply_factor
+
+        def spy(space, factor, mat, vec, out=None):
+            res = apply_factor(space, factor, mat, vec, out)
+            made.append(res.shape[0] == dim)
+            return res
+
+        monkeypatch.setattr(ks.LatticeSpace, "apply_factor", spy)
+        om = frame_omega(npmodel, "A", 0.0, loc_state, 4)
+        om.value_table(4)
+        assert om.reduction is not None and made and not any(made)
+        bra = om.bra
+        assert made.count(True) == 1
+        assert om.bra is bra and made.count(True) == 1
+        assignment = dict(npmodel.assignment)
+        assignment["p_B"] = assignment["p_B"] + assignment["p_A"]
+        fr = npmodel.frames["A"]
+        eager = ast.frame_state(npmodel.space, npmodel.constraint, fr, 0.0,
+                                loc_state, assignment, npmodel.gens, 4)
+        assert eager.reduction is None and made.count(True) == 2
+        assert np.array_equal(bra, eager.bra)
+        assert bra.tobytes() == eager.bra.tobytes()
+
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_a_fill_with_nothing_missing_does_no_work(
+            self, npmodel, loc_state, monkeypatch, reduced):
+        # once the table holds every monomial a call asks for, neither a
+        # plan nor an apply is looked at
+        om = frame_omega(npmodel, "A", 0.0, loc_state, 4)
+        if not reduced:
+            om = plain_state(npmodel, om)
+        table = om.value_table(4)
+        plans = npmodel.gens.structure.plans
+        before = plans.cache_info()
+        applies = []
+        apply = ks.KinOperator.apply
+
+        def spy(op, vec, out=None):
+            applies.append(op)
+            return apply(op, vec, out)
+
+        monkeypatch.setattr(ks.KinOperator, "apply", spy)
+        assert om.value_table(4) == table
+        p_b = npmodel.gens.gen("p_B")
+        assert om.evaluate(p_b) == table[next(iter(p_b.terms))]
+        ast.check_constraint_surface(om, npmodel.constraint_elem, 4)
+        assert plans.cache_info() == before
+        assert not applies

@@ -1087,6 +1087,34 @@ CONFIG_ERRORS = {
                                                 np.ones(64))),
     "check_physical.nan": _on_nparticle4(lambda m, fr: ks.check_physical(
         m.constraint, np.full(64, np.nan))),
+    # an infinite entry, refused before any arithmetic reaches it (the
+    # suite turns numpy's RuntimeWarning of 0 * inf into an error), and
+    # the two entry points that took no norm of their input
+    "physical_inner_product.inf": _on_nparticle4(
+        lambda m, fr: ks.physical_inner_product(m.space, m.Pi, np.ones(64),
+                                                _with_inf(64))),
+    "project_physical.inf": _on_nparticle4(lambda m, fr: ks.project_physical(
+        m.Pi, _with_inf(64))),
+    "check_physical.inf": _on_nparticle4(lambda m, fr: ks.check_physical(
+        m.constraint, _with_inf(64))),
+    "check_physical.block.inf": _on_nparticle4(
+        lambda m, fr: ks.check_physical(m.constraint, np.column_stack(
+            [np.ones(64), _with_inf(64)]))),
+    "frame_state.inf": _on_nparticle4(lambda m, fr: ast.frame_state(
+        m.space, m.constraint, fr, 0.0, _with_inf(64), m.assignment, m.gens)),
+    "reduce_state.C.inf": _on_nparticle4(lambda m, fr: rg.reduce_state(
+        fr, 0.0, _with_inf(64), m.constraint)),
+    "wraparound_weight.inf": _on_nparticle4(
+        lambda m, fr: ro.wraparound_weight(fr, _with_inf(64))),
+    "embed_state.nan": _on_nparticle4(lambda m, fr: rg.embed_state(
+        fr, 0.0, np.full(16, np.nan), m.Pi)),
+    "embed_state.inf": _on_nparticle4(lambda m, fr: rg.embed_state(
+        fr, 0.0, _with_inf(16), m.Pi)),
+    "from_hilbert.inf": _on_nparticle4(lambda m, fr: ast.from_hilbert(
+        _with_inf(64), np.ones(64), m.space, m.assignment, m.gens)),
+    "from_hilbert.nan": _on_nparticle4(lambda m, fr: ast.from_hilbert(
+        np.ones(64), np.full(64, np.nan), m.space, m.assignment, m.gens,
+        normalize=False)),
     # a table state's hbar, checked as tensor_space checks it
     "from_table.hbar.nan": lambda: ast.from_table(
         _pair(), {(0, 0): 1.0}, hbar=np.nan),
@@ -1165,6 +1193,13 @@ CONFIG_ERRORS = {
     "from_table.nan": lambda: ast.from_table(
         _pair(), {(0, 0): 1.0, (1, 0): np.nan}),
 }
+
+
+def _with_inf(n):
+    """Ones of length ``n`` with one infinite entry."""
+    x = np.ones(n, dtype=complex)
+    x[n // 3] = np.inf
+    return x
 
 
 def _without_p_b(m):
